@@ -29,7 +29,7 @@ for name, S in (("classical quaternionic structure on H", build_quaternionic(1))
     print("label:", a.label, "   flags:", {k: v for k, v in a.flags.items()
                                            if k != "semantics"})
     hd = heaven_data(S)
-    md = minus_data(S)
+    md = minus_data(hd)
     print("dim U+ = %d, dim E = %d, rank psi+ = %d"
           % (hd.u_plus_dim, hd.e_plus_dim, rank(hd.psi_plus)))
     print("dim U- = %d, rank psi- = %d" % (md.u_minus_dim,

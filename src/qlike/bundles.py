@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 from .errors import InternalError, InvalidInput
 from .forms import BinaryForm, format_form, parse_form
-from .linalg import rank as scalar_rank
-from .polymatrix import (PolyMatrix, annihilator_generators, generic_rank,
-                         graded_kernel, solve_combination)
-from .scalars import Scalar
+from .linalg import kernel_basis, rank as scalar_rank
+from .polymatrix import (PolyMatrix, _equation_rows, annihilator_generators,
+                         generic_rank, graded_kernel, solve_combination)
 
 SAMPLE_POINTS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))
 
@@ -177,28 +176,38 @@ def annihilator(A: SubbundleFamily) -> SubbundleFamily:
 def h0_dimension_by_solve(F: SubbundleFamily, m: int) -> int:
     """dim H^0(F(m)) by a direct degree-m solve against the annihilator.
 
-    Independent of the basis degrees, used as the second route in the
-    splitting cross-check.
+    Independent of the basis degrees; the splitting cross-check runs the
+    same solve, with one annihilator for all its twists.
     """
-    if m < 0 and F.rank == 0:
-        return 0
-    ann = annihilator(F)
-    if ann.rank == 0:
-        return F.ambient * (m + 1) if m >= 0 else 0
-    n = F.ambient
-    relations = [list(col) for col in ann.columns()]
-    # dimension of { v in S_m^n : <q_j, v> = 0 } via one kernel solve
-    from .linalg import kernel_basis
-    from .polymatrix import _equation_rows  # shared assembly helper
     if m < 0:
         return 0
-    shifts = [0] * n
-    lengths = [m + 1] * n
-    offsets = [i * (m + 1) for i in range(n)]
-    eq = _equation_rows(relations, shifts, lengths, offsets, m)
+    return _h0_killed_by(annihilator(F), m)
+
+
+def _h0_killed_by(ann: SubbundleFamily, m: int) -> int:
+    """dim { v in S_m^n : <q, v> = 0 for every column q of ann }, via one
+    kernel solve."""
+    if m < 0:
+        return 0
+    n = ann.ambient
+    relations = [list(col) for col in ann.columns()]
+    eq = _equation_rows(relations, [0] * n, [m + 1] * n,
+                        [i * (m + 1) for i in range(n)], m)
     if not eq:
         return n * (m + 1)
     return len(kernel_basis(eq))
+
+
+def _quotient_sections(ann_degrees, m):
+    """Pairing-tuple basis of H^0 of (trivial / A)(m), where A's annihilator
+    has the given generator degrees."""
+    basis = []
+    for j, e in enumerate(ann_degrees):
+        for t in range(max(0, m + e + 1)):
+            tup = [BinaryForm.zero(max(m + d, 0)) for d in ann_degrees]
+            tup[j] = BinaryForm.monomial(m + e, t)
+            basis.append(tup)
+    return basis
 
 
 def h0_twist(F, m: int):
@@ -221,14 +230,7 @@ def h0_twist(F, m: int):
                               BinaryForm.zero(m) for c in col])
         return len(basis), basis
     if isinstance(F, QuotientBundle):
-        ann = annihilator(F.denominator)
-        degs = ann.degrees
-        basis = []
-        for j, e in enumerate(degs):
-            for t in range(max(0, m + e + 1)):
-                tup = [BinaryForm.zero(max(m + d, 0)) for d in degs]
-                tup[j] = BinaryForm.monomial(m + e, t)
-                basis.append(tup)
+        basis = _quotient_sections(annihilator(F.denominator).degrees, m)
         return len(basis), basis
     raise TypeError("h0_twist expects a SubbundleFamily or QuotientBundle")
 
@@ -248,11 +250,10 @@ def splitting_type(F, cross_check=True) -> SplittingType:
         raise TypeError("splitting_type expects a bundle value")
     st = SplittingType.of([-e for e in F.degrees])
     if cross_check and F.rank:
+        ann = annihilator(F)
         lo = min(F.degrees)
         hi = max(F.degrees)
-        h = {}
-        for m in range(lo - 2, hi + 2):
-            h[m] = h0_dimension_by_solve(F, m)
+        h = {m: _h0_killed_by(ann, m) for m in range(lo - 2, hi + 2)}
         for m in range(lo, hi + 1):
             g_m = h[m] - h[m - 1]
             g_m1 = h[m - 1] - h[m - 2]
@@ -362,15 +363,15 @@ def verify_canonical_sequences(Q: QuotientBundle) -> dict:
     The h^1 entry is computed from the splitting and cross-checked through
     the Serre-dual section space of the dual bundle.
     """
-    st = splitting_type(Q, cross_check=False)
+    ann_degrees = annihilator(Q.denominator).degrees
+    st = SplittingType.of(ann_degrees)
     if not st.is_nonnegative():
         raise InvalidInput("not nonnegative: splitting %s" % st)
     h0 = st.h0(0)
     h0_m1 = st.h0(-1)
     h0_m2 = st.h0(-2)
     h1_m2 = sum(max(0, 1 - a) for a in st.summands)
-    dual = annihilator(Q.denominator)
-    serre = splitting_type(dual, cross_check=False).h0(0)
+    serre = st.negate().h0(0)
     report = {
         "splitting": st.to_json(),
         "h0": h0,
@@ -388,7 +389,7 @@ def verify_canonical_sequences(Q: QuotientBundle) -> dict:
         },
     }
     # evaluation surjectivity of H^0 onto three sample fibers
-    dim, basis = h0_twist(Q, 0)
+    basis = _quotient_sections(ann_degrees, 0)
     fibers_ok = True
     for z0, z1 in SAMPLE_POINTS[:3]:
         values = [[f.evaluate(z0, z1) for f in tup] for tup in basis]

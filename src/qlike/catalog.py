@@ -237,7 +237,7 @@ def build_quaternionic(k) -> QLikeStructure:
     # the K sample point must come out right or the interpolation is broken
     zk = spanning.evaluate(ONE, I)
     ek = _eigenspace_minus_i(mk)
-    from .linalg import rank, span_equal
+    from .linalg import span_equal
     fiber = [[zk[r][c] for r in range(n)] for c in range(2 * k)]
     if not span_equal(fiber, ek):
         raise InternalError("eigenspace interpolation missed the third "

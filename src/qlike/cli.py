@@ -238,7 +238,7 @@ def cmd_verify(args):
 
 
 def _suite_core():
-    from .forms import BinaryForm, antipodal_transform, parse_form
+    from .forms import antipodal_transform, parse_form
     from .polymatrix import PolyMatrix, graded_kernel_basis
     from .bundles import (QuotientBundle, annihilator, family_span_equal,
                           is_split_extension, saturate, splitting_type,

@@ -298,11 +298,6 @@ def ip_is_constant(a):
     return len(a) == 1
 
 
-def int_pairs_of(coeffs):
-    """Scalar coefficient list -> cleared Gaussian-integer pair list."""
-    return _int_poly(coeffs)
-
-
 def _int_poly(coeffs):
     """Clear denominators to a Gaussian-integer pair list, trimmed."""
     from math import gcd as _igcd
@@ -421,16 +416,6 @@ def _monic(p: BinaryForm) -> BinaryForm:
         return p
     lead = next(c for c in p.coeffs if not c.is_zero())
     return p.scale(lead.inverse())
-
-
-def forms_gcd(forms) -> BinaryForm:
-    """Monic gcd of a family of forms; early exit once the gcd is constant."""
-    g = BinaryForm.zero(0)
-    for f in forms:
-        g = form_gcd(g, f)
-        if not g.is_zero() and g.degree == 0:
-            return BinaryForm.constant(1)
-    return g
 
 
 # -- parsing / formatting ----------------------------------------------------

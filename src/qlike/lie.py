@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import InternalError, InvalidInput
 from .linalg import (identity, kernel_basis, mat_mul, mat_sub, mat_vec, rank,
-                     rref, solve, transpose, zeros)
+                     solve, zeros)
 from .scalars import ONE, ZERO, Scalar, scalar
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _gcd
 
-from .scalars import ONE, ZERO, Scalar, scalar
+from .scalars import ONE, ZERO, Scalar
 
 # Gaussian integers are plain (re, im) int pairs inside this module.
 _GZERO = (0, 0)
@@ -154,25 +154,12 @@ def mat_vec(a, v):
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a, s):
-    s = scalar(s)
-    return [[x * s for x in row] for row in a]
-
-
 def mat_eq(a, b):
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
-def is_zero_matrix(a):
-    return all(x.is_zero() for row in a for x in row)
 
 
 def rank(a):
@@ -359,33 +346,6 @@ def rref(a):
         if r == nrows:
             break
     return m, pivots
-
-
-def column_space_basis(a):
-    _, pivots = rref(a)
-    return [[row[c] for row in a] for c in pivots]
-
-
-def extend_to_complement(inside, ambient_vectors):
-    """Greedily pick vectors from ambient_vectors independent of `inside`;
-    returns the picked complement vectors (first-come order)."""
-    rows = [v[:] for v in inside]
-    current = rank(rows) if rows else 0
-    picked = []
-    for v in ambient_vectors:
-        trial = rows + [v[:]]
-        r = rank(trial)
-        if r > current:
-            rows = trial
-            current = r
-            picked.append(v)
-    return picked
-
-
-def in_span(vectors, v):
-    if not vectors:
-        return all(x.is_zero() for x in v)
-    return rank(vectors) == rank(vectors + [v])
 
 
 def span_equal(u, v):

@@ -141,15 +141,10 @@ def _gcd_modp(a, b, p):
     return a
 
 
-def _bideg_rows(h):
+def bideg(h):
+    """(x-degree, y-degree) of a bivariate stored as rows over x-powers."""
     dx = len(h) - 1
     dy = max((len(row) - 1 for row in h if row), default=0)
-    return dx, dy
-
-
-def _int_bideg(h_int):
-    dx = len(h_int) - 1
-    dy = max((len(row) - 1 for row in h_int if row), default=0)
     return dx, dy
 
 
@@ -166,13 +161,13 @@ def resultant_gcd_is_constant(h_list, primes=PRIMES):
     ints = [h for h in ints if any(c != (0, 0) for row in h for c in row)]
     if len(ints) < 2:
         return False
-    ints.sort(key=lambda h: _int_bideg(h)[1])
+    ints.sort(key=lambda h: bideg(h)[1])
     h1_int = ints[0]
-    _, d1y_int = _int_bideg(h1_int)
+    _, d1y_int = bideg(h1_int)
     for p in primes:
         ip = sqrt_minus_one(p)
         h1 = _reduce_bivariate(h1_int, p, ip)
-        d1x, d1y = _bideg_rows(h1)
+        d1x, d1y = bideg(h1)
         if d1y != d1y_int:
             continue                       # h1 degenerated; try another prime
         if d1y == 0:
@@ -199,7 +194,7 @@ def resultant_gcd_is_constant(h_list, primes=PRIMES):
             h = _reduce_bivariate(h_int, p, ip)
             if not any(c for row in h for c in row):
                 continue                   # reduced to zero: inconclusive term
-            d2x, d2y = _bideg_rows(h)
+            d2x, d2y = bideg(h)
             bound = d1x * d2y + d2x * d1y + 1
             xs = list(range(bound))
             vals = []

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import os
 
-from .errors import InternalError
-from .forms import BinaryForm, antipodal_transform
+from .errors import InternalError, InvalidInput
+from .forms import BinaryForm
 from .linalg import kernel_basis
 from .scalars import ONE, ZERO, Scalar, scalar
 
@@ -23,11 +23,19 @@ DEFAULT_MAX_DEGREE = 64
 
 
 def max_degree_cap():
+    """The QLIKE_MAX_DEGREE cap on graded solves; a value that is not a
+    nonnegative integer is bad input."""
     value = os.environ.get("QLIKE_MAX_DEGREE", "")
-    try:
-        return int(value) if value else DEFAULT_MAX_DEGREE
-    except ValueError:
+    if not value:
         return DEFAULT_MAX_DEGREE
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise InvalidInput("QLIKE_MAX_DEGREE must be a nonnegative integer, "
+                           "got %r" % value)
+    return cap
 
 
 class PolyMatrix:
@@ -86,13 +94,6 @@ class PolyMatrix:
     def transpose_relations(self):
         """Rows-as-relations view: list of (row forms) used by the engine."""
         return [list(row) for row in self.entries]
-
-    def map_entries(self, fn):
-        return PolyMatrix(self.rows, self.cols, self.col_degrees,
-                          [[fn(e) for e in row] for row in self.entries])
-
-    def antipodal(self):
-        return self.map_entries(antipodal_transform)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
@@ -277,7 +278,6 @@ def graded_kernel_basis(M: PolyMatrix) -> PolyMatrix:
     cols - generic rank).  Mixed-degree relation systems go through
     :func:`graded_kernel` with explicit unknown shifts instead.
     """
-    from .errors import InvalidInput
     if len(set(M.col_degrees)) > 1:
         raise InvalidInput("graded_kernel_basis needs uniform column degrees;"
                            " use graded_kernel with unknown shifts")

@@ -16,18 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bundles import (QuotientBundle, SplittingType, SubbundleFamily,
-                      annihilator, family_contains, h0_twist,
-                      is_split_extension, saturate, splitting_type)
+from .bundles import (SAMPLE_POINTS, QuotientBundle, SplittingType,
+                      SubbundleFamily, annihilator, family_contains,
+                      is_split_extension, saturate, splitting_type,
+                      verify_canonical_sequences)
 from .errors import InternalError, InvalidInput
 from .forms import (BinaryForm, antipodal_transform, form_gcd, format_form,
                     parse_form)
 from .linalg import (conj_matrix, identity, inverse, kernel_basis, mat_eq,
                      mat_mul, mat_vec, rank, solve, transpose, zeros)
+from .modp import bideg, resultant_gcd_is_constant
 from .polymatrix import PolyMatrix, generic_rank, solve_combination
 from .scalars import ONE, ZERO, Scalar, scalar
-
-SAMPLE_POINTS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))
 
 
 class QLikeStructure:
@@ -279,12 +279,12 @@ def _immersion_check(gamma):
 
     The whole chain runs over primitive integer-pair polynomials (scaling a
     coordinate does not move the Wronskian zero locus)."""
-    from .forms import int_pairs_of, ip_deriv, ip_gcd, ip_mul, ip_sub, ip_trim
+    from .forms import _int_poly, ip_deriv, ip_gcd, ip_mul, ip_sub
     for chart in (0, 1):
         polys = []
         for f in gamma:
             coeffs = list(f.coeffs) if chart == 0 else list(reversed(f.coeffs))
-            polys.append(ip_trim(int_pairs_of(coeffs)))
+            polys.append(_int_poly(coeffs))
         g = None
         done = False
         m = len(polys)
@@ -322,8 +322,8 @@ def _injectivity_check(gamma):
     if beta == 2:
         # a degree-d self-map of the sphere is injective only when linear
         return "fail", "curve lies on a line but has degree %d" % d
-    from .forms import int_pairs_of, ip_gcd, ip_scale, ip_sub, ip_trim
-    ipolys = [ip_trim(int_pairs_of(list(f.coeffs))) for f in gamma]
+    from .forms import _int_poly, ip_gcd, ip_scale, ip_sub
+    ipolys = [_int_poly(f.coeffs) for f in gamma]
     polys = [list(f.coeffs) for f in gamma]
 
     # point at infinity against the affine chart: a common root of the
@@ -352,7 +352,7 @@ def _injectivity_check(gamma):
             h = _bivariate_two_point(polys[a], polys[b], d)
             if h is None:
                 continue
-            if _bideg(h) == (0, 0):
+            if bideg(h) == (0, 0):
                 return "pass", ""
             h_list.append(h)
             if len(h_list) >= 30:
@@ -361,17 +361,9 @@ def _injectivity_check(gamma):
             break
     if not h_list:
         return "fail", "all two-point minors vanish identically"
-    if len(h_list) >= 2:
-        from .modp import resultant_gcd_is_constant
-        if resultant_gcd_is_constant(h_list):
-            return "pass", ""
+    if len(h_list) >= 2 and resultant_gcd_is_constant(h_list):
+        return "pass", ""
     return _sampled_injectivity(gamma)
-
-
-def _bideg(h):
-    dx = len(h) - 1
-    dy = max((len(row) - 1 for row in h if row), default=0)
-    return dx, dy
 
 
 def _bivariate_two_point(pa, pb, d):
@@ -454,8 +446,11 @@ def minus_family(S: QLikeStructure) -> SubbundleFamily:
 
 def dualize(S: QLikeStructure) -> QLikeStructure:
     """Structure on the dual space: z maps to the annihilator of U^z."""
-    fam = minus_family(S)
-    ann = annihilator(fam)
+    return _dual_structure(S, annihilator(minus_family(S)))
+
+
+def _dual_structure(S: QLikeStructure, ann: SubbundleFamily) -> QLikeStructure:
+    """The dual of S, spanned by the annihilator ``ann`` of S's family."""
     conj = None
     if not S.complex_mode:
         # kappa*(phi) = D conj(phi) with D = (C^T)^{-1}
@@ -547,8 +542,14 @@ def _ann_offsets(degrees, twist):
 
 
 def heaven_data(S: QLikeStructure) -> HeavenData:
+    """Plus-side data of S.  analyze derives S's family and annihilator
+    here, and reads the plus splitting and the minus side from them."""
     fam = minus_family(S)
-    ann = annihilator(fam)
+    return _heaven_from(S, fam, annihilator(fam))
+
+
+def _heaven_from(S: QLikeStructure, fam: SubbundleFamily,
+                 ann: SubbundleFamily) -> HeavenData:
     degs = list(ann.degrees)
     n = S.dim
     off0, u_dim = _ann_offsets(degs, 0)
@@ -697,26 +698,28 @@ class MinusData:
     rho_minus_star: list     # U_minus -> E_minus
 
 
-def minus_data(S: QLikeStructure) -> MinusData:
-    dual = dualize(S)
-    hd = heaven_data(dual)
-    md = MinusData(S, hd, hd.u_plus_dim, hd.h_plus_dim, hd.e_plus_dim,
-                   transpose(hd.psi_plus), transpose(hd.rho_plus))
+def minus_data(hd: HeavenData) -> MinusData:
+    """Minus side of hd's structure.  The dual structure's family is hd.ann
+    and its annihilator is hd.family, so neither is derived again."""
+    S = hd.structure
+    dual = _heaven_from(_dual_structure(S, hd.ann), hd.ann, hd.family)
+    md = MinusData(S, dual, dual.u_plus_dim, dual.h_plus_dim,
+                   dual.e_plus_dim, transpose(dual.psi_plus),
+                   transpose(dual.rho_plus))
 
     # minus-side genericity: (U_minus)^z meets ker psi_minus trivially
-    degs = list(hd.ann.degrees)
-    off0, u_dim = _ann_offsets(degs, 0)
     ker_psi = kernel_basis(md.psi_minus)
+    if not ker_psi:
+        return md
+    degs = list(dual.ann.degrees)
+    off0, u_dim = _ann_offsets(degs, 0)
     for z0, z1 in SAMPLE_POINTS[:3]:
-        ev = _evaluation_matrix(hd.ann, degs, off0, u_dim, z0, z1)
+        ev = _evaluation_matrix(dual.ann, degs, off0, u_dim, z0, z1)
         vanishing = kernel_basis(ev)          # (U_plus of dual)^z
         # (U_minus)^z is its annihilator inside the dual coordinates
         family_z = kernel_basis(vanishing) if vanishing else \
             [list(row) for row in identity(u_dim)]
-        if not ker_psi:
-            continue
-        inter = _intersection_dim(family_z, ker_psi)
-        if inter != 0:
+        if _intersection_dim(family_z, ker_psi) != 0:
             raise InternalError(
                 "minus-side genericity failed at a sample point; "
                 "this contradicts a validated structure")
@@ -758,8 +761,7 @@ class FactorizationReport:
         }
 
 
-def verify_factorization(S: QLikeStructure, hd: HeavenData = None,
-                         md: MinusData = None) -> FactorizationReport:
+def verify_factorization(hd: HeavenData, md: MinusData) -> FactorizationReport:
     """Solve for a compatible intertwiner iota with
     psi_plus . psi_minus = rho_plus . iota . rho_minus_star, and check the
     kernel/cokernel correspondences it induces.
@@ -768,8 +770,6 @@ def verify_factorization(S: QLikeStructure, hd: HeavenData = None,
     the first factor, arbitrary on the section factor), which is exactly the
     intertwining condition for the multiplication actions of z0, z1.
     """
-    hd = hd or heaven_data(S)
-    md = md or minus_data(S)
     if hd.h_plus_dim != md.h_minus_dim:
         raise InternalError("twisted section dimensions disagree "
                             "(Serre-duality dimension identity broken)")
@@ -804,7 +804,7 @@ def verify_factorization(S: QLikeStructure, hd: HeavenData = None,
                         r = i * md.u_minus_dim + j
                         a[r][u] = a[r][u] + coeff * rp * rm
     x = solve(a, b)
-    sol_dim = len(kernel_basis(a)) if n_unknowns else 0
+    homogeneous = kernel_basis(a)
     solvable = x is not None
 
     dims = _correspondence_dims(hd, md)
@@ -820,14 +820,15 @@ def verify_factorization(S: QLikeStructure, hd: HeavenData = None,
 
     iota_found = False
     if solvable:
-        X = _find_invertible(x, kernel_basis(a), hp)
+        X = _find_invertible(x, homogeneous, hp)
         if X is not None:
             iota_found = True
             facts["rho_minus_star_maps_ker_psi_minus_onto_iota_inv_ker_rho_plus"] = \
                 _check_fact_b(hd, md, X, omega)
         else:
             facts["rho_minus_star_maps_ker_psi_minus_onto_iota_inv_ker_rho_plus"] = False
-    return FactorizationReport(solvable, sol_dim, iota_found, dims, facts)
+    return FactorizationReport(solvable, len(homogeneous), iota_found, dims,
+                               facts)
 
 
 def _correspondence_dims(hd, md):
@@ -964,16 +965,14 @@ def analyze(S: QLikeStructure, validation: ValidationReport = None) -> AnalysisR
     if not validation.passed:
         raise InvalidInput("structure failed validation: %s"
                            % ", ".join(validation.failed_names()))
-    fam = minus_family(S)
-    st_minus = splitting_type(fam)
-    quotient = QuotientBundle(S.dim, fam)
-    st_plus = splitting_type(quotient, cross_check=False)
+    hd = heaven_data(S)
+    st_minus = splitting_type(hd.family)
+    st_plus = SplittingType.of(hd.ann.degrees)
     if st_minus.degree + st_plus.degree != 0:
         raise InternalError("first Chern additivity failed")
 
-    hd = heaven_data(S)
-    md = minus_data(S)
-    fact = verify_factorization(S, hd, md)
+    md = minus_data(hd)
+    fact = verify_factorization(hd, md)
 
     all_minus_one = all(a == -1 for a in st_minus.summands)
     all_plus_one = all(a == 1 for a in st_plus.summands)
@@ -997,15 +996,14 @@ def analyze(S: QLikeStructure, validation: ValidationReport = None) -> AnalysisR
         "semantics": "interpretive",
     }
 
-    seqs = verify_canonical_for(S, quotient)
+    seqs = verify_canonical_for(QuotientBundle(S.dim, hd.family), st_plus)
     serre = hd.h_plus_dim == md.h_minus_dim
     return AnalysisReport(validation, st_minus, st_plus, label, flags,
                           _correspondence_dims(hd, md), fact, seqs, serre)
 
 
-def verify_canonical_for(S, quotient):
-    from .bundles import verify_canonical_sequences
-    st = splitting_type(quotient, cross_check=False)
+def verify_canonical_for(quotient, st):
+    """Canonical-sequence checks of the quotient, whose splitting is st."""
     if not st.is_nonnegative():
         return {"skipped": "quotient not nonnegative", "ok": True}
     return verify_canonical_sequences(quotient)

@@ -56,6 +56,15 @@ def test_analyze_invalid_structure_exit_two(tmp_path, capsys):
     assert report["verdict"] == "invalid"
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "-1"])
+def test_bad_max_degree_exit_two(capsys, monkeypatch, value):
+    monkeypatch.setenv("QLIKE_MAX_DEGREE", value)
+    path = os.path.join(FIXTURES, "conic_r3.json")
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert code == 2
+    assert "QLIKE_MAX_DEGREE" in err
+
+
 def test_dual_round_trip(tmp_path, capsys):
     path = os.path.join(FIXTURES, "conic_r3.json")
     code, out, _ = run_cli(capsys, "dual", path)

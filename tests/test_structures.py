@@ -1,6 +1,9 @@
+import os
 import random
 
 import pytest
+
+from qlike import catalog
 
 from qlike.bundles import SplittingType
 from qlike.catalog import (build_conic_r3, build_quaternionic,
@@ -15,7 +18,8 @@ from qlike.scalars import ONE, Scalar, ZERO
 from qlike.structures import (QLikeStructure, analyze, check_morphism,
                               dualize, heaven_data, minus_data, minus_family,
                               validate, verify_factorization)
-from qlike.bundles import family_span_equal, saturate
+from qlike.bundles import annihilator, family_span_equal, saturate
+from qlike.serialize import digest, load_structure_file
 
 
 CONIC = build_conic_r3()
@@ -25,6 +29,11 @@ PLANE = build_twisted_plane_c4()
 
 def check_status(report, name):
     return next(c.status for c in report.checks if c.name == name)
+
+
+def factorization(s):
+    hd = heaven_data(s)
+    return verify_factorization(hd, minus_data(hd))
 
 
 def test_validate_fixtures_pass():
@@ -108,15 +117,15 @@ def test_heaven_data_dimension_table():
 
 
 def test_minus_data_dimension_table():
-    md_q = minus_data(QUAT)
+    md_q = minus_data(heaven_data(QUAT))
     assert md_q.u_minus_dim == 4
     assert rank(md_q.psi_minus) == 4                   # bijective
 
-    md_c = minus_data(CONIC)
+    md_c = minus_data(heaven_data(CONIC))
     assert md_c.u_minus_dim == 3
     assert rank(md_c.psi_minus) == 3                   # bijective
 
-    md_p = minus_data(PLANE)
+    md_p = minus_data(heaven_data(PLANE))
     assert md_p.u_minus_dim == 3
     assert rank(md_p.psi_minus) == 3                   # injective
     # image is the first three coordinates
@@ -127,12 +136,12 @@ def test_minus_data_dimension_table():
 
 
 def test_factorization_fixture_tables():
-    rep_q = verify_factorization(QUAT)
+    rep_q = factorization(QUAT)
     assert rep_q.passed and rep_q.iso_found
     assert rep_q.dims["ker_psi_minus"] == 0
     assert rep_q.dims["coker_rho_plus"] == 0
 
-    rep_c = verify_factorization(CONIC)
+    rep_c = factorization(CONIC)
     assert rep_c.passed
     assert rep_c.dims["ker_psi_minus"] == rep_c.dims["ker_rho_plus"] == 0
     assert rep_c.dims["ker_rho_minus_star"] == rep_c.dims["ker_psi_plus"] == 0
@@ -140,14 +149,14 @@ def test_factorization_fixture_tables():
         rep_c.dims["coker_psi_plus"] == 1
     assert rep_c.dims["coker_psi_minus"] == rep_c.dims["coker_rho_plus"] == 0
 
-    rep_p = verify_factorization(PLANE)
+    rep_p = factorization(PLANE)
     assert rep_p.passed and rep_p.solvable
 
 
 def test_serre_dimension_identity():
     for s in (CONIC, QUAT, PLANE):
         hd = heaven_data(s)
-        md = minus_data(s)
+        md = minus_data(hd)
         assert hd.h_plus_dim == md.h_minus_dim
         assert hd.e_plus_dim == md.e_minus_dim
 
@@ -223,7 +232,7 @@ def test_random_structures_all_valid_and_factorize():
     for s in structures:
         report = validate(s)
         assert report.passed
-        fact = verify_factorization(s)
+        fact = factorization(s)
         assert fact.solvable
         assert all(fact.facts.values()), fact.facts
 
@@ -244,3 +253,38 @@ def test_structure_json_round_trip():
         assert back.dim == s.dim and back.k == s.k
         assert back.complex_mode == s.complex_mode
         assert family_span_equal(minus_family(back), minus_family(s))
+
+
+# sha256 of the canonical JSON of analyze and dualize on the shipped
+# fixtures; report bytes are part of the contract.
+GOLDEN_DIGESTS = {
+    "conic_r3.json": (
+        "7c3e6681a9fc593f230a0af379aed79ba2d77d1f23dab0e933a3673fba7288b1",
+        "f7b3cc064dc3f27de1ef2eb38434954f7c5526b837e058f3a960e7be57a8da38"),
+    "quaternionic_h1.json": (
+        "838e7454caff0b92d2196e3e5c8edc719e2ab7f78883d3273dcf198de9001aa4",
+        "99d22d6fdf60ffb04f5a86e1b79e88e169a631a89bbc308187198d6ba15ad4a5"),
+    "twisted_plane_c4.json": (
+        "69917ad645fe66004c926df9228e8d8c1b2991fc0372ec2a3bece9c1cbecf974",
+        "d6690b23f99592a37687dc15cf4433f784ca5d1605d61dd1f2b21abebcfbd5c1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_fixture_report_digests(name):
+    path = os.path.join(os.path.dirname(catalog.__file__), "fixtures", "v1",
+                        name)
+    s = load_structure_file(path)
+    assert (digest(analyze(s).to_json()),
+            digest(dualize(s).to_json())) == GOLDEN_DIGESTS[name]
+
+
+def test_dual_family_is_the_annihilator():
+    # minus_data takes the dual structure's family and annihilator from the
+    # heaven data instead of deriving them again; that is exact only if
+    # both derivations return these very bases
+    for s in [CONIC, QUAT, PLANE] + random_structures(123, 4):
+        fam = saturate(s.spanning)
+        ann = annihilator(fam)
+        assert saturate(ann.basis).basis == ann.basis
+        assert annihilator(ann).basis == fam.basis
