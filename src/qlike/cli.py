@@ -186,12 +186,11 @@ def cmd_lie_jm(args):
     if args.nilpotent in ("principal", "minimal"):
         y = named_nilpotent(ma, args.nilpotent)
     else:
-        try:
-            vec = json.loads(args.nilpotent)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput("bad nilpotent vector: %s" % exc)
         from .serialize import _parse_vector
-        y = _parse_vector(vec)
+        try:
+            y = _parse_vector(json.loads(args.nilpotent))
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput("bad nilpotent vector: %s" % exc)
     emb = jacobson_morozov(ma.algebra, y)
     mult = sl2_decompose(ma.algebra.adjoint_representation(), emb)
     triple = emb.to_json()

@@ -10,7 +10,8 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 
-from .scalars import ONE, ZERO, Scalar, format_scalar, parse_scalar, scalar
+from .scalars import (ONE, ZERO, Scalar, clear_denominators, format_scalar,
+                      parse_scalar, scalar)
 
 
 class BinaryForm:
@@ -300,17 +301,7 @@ def ip_is_constant(a):
 
 def _int_poly(coeffs):
     """Clear denominators to a Gaussian-integer pair list, trimmed."""
-    from math import gcd as _igcd
-    l = 1
-    for c in coeffs:
-        dr = c.re.denominator
-        di = c.im.denominator
-        l = l * dr // _igcd(l, dr)
-        l = l * di // _igcd(l, di)
-    out = [(int(c.re * l), int(c.im * l)) for c in coeffs]
-    while out and out[-1] == (0, 0):
-        out.pop()
-    return out
+    return ip_trim(clear_denominators(coeffs)[1])
 
 
 def _pseudo_rem(a, b):

@@ -438,6 +438,9 @@ def jacobson_morozov(g: LieAlgebra, y, assume_semisimple=False) -> Sl2Embedding:
             raise InvalidInput("algebra is not semisimple (Killing rank %d "
                                "of %d)" % (info["killing_rank"], g.dim))
     y = [scalar(c) for c in y]
+    if len(y) != g.dim:
+        raise InvalidInput("nilpotent has %d coordinates, the algebra has "
+                           "dimension %d" % (len(y), g.dim))
     if all(c.is_zero() for c in y):
         raise InvalidInput("the zero element is not a usable nilpotent")
     if not is_ad_nilpotent(g, y):

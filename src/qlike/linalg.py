@@ -1,31 +1,34 @@
 """Exact dense linear algebra over Q(i).
 
-Matrices are lists of rows of :class:`~qlike.scalars.Scalar`.  Elimination
-runs fraction-free (single-step Bareiss over Gaussian integers, rows scaled
-by their denominator lcm), so intermediate entries stay integral with
-linear bit growth; only the final back-substitutions divide.  Pivoting is
-deterministic (first nonzero in row-major order), so results are
-reproducible byte for byte.
+Matrices are lists of rows of :class:`~qlike.scalars.Scalar`.  The solvers
+stay in Gaussian integers from denominator clearing through
+back-substitution.  Each right-hand-side column is cleared with one common
+factor, then each row of the coefficient matrix with its denominator lcm;
+neither step changes the zero pattern or the row space.  Single-step
+Bareiss elimination brings the integer matrix to an echelon form whose
+pivots are leading minors, so entries stay integral with linear bit growth.
+A solution is back-substituted with its free column set to the last pivot
+``d`` before it: by Cramer's rule every pivot value is then a Gaussian
+integer, each step is an exact division, and each output entry is divided
+by ``d`` (and the right-hand-side factor) once.  Pivoting is deterministic
+(first nonzero in row-major order), and each output is the unique solution
+fixed by its free variables, so results are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from math import gcd as _gcd
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, clear_denominators
 
 # Gaussian integers are plain (re, im) int pairs inside this module.
 _GZERO = (0, 0)
 _GONE = (1, 0)
 
 
-def _gmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
 def _gdiv(a, b):
-    # exact division in Z[i]; callers guarantee divisibility (Bareiss)
+    # exact division in Z[i]; callers guarantee divisibility
     n = b[0] * b[0] + b[1] * b[1]
     re = a[0] * b[0] + a[1] * b[1]
     im = a[1] * b[0] - a[0] * b[1]
@@ -33,21 +36,8 @@ def _gdiv(a, b):
 
 
 def _int_rows(a):
-    """Scale each row by its denominator lcm; returns Gaussian-int rows.
-
-    Scaling by a positive integer changes neither the zero pattern nor the
-    row space, so ranks, pivots and kernels are unaffected.
-    """
-    out = []
-    for row in a:
-        l = 1
-        for x in row:
-            dr = x.re.denominator
-            di = x.im.denominator
-            l = l * dr // _gcd(l, dr)
-            l = l * di // _gcd(l, di)
-        out.append([(int(x.re * l), int(x.im * l)) for x in row])
-    return out
+    """Each row times its denominator lcm, as Gaussian-integer rows."""
+    return [clear_denominators(row)[1] for row in a]
 
 
 def _bareiss(rows, ncols):
@@ -59,43 +49,41 @@ def _bareiss(rows, ncols):
     """
     nrows = len(rows)
     pivots = []
-    prev = _GONE
+    qr, qi = _GONE                      # the previous pivot
     r = 0
     for c in range(ncols):
-        pr = None
         for i in range(r, nrows):
             if rows[i][c] != _GZERO:
-                pr = i
                 break
-        if pr is None:
+        else:
             continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            ric = rows[i][c]
-            row_i = rows[i]
-            row_r = rows[r]
-            if ric == _GZERO:
-                for j in range(c + 1, ncols):
-                    if row_i[j] != _GZERO:
-                        row_i[j] = _gdiv(_gmul(piv, row_i[j]), prev)
-            else:
-                for j in range(c + 1, ncols):
-                    num = _gmul(piv, row_i[j])
-                    sub = _gmul(ric, row_r[j])
-                    row_i[j] = _gdiv((num[0] - sub[0], num[1] - sub[1]), prev)
-                row_i[c] = _GZERO
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+        row_r = rows[r]
+        pr, pi = row_r[c]
+        qn = qr * qr + qi * qi
+        for row_i in rows[r + 1:]:
+            ar, ai = row_i[c]
+            for j in range(c + 1, ncols):
+                # row_i[j] = (pivot * row_i[j] - row_i[c] * row_r[j]) / previous
+                xr, xi = row_i[j]
+                yr, yi = row_r[j]
+                if not (xr or xi or yr or yi):
+                    continue
+                nr = pr * xr - pi * xi - ar * yr + ai * yi
+                ni = pr * xi + pi * xr - ar * yi - ai * yr
+                if qi:
+                    row_i[j] = ((nr * qr + ni * qi) // qn,
+                                (ni * qr - nr * qi) // qn)
+                else:
+                    row_i[j] = (nr // qr, ni // qr)
+            row_i[c] = _GZERO
         pivots.append(c)
-        prev = piv
+        qr, qi = pr, pi
         r += 1
         if r == nrows:
             break
     return pivots
-
-
-def _to_scalar(g):
-    return Scalar(g[0], g[1])
 
 
 def zeros(n, m):
@@ -107,10 +95,6 @@ def identity(n):
     for i in range(n):
         out[i][i] = ONE
     return out
-
-
-def copy_matrix(a):
-    return [row[:] for row in a]
 
 
 def transpose(a):
@@ -165,92 +149,88 @@ def mat_eq(a, b):
 def rank(a):
     if not a or not a[0]:
         return 0
-    rows = _int_rows(a)
-    return len(_bareiss(rows, len(a[0])))
+    return len(_bareiss(_int_rows(a), len(a[0])))
 
 
-def _back_substitute(rows, pivots, ncols, values):
-    """Solve the triangular pivot system for the non-pivot assignment in
-    ``values`` (a dict col -> Scalar); fills the pivot entries."""
-    for idx in range(len(pivots) - 1, -1, -1):
-        pc = pivots[idx]
-        row = rows[idx]
-        s = ZERO
-        for j in range(pc + 1, ncols):
-            rv = row[j]
-            if rv == _GZERO:
-                continue
-            xj = values.get(j)
-            if xj is not None and not xj.is_zero():
-                s = s + _to_scalar(rv) * xj
-        rhs = values.get(("rhs", idx))
-        if rhs is not None:
-            s = s - rhs
-        piv = _to_scalar(row[pc])
-        values[pc] = (-s) / piv
-    return values
+def _free_vector(rows, pivots, fc, ncols, den=1):
+    """Entries ``0..ncols-1`` of the solution of the echelon system ``rows``
+    that is ``1/den`` on column ``fc`` and 0 on every other free column.
+
+    Only pivots left of ``fc`` can be nonzero.  Column ``fc`` is set to the
+    last of their pivots ``d``, which makes every pivot value a minor
+    (Cramer's rule), so each step divides exactly; the entries are divided
+    by ``d * den`` once at the end.
+    """
+    out = [ZERO] * ncols
+    if fc < ncols:
+        out[fc] = Scalar(Fraction(1, den))
+    m = bisect_left(pivots, fc)
+    if m == 0:
+        return out
+    d = rows[m - 1][pivots[m - 1]]
+    x = [(fc, d)]
+    for k in range(m - 1, -1, -1):
+        row = rows[k]
+        sr = si = 0
+        for j, (xr, xi) in x:
+            ur, ui = row[j]
+            if ur or ui:
+                sr += ur * xr - ui * xi
+                si += ur * xi + ui * xr
+        pc = pivots[k]
+        x.append((pc, _gdiv((-sr, -si), row[pc])))
+    dr, di = d[0] * den, d[1] * den
+    n = dr * dr + di * di
+    for j, (xr, xi) in x[1:]:
+        out[j] = Scalar._raw(Fraction(xr * dr + xi * di, n),
+                             Fraction(xi * dr - xr * di, n))
+    return out
 
 
 def kernel_basis(a):
     """Basis of the right kernel, one vector per free column (that free
     variable 1, the others 0, pivots back-substituted).  Deterministic."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    if ncols == 0:
-        return []
-    if nrows == 0:
-        return [[ONE if i == j else ZERO for i in range(ncols)]
-                for j in range(ncols)]
+    ncols = len(a[0]) if a else 0
     rows = _int_rows(a)
     pivots = _bareiss(rows, ncols)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        values = {c: ZERO for c in free}
-        values[fc] = ONE
-        _back_substitute(rows, pivots, ncols, values)
-        basis.append([values.get(c, ZERO) for c in range(ncols)])
-    return basis
+    return [_free_vector(rows, pivots, fc, ncols)
+            for fc in range(ncols) if fc not in pivot_set]
+
+
+def _solve_columns(a, cols):
+    """The solution of A x = b with every free variable 0, for each
+    right-hand side ``b`` in ``cols``; None if any of them is inconsistent.
+
+    Solving A x = D b for the column's common denominator D keeps the right
+    sides from scaling the rows of A; the factor is divided out at the end.
+    """
+    ncols = len(a[0]) if a else 0
+    cleared = [clear_denominators(b) for b in cols]
+    rows = []
+    for i, row in enumerate(a):
+        l, ints = clear_denominators(row)
+        rows.append(ints + [(l * ib[i][0], l * ib[i][1]) for _, ib in cleared])
+    pivots = _bareiss(rows, ncols + len(cols))
+    if pivots and pivots[-1] >= ncols:
+        return None
+    # x = -(kernel vector of [A | D b] that is 1 on the right-hand column)/D
+    return [_free_vector(rows, pivots, ncols + k, ncols, -l)
+            for k, (l, _) in enumerate(cleared)]
 
 
 def solve(a, b):
     """One exact solution of A x = b, or None if the system is inconsistent."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    aug = [a[i][:] + [b[i]] for i in range(nrows)]
-    rows = _int_rows(aug)
-    pivots = _bareiss(rows, ncols + 1)
-    if ncols in pivots:
-        return None
-    values = {c: ZERO for c in range(ncols) if c not in set(pivots)}
-    for idx in range(len(pivots)):
-        values[("rhs", idx)] = _to_scalar(rows[idx][ncols])
-    _back_substitute(rows, pivots, ncols, values)
-    return [values.get(c, ZERO) for c in range(ncols)]
+    x = _solve_columns(a, [b])
+    return None if x is None else x[0]
 
 
 def solve_matrix(a, b):
     """Solve A X = B columnwise; None if any column is inconsistent."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    bcols = len(b[0]) if b else 0
-    aug = [a[i][:] + b[i][:] for i in range(nrows)]
-    rows = _int_rows(aug)
-    pivots_all = _bareiss(rows, ncols + bcols)
-    pivots = [p for p in pivots_all if p < ncols]
-    if len(pivots) != len(pivots_all):
+    cols = _solve_columns(a, transpose(b))
+    if cols is None:
         return None
-    x = zeros(ncols, bcols)
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    for col in range(bcols):
-        values = {c: ZERO for c in free}
-        for idx in range(len(pivots)):
-            values[("rhs", idx)] = _to_scalar(rows[idx][ncols + col])
-        _back_substitute(rows, pivots, ncols, values)
-        for c in range(ncols):
-            x[c][col] = values.get(c, ZERO)
-    return x
+    return [[col[c] for col in cols] for c in range(len(a[0]) if a else 0)]
 
 
 def inverse(a):
@@ -261,91 +241,6 @@ def inverse(a):
     if x is None:
         raise ValueError("matrix is not invertible")
     return x
-
-
-def exact_det(a) -> Scalar:
-    """Determinant over Q(i): fraction-free on the integerized matrix, with
-    the row scales divided back out."""
-    n = len(a)
-    if n == 0:
-        return ONE
-    scales = []
-    rows = []
-    for row in a:
-        l = 1
-        for x in row:
-            dr = x.re.denominator
-            di = x.im.denominator
-            l = l * dr // _gcd(l, dr)
-            l = l * di // _gcd(l, di)
-        scales.append(l)
-        rows.append([(int(x.re * l), int(x.im * l)) for x in row])
-    sign = 1
-    prev = _GONE
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if rows[i][c] != _GZERO:
-                pr = i
-                break
-        if pr is None:
-            return ZERO
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            sign = -sign
-        piv = rows[c][c]
-        for i in range(c + 1, n):
-            ric = rows[i][c]
-            for j in range(c + 1, n):
-                num = _gmul(piv, rows[i][j])
-                sub = _gmul(ric, rows[c][j])
-                rows[i][j] = _gdiv((num[0] - sub[0], num[1] - sub[1]), prev)
-            rows[i][c] = _GZERO
-        prev = piv
-    det_int = _to_scalar(rows[n - 1][n - 1])
-    denom = 1
-    for l in scales:
-        denom *= l
-    return det_int * Scalar(Fraction(sign, denom))
-
-
-def rref(a):
-    """Reduced row echelon form over Q(i) (returns matrix and pivot list).
-
-    Kept for completeness and tests; the solvers above use the fraction-free
-    path instead.
-    """
-    m = copy_matrix(a)
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if not m[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                mi = m[i]
-                mr = m[r]
-                for j in range(c, ncols):
-                    if not mr[j].is_zero():
-                        mi[j] = mi[j] - f * mr[j]
-                mi[c] = ZERO
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
 
 
 def span_equal(u, v):

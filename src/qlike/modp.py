@@ -13,7 +13,7 @@ injective.  A zero or nonconstant modular gcd is merely inconclusive.
 
 from __future__ import annotations
 
-from math import gcd as _igcd
+from .scalars import clear_denominators
 
 PRIMES = (998244353, 754974721, 167772161)
 
@@ -32,19 +32,11 @@ def sqrt_minus_one(p):
 
 
 def _int_pairs_bivariate(h):
-    """Clear denominators of a rows-in-x of y-coefficient-lists polynomial;
-    returns (rows of (re, im) int pairs, ok)."""
-    l = 1
-    for row in h:
-        for c in row:
-            dr = c.re.denominator
-            di = c.im.denominator
-            l = l * dr // _igcd(l, dr)
-            l = l * di // _igcd(l, di)
-    out = []
-    for row in h:
-        out.append([(int(c.re * l), int(c.im * l)) for c in row])
-    return out
+    """Clear the denominators of a rows-in-x of y-coefficient-lists
+    polynomial with one common factor; returns rows of (re, im) int pairs."""
+    _, flat = clear_denominators([c for row in h for c in row])
+    it = iter(flat)
+    return [[next(it) for _ in row] for row in h]
 
 
 def _reduce_bivariate(h_int, p, ip):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import lcm as _lcm
 
 
 class Scalar:
@@ -134,12 +135,27 @@ def _coerce(x):
 
 
 def scalar(re=0, im=0) -> Scalar:
-    """Convenience constructor accepting ints, Fractions or strings."""
+    """Convenience constructor accepting ints, Fractions or strings (not
+    floats, which are not exact)."""
     if isinstance(re, str):
         return parse_scalar(re)
     if isinstance(re, Scalar):
         return re
+    if isinstance(re, float) or isinstance(im, float):
+        raise TypeError("%r is a floating-point number, not an exact scalar"
+                        % (im if isinstance(im, float) else re,))
     return Scalar(re, im)
+
+
+def clear_denominators(xs):
+    """``(l, pairs)``: the least ``l > 0`` making every ``l * x`` in ``xs`` a
+    Gaussian integer, and those integers as ``(re, im)`` int pairs.
+
+    Each part is ``numerator * (l // denominator)``, so no Fraction is built.
+    """
+    l = _lcm(*[x.re.denominator for x in xs], *[x.im.denominator for x in xs])
+    return l, [(x.re.numerator * (l // x.re.denominator),
+                x.im.numerator * (l // x.im.denominator)) for x in xs]
 
 
 def format_scalar(s: Scalar) -> str:

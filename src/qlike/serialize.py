@@ -25,12 +25,19 @@ def digest(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
-def load_structure_file(path) -> QLikeStructure:
+def _load_object(path, what):
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInput("cannot read structure file %s: %s" % (path, exc))
+        raise InvalidInput("cannot read %s file %s: %s" % (what, path, exc))
+    if not isinstance(data, dict):
+        raise InvalidInput("%s file %s must hold a JSON object" % (what, path))
+    return data
+
+
+def load_structure_file(path) -> QLikeStructure:
+    data = _load_object(path, "structure")
     try:
         return QLikeStructure.from_json(data)
     except (KeyError, ValueError, TypeError) as exc:
@@ -92,6 +99,10 @@ def quadruple_from_json(data) -> GoodQuadruple:
         tau = jacobson_morozov(algebra, y)
         nilpotent = tuple(tau.f)
     elif isinstance(sl2, dict):
+        missing = [key for key in "EHF" if key not in sl2]
+        if missing:
+            raise InvalidInput("'sl2' needs 'nilpotent' or all of E, H, F "
+                               "(missing %s)" % ", ".join(missing))
         tau = Sl2Embedding(algebra, _parse_vector(sl2["E"]),
                            _parse_vector(sl2["H"]), _parse_vector(sl2["F"]))
     else:
@@ -114,9 +125,8 @@ def quadruple_from_json(data) -> GoodQuadruple:
 
 
 def load_quadruple_file(path) -> GoodQuadruple:
+    data = _load_object(path, "quadruple")
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInput("cannot read quadruple file %s: %s" % (path, exc))
-    return quadruple_from_json(data)
+        return quadruple_from_json(data)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InvalidInput("bad quadruple file %s: %s" % (path, exc))

@@ -78,12 +78,12 @@ class QLikeStructure:
         mode = data.get("mode", "real")
         dim = data["dim"]
         cols = [[parse_form(s) for s in col] for col in data["spanning"]]
+        if any(len(col) != dim for col in cols):
+            raise InvalidInput("every spanning column needs %d entries" % dim)
         spanning = PolyMatrix.from_columns(dim, cols)
-        conj = None
-        if data.get("conjugation") is not None:
-            from .scalars import parse_scalar
-            conj = [[parse_scalar(x) for x in row] for row in data["conjugation"]]
-        return QLikeStructure(dim, data["k"], spanning, conj,
+        # entries are strings or numbers; the constructor reads both
+        return QLikeStructure(dim, data["k"], spanning,
+                              data.get("conjugation"),
                               complex_mode=(mode == "complex"))
 
     def __repr__(self):

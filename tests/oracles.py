@@ -3,14 +3,16 @@
 These deliberately take different routes than the library: determinants by
 permutation expansion, section spaces by the (r+1)-minor membership system
 rather than the annihilator kernel, twisted dimensions by the splitting
-formula.
+formula, kernels and solutions by Gauss-Jordan elimination in Q(i)
+arithmetic.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from qlike.forms import BinaryForm
 from qlike.linalg import kernel_basis
-from qlike.scalars import ONE, ZERO
+from qlike.scalars import ONE, ZERO, Scalar, clear_denominators
 
 
 def naive_det(m):
@@ -114,3 +116,90 @@ def minor_system_h0(family, m):
 
 def splitting_h0(summands, m):
     return sum(max(0, a + m + 1) for a in summands)
+
+
+def rref(a):
+    """Reduced row echelon form over Q(i) (returns matrix and pivot list),
+    computed with Scalar arithmetic throughout."""
+    m = [row[:] for row in a]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if not m[i][c].is_zero():
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and not m[i][c].is_zero():
+                f = m[i][c]
+                mi = m[i]
+                mr = m[r]
+                for j in range(c, ncols):
+                    if not mr[j].is_zero():
+                        mi[j] = mi[j] - f * mr[j]
+                mi[c] = ZERO
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def _gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gdiv(a, b):
+    # exact division of Gaussian integers
+    n = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) // n, (a[1] * b[0] - a[0] * b[1]) // n)
+
+
+def exact_det(a):
+    """Determinant over Q(i): Bareiss on the integerized matrix, with the
+    row scales divided back out."""
+    n = len(a)
+    if n == 0:
+        return ONE
+    scales = []
+    rows = []
+    for row in a:
+        l, ints = clear_denominators(row)
+        scales.append(l)
+        rows.append(ints)
+    sign = 1
+    prev = (1, 0)
+    for c in range(n):
+        pr = None
+        for i in range(c, n):
+            if rows[i][c] != (0, 0):
+                pr = i
+                break
+        if pr is None:
+            return ZERO
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            sign = -sign
+        piv = rows[c][c]
+        for i in range(c + 1, n):
+            ric = rows[i][c]
+            for j in range(c + 1, n):
+                num = _gmul(piv, rows[i][j])
+                sub = _gmul(ric, rows[c][j])
+                rows[i][j] = _gdiv((num[0] - sub[0], num[1] - sub[1]), prev)
+            rows[i][c] = (0, 0)
+        prev = piv
+    denom = 1
+    for l in scales:
+        denom *= l
+    re, im = rows[n - 1][n - 1]
+    return Scalar(re, im) * Scalar(Fraction(sign, denom))

@@ -146,3 +146,58 @@ def test_catalog_regen(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 3
     for line in out.strip().splitlines():
         assert os.path.exists(line)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"spanning": [["z0^2", "z0*z1"]]}, "3 entries"),
+    ({"conjugation": [[0, 0, 1], [0, -1, 0], [1, 0, 0.5]]}, "floating-point"),
+])
+def test_malformed_structure_exit_two(tmp_path, capsys, change, message):
+    with open(os.path.join(FIXTURES, "conic_r3.json")) as fh:
+        data = json.load(fh)
+    data.update(change)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert message in err
+
+
+def test_integer_conjugation_entries_accepted(tmp_path, capsys):
+    fixture = os.path.join(FIXTURES, "conic_r3.json")
+    with open(fixture) as fh:
+        data = json.load(fh)
+    data["conjugation"] = [[int(x) for x in row]
+                           for row in data["conjugation"]]
+    path = tmp_path / "int_conj.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    _, expected, _ = run_cli(capsys, "analyze", fixture)
+    assert out == expected
+
+
+@pytest.mark.parametrize("vector", ["[1, 0]", "5", '["x"]', "[0.5]"])
+def test_lie_jm_bad_nilpotent_exit_two(capsys, vector):
+    code, out, err = run_cli(capsys, "lie-jm", "--algebra", "sl(3)",
+                             "--nilpotent", vector)
+    assert code == 2
+    assert "nilpotent" in err
+
+
+_E = [1, 0, 0, 0, 0, 0, 0, 0]
+_F = [0, 1, 0, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"algebra": "sl(3)", "sl2": {"E": _E, "F": _F}}, "missing H"),
+    ({"algebra": "sl(3)", "sl2": {"E": ["abc"] * 8, "H": _E, "F": _F}},
+     "bad quadruple file"),
+    ([], "JSON object"),
+])
+def test_malformed_quadruple_exit_two(tmp_path, capsys, spec, message):
+    path = tmp_path / "quad.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "twistor", "--file", str(path))
+    assert code == 2
+    assert message in err

@@ -1,9 +1,9 @@
 import random
 
-from oracles import naive_det
+from oracles import exact_det, naive_det, rref
 
-from qlike.linalg import (exact_det, identity, inverse, kernel_basis, mat_mul,
-                          mat_vec, rank, rref, solve, solve_matrix)
+from qlike.linalg import (identity, inverse, kernel_basis, mat_mul, mat_vec,
+                          rank, solve, solve_matrix)
 from qlike.scalars import I, ONE, Scalar, ZERO
 
 

@@ -1,0 +1,131 @@
+"""Property tests: the Gaussian-integer solvers against the Q(i) RREF oracle.
+
+Each solver output is unique (kernel vectors are fixed by their free
+column, particular solutions set every free variable to 0), so the solvers
+must agree with the oracle Scalar by Scalar, not only up to span.
+"""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import rref
+
+from qlike.linalg import kernel_basis, mat_mul, mat_vec, rank, solve, \
+    solve_matrix
+from qlike.scalars import ONE, ZERO, Scalar
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def _entries(kind):
+    small = st.integers(-6, 6)
+    if kind == "zero":
+        return st.just(ZERO)
+    if kind == "gaussian-int":
+        return st.builds(Scalar, small, small)
+    den = st.integers(1, 5)
+    rational = st.builds(Fraction, small, den)
+    return st.one_of(st.just(ZERO), st.builds(Scalar, rational, rational))
+
+
+def _big_entries():
+    # denominators past 100 bits: the right sides this elimination clears
+    # with one common factor instead of scaling the rows of A
+    den = st.integers(2 ** 100, 2 ** 160)
+    num = st.integers(-2 ** 40, 2 ** 40)
+    return st.one_of(st.just(ZERO),
+                     st.builds(Scalar, st.builds(Fraction, num, den),
+                               st.builds(Fraction, num, den)))
+
+
+@st.composite
+def matrices(draw, max_rows=5, max_cols=6):
+    kind = draw(st.sampled_from(["zero", "gaussian-int", "rational"]))
+    entries = _entries(kind)
+    n = draw(st.integers(1, max_rows))
+    m = draw(st.integers(1, max_cols))
+    rows = [[draw(entries) for _ in range(m)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        # a combination of two rows makes the matrix rank-deficient
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        c = Scalar(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+        rows.append([x + c * y for x, y in zip(rows[i], rows[j])])
+    return rows
+
+
+def _oracle_kernel(a):
+    m = len(a[0])
+    r, pivots = rref(a)
+    out = []
+    for fc in (c for c in range(m) if c not in pivots):
+        v = [ZERO] * m
+        v[fc] = ONE
+        for k, pc in enumerate(pivots):
+            v[pc] = -r[k][fc]
+        out.append(v)
+    return out
+
+
+def _oracle_solve_matrix(a, b):
+    m = len(a[0])
+    r, pivots = rref([ra + rb for ra, rb in zip(a, b)])
+    if pivots and pivots[-1] >= m:
+        return None
+    x = [[ZERO] * len(b[0]) for _ in range(m)]
+    for k, pc in enumerate(pivots):
+        x[pc] = r[k][m:]
+    return x
+
+
+@st.composite
+def right_sides(draw, a, ncols):
+    """``ncols`` right-hand sides for ``a``, with small or >100-bit
+    denominators: consistent ones built as A x0, or arbitrary ones
+    (inconsistent whenever they leave the column space of A)."""
+    entries = draw(st.sampled_from([_entries("rational"), _big_entries()]))
+    if draw(st.booleans()):
+        x0 = [[draw(entries) for _ in range(ncols)] for _ in a[0]]
+        return mat_mul(a, x0)
+    return [[draw(entries) for _ in range(ncols)] for _ in a]
+
+
+@SETTINGS
+@given(matrices())
+@example([[ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]])
+@example([[Scalar(1, 1), Scalar(2, -1)], [Scalar(0, 2), Scalar(3, 1)]])
+def test_kernel_basis_matches_rref(a):
+    k = kernel_basis(a)
+    assert k == _oracle_kernel(a)
+    assert len(k) == len(a[0]) - rank(a)
+
+
+@SETTINGS
+@given(st.data())
+def test_solve_matches_rref(data):
+    a = data.draw(matrices())
+    b = [row[0] for row in data.draw(right_sides(a, 1))]
+    expected = _oracle_solve_matrix(a, [[x] for x in b])
+    x = solve(a, b)
+    if expected is None:
+        assert x is None
+    else:
+        assert x == [row[0] for row in expected]
+        assert mat_vec(a, x) == b
+
+
+@SETTINGS
+@given(st.data())
+def test_solve_matrix_matches_rref(data):
+    a = data.draw(matrices())
+    b = data.draw(right_sides(a, data.draw(st.integers(1, 3))))
+    assert solve_matrix(a, b) == _oracle_solve_matrix(a, b)
+
+
+def test_inconsistent_big_denominator_system():
+    big = Fraction(1, 3 ** 70)
+    a = [[ONE, Scalar(0, 1)], [Scalar(2), Scalar(0, 2)]]
+    assert solve(a, [Scalar(big), Scalar(2 * big)]) == \
+        [Scalar(big), ZERO]
+    assert solve(a, [Scalar(big), Scalar(big)]) is None
