@@ -235,7 +235,7 @@ def h0_twist(F, m: int):
     raise TypeError("h0_twist expects a SubbundleFamily or QuotientBundle")
 
 
-def splitting_type(F, cross_check=True) -> SplittingType:
+def splitting_type(F) -> SplittingType:
     """Birkhoff-Grothendieck splitting type.
 
     For a SubbundleFamily the summands are the negated free-basis degrees;
@@ -244,12 +244,11 @@ def splitting_type(F, cross_check=True) -> SplittingType:
     """
     if isinstance(F, QuotientBundle):
         ann = annihilator(F.denominator)
-        inner = splitting_type(ann, cross_check=cross_check)
-        return inner.negate()
+        return splitting_type(ann).negate()
     if not isinstance(F, SubbundleFamily):
         raise TypeError("splitting_type expects a bundle value")
     st = SplittingType.of([-e for e in F.degrees])
-    if cross_check and F.rank:
+    if F.rank:
         ann = annihilator(F)
         lo = min(F.degrees)
         hi = max(F.degrees)

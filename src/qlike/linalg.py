@@ -13,6 +13,9 @@ integer, each step is an exact division, and each output entry is divided
 by ``d`` (and the right-hand-side factor) once.  Pivoting is deterministic
 (first nonzero in row-major order), and each output is the unique solution
 fixed by its free variables, so results are reproducible byte for byte.
+The pivot columns are the column rank profile: column c is a pivot exactly
+when it is independent of the columns before it.  :func:`independent_rows`
+relies on this to pick independent vectors in order.
 """
 
 from __future__ import annotations
@@ -152,6 +155,16 @@ def rank(a):
     return len(_bareiss(_int_rows(a), len(a[0])))
 
 
+def independent_rows(vectors):
+    """Indices of the vectors that are independent of all earlier ones.
+
+    They are the pivot columns of the matrix whose columns are the vectors;
+    clearing the denominators of each coordinate scales a row of that
+    matrix, which leaves its column dependencies unchanged.
+    """
+    return _bareiss(_int_rows(transpose(vectors)), len(vectors))
+
+
 def _free_vector(rows, pivots, fc, ncols, den=1):
     """Entries ``0..ncols-1`` of the solution of the echelon system ``rows``
     that is ``1/den`` on column ``fc`` and 0 on every other free column.
@@ -234,9 +247,10 @@ def solve_matrix(a, b):
 
 
 def inverse(a):
+    # A X = I has a solution exactly when the square matrix A is invertible
     n = len(a)
-    if rank(a) != n:
-        raise ValueError("matrix is not invertible")
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
     x = solve_matrix(a, identity(n))
     if x is None:
         raise ValueError("matrix is not invertible")

@@ -4,7 +4,8 @@ A :class:`PolyMatrix` presents a map of sheaves on the sphere by an n x m
 matrix of binary forms, homogeneous of one degree per column.  The engine
 below computes free generators of graded solution modules
 ``{ c : M(z) c(z) = 0 }`` degree by degree: at each degree the new generators
-are a complement of the z-multiples of the generators already found, so the
+are the kernel vectors that :func:`~qlike.linalg.independent_rows` finds
+independent of the z-multiples of the generators already found, so the
 output degrees are minimal.  Kernels of maps into torsion-free modules are
 saturated, hence free here (two variables), and the generator count equals
 cols - generic rank; the loop stops exactly there.
@@ -16,7 +17,7 @@ import os
 
 from .errors import InternalError, InvalidInput
 from .forms import BinaryForm
-from .linalg import kernel_basis
+from .linalg import independent_rows, kernel_basis, rank, solve
 from .scalars import ONE, ZERO, Scalar, scalar
 
 DEFAULT_MAX_DEGREE = 64
@@ -119,48 +120,13 @@ def generic_rank(rows_of_forms):
     for j in range(ncols):
         bound += max((row[j].degree for row in rows_of_forms
                       if not row[j].is_zero()), default=0)
-    from .linalg import rank as scalar_rank
     best = 0
     for t in range(bound + 1):
         pt = [[e.evaluate(ONE, Scalar(t)) for e in row] for row in rows_of_forms]
-        best = max(best, scalar_rank(pt))
+        best = max(best, rank(pt))
         if best == min(len(rows_of_forms), ncols):
             break
     return best
-
-
-class _Echelon:
-    """Incremental row echelon over Q(i) for complement extraction."""
-
-    def __init__(self):
-        self.rows = []
-        self.pivots = []
-
-    def reduce(self, vec):
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if not c.is_zero():
-                for j in range(p, len(v)):
-                    if not row[j].is_zero():
-                        v[j] = v[j] - c * row[j]
-        return v
-
-    def try_add(self, vec):
-        """Insert vec if independent; returns True when it enlarged the span."""
-        v = self.reduce(vec)
-        p = None
-        for j, c in enumerate(v):
-            if not c.is_zero():
-                p = j
-                break
-        if p is None:
-            return False
-        inv = v[p].inverse()
-        v = [x * inv for x in v]
-        self.rows.append(v)
-        self.pivots.append(p)
-        return True
 
 
 def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None,
@@ -171,6 +137,9 @@ def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None,
     ``unknown_shifts[j]`` twists the grading so that at stage m the unknown
     c_j runs over forms of degree m + shift_j.  Returns a list of
     ``(m, tuple_of_forms)`` pairs sorted by m (ties: discovery order).
+    The generators of degree m are the kernel vectors at stage m that
+    :func:`~qlike.linalg.independent_rows` finds independent of the
+    z-multiples of the generators of lower degree (and of each other).
     """
     shifts = list(unknown_shifts or [0] * n_unknowns)
     if len(shifts) != n_unknowns:
@@ -193,28 +162,22 @@ def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None,
         lengths = [max(0, m + s + 1) for s in shifts]
         total = sum(lengths)
         if total > 0:
-            offsets = []
-            acc = 0
-            for L in lengths:
-                offsets.append(acc)
-                acc += L
+            offsets = [sum(lengths[:j]) for j in range(len(lengths))]
             eq_rows = _equation_rows(relation_rows, shifts, lengths, offsets, m)
             sols = kernel_basis(eq_rows) if eq_rows else \
                 [[ONE if i == j else ZERO for i in range(total)] for j in range(total)]
             if sols:
-                ech = _Echelon()
-                for mg, gvec in gens:
-                    for mono0 in range(m - mg + 1):
-                        mono1 = m - mg - mono0
-                        mult = _multiple_coeffs(gvec, mg, shifts, lengths,
-                                                offsets, mono0, mono1)
-                        ech.try_add(mult)
-                for sol in sols:
-                    if ech.try_add(sol):
-                        vec = _decode(sol, shifts, lengths, offsets, m)
-                        gens.append((m, vec))
-                        if len(gens) == expected_count:
-                            return gens
+                mults = [_multiple_coeffs(gvec, lengths, offsets, mono1)
+                         for mg, gvec in gens
+                         for mono1 in range(m - mg, -1, -1)]
+                for i in independent_rows(mults + sols):
+                    if i < len(mults):
+                        continue
+                    vec = _decode(sols[i - len(mults)], shifts, lengths,
+                                  offsets, m)
+                    gens.append((m, vec))
+                    if len(gens) == expected_count:
+                        return gens
         m += 1
     raise InternalError("%s did not terminate by degree %d" % (context, cap))
 
@@ -243,8 +206,9 @@ def _equation_rows(relation_rows, shifts, lengths, offsets, m):
     return out
 
 
-def _multiple_coeffs(gvec, mg, shifts, lengths, offsets, mono0, mono1):
-    """Coefficient vector of (z0^mono0 z1^mono1) * generator at stage m."""
+def _multiple_coeffs(gvec, lengths, offsets, mono1):
+    """Coefficient vector of z0^a z1^mono1 times a generator at this stage
+    (the stage degree fixes a)."""
     total = sum(lengths)
     out = [ZERO] * total
     for j, f in enumerate(gvec):
@@ -297,11 +261,8 @@ def annihilator_generators(columns, col_degrees, ambient):
     column family; the result is automatically the saturated annihilator
     module.  Returns a list of (degree, covector) pairs.
     """
-    relations = []
-    for col, d in zip(columns, col_degrees):
-        relations.append(list(col))
-    rk = generic_rank([[col[l] for l in range(ambient)] for col in columns]) \
-        if columns else 0
+    relations = [list(col) for col in columns]
+    rk = generic_rank(relations) if relations else 0
     cap = sum(max(0, d) for d in col_degrees) + 2
     return graded_kernel(relations, ambient, expected_count=ambient - rk,
                          cap=cap, context="annihilator computation")
@@ -316,16 +277,13 @@ def solve_combination(columns, col_degrees, target, target_degree):
     """
     ncols = len(columns)
     ambient = len(target)
-    lengths = [max(0, target_degree - d + 1) for d in col_degrees]
-    offsets = []
-    acc = 0
-    for L in lengths:
-        offsets.append(acc)
-        acc += L
-    total = acc
+    shifts = [-d for d in col_degrees]
+    lengths = [max(0, target_degree + s + 1) for s in shifts]
+    offsets = [sum(lengths[:j]) for j in range(ncols)]
+    total = sum(lengths)
     if total == 0:
         if all(f.is_zero() for f in target):
-            return [BinaryForm.zero(max(target_degree - d, 0)) for d in col_degrees]
+            return list(_decode([], shifts, lengths, offsets, target_degree))
         return None
     nrows = ambient * (target_degree + 1)
     a = [[ZERO] * total for _ in range(nrows)]
@@ -350,18 +308,10 @@ def solve_combination(columns, col_degrees, target, target_degree):
                     continue
                 for t in range(lengths[j]):
                     a[base + u + t][off + t] = a[base + u + t][off + t] + cc
-    from .linalg import solve
     sol = solve(a, b)
     if sol is None:
         return None
-    out = []
-    for j in range(ncols):
-        deg = target_degree - col_degrees[j]
-        if lengths[j] == 0:
-            out.append(BinaryForm.zero(max(deg, 0)))
-        else:
-            out.append(BinaryForm(deg, sol[offsets[j]:offsets[j] + lengths[j]]))
-    return out
+    return list(_decode(sol, shifts, lengths, offsets, target_degree))
 
 
 def poly_mat_vec(M: PolyMatrix, vec):

@@ -14,6 +14,7 @@ together with its kernel/cokernel bookkeeping.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .bundles import (SAMPLE_POINTS, QuotientBundle, SplittingType,
@@ -23,8 +24,9 @@ from .bundles import (SAMPLE_POINTS, QuotientBundle, SplittingType,
 from .errors import InternalError, InvalidInput
 from .forms import (BinaryForm, antipodal_transform, form_gcd, format_form,
                     parse_form)
-from .linalg import (conj_matrix, identity, inverse, kernel_basis, mat_eq,
-                     mat_mul, mat_vec, rank, solve, transpose, zeros)
+from .linalg import (conj_matrix, identity, independent_rows, inverse,
+                     kernel_basis, mat_eq, mat_mul, mat_vec, rank, solve,
+                     transpose, zeros)
 from .modp import bideg, resultant_gcd_is_constant
 from .polymatrix import PolyMatrix, generic_rank, solve_combination
 from .scalars import ONE, ZERO, Scalar, scalar
@@ -76,13 +78,21 @@ class QLikeStructure:
     @staticmethod
     def from_json(data):
         mode = data.get("mode", "real")
-        dim = data["dim"]
-        cols = [[parse_form(s) for s in col] for col in data["spanning"]]
+        dim, k, spanning = data["dim"], data["k"], data["spanning"]
+        if mode not in ("real", "complex"):
+            raise InvalidInput('mode must be "real" or "complex"')
+        if type(dim) is not int or type(k) is not int:
+            raise InvalidInput("dim and k must be integers")
+        if not isinstance(spanning, list) or not all(
+                isinstance(col, list) and all(isinstance(s, str) for s in col)
+                for col in spanning):
+            raise InvalidInput("spanning must be a list of lists of forms")
+        cols = [[parse_form(s) for s in col] for col in spanning]
         if any(len(col) != dim for col in cols):
             raise InvalidInput("every spanning column needs %d entries" % dim)
         spanning = PolyMatrix.from_columns(dim, cols)
-        # entries are strings or numbers; the constructor reads both
-        return QLikeStructure(dim, data["k"], spanning,
+        # the constructor reads string and integer conjugation entries
+        return QLikeStructure(dim, k, spanning,
                               data.get("conjugation"),
                               complex_mode=(mode == "complex"))
 
@@ -208,7 +218,6 @@ def _pluecker_coordinates(family: SubbundleFamily):
     for j in range(k):
         new = {}
         col = cols[j]
-        import itertools
         for rows in itertools.combinations(range(n), j + 1):
             acc = None
             for pos, i in enumerate(rows):
@@ -225,7 +234,6 @@ def _pluecker_coordinates(family: SubbundleFamily):
             deg = sum(family.degrees[:j + 1])
             new[rows] = acc if acc is not None else BinaryForm.zero(deg)
         table = new
-    import itertools
     return [table[rows] for rows in itertools.combinations(range(n), k)]
 
 
@@ -246,24 +254,7 @@ def _reduced_pluecker(family: SubbundleFamily):
             break
     if g.degree > 0:
         raise InternalError("saturated family has nonreduced Pluecker image")
-    d = gamma[0].degree
-    rows = []
-    piv = []
-    basis = []
-    for f in gamma:
-        v = list(f.coeffs)
-        for row, p in zip(rows, piv):
-            c = v[p]
-            if not c.is_zero():
-                v = [x - c * y for x, y in zip(v, row)]
-        p = next((i for i, c in enumerate(v) if not c.is_zero()), None)
-        if p is None:
-            continue
-        inv = v[p].inverse()
-        rows.append([x * inv for x in v])
-        piv.append(p)
-        basis.append(f)
-    return basis
+    return [gamma[i] for i in independent_rows([f.coeffs for f in gamma])]
 
 
 # -- univariate helpers over primitive Gaussian-integer pair lists ----------

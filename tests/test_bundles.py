@@ -135,7 +135,7 @@ def test_c1_additivity_random():
             continue
         fam = saturate(m)
         st_sub = splitting_type(fam)
-        st_quot = splitting_type(QuotientBundle(n, fam), cross_check=False)
+        st_quot = splitting_type(QuotientBundle(n, fam))
         assert st_sub.degree + st_quot.degree == 0
 
 

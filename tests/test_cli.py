@@ -151,6 +151,10 @@ def test_catalog_regen(tmp_path, capsys):
 @pytest.mark.parametrize("change, message", [
     ({"spanning": [["z0^2", "z0*z1"]]}, "3 entries"),
     ({"conjugation": [[0, 0, 1], [0, -1, 0], [1, 0, 0.5]]}, "floating-point"),
+    ({"k": "x"}, "must be integers"),
+    ({"spanning": [[1, 2, 3]]}, "lists of forms"),
+    ({"mode": 5}, "mode must be"),
+    ({"mode": "Real"}, "mode must be"),
 ])
 def test_malformed_structure_exit_two(tmp_path, capsys, change, message):
     with open(os.path.join(FIXTURES, "conic_r3.json")) as fh:

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from oracles import exact_det, naive_det, rref
 
 from qlike.linalg import (identity, inverse, kernel_basis, mat_mul, mat_vec,
@@ -89,6 +91,14 @@ def test_inverse_round_trip():
             continue
         assert mat_mul(a, inverse(a)) == identity(3)
         done += 1
+
+
+def test_inverse_rejects_singular_and_nonsquare():
+    singular = [[ONE, I], [Scalar(2), Scalar(0, 2)]]
+    with pytest.raises(ValueError, match="not invertible"):
+        inverse(singular)
+    with pytest.raises(ValueError, match="not square"):
+        inverse([[ONE, ZERO]])
 
 
 def test_solve_matrix_columns():

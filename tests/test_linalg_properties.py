@@ -1,4 +1,5 @@
-"""Property tests: the Gaussian-integer solvers against the Q(i) RREF oracle.
+"""Property tests: the Gaussian-integer solvers and the vector selection
+against the Q(i) RREF oracle.
 
 Each solver output is unique (kernel vectors are fixed by their free
 column, particular solutions set every free variable to 0), so the solvers
@@ -11,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import rref
 
-from qlike.linalg import kernel_basis, mat_mul, mat_vec, rank, solve, \
-    solve_matrix
+from qlike.linalg import independent_rows, kernel_basis, mat_mul, mat_vec, \
+    rank, solve, solve_matrix
 from qlike.scalars import ONE, ZERO, Scalar
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -129,3 +130,40 @@ def test_inconsistent_big_denominator_system():
     assert solve(a, [Scalar(big), Scalar(2 * big)]) == \
         [Scalar(big), ZERO]
     assert solve(a, [Scalar(big), Scalar(big)]) is None
+
+
+@st.composite
+def vector_lists(draw):
+    """Rows of a matrix, with repeated rows, zero rows and multiples by
+    >100-bit denominators mixed in."""
+    vs = draw(matrices())
+    m = len(vs[0])
+    for _ in range(draw(st.integers(0, 2))):
+        v = vs[draw(st.integers(0, len(vs) - 1))]
+        vs.insert(draw(st.integers(0, len(vs))), list(v))
+    if draw(st.booleans()):
+        vs.insert(draw(st.integers(0, len(vs))), [ZERO] * m)
+    if draw(st.booleans()):
+        c = draw(_big_entries())
+        vs.append([c * x for x in vs[draw(st.integers(0, len(vs) - 1))]])
+    if draw(st.booleans()):
+        vs.append([draw(_big_entries()) for _ in range(m)])
+    return vs
+
+
+def _greedy_independent(vs):
+    # v is kept when appending it makes the rank grow
+    def oracle_rank(a):
+        return len(rref(a)[1])
+    return [i for i in range(len(vs))
+            if oracle_rank(vs[:i + 1]) > oracle_rank(vs[:i])]
+
+
+@SETTINGS
+@given(vector_lists())
+@example([])
+@example([[ZERO, ZERO], [ONE, ZERO], [ONE, ZERO], [ZERO, ZERO]])
+@example([[Scalar(Fraction(1, 3 ** 70)), Scalar(0, 1)],
+          [ONE, Scalar(0, 3 ** 70)], [ZERO, ONE]])
+def test_independent_rows_is_greedy_selection(vs):
+    assert independent_rows(vs) == _greedy_independent(vs)

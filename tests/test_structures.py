@@ -288,3 +288,27 @@ def test_dual_family_is_the_annihilator():
         ann = annihilator(fam)
         assert saturate(ann.basis).basis == ann.basis
         assert annihilator(ann).basis == fam.basis
+
+
+# sha256 of the canonical JSON of each minus family and of its annihilator
+# for random_structures(123, 4), recorded before the graded kernel chose its
+# generators with linalg.independent_rows; the choice fixes the generator
+# vectors, not only their degrees.
+FAMILY_DIGESTS = [
+    ("6ed26aa32ebf38b7fad384167615510c626846ee9595123d3cc063bcbde21b72",
+     "066ea9786a6e2fbc121b0460b63d2fc8fade92fd55960d08821928ab37cdbc5f"),
+    ("bef30dca94f4c6905ea62ead6c05f5cffee60785456ede6da27bc9e24be12e6a",
+     "925b1a24e1faf757423b089f28c58bab13d37f098b019ecfe466b9fba6b3a478"),
+    ("9c4438019ab00ddc9d37cef0c53e7a55a05a5d64a27b442b9bcf1ba31363abe9",
+     "3b01f15acbe1096d92689f4e874b4c3d81f2a4ddde5d3d28e1e0c3f742143f11"),
+    ("ace54f2a5bb865ee24cbf032f86836b92c0481ccde9cf22b0c9e7a0ad38cfdad",
+     "0e841a6017af71f62b1f91de1a5fad14b6287289b7f84668403d364ccde13fa3"),
+]
+
+
+def test_random_family_digests():
+    got = []
+    for s in random_structures(123, 4):
+        fam = minus_family(s)
+        got.append((digest(fam.to_json()), digest(annihilator(fam).to_json())))
+    assert got == FAMILY_DIGESTS
