@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError, InvalidInput
-from .forms import BinaryForm, format_form, parse_form
+from .forms import BinaryForm, _int_polys, format_form, ip_add, ip_mul, parse_form
 from .linalg import kernel_basis, rank as scalar_rank
+from .modp import PRIMES, rank_modp, reduce_modp, sqrt_minus_one
 from .polymatrix import (PolyMatrix, _equation_rows, annihilator_generators,
                          generic_rank, graded_kernel, solve_combination)
 
@@ -176,8 +177,9 @@ def annihilator(A: SubbundleFamily) -> SubbundleFamily:
 def h0_dimension_by_solve(F: SubbundleFamily, m: int) -> int:
     """dim H^0(F(m)) by a direct degree-m solve against the annihilator.
 
-    Independent of the basis degrees; the splitting cross-check runs the
-    same solve, with one annihilator for all its twists.
+    Independent of the basis degrees and of any modular reduction; the
+    splitting cross-check runs the same solve wherever its certificate is
+    inconclusive.
     """
     if m < 0:
         return 0
@@ -196,6 +198,72 @@ def _h0_killed_by(ann: SubbundleFamily, m: int) -> int:
     if not eq:
         return n * (m + 1)
     return len(kernel_basis(eq))
+
+
+def _certified_h0s(F: SubbundleFamily, ann: SubbundleFamily, twists):
+    """{m: dim { v in S_m^n : <q, v> = 0 for every column q of ann }} for
+    the twists, each proven by a modular rank certificate, or None where no
+    prime certifies it.
+
+    Lower bound: the rank modulo p of the equation matrix, whose rows are
+    the pairings with ann's columns, each column cleared of denominators.
+    Upper bound: the z-multiples of F's basis columns at degree m lie in
+    its kernel once every column of ann pairs to zero with every column of
+    F, which is checked exactly, as Gaussian-integer polynomial products.
+    See :mod:`qlike.modp` for why meeting bounds prove the rank.
+    """
+    n = F.ambient
+    fam = [_int_polys(col) for col in F.columns()]
+    rels = [_int_polys(col) for col in ann.columns()]
+    paired = all(not _pairing(q, f) for q in rels for f in fam)
+    out = {}
+    for m in twists:
+        if m < 0:
+            out[m] = 0                  # no sections in negative degree
+        elif paired:
+            out[m] = _certified_h0(rels, fam, F.degrees, n, m)
+        else:
+            out[m] = None
+    return out
+
+
+def _pairing(q, f):
+    """<q, f> of two columns of Gaussian-integer polynomials."""
+    acc = []
+    for a, b in zip(q, f):
+        acc = ip_add(acc, ip_mul(a, b))
+    return acc
+
+
+def _certified_h0(rels, fam, degrees, n, m):
+    """The kernel dimension at twist m from the first prime whose two rank
+    bounds meet; None if none does."""
+    ncols = n * (m + 1)
+    for p in PRIMES:
+        ip = sqrt_minus_one(p)
+        eq = []
+        for q in rels:
+            qp = reduce_modp(q, p, ip)
+            block = [[0] * ncols for _ in range(max(map(len, qp)) + m)]
+            for l, f in enumerate(qp):
+                for u, a in enumerate(f):
+                    if a:
+                        for t in range(m + 1):
+                            block[u + t][l * (m + 1) + t] = a
+            eq.extend(block)
+        witnesses = []
+        for col, e in zip(fam, degrees):
+            cp = reduce_modp(col, p, ip)
+            for shift in range(m - e + 1):
+                row = [0] * ncols
+                for l, f in enumerate(cp):
+                    off = l * (m + 1) + shift
+                    row[off:off + len(f)] = f
+                witnesses.append(row)
+        r_eq = rank_modp(eq, p)
+        if r_eq + rank_modp(witnesses, p) == ncols:
+            return ncols - r_eq
+    return None
 
 
 def _quotient_sections(ann_degrees, m):
@@ -239,20 +307,35 @@ def splitting_type(F) -> SplittingType:
     """Birkhoff-Grothendieck splitting type.
 
     For a SubbundleFamily the summands are the negated free-basis degrees;
-    the result is cross-checked against second differences of the twisted
-    section dimensions computed by the independent direct solve.
+    the result is cross-checked against the second differences of the
+    twisted section dimensions h(m) = dim { v in S_m^n : <q, v> = 0 for
+    every annihilator column q }.  Each h(m) is proven modulo a prime
+    p = 1 mod 4: the rank of the pairing equations modulo p is at most
+    their rank, and the z-multiples of F's basis at degree m, which pair to
+    zero with the annihilator (checked exactly), bound the kernel from
+    below.  When the two bounds meet h(m) is exact; otherwise the next
+    prime is tried, and then the exact solve.  A family that is not
+    saturated has too few z-multiples to certify, so it reaches the exact
+    solve and fails the cross-check as before.
     """
     if isinstance(F, QuotientBundle):
         ann = annihilator(F.denominator)
         return splitting_type(ann).negate()
     if not isinstance(F, SubbundleFamily):
         raise TypeError("splitting_type expects a bundle value")
+    return _checked_splitting(F, annihilator(F) if F.rank else None)
+
+
+def _checked_splitting(F: SubbundleFamily, ann) -> SplittingType:
+    """splitting_type of F, given its annihilator ``ann``."""
     st = SplittingType.of([-e for e in F.degrees])
     if F.rank:
-        ann = annihilator(F)
         lo = min(F.degrees)
         hi = max(F.degrees)
-        h = {m: _h0_killed_by(ann, m) for m in range(lo - 2, hi + 2)}
+        h = _certified_h0s(F, ann, range(lo - 2, hi + 2))
+        for m, v in h.items():
+            if v is None:
+                h[m] = _h0_killed_by(ann, m)
         for m in range(lo, hi + 1):
             g_m = h[m] - h[m - 1]
             g_m1 = h[m - 1] - h[m - 2]
@@ -362,7 +445,12 @@ def verify_canonical_sequences(Q: QuotientBundle) -> dict:
     The h^1 entry is computed from the splitting and cross-checked through
     the Serre-dual section space of the dual bundle.
     """
-    ann_degrees = annihilator(Q.denominator).degrees
+    return _canonical_checks(Q.rank, annihilator(Q.denominator).degrees)
+
+
+def _canonical_checks(rank, ann_degrees) -> dict:
+    """verify_canonical_sequences of a quotient of the given rank whose
+    denominator's annihilator has the given generator degrees."""
     st = SplittingType.of(ann_degrees)
     if not st.is_nonnegative():
         raise InvalidInput("not nonnegative: splitting %s" % st)
@@ -379,11 +467,11 @@ def verify_canonical_sequences(Q: QuotientBundle) -> dict:
         "h1_minus2": h1_m2,
         "serre_h1_check": serre == h1_m2,
         "first_sequence": {
-            "rank_additivity": h0_m1 + Q.rank == h0,
+            "rank_additivity": h0_m1 + rank == h0,
             "c1_additivity": st.degree == h0_m1,
         },
         "second_sequence": {
-            "rank_additivity": h0_m2 - h0_m1 + Q.rank - h1_m2 == 0,
+            "rank_additivity": h0_m2 - h0_m1 + rank - h1_m2 == 0,
             "c1_additivity": st.degree == h0_m1,
         },
     }
@@ -392,7 +480,7 @@ def verify_canonical_sequences(Q: QuotientBundle) -> dict:
     fibers_ok = True
     for z0, z1 in SAMPLE_POINTS[:3]:
         values = [[f.evaluate(z0, z1) for f in tup] for tup in basis]
-        if scalar_rank(values) != Q.rank:
+        if scalar_rank(values) != rank:
             fibers_ok = False
     report["evaluation_surjective"] = fibers_ok
     report["ok"] = all([

@@ -265,14 +265,18 @@ def ip_mul(a, b):
     return ip_trim(out)
 
 
-def ip_sub(a, b):
+def ip_add(a, b):
     m = max(len(a), len(b))
     out = []
     for i in range(m):
         ar, ai = a[i] if i < len(a) else (0, 0)
         br, bi = b[i] if i < len(b) else (0, 0)
-        out.append((ar - br, ai - bi))
+        out.append((ar + br, ai + bi))
     return ip_trim(out)
+
+
+def ip_sub(a, b):
+    return ip_add(a, [(-br, -bi) for br, bi in b])
 
 
 def ip_deriv(a):
@@ -302,6 +306,15 @@ def ip_is_constant(a):
 def _int_poly(coeffs):
     """Clear denominators to a Gaussian-integer pair list, trimmed."""
     return ip_trim(clear_denominators(coeffs)[1])
+
+
+def _int_polys(forms):
+    """Clear the denominators of several forms with one common factor; one
+    trimmed Gaussian-integer pair list per form.  Scaling a column of forms
+    by a constant keeps its pointwise span and its syzygies."""
+    _, flat = clear_denominators([c for f in forms for c in f.coeffs])
+    it = iter(flat)
+    return [ip_trim([next(it) for _ in f.coeffs]) for f in forms]
 
 
 def _pseudo_rem(a, b):

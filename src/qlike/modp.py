@@ -1,19 +1,31 @@
-"""Sound modular certificate for the injectivity resultant gcd.
+"""Sound modular certificates: rank bounds and the injectivity resultant gcd.
 
-The two-point minors have Gaussian-integer coefficients after clearing
-denominators, so their y-resultants are Gaussian-integer polynomials in x.
-Any common zero of the minor system makes every resultant vanish, hence the
-monic gcd G of the resultants is nonconstant.  For a prime p = 1 mod 4 the
-reduction map sends i to a square root of -1 in GF(p); a monic divisor
-reduces to a divisor of the reductions, and a monic polynomial keeps its
-degree under reduction.  Therefore: if the gcd of the reduced resultants is
-a nonzero constant for one good prime, G is constant and the curve is
-injective.  A zero or nonconstant modular gcd is merely inconclusive.
+Reduction modulo a prime p = 1 mod 4, sending i to a square root of -1 in
+GF(p), is a ring map from the Gaussian integers onto GF(p).  Both
+certificates below use only what such a map preserves.
+
+Rank.  A minor of a Gaussian-integer matrix reduces to the same minor of
+the reduced matrix, so the rank over GF(p) is at most the rank over Q(i).
+Suppose W is a set of Gaussian-integer vectors proven (exactly) to lie in
+the kernel of a matrix A with ncols columns.  Then rank(A) <= ncols -
+rank(W) <= ncols - rank(W mod p), and rank(A mod p) <= rank(A).  When
+rank(A mod p) + rank(W mod p) = ncols the two bounds meet, which proves
+rank(A) = rank(A mod p) exactly.  A sum below ncols is merely
+inconclusive.  :func:`rank_modp` computes the reduced ranks.
+
+Injectivity.  The two-point minors are Gaussian-integer bivariates, so their
+y-resultants are Gaussian-integer polynomials in x.  Any common zero of the
+minor system makes every resultant vanish, hence the monic gcd G of the
+resultants is nonconstant.  A monic divisor reduces to a divisor of the
+reductions, and a monic polynomial keeps its degree under reduction.
+Therefore: if the gcd of the reduced resultants is a nonzero constant for
+one good prime, G is constant and the curve is injective.  A zero or
+nonconstant modular gcd is merely inconclusive.  Scaling a minor by a
+nonzero constant does not move its zeros, so the verdict holds for any
+nonzero multiple of the minors.
 """
 
 from __future__ import annotations
-
-from .scalars import clear_denominators
 
 PRIMES = (998244353, 754974721, 167772161)
 
@@ -31,16 +43,10 @@ def sqrt_minus_one(p):
     raise ValueError("no square root of -1 mod %d" % p)
 
 
-def _int_pairs_bivariate(h):
-    """Clear the denominators of a rows-in-x of y-coefficient-lists
-    polynomial with one common factor; returns rows of (re, im) int pairs."""
-    _, flat = clear_denominators([c for row in h for c in row])
-    it = iter(flat)
-    return [[next(it) for _ in row] for row in h]
-
-
-def _reduce_bivariate(h_int, p, ip):
-    return [[(re + im * ip) % p for re, im in row] for row in h_int]
+def reduce_modp(rows, p, ip):
+    """Rows of (re, im) Gaussian-integer pairs reduced modulo p, with i
+    sent to the square root ``ip`` of -1."""
+    return [[(re + im * ip) % p for re, im in row] for row in rows]
 
 
 def _eval_x_modp(h, x, dy, p):
@@ -54,6 +60,47 @@ def _eval_x_modp(h, x, dy, p):
     return out
 
 
+def _eliminate_modp(rows, p):
+    """Gaussian elimination over GF(p) of rows with entries in [0, p), in
+    place; returns the pivot values in order and the number of row swaps.
+    The rank is the number of pivots."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    swaps = 0
+    r = 0
+    for c in range(ncols):
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            swaps += 1
+        row_r = rows[r]
+        piv = row_r[c]
+        inv = pow(piv, p - 2, p)
+        nz = [j for j in range(c + 1, ncols) if row_r[j]]
+        for row_i in rows[r + 1:]:
+            if row_i[c]:
+                f = (row_i[c] * inv) % p
+                for j in nz:
+                    row_i[j] = (row_i[j] - f * row_r[j]) % p
+                row_i[c] = 0
+        pivots.append(piv)
+        r += 1
+        if r == nrows:
+            break
+    return pivots, swaps
+
+
+def rank_modp(rows, p):
+    """Rank over GF(p) of integer rows with entries in [0, p); the rows are
+    overwritten."""
+    return len(_eliminate_modp(rows, p)[0])
+
+
 def _sylvester_det_modp(f, g, df, dg, p):
     n = df + dg
     if n == 0:
@@ -65,27 +112,13 @@ def _sylvester_det_modp(f, g, df, dg, p):
     for r in range(df):
         for i in range(dg + 1):
             m[dg + r][r + i] = g[dg - i] if dg - i < len(g) else 0
-    det = 1
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if m[r][c]:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = p - det if det else 0
-        det = (det * m[c][c]) % p
-        inv = pow(m[c][c], p - 2, p)
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f_ = (m[r][c] * inv) % p
-                for j in range(c, n):
-                    if m[c][j]:
-                        m[r][j] = (m[r][j] - f_ * m[c][j]) % p
-    return det % p
+    pivots, swaps = _eliminate_modp(m, p)
+    if len(pivots) < n:
+        return 0
+    det = p - 1 if swaps % 2 else 1
+    for piv in pivots:
+        det = (det * piv) % p
+    return det
 
 
 def _interpolate_modp(xs, vals, p):
@@ -142,15 +175,15 @@ def bideg(h):
 
 def resultant_gcd_is_constant(h_list, primes=PRIMES):
     """True when the monic gcd G of the true resultants Res_y(h1, h) is
-    provably constant.
+    provably constant; ``h_list`` holds Gaussian-integer bivariates, rows
+    over x-powers of y-coefficient lists of (re, im) int pairs.
 
     The reductions satisfy (R_H mod p) = lc_y(h1bar)^e * Res(h1bar, hbar)
     once h1's y-degree survives reduction, and Gbar divides every R_H mod p,
     so a constant gcd of { lc_y(h1bar) } + { Res(h1bar, hbar) } in GF(p)
     forces G constant.  Anything else is inconclusive, never a false pass.
     """
-    ints = [_int_pairs_bivariate(h) for h in h_list]
-    ints = [h for h in ints if any(c != (0, 0) for row in h for c in row)]
+    ints = [h for h in h_list if any(c != (0, 0) for row in h for c in row)]
     if len(ints) < 2:
         return False
     ints.sort(key=lambda h: bideg(h)[1])
@@ -158,7 +191,7 @@ def resultant_gcd_is_constant(h_list, primes=PRIMES):
     _, d1y_int = bideg(h1_int)
     for p in primes:
         ip = sqrt_minus_one(p)
-        h1 = _reduce_bivariate(h1_int, p, ip)
+        h1 = reduce_modp(h1_int, p, ip)
         d1x, d1y = bideg(h1)
         if d1y != d1y_int:
             continue                       # h1 degenerated; try another prime
@@ -168,7 +201,7 @@ def resultant_gcd_is_constant(h_list, primes=PRIMES):
             if not acc:
                 continue
             for h_int in ints[1:]:
-                hx = _poly_in_x(_reduce_bivariate(h_int, p, ip), p)
+                hx = _poly_in_x(reduce_modp(h_int, p, ip), p)
                 if hx:
                     acc = _gcd_modp(acc, hx, p)
                     if len(acc) == 1:
@@ -183,7 +216,7 @@ def resultant_gcd_is_constant(h_list, primes=PRIMES):
         if len(acc) == 1:
             acc = None                     # unit leading coefficient
         for h_int in ints[1:]:
-            h = _reduce_bivariate(h_int, p, ip)
+            h = reduce_modp(h_int, p, ip)
             if not any(c for row in h for c in row):
                 continue                   # reduced to zero: inconclusive term
             d2x, d2y = bideg(h)

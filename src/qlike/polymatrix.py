@@ -285,29 +285,17 @@ def solve_combination(columns, col_degrees, target, target_degree):
         if all(f.is_zero() for f in target):
             return list(_decode([], shifts, lengths, offsets, target_degree))
         return None
-    nrows = ambient * (target_degree + 1)
-    a = [[ZERO] * total for _ in range(nrows)]
-    b = [ZERO] * nrows
-    for l in range(ambient):
-        base = l * (target_degree + 1)
-        tf = target[l]
-        if not tf.is_zero():
-            if tf.degree != target_degree:
-                return None
-            for w, c in enumerate(tf.coeffs):
-                b[base + w] = c
-        for j in range(ncols):
-            if lengths[j] == 0:
-                continue
-            f = columns[j][l]
-            if f.is_zero():
-                continue
-            off = offsets[j]
-            for u, cc in enumerate(f.coeffs):
-                if cc.is_zero():
-                    continue
-                for t in range(lengths[j]):
-                    a[base + u + t][off + t] = a[base + u + t][off + t] + cc
+    if any(not f.is_zero() and f.degree != target_degree for f in target):
+        return None
+    # the target rides as one more unknown, of degree 0, so the last entry
+    # of each row is its right-hand side
+    relations = [[col[l] for col in columns] + [target[l]]
+                 for l in range(ambient)]
+    rows = _equation_rows(relations, shifts + [-target_degree],
+                          lengths + [1], offsets + [total], target_degree)
+    # no rows: every column and the target are zero, and c = 0 solves it
+    a = [r[:total] for r in rows] or [[ZERO] * total]
+    b = [r[total] for r in rows] or [ZERO]
     sol = solve(a, b)
     if sol is None:
         return None

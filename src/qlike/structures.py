@@ -18,12 +18,13 @@ import itertools
 from dataclasses import dataclass, field
 
 from .bundles import (SAMPLE_POINTS, QuotientBundle, SplittingType,
-                      SubbundleFamily, annihilator, family_contains,
-                      is_split_extension, saturate, splitting_type,
-                      verify_canonical_sequences)
+                      SubbundleFamily, _canonical_checks, _checked_splitting,
+                      annihilator, family_contains, is_split_extension,
+                      saturate)
 from .errors import InternalError, InvalidInput
-from .forms import (BinaryForm, antipodal_transform, form_gcd, format_form,
-                    parse_form)
+from .forms import (BinaryForm, _int_poly, _int_polys, antipodal_transform,
+                    form_gcd, format_form, ip_add, ip_deriv, ip_gcd, ip_mul,
+                    ip_scale, ip_sub, ip_trim, parse_form)
 from .linalg import (conj_matrix, identity, independent_rows, inverse,
                      kernel_basis, mat_eq, mat_mul, mat_vec, rank, solve,
                      transpose, zeros)
@@ -115,6 +116,8 @@ class CheckResult:
 @dataclass
 class ValidationReport:
     checks: list = field(default_factory=list)
+    # the saturated family the checks ran on, for analyze; not serialized
+    family: SubbundleFamily = field(default=None, compare=False, repr=False)
 
     def add(self, name, status, detail=""):
         self.checks.append(CheckResult(name, status, detail))
@@ -155,7 +158,7 @@ def validate(S: QLikeStructure) -> ValidationReport:
         return report
     report.add("generic-rank", "pass")
 
-    family = saturate(S.spanning)
+    family = report.family = saturate(S.spanning)
     report.add("saturation", "pass",
                "free basis degrees %s" % (list(family.degrees),))
 
@@ -211,28 +214,26 @@ def _apply_scalar_matrix(M, vec_forms):
 
 
 def _pluecker_coordinates(family: SubbundleFamily):
-    """All k x k minors of the basis (rows sorted lexicographically)."""
+    """All k x k minors of the basis (rows sorted lexicographically), as
+    trimmed Gaussian-integer pair lists.
+
+    Each basis column is cleared of denominators first, so every minor is
+    the true one times the same positive integer.
+    """
     n, k = family.ambient, family.rank
-    cols = family.columns()
-    table = {(): BinaryForm.constant(1)}
-    for j in range(k):
+    table = {(): [(1, 0)]}
+    for j, col in enumerate(family.columns()):
+        col = _int_polys(col)
         new = {}
-        col = cols[j]
         for rows in itertools.combinations(range(n), j + 1):
-            acc = None
+            acc = []
             for pos, i in enumerate(rows):
-                e = col[i]
-                if e.is_zero():
-                    continue
                 sub = table[rows[:pos] + rows[pos + 1:]]
-                if sub.is_zero():
+                if not col[i] or not sub:
                     continue
-                term = sub * e
-                if pos % 2:
-                    term = -term
-                acc = term if acc is None else acc + term
-            deg = sum(family.degrees[:j + 1])
-            new[rows] = acc if acc is not None else BinaryForm.zero(deg)
+                term = ip_mul(sub, col[i])
+                acc = ip_sub(acc, term) if pos % 2 else ip_add(acc, term)
+            new[rows] = acc
         table = new
     return [table[rows] for rows in itertools.combinations(range(n), k)]
 
@@ -242,9 +243,12 @@ def _reduced_pluecker(family: SubbundleFamily):
 
     Injectivity and immersion of the Grassmann curve are equivalent to those
     of this reduced curve (the coordinates differ by an injective constant
-    linear map).
+    linear map), so the common factor of the coordinates does not matter.
     """
-    gamma = [g for g in _pluecker_coordinates(family) if not g.is_zero()]
+    d = sum(family.degrees)
+    gamma = [BinaryForm(d, [Scalar(re, im) for re, im in g] +
+                        [ZERO] * (d + 1 - len(g)))
+             for g in _pluecker_coordinates(family) if g]
     if not gamma:
         raise InternalError("Pluecker image vanished on a rank-k family")
     g = gamma[0]
@@ -257,20 +261,11 @@ def _reduced_pluecker(family: SubbundleFamily):
     return [gamma[i] for i in independent_rows([f.coeffs for f in gamma])]
 
 
-# -- univariate helpers over primitive Gaussian-integer pair lists ----------
-
-def _utrim(c):
-    while c and c[-1].is_zero():
-        c.pop()
-    return c
-
-
 def _immersion_check(gamma):
     """Immersion of the reduced curve, decided chartwise by Wronskian gcds.
 
     The whole chain runs over primitive integer-pair polynomials (scaling a
     coordinate does not move the Wronskian zero locus)."""
-    from .forms import _int_poly, ip_deriv, ip_gcd, ip_mul, ip_sub
     for chart in (0, 1):
         polys = []
         for f in gamma:
@@ -313,9 +308,7 @@ def _injectivity_check(gamma):
     if beta == 2:
         # a degree-d self-map of the sphere is injective only when linear
         return "fail", "curve lies on a line but has degree %d" % d
-    from .forms import _int_poly, ip_gcd, ip_scale, ip_sub
     ipolys = [_int_poly(f.coeffs) for f in gamma]
-    polys = [list(f.coeffs) for f in gamma]
 
     # point at infinity against the affine chart: a common root of the
     # cross terms is a finite parameter whose image equals gamma(infinity)
@@ -340,7 +333,7 @@ def _injectivity_check(gamma):
     h_list = []
     for a in range(beta):
         for b in range(a + 1, beta):
-            h = _bivariate_two_point(polys[a], polys[b], d)
+            h = _bivariate_two_point(ipolys[a], ipolys[b], d)
             if h is None:
                 continue
             if bideg(h) == (0, 0):
@@ -360,44 +353,31 @@ def _injectivity_check(gamma):
 def _bivariate_two_point(pa, pb, d):
     """H(x, y) = (pa(x) pb(y) - pb(x) pa(y)) / (y - x), as rows in x.
 
-    Returned as a list over x-powers of y-coefficient lists; None when the
-    minor vanishes identically.  The minor is antisymmetric, so the division
-    is exact (synthetic division of the y-polynomial at the root y = x).
+    ``pa`` and ``pb`` are Gaussian-integer pair lists of degree at most d.
+    Returned as a list over x-powers of trimmed y-coefficient pair lists;
+    None when the minor vanishes identically.  The minor is antisymmetric,
+    so the division is exact (synthetic division of the y-polynomial at
+    the root y = x) and H has Gaussian-integer coefficients.
     """
     size = d + 1
-    G = [[ZERO] * size for _ in range(size)]   # G[i][j]: x^i y^j
-    nonzero = False
-    for i in range(size):
-        ai = pa[i] if i < len(pa) else ZERO
-        bi = pb[i] if i < len(pb) else ZERO
-        for j in range(size):
-            aj = pa[j] if j < len(pa) else ZERO
-            bj = pb[j] if j < len(pb) else ZERO
-            c = ai * bj - bi * aj
-            if not c.is_zero():
-                nonzero = True
-            G[i][j] = c
-    if not nonzero:
+    pa = list(pa) + [(0, 0)] * (size - len(pa))
+    pb = list(pb) + [(0, 0)] * (size - len(pb))
+    # c[j][i] = pa_i pb_j - pb_i pa_j, the coefficient of x^i y^j
+    c = [[(xr * ur - xi * ui - (yr * vr - yi * vi),
+           xr * ui + xi * ur - (yr * vi + yi * vr))
+          for (xr, xi), (yr, yi) in zip(pa, pb)]
+         for (ur, ui), (vr, vi) in zip(pb, pa)]
+    if all(x == (0, 0) for cj in c for x in cj):
         return None
-    # c_j(x) = y^j coefficient of G as an x-coefficient list
-    c = [[G[i][j] for i in range(size)] for j in range(size)]
     m = size - 1
-
-    def add(u, v):
-        return [(u[i] if i < len(u) else ZERO) + (v[i] if i < len(v) else ZERO)
-                for i in range(max(len(u), len(v)))]
-
     q = [None] * m
-    q[m - 1] = list(c[m])
+    q[m - 1] = c[m]
     for j in range(m - 1, 0, -1):
-        q[j - 1] = add(c[j], [ZERO] + q[j])       # q_{j-1} = c_j + x q_j
-    remainder = add(c[0], [ZERO] + q[0])
-    if any(not x.is_zero() for x in remainder):
+        q[j - 1] = ip_add(c[j], [(0, 0)] + q[j])  # q_{j-1} = c_j + x q_j
+    if ip_add(c[0], [(0, 0)] + q[0]):
         raise InternalError("two-point minor not divisible by the diagonal")
-    dx = max(len(qj) for qj in q)
-    H = []
-    for i in range(dx):
-        H.append(_utrim([qj[i] if i < len(qj) else ZERO for qj in q]))
+    H = [ip_trim([qj[i] if i < len(qj) else (0, 0) for qj in q])
+         for i in range(max(len(qj) for qj in q))]
     while H and not H[-1]:
         H.pop()
     return H if H else None
@@ -532,10 +512,12 @@ def _ann_offsets(degrees, twist):
     return offsets, acc
 
 
-def heaven_data(S: QLikeStructure) -> HeavenData:
-    """Plus-side data of S.  analyze derives S's family and annihilator
-    here, and reads the plus splitting and the minus side from them."""
-    fam = minus_family(S)
+def heaven_data(S: QLikeStructure, family: SubbundleFamily = None) -> HeavenData:
+    """Plus-side data of S.  ``family`` is S's saturated family when the
+    caller has it (validate's); otherwise it is derived here.  analyze
+    takes S's annihilator here, and reads the splittings, the canonical
+    sequences and the minus side from it."""
+    fam = minus_family(S) if family is None else family
     return _heaven_from(S, fam, annihilator(fam))
 
 
@@ -956,8 +938,8 @@ def analyze(S: QLikeStructure, validation: ValidationReport = None) -> AnalysisR
     if not validation.passed:
         raise InvalidInput("structure failed validation: %s"
                            % ", ".join(validation.failed_names()))
-    hd = heaven_data(S)
-    st_minus = splitting_type(hd.family)
+    hd = heaven_data(S, validation.family)
+    st_minus = _checked_splitting(hd.family, hd.ann)
     st_plus = SplittingType.of(hd.ann.degrees)
     if st_minus.degree + st_plus.degree != 0:
         raise InternalError("first Chern additivity failed")
@@ -994,7 +976,8 @@ def analyze(S: QLikeStructure, validation: ValidationReport = None) -> AnalysisR
 
 
 def verify_canonical_for(quotient, st):
-    """Canonical-sequence checks of the quotient, whose splitting is st."""
+    """Canonical-sequence checks of the quotient, whose splitting is st
+    (the degrees of its denominator's annihilator)."""
     if not st.is_nonnegative():
         return {"skipped": "quotient not nonnegative", "ok": True}
-    return verify_canonical_sequences(quotient)
+    return _canonical_checks(quotient.rank, st.summands)

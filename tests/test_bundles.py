@@ -3,13 +3,18 @@ import random
 import pytest
 from oracles import minor_system_h0, splitting_h0
 
-from qlike.bundles import (QuotientBundle, SplittingType, annihilator,
+from qlike import bundles
+from qlike.bundles import (QuotientBundle, SplittingType, SubbundleFamily,
+                           _certified_h0s, _h0_killed_by, annihilator,
                            family_span_equal, h0_twist, is_split_extension,
                            saturate, splitting_type, subquotient_splitting,
                            verify_canonical_sequences)
-from qlike.errors import InvalidInput
+from qlike.catalog import (build_conic_r3, build_quaternionic,
+                           build_twisted_plane_c4)
+from qlike.errors import InternalError, InvalidInput
 from qlike.forms import BinaryForm, Z0, Z1, parse_form
 from qlike.polymatrix import PolyMatrix
+from qlike.sampling import random_structures
 from qlike.scalars import Scalar
 
 
@@ -211,3 +216,54 @@ def test_serialization_round_trip():
     from qlike.bundles import SubbundleFamily
     back = SubbundleFamily.from_json(fam.to_json())
     assert family_span_equal(back, fam)
+
+
+def _twist_window(fam):
+    return range(min(fam.degrees) - 2, max(fam.degrees) + 2)
+
+
+def test_certified_h0_equals_exact_solve():
+    # the splitting cross-check's window, on both sides of each structure:
+    # every twist certifies, with the exact kernel dimension
+    structures = [build_conic_r3(), build_quaternionic(1),
+                  build_twisted_plane_c4()] + random_structures(123, 4)
+    for s in structures:
+        fam = saturate(s.spanning)
+        ann = annihilator(fam)
+        for f, a in ((fam, ann), (ann, fam)):
+            window = _twist_window(f)
+            certified = _certified_h0s(f, a, window)
+            assert list(certified) == list(window)
+            for m, h in certified.items():
+                assert h is not None
+                assert h == _h0_killed_by(a, m)
+
+
+def test_unsaturated_family_fails_through_exact_fallback(monkeypatch):
+    # z0 times a basis column: the z-multiples span too little to certify,
+    # so the exact solve decides, and the cross-check rejects the degrees
+    unsaturated = SubbundleFamily(4, cols_matrix(
+        4, ("z0^2", "z0*z1", "0", "0"), ("0", "0", "z0", "z1")))
+    exact = []
+
+    def counting(ann, m):
+        exact.append(m)
+        return _h0_killed_by(ann, m)
+
+    monkeypatch.setattr(bundles, "_h0_killed_by", counting)
+    with pytest.raises(InternalError):
+        splitting_type(unsaturated)
+    assert exact
+
+
+def test_nonzero_pairing_never_certifies():
+    # (z1, z0) does not kill the fiber (z0, z1), yet at every twist the rank
+    # of its equations plus the rank of the z-multiples is the column count;
+    # only the exact pairing check stops a false certificate
+    fam = saturate(cols_matrix(2, ("z0", "z1")))
+    wrong = SubbundleFamily(2, cols_matrix(2, ("z1", "z0")))
+    window = range(0, 5)
+    assert all(h is None for h in _certified_h0s(fam, wrong, window).values())
+    right = annihilator(fam)
+    assert _certified_h0s(fam, right, window) == \
+        {m: _h0_killed_by(right, m) for m in window}

@@ -2,6 +2,8 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlike import catalog
 
@@ -15,9 +17,9 @@ from qlike.linalg import identity, mat_vec, rank
 from qlike.polymatrix import PolyMatrix
 from qlike.sampling import random_structures
 from qlike.scalars import ONE, Scalar, ZERO
-from qlike.structures import (QLikeStructure, analyze, check_morphism,
-                              dualize, heaven_data, minus_data, minus_family,
-                              validate, verify_factorization)
+from qlike.structures import (QLikeStructure, _bivariate_two_point, analyze,
+                              check_morphism, dualize, heaven_data, minus_data,
+                              minus_family, validate, verify_factorization)
 from qlike.bundles import annihilator, family_span_equal, saturate
 from qlike.serialize import digest, load_structure_file
 
@@ -312,3 +314,64 @@ def test_random_family_digests():
         fam = minus_family(s)
         got.append((digest(fam.to_json()), digest(annihilator(fam).to_json())))
     assert got == FAMILY_DIGESTS
+
+
+def _gaussian_polys(max_degree):
+    pair = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
+    return st.lists(pair, min_size=0, max_size=max_degree + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6).flatmap(
+    lambda d: st.tuples(st.just(d), _gaussian_polys(d), _gaussian_polys(d))))
+def test_two_point_minor_times_diagonal(case):
+    # H(x, y) (y - x) = pa(x) pb(y) - pb(x) pa(y), coefficient by coefficient
+    d, pa, pb = case
+    coeff = {}
+    for i, (ar, ai) in enumerate(pa):
+        for j, (br, bi) in enumerate(pb):
+            for (x, y), sign in (((i, j), 1), ((j, i), -1)):
+                cr, ci = coeff.get((x, y), (0, 0))
+                coeff[x, y] = (cr + sign * (ar * br - ai * bi),
+                               ci + sign * (ar * bi + ai * br))
+    minor = {k: v for k, v in coeff.items() if v != (0, 0)}
+    H = _bivariate_two_point(pa, pb, d)
+    if H is None:
+        assert not minor
+        return
+    assert H[-1] and all(row == [] or row[-1] != (0, 0) for row in H)
+    times = {}
+    for x, row in enumerate(H):
+        for y, (hr, hi) in enumerate(row):
+            for key, sign in (((x, y + 1), 1), ((x + 1, y), -1)):
+                cr, ci = times.get(key, (0, 0))
+                times[key] = (cr + sign * hr, ci + sign * hi)
+    assert {k: v for k, v in times.items() if v != (0, 0)} == minor
+
+
+# sha256 of the canonical JSON of validate on the shipped fixtures and on
+# random_structures(123, 8), recorded before the Pluecker coordinates and
+# the two-point minors moved to Gaussian-integer pairs; the verdicts and
+# details must not move with the arithmetic.
+VALIDATION_DIGESTS = [
+    "70164cac4560c9f1eacda58d43c016421365720485572f255b2fe41b7e1354ff",
+    "83ec94fb2773877236726c1349fb1b771ad86a64b5bae2d1c636d2d451a3ddf3",
+    "d30df6b853069751f9f960a95deda78d274aee92e85ca12f3d8056147a0b1ba8",
+    "1ac4063b63252ff9ee3c255f7bee4455abcbbb0cef8ab5f7d92a28c3a556b8bd",
+    "c18a6f19b7c1eef95a7271695a6e982e55f38c02edf18a03df78f75b0490e88b",
+    "28df9bbe6dd1d66593607804f3c61196d722dd89d7fd9619bc495de1260fe42f",
+    "ed09eeb52c559161dd4adf670df3f5a4b3472a3ee75024d046a70fe243ac69c6",
+    "8bb2e9f56a3e4ce6ffb9d61580d010444b09d245e8aa62e6f7dfbbd7a446997c",
+    "6777673a2f0f9641a1b15da6b7444b170a3d5348098a9bb0f67d15e077163070",
+    "adaea34a8a53023dfd2f7b2edd70b87478719f1e47d4bcbf5fdaa1b813ab62a4",
+    "e912c8512bf6b6917637b290213447be16b2048ce00774a145376378c2598f71",
+]
+
+
+def test_validation_digests():
+    folder = os.path.join(os.path.dirname(catalog.__file__), "fixtures", "v1")
+    structures = [load_structure_file(os.path.join(folder, name))
+                  for name in sorted(GOLDEN_DIGESTS)]
+    got = [digest(validate(s).to_json())
+           for s in structures + random_structures(123, 8)]
+    assert got == VALIDATION_DIGESTS
