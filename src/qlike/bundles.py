@@ -131,7 +131,13 @@ class QuotientBundle:
         return self.ambient - self.denominator.rank
 
 
-def saturate(P: PolyMatrix) -> SubbundleFamily:
+def _family_of(n, gens):
+    """The family whose free basis is the (degree, column) pairs ``gens``."""
+    return SubbundleFamily(n, PolyMatrix.from_columns(
+        n, [list(v) for _, v in gens], [m for m, _ in gens]))
+
+
+def saturate(P: PolyMatrix, _rank=None, _with_annihilator=False):
     """Free basis of the saturation of the image sheaf of P.
 
     Computed as annihilator-of-annihilator: the saturated module is exactly
@@ -139,23 +145,26 @@ def saturate(P: PolyMatrix) -> SubbundleFamily:
     into torsion-free modules are already saturated.  The degree cap is the
     sum of P's column degrees + 1; failing to reach the free rank by then is
     a bug, not bad input.
+
+    ``_rank`` is P's generic rank when the caller has computed it.  With
+    ``_with_annihilator`` the result is ``(family, annihilator(family))``:
+    the annihilator generators built here are that annihilator's basis,
+    because saturating does not change which functionals kill the fibers and
+    the graded kernel's output depends only on that module.
     """
     n = P.rows
-    cols = P.columns()
-    r = generic_rank(P.transpose_relations())
+    r = generic_rank(P.transpose_relations()) if _rank is None else _rank
     if r == 0:
-        return SubbundleFamily(n, PolyMatrix(n, 0, (), [[] for _ in range(n)]))
-    ann = annihilator_generators(cols, P.col_degrees, n)
+        fam = _family_of(n, [])
+        return (fam, annihilator(fam)) if _with_annihilator else fam
+    ann = annihilator_generators(P.columns(), P.col_degrees, n, _rank=r)
     cap = sum(max(0, d) for d in P.col_degrees) + 1
-    relations = [list(q) for _, q in ann]
-    gens = graded_kernel(relations, n, expected_count=r, cap=cap,
-                         context="saturation")
-    basis = PolyMatrix.from_columns(n, [list(v) for _, v in gens],
-                                    [m for m, _ in gens])
-    fam = SubbundleFamily(n, basis)
+    gens = graded_kernel([list(q) for _, q in ann], n, expected_count=r,
+                         cap=cap, context="saturation")
+    fam = _family_of(n, gens)
     if fam.rank != r:
         raise InternalError("saturation did not terminate")
-    return fam
+    return (fam, _family_of(n, ann)) if _with_annihilator else fam
 
 
 def annihilator(A: SubbundleFamily) -> SubbundleFamily:
@@ -169,9 +178,7 @@ def annihilator(A: SubbundleFamily) -> SubbundleFamily:
     if len(gens) != n - A.rank:
         raise InternalError("annihilator rank %d, expected %d"
                             % (len(gens), n - A.rank))
-    basis = PolyMatrix.from_columns(n, [list(v) for _, v in gens],
-                                    [m for m, _ in gens])
-    return SubbundleFamily(n, basis)
+    return _family_of(n, gens)
 
 
 def h0_dimension_by_solve(F: SubbundleFamily, m: int) -> int:

@@ -11,7 +11,7 @@ import re as _re
 from fractions import Fraction
 
 from .scalars import (ONE, ZERO, Scalar, clear_denominators, format_scalar,
-                      parse_scalar, scalar)
+                      parse_scalar, primitive_part, scalar)
 
 
 class BinaryForm:
@@ -179,36 +179,6 @@ def antipodal_transform(p: BinaryForm) -> BinaryForm:
     return BinaryForm(d, out)
 
 
-def form_divmod_exact(f: BinaryForm, g: BinaryForm):
-    """Exact quotient f / g of binary forms, or None if g does not divide f."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by zero form")
-    if f.is_zero():
-        return BinaryForm.zero(max(f.degree - g.degree, 0))
-    if f.degree < g.degree:
-        return None
-    d = f.degree - g.degree
-    lead = 0
-    while g.coeffs[lead].is_zero():
-        lead += 1
-    rem = list(f.coeffs)
-    for i in range(lead):
-        if not rem[i].is_zero():
-            return None
-    out = [ZERO] * (d + 1)
-    for t in range(d + 1):
-        c = rem[lead + t]
-        if c.is_zero():
-            continue
-        factor = c / g.coeffs[lead]
-        out[t] = factor
-        for j in range(lead, g.degree + 1):
-            rem[t + j] = rem[t + j] - factor * g.coeffs[j]
-    if any(not c.is_zero() for c in rem):
-        return None
-    return BinaryForm(d, out)
-
-
 def _z1_valuation(p: BinaryForm):
     # coeffs[v] multiplies z0^(d-v) z1^v, so z1^a | p iff coeffs[0..a-1] vanish
     v = 0
@@ -289,18 +259,14 @@ def ip_scale(a, c):
 
 
 def ip_gcd(ia, ib):
-    """Primitive gcd via pseudo-remainders (integer content stripped)."""
-    ia = _strip_int_content(ip_trim(list(ia)))
-    ib = _strip_int_content(ip_trim(list(ib)))
+    """Primitive gcd via pseudo-remainders (Gaussian content stripped)."""
+    ia = primitive_part(ip_trim(list(ia)))
+    ib = primitive_part(ip_trim(list(ib)))
     while ib:
         ia = _pseudo_rem(ia, ib)
-        ia = _strip_int_content(ia)
+        ia = primitive_part(ia)
         ia, ib = ib, ia
     return ia
-
-
-def ip_is_constant(a):
-    return len(a) == 1
 
 
 def _int_poly(coeffs):
@@ -339,54 +305,6 @@ def _pseudo_rem(a, b):
         while a and a[-1] == (0, 0):
             a.pop()
     return a
-
-
-def _gaussian_gcd(a, b):
-    """gcd in Z[i] by norm-Euclidean division (nearest-integer quotient)."""
-    while b != (0, 0):
-        br, bi = b
-        n = br * br + bi * bi
-        ar, ai = a
-        # a / b = (a conj(b)) / N(b), rounded to the nearest Gaussian integer
-        qr_num = ar * br + ai * bi
-        qi_num = ai * br - ar * bi
-        qr = (2 * qr_num + n) // (2 * n)
-        qi = (2 * qi_num + n) // (2 * n)
-        rr = ar - (qr * br - qi * bi)
-        ri = ai - (qr * bi + qi * br)
-        a, b = b, (rr, ri)
-    return a
-
-
-def _strip_int_content(p):
-    """Divide out the Gaussian-integer content (true primitive part).
-
-    Stripping only rational-integer content is not enough: pseudo-remainder
-    chains over Z[i] accumulate Gaussian factors invisible to the integer
-    gcd, and coefficient sizes then grow exponentially.
-    """
-    from math import gcd as _igcd
-    g = 0
-    for re, im in p:
-        g = _igcd(g, abs(re))
-        g = _igcd(g, abs(im))
-        if g == 1:
-            break
-    if g > 1:
-        p = [(re // g, im // g) for re, im in p]
-    content = (0, 0)
-    for c in p:
-        content = _gaussian_gcd(content, c)
-        if content[0] * content[0] + content[1] * content[1] == 1:
-            return p
-    if content in ((0, 0), (1, 0)):
-        return p
-    cr, ci = content
-    n = cr * cr + ci * ci
-    out = []
-    for ar, ai in p:
-        out.append(((ar * cr + ai * ci) // n, (ai * cr - ar * ci) // n))
-    return out
 
 
 def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:

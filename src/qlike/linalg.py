@@ -3,8 +3,10 @@
 Matrices are lists of rows of :class:`~qlike.scalars.Scalar`.  The solvers
 stay in Gaussian integers from denominator clearing through
 back-substitution.  Each right-hand-side column is cleared with one common
-factor, then each row of the coefficient matrix with its denominator lcm;
-neither step changes the zero pattern or the row space.  Single-step
+factor, then each row of the coefficient matrix with its denominator lcm,
+and each cleared row (with its right-hand sides) is divided by its
+Gaussian-integer content; none of these steps changes the zero pattern, the
+row space, the solution set or the column dependencies.  Single-step
 Bareiss elimination brings the integer matrix to an echelon form whose
 pivots are leading minors, so entries stay integral with linear bit growth.
 A solution is back-substituted with its free column set to the last pivot
@@ -15,7 +17,10 @@ by ``d`` (and the right-hand-side factor) once.  Pivoting is deterministic
 fixed by its free variables, so results are reproducible byte for byte.
 The pivot columns are the column rank profile: column c is a pivot exactly
 when it is independent of the columns before it.  :func:`independent_rows`
-relies on this to pick independent vectors in order.
+relies on this to pick independent vectors in order, and
+:func:`solve_affine` to eliminate each connected component of a sparse
+system on its own: columns whose rows are disjoint cannot depend on each
+other, so the components' profiles together are the whole matrix's.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 
-from .scalars import ONE, ZERO, Scalar, clear_denominators
+from .scalars import ONE, ZERO, Scalar, clear_denominators, primitive_part
 
 # Gaussian integers are plain (re, im) int pairs inside this module.
 _GZERO = (0, 0)
@@ -39,8 +44,9 @@ def _gdiv(a, b):
 
 
 def _int_rows(a):
-    """Each row times its denominator lcm, as Gaussian-integer rows."""
-    return [clear_denominators(row)[1] for row in a]
+    """Each row times its denominator lcm, as primitive Gaussian-integer
+    rows."""
+    return [primitive_part(clear_denominators(row)[1]) for row in a]
 
 
 def _bareiss(rows, ncols):
@@ -211,6 +217,23 @@ def kernel_basis(a):
             for fc in range(ncols) if fc not in pivot_set]
 
 
+def _augmented_rows(a, cols):
+    """The primitive Gaussian-integer rows of ``[A | D_1 b_1 | ...]`` for the
+    right-hand sides ``b_k`` in ``cols``, and the factors ``D_k``.
+
+    Each ``D_k`` is the common denominator of its column, and each row is
+    scaled by the denominator lcm of its part in A only, so the right sides
+    do not inflate the rows of A.
+    """
+    cleared = [clear_denominators(b) for b in cols]
+    rows = []
+    for i, row in enumerate(a):
+        l, ints = clear_denominators(row)
+        rows.append(primitive_part(
+            ints + [(l * ib[i][0], l * ib[i][1]) for _, ib in cleared]))
+    return rows, [l for l, _ in cleared]
+
+
 def _solve_columns(a, cols):
     """The solution of A x = b with every free variable 0, for each
     right-hand side ``b`` in ``cols``; None if any of them is inconsistent.
@@ -219,17 +242,13 @@ def _solve_columns(a, cols):
     sides from scaling the rows of A; the factor is divided out at the end.
     """
     ncols = len(a[0]) if a else 0
-    cleared = [clear_denominators(b) for b in cols]
-    rows = []
-    for i, row in enumerate(a):
-        l, ints = clear_denominators(row)
-        rows.append(ints + [(l * ib[i][0], l * ib[i][1]) for _, ib in cleared])
+    rows, dens = _augmented_rows(a, cols)
     pivots = _bareiss(rows, ncols + len(cols))
     if pivots and pivots[-1] >= ncols:
         return None
     # x = -(kernel vector of [A | D b] that is 1 on the right-hand column)/D
     return [_free_vector(rows, pivots, ncols + k, ncols, -l)
-            for k, (l, _) in enumerate(cleared)]
+            for k, l in enumerate(dens)]
 
 
 def solve(a, b):
@@ -244,6 +263,74 @@ def solve_matrix(a, b):
     if cols is None:
         return None
     return [[col[c] for col in cols] for c in range(len(a[0]) if a else 0)]
+
+
+def solve_affine(a, b):
+    """``(solve(a, b), kernel_basis(a))``, from one elimination of
+    ``[A_c | b_c]`` per connected component c of A's nonzero pattern.
+
+    Two unknowns are connected when a row holds both.  The rows of one
+    component touch only its unknowns, so column j of A depends on the
+    columns before it exactly when it does within its component: the pivots
+    of A are the union of the components' pivots, each kernel vector is its
+    component's vector padded with zeros, and the particular solution is
+    the union of the components' ones.  An all-zero row with a nonzero
+    right-hand side makes the system inconsistent; an unknown in no row is
+    free.
+    """
+    ncols = len(a[0]) if a else 0
+    parent = list(range(ncols))
+
+    def find(j):
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    consistent = True
+    supports = []
+    for row, y in zip(a, b):
+        support = [j for j, x in enumerate(row) if x]
+        supports.append(support)
+        if not support:
+            if y:
+                consistent = False
+            continue
+        root = find(support[0])
+        for j in support[1:]:
+            rj = find(j)
+            if rj != root:
+                parent[rj] = root
+    comp_cols = {}
+    for j in range(ncols):
+        comp_cols.setdefault(find(j), []).append(j)
+    comp_rows = {}
+    for i, support in enumerate(supports):
+        if support:
+            comp_rows.setdefault(find(support[0]), []).append(i)
+
+    x = [ZERO] * ncols
+    kernel = {}
+    for root, cols in comp_cols.items():
+        row_ids = comp_rows.get(root, [])
+        m = len(cols)
+        rows, (den,) = _augmented_rows([[a[i][j] for j in cols]
+                                        for i in row_ids],
+                                       [[b[i] for i in row_ids]])
+        pivots = _bareiss(rows, m + 1)
+        if pivots and pivots[-1] == m:
+            consistent = False
+        elif consistent:
+            for j, v in zip(cols, _free_vector(rows, pivots, m, m, -den)):
+                x[j] = v
+        pivot_set = set(pivots)
+        for fc in range(m):
+            if fc not in pivot_set:
+                v = [ZERO] * ncols
+                for j, y in zip(cols, _free_vector(rows, pivots, fc, m)):
+                    v[j] = y
+                kernel[cols[fc]] = v
+    return (x if consistent else None), [kernel[j] for j in sorted(kernel)]
 
 
 def inverse(a):

@@ -218,7 +218,7 @@ def orbit_tangent_family(q: GoodQuadruple) -> TangentFamilies:
     raw_l = PolyMatrix.from_columns(n, [d0, d1], [d - 1, d - 1])
     if generic_rank(raw_l.transpose_relations()) != 2:
         raise InvalidInput("curve not immersed")
-    lp = saturate(raw_l)
+    lp = saturate(raw_l, _rank=2)
     _constant_rank_check(raw_l, lp, "curve not immersed")
     # v lies in L' pointwise (Euler); make the membership explicit
     from .polymatrix import solve_combination

@@ -254,15 +254,16 @@ def graded_kernel_basis(M: PolyMatrix) -> PolyMatrix:
                                    [m for m, _ in gens])
 
 
-def annihilator_generators(columns, col_degrees, ambient):
+def annihilator_generators(columns, col_degrees, ambient, _rank=None):
     """Free generators of { g in S^ambient : g . column = 0 for all columns }.
 
     These are the functional covectors killing the pointwise span of the
     column family; the result is automatically the saturated annihilator
-    module.  Returns a list of (degree, covector) pairs.
+    module.  Returns a list of (degree, covector) pairs.  ``_rank`` is the
+    columns' generic rank when the caller has computed it.
     """
     relations = [list(col) for col in columns]
-    rk = generic_rank(relations) if relations else 0
+    rk = generic_rank(relations) if _rank is None else _rank
     cap = sum(max(0, d) for d in col_degrees) + 2
     return graded_kernel(relations, ambient, expected_count=ambient - rk,
                          cap=cap, context="annihilator computation")
@@ -301,17 +302,3 @@ def solve_combination(columns, col_degrees, target, target_degree):
         return None
     return list(_decode(sol, shifts, lengths, offsets, target_degree))
 
-
-def poly_mat_vec(M: PolyMatrix, vec):
-    """Apply a PolyMatrix to a vector of forms (degrees must be compatible)."""
-    out = []
-    for i in range(M.rows):
-        s = BinaryForm.zero(0)
-        for j in range(M.cols):
-            e = M.entries[i][j]
-            f = vec[j]
-            if e.is_zero() or f.is_zero():
-                continue
-            s = s + e * f
-        out.append(s)
-    return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import lcm as _lcm
+from math import gcd as _igcd, lcm as _lcm
 
 
 class Scalar:
@@ -136,14 +136,17 @@ def _coerce(x):
 
 def scalar(re=0, im=0) -> Scalar:
     """Convenience constructor accepting ints, Fractions or strings (not
-    floats, which are not exact)."""
+    floats, which are not exact, nor booleans)."""
     if isinstance(re, str):
         return parse_scalar(re)
     if isinstance(re, Scalar):
         return re
-    if isinstance(re, float) or isinstance(im, float):
-        raise TypeError("%r is a floating-point number, not an exact scalar"
-                        % (im if isinstance(im, float) else re,))
+    for x in (re, im):
+        if isinstance(x, float):
+            raise TypeError("%r is a floating-point number, not an exact "
+                            "scalar" % (x,))
+        if isinstance(x, bool):
+            raise TypeError("%r is a boolean, not a scalar" % (x,))
     return Scalar(re, im)
 
 
@@ -156,6 +159,59 @@ def clear_denominators(xs):
     l = _lcm(*[x.re.denominator for x in xs], *[x.im.denominator for x in xs])
     return l, [(x.re.numerator * (l // x.re.denominator),
                 x.im.numerator * (l // x.im.denominator)) for x in xs]
+
+
+def _gaussian_gcd(a, b):
+    """gcd in Z[i] by norm-Euclidean division (nearest-integer quotient)."""
+    while b != (0, 0):
+        br, bi = b
+        n = br * br + bi * bi
+        ar, ai = a
+        # a / b = (a conj(b)) / N(b), rounded to the nearest Gaussian integer
+        qr_num = ar * br + ai * bi
+        qi_num = ai * br - ar * bi
+        qr = (2 * qr_num + n) // (2 * n)
+        qi = (2 * qi_num + n) // (2 * n)
+        rr = ar - (qr * br - qi * bi)
+        ri = ai - (qr * bi + qi * br)
+        a, b = b, (rr, ri)
+    return a
+
+
+def primitive_part(pairs):
+    """``pairs`` (Gaussian integers as ``(re, im)``) divided by their
+    Gaussian-integer content, up to a unit; all-zero input is returned as is.
+
+    Dividing out only the rational-integer gcd is not enough: eliminations
+    and pseudo-remainder chains over Z[i] accumulate Gaussian factors
+    invisible to it, and coefficient sizes then grow.
+    """
+    g = 0
+    for re, im in pairs:
+        g = _igcd(g, re, im)
+        if g == 1:
+            break
+    if g > 1:
+        pairs = [(re // g, im // g) for re, im in pairs]
+    # the content divides every norm, so it is gcd(G, pairs) for the norm
+    # gcd G; starting from G, each Euclidean chain first reduces an entry
+    # modulo G and then runs on numbers no larger than G
+    norms = 0
+    for re, im in pairs:
+        norms = _igcd(norms, re * re + im * im)
+        if norms == 1:
+            return pairs
+    if not norms:
+        return pairs
+    content = (norms, 0)
+    for c in pairs:
+        content = _gaussian_gcd(content, c)
+        if content[0] * content[0] + content[1] * content[1] == 1:
+            return pairs
+    cr, ci = content
+    n = cr * cr + ci * ci
+    return [((ar * cr + ai * ci) // n, (ai * cr - ar * ci) // n)
+            for ar, ai in pairs]
 
 
 def format_scalar(s: Scalar) -> str:
@@ -212,7 +268,11 @@ def parse_scalar(text: str) -> Scalar:
             value = Fraction(1)
             imag = True
         else:
-            value = Fraction(int(m.group("num")), int(m.group("den") or 1))
+            den = int(m.group("den") or 1)
+            if not den:
+                raise ValueError("zero denominator in scalar literal %r"
+                                 % text)
+            value = Fraction(int(m.group("num")), den)
             imag = m.group("istar") is not None
         if imag:
             if seen_imag:

@@ -26,8 +26,8 @@ from .forms import (BinaryForm, _int_poly, _int_polys, antipodal_transform,
                     form_gcd, format_form, ip_add, ip_deriv, ip_gcd, ip_mul,
                     ip_scale, ip_sub, ip_trim, parse_form)
 from .linalg import (conj_matrix, identity, independent_rows, inverse,
-                     kernel_basis, mat_eq, mat_mul, mat_vec, rank, solve,
-                     transpose, zeros)
+                     kernel_basis, mat_eq, mat_mul, mat_vec, rank,
+                     solve_affine, transpose, zeros)
 from .modp import bideg, resultant_gcd_is_constant
 from .polymatrix import PolyMatrix, generic_rank, solve_combination
 from .scalars import ONE, ZERO, Scalar, scalar
@@ -116,8 +116,10 @@ class CheckResult:
 @dataclass
 class ValidationReport:
     checks: list = field(default_factory=list)
-    # the saturated family the checks ran on, for analyze; not serialized
+    # the saturated family the checks ran on and its annihilator, for
+    # analyze; not serialized
     family: SubbundleFamily = field(default=None, compare=False, repr=False)
+    ann: SubbundleFamily = field(default=None, compare=False, repr=False)
 
     def add(self, name, status, detail=""):
         self.checks.append(CheckResult(name, status, detail))
@@ -158,7 +160,8 @@ def validate(S: QLikeStructure) -> ValidationReport:
         return report
     report.add("generic-rank", "pass")
 
-    family = report.family = saturate(S.spanning)
+    family, ann = saturate(S.spanning, _rank=r, _with_annihilator=True)
+    report.family, report.ann = family, ann
     report.add("saturation", "pass",
                "free basis degrees %s" % (list(family.degrees),))
 
@@ -512,13 +515,17 @@ def _ann_offsets(degrees, twist):
     return offsets, acc
 
 
-def heaven_data(S: QLikeStructure, family: SubbundleFamily = None) -> HeavenData:
-    """Plus-side data of S.  ``family`` is S's saturated family when the
-    caller has it (validate's); otherwise it is derived here.  analyze
-    takes S's annihilator here, and reads the splittings, the canonical
-    sequences and the minus side from it."""
-    fam = minus_family(S) if family is None else family
-    return _heaven_from(S, fam, annihilator(fam))
+def heaven_data(S: QLikeStructure, family: SubbundleFamily = None,
+                ann: SubbundleFamily = None) -> HeavenData:
+    """Plus-side data of S.  ``family`` is S's saturated family and ``ann``
+    its annihilator when the caller has them (validate's); otherwise they
+    are derived here, in one saturation.  analyze reads the splittings, the
+    canonical sequences and the minus side from them."""
+    if family is None:
+        family, ann = saturate(S.spanning, _with_annihilator=True)
+    elif ann is None:
+        ann = annihilator(family)
+    return _heaven_from(S, family, ann)
 
 
 def _heaven_from(S: QLikeStructure, fam: SubbundleFamily,
@@ -742,6 +749,13 @@ def verify_factorization(hd: HeavenData, md: MinusData) -> FactorizationReport:
     iota is constrained to the compatible shape (canonical S1* ~ S1 twist on
     the first factor, arbitrary on the section factor), which is exactly the
     intertwining condition for the multiplication actions of z0, z1.
+
+    The linear system for iota's hp x hp unknowns decouples: rho_plus and
+    rho_minus_star are block-diagonal by summand and preserve a monomial
+    weight, so each equation touches few unknowns (connected components of
+    at most 3 on the benchmark pool).  :func:`~qlike.linalg.solve_affine`
+    eliminates each component once and returns the particular solution and
+    the homogeneous solutions that ``solve`` and ``kernel_basis`` would.
     """
     if hd.h_plus_dim != md.h_minus_dim:
         raise InternalError("twisted section dimensions disagree "
@@ -776,8 +790,7 @@ def verify_factorization(hd: HeavenData, md: MinusData) -> FactorizationReport:
                             continue
                         r = i * md.u_minus_dim + j
                         a[r][u] = a[r][u] + coeff * rp * rm
-    x = solve(a, b)
-    homogeneous = kernel_basis(a)
+    x, homogeneous = solve_affine(a, b)
     solvable = x is not None
 
     dims = _correspondence_dims(hd, md)
@@ -938,7 +951,7 @@ def analyze(S: QLikeStructure, validation: ValidationReport = None) -> AnalysisR
     if not validation.passed:
         raise InvalidInput("structure failed validation: %s"
                            % ", ".join(validation.failed_names()))
-    hd = heaven_data(S, validation.family)
+    hd = heaven_data(S, validation.family, validation.ann)
     st_minus = _checked_splitting(hd.family, hd.ann)
     st_plus = SplittingType.of(hd.ann.degrees)
     if st_minus.degree + st_plus.degree != 0:
@@ -958,21 +971,20 @@ def analyze(S: QLikeStructure, validation: ValidationReport = None) -> AnalysisR
     else:
         label = "general"
 
-    rho_plus_surjective = rank(hd.rho_plus) == hd.u_plus_dim
-    psi_minus_injective = rank(md.psi_minus) == md.u_minus_dim
-    rho_minus_star_injective = rank(md.rho_minus_star) == md.u_minus_dim
+    dims = fact.dims
     flags = {
         "co_cr": label in ("quaternionic", "rho-quaternionic")
-                 and rho_plus_surjective,
+                 and dims["coker_rho_plus"] == 0,
         "cr": label in ("quaternionic", "rho-star-quaternionic")
-              and psi_minus_injective and rho_minus_star_injective,
+              and dims["ker_psi_minus"] == 0
+              and dims["ker_rho_minus_star"] == 0,
         "semantics": "interpretive",
     }
 
     seqs = verify_canonical_for(QuotientBundle(S.dim, hd.family), st_plus)
     serre = hd.h_plus_dim == md.h_minus_dim
-    return AnalysisReport(validation, st_minus, st_plus, label, flags,
-                          _correspondence_dims(hd, md), fact, seqs, serre)
+    return AnalysisReport(validation, st_minus, st_plus, label, flags, dims,
+                          fact, seqs, serre)
 
 
 def verify_canonical_for(quotient, st):

@@ -203,3 +203,48 @@ def exact_det(a):
         denom *= l
     re, im = rows[n - 1][n - 1]
     return Scalar(re, im) * Scalar(Fraction(sign, denom))
+
+
+def form_divmod_exact(f: BinaryForm, g: BinaryForm):
+    """Exact quotient f / g of binary forms, or None if g does not divide f."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by zero form")
+    if f.is_zero():
+        return BinaryForm.zero(max(f.degree - g.degree, 0))
+    if f.degree < g.degree:
+        return None
+    d = f.degree - g.degree
+    lead = 0
+    while g.coeffs[lead].is_zero():
+        lead += 1
+    rem = list(f.coeffs)
+    for i in range(lead):
+        if not rem[i].is_zero():
+            return None
+    out = [ZERO] * (d + 1)
+    for t in range(d + 1):
+        c = rem[lead + t]
+        if c.is_zero():
+            continue
+        factor = c / g.coeffs[lead]
+        out[t] = factor
+        for j in range(lead, g.degree + 1):
+            rem[t + j] = rem[t + j] - factor * g.coeffs[j]
+    if any(not c.is_zero() for c in rem):
+        return None
+    return BinaryForm(d, out)
+
+
+def poly_mat_vec(M, vec):
+    """Apply a PolyMatrix to a vector of forms (degrees must be compatible)."""
+    out = []
+    for i in range(M.rows):
+        s = BinaryForm.zero(0)
+        for j in range(M.cols):
+            e = M.entries[i][j]
+            f = vec[j]
+            if e.is_zero() or f.is_zero():
+                continue
+            s = s + e * f
+        out.append(s)
+    return out

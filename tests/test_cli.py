@@ -155,6 +155,9 @@ def test_catalog_regen(tmp_path, capsys):
     ({"spanning": [[1, 2, 3]]}, "lists of forms"),
     ({"mode": 5}, "mode must be"),
     ({"mode": "Real"}, "mode must be"),
+    ({"spanning": [["1/0*z0^2", "z0*z1", "z1^2"]]}, "zero denominator"),
+    ({"conjugation": [[False, False, True], [False, True, False],
+                      [True, False, False]]}, "boolean"),
 ])
 def test_malformed_structure_exit_two(tmp_path, capsys, change, message):
     with open(os.path.join(FIXTURES, "conic_r3.json")) as fh:
@@ -181,7 +184,8 @@ def test_integer_conjugation_entries_accepted(tmp_path, capsys):
     assert out == expected
 
 
-@pytest.mark.parametrize("vector", ["[1, 0]", "5", '["x"]', "[0.5]"])
+@pytest.mark.parametrize("vector", ["[1, 0]", "5", '["x"]', "[0.5]",
+                                    '["1/0", "0", "0", "0", "0", "0", "0", "0"]'])
 def test_lie_jm_bad_nilpotent_exit_two(capsys, vector):
     code, out, err = run_cli(capsys, "lie-jm", "--algebra", "sl(3)",
                              "--nilpotent", vector)

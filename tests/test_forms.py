@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from qlike.forms import (BinaryForm, Z0, Z1, antipodal_transform,
-                         form_divmod_exact, form_gcd, format_form, parse_form)
+from oracles import form_divmod_exact
+
+from qlike.forms import (BinaryForm, Z0, Z1, antipodal_transform, form_gcd,
+                         format_form, parse_form)
 from qlike.scalars import ONE, Scalar, ZERO
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from oracles import rref
 
 from qlike.linalg import independent_rows, kernel_basis, mat_mul, mat_vec, \
-    rank, solve, solve_matrix
+    rank, solve, solve_affine, solve_matrix
 from qlike.scalars import ONE, ZERO, Scalar
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -167,3 +167,75 @@ def _greedy_independent(vs):
           [ONE, Scalar(0, 3 ** 70)], [ZERO, ONE]])
 def test_independent_rows_is_greedy_selection(vs):
     assert independent_rows(vs) == _greedy_independent(vs)
+
+
+@st.composite
+def block_systems(draw):
+    """``(a, b)``: a block-diagonal system with its rows and unknowns
+    shuffled, so that its nonzero pattern has several components.  Zero
+    rows and unknowns in no row are mixed in; right-hand sides are A x0
+    (consistent) or A x0 with entries changed (inconsistent when a changed
+    row depends on others of its component, or is zero)."""
+    blocks = draw(st.lists(matrices(max_rows=3, max_cols=3), min_size=1,
+                           max_size=4))
+    ncols = sum(len(blk[0]) for blk in blocks) + draw(st.integers(0, 2))
+    a = []
+    off = 0
+    for blk in blocks:
+        for r in blk:
+            a.append([ZERO] * off + r + [ZERO] * (ncols - off - len(r)))
+        off += len(blk[0])
+    a += [[ZERO] * ncols for _ in range(draw(st.integers(0, 2)))]
+    perm = draw(st.permutations(range(ncols)))
+    a = draw(st.permutations([[row[j] for j in perm] for row in a]))
+    entries = draw(st.sampled_from([_entries("rational"), _big_entries()]))
+    b = mat_vec(a, [draw(entries) for _ in range(ncols)])
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(a) - 1))
+        b[i] = b[i] + draw(entries)
+    return a, b
+
+
+@SETTINGS
+@given(block_systems())
+@example(([[ZERO, ZERO], [ONE, ZERO]], [ONE, ONE]))          # zero row, b != 0
+@example(([[ONE, ZERO], [ONE, ZERO], [ZERO, Scalar(2)]],     # one component
+          [ONE, Scalar(2), Scalar(3)]))                      # inconsistent
+@example(([[ZERO, Scalar(0, 3), ZERO]], [Scalar(1, 1)]))     # unknowns in no row
+@example(([], []))
+def test_solve_affine_matches_solve_and_kernel(system):
+    a, b = system
+    x, kernel = solve_affine(a, b)
+    assert x == solve(a, b)
+    assert kernel == kernel_basis(a)
+    if a:
+        assert kernel == _oracle_kernel(a)
+
+
+# (1+2i)^30: a Gaussian content far larger than the entries it multiplies
+CONTENT = ONE
+for _ in range(30):
+    CONTENT = CONTENT * Scalar(1, 2)
+
+
+@SETTINGS
+@given(st.data())
+def test_row_content_leaves_outputs_unchanged(data):
+    # each elimination divides its cleared rows by their Gaussian content;
+    # scaling rows (and, for independent_rows, coordinates) by a large
+    # content must change no output
+    a = data.draw(matrices())
+    b = data.draw(right_sides(a, 2))
+    scaled = [data.draw(st.booleans()) for _ in a]
+    sa = [[CONTENT * x for x in row] if s else row for row, s in zip(a, scaled)]
+    sb = [[CONTENT * x for x in row] if s else row for row, s in zip(b, scaled)]
+    assert rank(sa) == rank(a) == len(rref(a)[1])
+    assert kernel_basis(sa) == kernel_basis(a) == _oracle_kernel(a)
+    b0 = [row[0] for row in b]
+    assert solve(sa, [row[0] for row in sb]) == solve(a, b0)
+    assert solve_matrix(sa, sb) == solve_matrix(a, b) == \
+        _oracle_solve_matrix(a, b)
+    coords = [data.draw(st.booleans()) for _ in a[0]]
+    sv = [[CONTENT * x if s else x for x, s in zip(v, coords)] for v in a]
+    assert independent_rows(sv) == independent_rows(a) == \
+        _greedy_independent(a)

@@ -1,9 +1,10 @@
 import random
 
+from oracles import poly_mat_vec
+
 from qlike.forms import BinaryForm, Z0, Z1, parse_form
 from qlike.polymatrix import (PolyMatrix, generic_rank, graded_kernel,
-                              graded_kernel_basis, poly_mat_vec,
-                              solve_combination)
+                              graded_kernel_basis, solve_combination)
 from qlike.scalars import Scalar
 
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from qlike.scalars import I, ONE, ZERO, Scalar, format_scalar, parse_scalar
+from qlike.scalars import (I, ONE, ZERO, Scalar, format_scalar, parse_scalar,
+                           scalar)
 
 
 def rand_scalar(rng):
@@ -40,10 +41,19 @@ def test_parse_format_round_trip():
     assert parse_scalar("(1/2)") == Scalar(Fraction(1, 2))
 
 
-@pytest.mark.parametrize("bad", ["sqrt(2)", "2^(1/2)", "1.5", "x", "1+2"])
+@pytest.mark.parametrize("bad", ["sqrt(2)", "2^(1/2)", "1.5", "x", "1+2",
+                                 "1/0", "3-2/0*i"])
 def test_non_gaussian_rejected(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, 0.5])
+def test_scalar_rejects_bool_and_float(bad):
+    with pytest.raises(TypeError):
+        scalar(bad)
+    with pytest.raises(TypeError):
+        scalar(1, bad)
 
 
 def test_immutable():

@@ -292,6 +292,20 @@ def test_dual_family_is_the_annihilator():
         assert annihilator(ann).basis == fam.basis
 
 
+def test_saturation_hands_over_the_annihilator():
+    # validate keeps the annihilator generators its saturation built, and
+    # analyze uses them in place of annihilator(family); that is exact only
+    # if they are the very basis annihilator(family) returns
+    for s in [CONIC, QUAT, PLANE] + random_structures(123, 4):
+        fam = saturate(s.spanning)
+        expected = annihilator(fam).basis
+        report = validate(s)
+        assert report.family.basis == fam.basis
+        assert report.ann.basis == expected
+        pair = saturate(s.spanning, _with_annihilator=True)
+        assert (pair[0].basis, pair[1].basis) == (fam.basis, expected)
+
+
 # sha256 of the canonical JSON of each minus family and of its annihilator
 # for random_structures(123, 4), recorded before the graded kernel chose its
 # generators with linalg.independent_rows; the choice fixes the generator
