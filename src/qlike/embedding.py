@@ -1,0 +1,264 @@
+"""The embedding checks of validate: the Grassmann curve z -> U^z of a
+structure must be immersed and injective.
+
+The curve is read through its Pluecker coordinates, binary forms over the
+Gaussian integers.  Each check is first proven modulo a prime
+(:mod:`qlike.modp`).  The exact route decides every failure and whatever
+the certificate leaves open; only injectivity may end in sampling, which is
+reported as a warning.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+# rank and resultant_gcd_is_constant are called through their modules, so
+# that a tracer which rebinds them there (perfbench/tracer.py) sees the calls
+from . import linalg, modp
+from .bundles import SubbundleFamily
+from .errors import InternalError
+from .forms import (BinaryForm, _int_polys, form_gcd, ip_add, ip_deriv,
+                    ip_gcd, ip_mul, ip_scale, ip_sub, ip_trim)
+from .linalg import independent_rows
+from .modp import bideg, coprime_forms_prime, reduce_modp
+from .scalars import Scalar
+
+
+def _pluecker_coordinates(family: SubbundleFamily):
+    """All k x k minors of the basis (rows sorted lexicographically), as
+    trimmed Gaussian-integer pair lists.
+
+    Each basis column is cleared of denominators first, so every minor is
+    the true one times the same positive integer.
+    """
+    n, k = family.ambient, family.rank
+    table = {(): [(1, 0)]}
+    for j, col in enumerate(family.columns()):
+        col = _int_polys(col)
+        new = {}
+        for rows in itertools.combinations(range(n), j + 1):
+            acc = []
+            for pos, i in enumerate(rows):
+                sub = table[rows[:pos] + rows[pos + 1:]]
+                if not col[i] or not sub:
+                    continue
+                term = ip_mul(sub, col[i])
+                acc = ip_sub(acc, term) if pos % 2 else ip_add(acc, term)
+            new[rows] = acc
+        table = new
+    return [table[rows] for rows in itertools.combinations(range(n), k)]
+
+
+def _reduced_pluecker(family: SubbundleFamily):
+    """(gamma, route): a basis of the linear span of the Pluecker coordinate
+    forms, as Gaussian-integer pair lists of length d + 1 (d the sum of the
+    family's degrees), and how their gcd was proven constant.
+
+    Injectivity and immersion of the Grassmann curve are equivalent to those
+    of this reduced curve (the coordinates differ by an injective constant
+    linear map).  The coordinates of a saturated family have no common zero;
+    that invariant is proven modulo a prime by
+    :func:`~qlike.modp.coprime_forms_prime`, and only when that is
+    inconclusive by the exact chain of :func:`~qlike.forms.form_gcd`.  A
+    nonconstant gcd is an internal error.
+    """
+    d = sum(family.degrees)
+    coords = [g + [(0, 0)] * (d + 1 - len(g))
+              for g in _pluecker_coordinates(family) if g]
+    if not coords:
+        raise InternalError("Pluecker image vanished on a rank-k family")
+    p = coprime_forms_prime(lambda p, ip: reduce_modp(coords, p, ip))
+    forms = [[Scalar(re, im) for re, im in g] for g in coords]
+    if p is None:
+        g = BinaryForm(d, forms[0])
+        for extra in forms[1:]:
+            g = form_gcd(g, BinaryForm(d, extra))
+            if g.degree == 0:
+                break
+        if g.degree > 0:
+            raise InternalError("saturated family has nonreduced Pluecker "
+                                "image")
+    return ([coords[i] for i in independent_rows(forms)],
+            "exact" if p is None else "modular:%d" % p)
+
+
+def _wronskians_modp(gamma):
+    """``reductions(p, ip)`` for :func:`~qlike.modp.coprime_forms_prime`:
+    the homogeneous Wronskians d0 f_a d1 f_b - d1 f_a d0 f_b (a < b) of the
+    coordinate forms ``gamma``, computed from their reductions (reduction is
+    a ring map, so this is the reduction of the exact Wronskians)."""
+    d = len(gamma[0]) - 1
+
+    def reductions(p, ip):
+        polys = reduce_modp(gamma, p, ip)
+        d0 = [[(c * (d - i)) % p for i, c in enumerate(f[:d])] for f in polys]
+        d1 = [[(c * i) % p for i, c in enumerate(f)][1:] for f in polys]
+        for a, b in itertools.combinations(range(len(polys)), 2):
+            a0, a1, b0, b1 = d0[a], d1[a], d0[b], d1[b]
+            out = [0] * (2 * d - 1)
+            for i in range(d):
+                x0, x1 = a0[i], a1[i]
+                if x0 or x1:
+                    for j in range(d):
+                        out[i + j] += x0 * b1[j] - x1 * b0[j]
+            yield [c % p for c in out]
+
+    return reductions
+
+
+def _immersion_check(gamma):
+    """(immersed, route) for the reduced curve with coordinate forms
+    ``gamma`` (Gaussian-integer pair lists of length d + 1).
+
+    The curve is immersed where its homogeneous Wronskians J_ab = d0 f_a
+    d1 f_b - d1 f_a d0 f_b (degree 2d - 2) do not all vanish.  By Euler's
+    relation z0 d0 f + z1 d1 f = d f, J_ab(1, t) is d times the affine
+    Wronskian of the chart z0 = 1, and J_ab(t, 1) is -d times that of the
+    chart z1 = 1, so one modular proof that the J_ab have a constant gcd
+    covers both charts.  When it is inconclusive, each chart is decided
+    exactly by the gcd of its affine Wronskians, over primitive integer-pair
+    polynomials (scaling a coordinate does not move the Wronskian zero
+    locus)."""
+    p = coprime_forms_prime(_wronskians_modp(gamma))
+    if p is not None:
+        return True, "modular:%d" % p
+    for chart in (0, 1):
+        polys = [ip_trim(list(f) if chart == 0 else f[::-1]) for f in gamma]
+        g = None
+        done = False
+        m = len(polys)
+        for a in range(m):
+            for b in range(a + 1, m):
+                w = ip_sub(ip_mul(polys[a], ip_deriv(polys[b])),
+                           ip_mul(polys[b], ip_deriv(polys[a])))
+                if not w:
+                    continue
+                g = w if g is None else ip_gcd(g, w)
+                if g is not None and len(g) == 1:
+                    done = True
+                    break
+            if done:
+                break
+        if g is None or len(g) > 1:
+            # no nonzero Wronskian, or a common zero: a critical point
+            return False, "exact"
+    return True, "exact"
+
+
+def _injectivity_check(gamma):
+    """("pass"|"fail"|"warn", detail, route) for injectivity of the reduced
+    curve with coordinate forms ``gamma`` (Gaussian-integer pair lists).
+
+    Exact route: divide the two-point minors by the diagonal, then eliminate
+    one variable by resultants; a constant gcd, proven modulo a prime by
+    :func:`~qlike.modp.resultant_gcd_is_constant`, proves injectivity.  When
+    that is inconclusive or oversized, fall back to sampled pair
+    distinctness with a warning, as documented.
+    """
+    beta = len(gamma)
+    d = len(gamma[0]) - 1
+    if d == 1:
+        return "pass", "", "exact"
+    if beta == 2:
+        # a degree-d self-map of the sphere is injective only when linear
+        return "fail", "curve lies on a line but has degree %d" % d, "exact"
+    ipolys = [ip_trim(list(f)) for f in gamma]
+
+    # point at infinity against the affine chart: a common root of the
+    # cross terms is a finite parameter whose image equals gamma(infinity)
+    inf_vals = [ip[-1] if len(ip) == d + 1 else (0, 0) for ip in ipolys]
+    g_inf = None
+    for a in range(beta):
+        for b in range(a + 1, beta):
+            w = ip_sub(ip_scale(ipolys[a], inf_vals[b]),
+                       ip_scale(ipolys[b], inf_vals[a]))
+            if not w:
+                continue
+            g_inf = w if g_inf is None else ip_gcd(g_inf, w)
+            if len(g_inf) == 1:
+                break
+        if g_inf is not None and len(g_inf) == 1:
+            break
+    if g_inf is None:
+        return "fail", "curve collapses to the point at infinity", "exact"
+    if len(g_inf) > 1:
+        return ("fail", "a finite parameter meets the point at infinity",
+                "exact")
+
+    h_list = []
+    for a in range(beta):
+        for b in range(a + 1, beta):
+            h = _bivariate_two_point(ipolys[a], ipolys[b], d)
+            if h is None:
+                continue
+            if bideg(h) == (0, 0):
+                return "pass", "", "exact"
+            h_list.append(h)
+            if len(h_list) >= 30:
+                break
+        if len(h_list) >= 30:
+            break
+    if not h_list:
+        return "fail", "all two-point minors vanish identically", "exact"
+    p = modp.resultant_gcd_is_constant(h_list)
+    if p is not None:
+        return "pass", "", "modular:%d" % p
+    return _sampled_injectivity(gamma) + ("sampled",)
+
+
+def _bivariate_two_point(pa, pb, d):
+    """H(x, y) = (pa(x) pb(y) - pb(x) pa(y)) / (y - x), as rows in x.
+
+    ``pa`` and ``pb`` are Gaussian-integer pair lists of degree at most d.
+    Returned as a list over x-powers of trimmed y-coefficient pair lists;
+    None when the minor vanishes identically.  The minor is antisymmetric,
+    so the division is exact (synthetic division of the y-polynomial at
+    the root y = x) and H has Gaussian-integer coefficients.
+    """
+    size = d + 1
+    pa = list(pa) + [(0, 0)] * (size - len(pa))
+    pb = list(pb) + [(0, 0)] * (size - len(pb))
+    # c[j][i] = pa_i pb_j - pb_i pa_j, the coefficient of x^i y^j
+    c = [[(xr * ur - xi * ui - (yr * vr - yi * vi),
+           xr * ui + xi * ur - (yr * vi + yi * vr))
+          for (xr, xi), (yr, yi) in zip(pa, pb)]
+         for (ur, ui), (vr, vi) in zip(pb, pa)]
+    if all(x == (0, 0) for cj in c for x in cj):
+        return None
+    m = size - 1
+    q = [None] * m
+    q[m - 1] = c[m]
+    for j in range(m - 1, 0, -1):
+        q[j - 1] = ip_add(c[j], [(0, 0)] + q[j])  # q_{j-1} = c_j + x q_j
+    if ip_add(c[0], [(0, 0)] + q[0]):
+        raise InternalError("two-point minor not divisible by the diagonal")
+    H = [ip_trim([qj[i] if i < len(qj) else (0, 0) for qj in q])
+         for i in range(max(len(qj) for qj in q))]
+    while H and not H[-1]:
+        H.pop()
+    return H if H else None
+
+
+def _sampled_injectivity(gamma):
+    import random
+    d = len(gamma[0]) - 1
+    gamma = [BinaryForm(d, [Scalar(re, im) for re, im in f]) for f in gamma]
+    rng = random.Random(2025)
+    pts = []
+    while len(pts) < 25:
+        a = rng.randint(-40, 40)
+        b = rng.randint(-40, 40)
+        if (a, b) not in pts and (a or b):
+            pts.append((a, b))
+    values = [[f.evaluate(Scalar(a), Scalar(b)) for f in gamma] for a, b in pts]
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if _projectively_equal(pts[i], pts[j]):
+                continue
+            if linalg.rank([values[i], values[j]]) < 2:
+                return "fail", "sampled pair with equal image"
+    return "warn", "injectivity: sampled"
+
+
+def _projectively_equal(p, q):
+    return p[0] * q[1] - p[1] * q[0] == 0

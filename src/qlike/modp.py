@@ -1,8 +1,11 @@
-"""Sound modular certificates: rank bounds and the injectivity resultant gcd.
+"""Sound modular certificates: rank bounds, coprime forms and the
+injectivity resultant gcd.
 
 Reduction modulo a prime p = 1 mod 4, sending i to a square root of -1 in
-GF(p), is a ring map from the Gaussian integers onto GF(p).  Both
-certificates below use only what such a map preserves.
+GF(p), is a ring map from the Gaussian integers onto GF(p); its kernel is a
+Gaussian prime pi over p.  Every certificate below uses only what such a
+map preserves, and a failed certificate is merely inconclusive: the caller
+then decides exactly.
 
 Rank.  A minor of a Gaussian-integer matrix reduces to the same minor of
 the reduced matrix, so the rank over GF(p) is at most the rank over Q(i).
@@ -12,6 +15,19 @@ rank(W) <= ncols - rank(W mod p), and rank(A mod p) <= rank(A).  When
 rank(A mod p) + rank(W mod p) = ncols the two bounds meet, which proves
 rank(A) = rank(A mod p) exactly.  A sum below ncols is merely
 inconclusive.  :func:`rank_modp` computes the reduced ranks.
+
+Coprime forms.  Let G be the primitive gcd over Z[i] of Gaussian-integer
+binary forms F_1, ..., F_s, not all zero.  Z[i] is a unique factorization
+domain, so by Gauss's lemma G divides every F_j in Z[i][z0, z1]: F_j =
+G H_j.  Reducing gives Fbar_j = Gbar Hbar_j, and Gbar is a nonzero form of
+the same degree as G, because a primitive form has a coefficient outside
+pi.  So Gbar divides every reduced form, and if the reduced forms are not
+all zero and their gcd over GF(p) is constant, G is constant.  Over GF(p),
+nonzero forms have a constant gcd exactly when their dehomogenizations
+f(1, t) have a constant gcd and one of them does not vanish at (0 : 1),
+that is, has a nonzero z1^d coefficient; such a form is also the witness
+that the reductions are not all zero.  :func:`coprime_forms_prime` checks
+this.
 
 Injectivity.  The two-point minors are Gaussian-integer bivariates, so their
 y-resultants are Gaussian-integer polynomials in x.  Any common zero of the
@@ -23,6 +39,24 @@ one good prime, G is constant and the curve is injective.  A zero or
 nonconstant modular gcd is merely inconclusive.  Scaling a minor by a
 nonzero constant does not move its zeros, so the verdict holds for any
 nonzero multiple of the minors.
+
+Formal degrees.  Each resultant is the determinant of the Sylvester matrix
+built at the formal y-degrees of the two bivariates, so evaluating it at x
+commutes with evaluating the bivariates, even at an x where a leading
+coefficient vanishes.  :func:`_resultant_modp` computes that determinant by
+the Euclidean algorithm, with Res_{m,n}(f, g) the Sylvester determinant of
+f at formal degree m and g at formal degree n:
+
+* Res_{0,n}(c, g) = c^n and Res_{m,0}(f, c) = c^m, even when the other
+  operand is zero; otherwise a zero operand gives 0;
+* Res_{m,n}(f, g) = 0 when both formal leading coefficients vanish;
+* if f_m != 0 and g has actual degree n' < n, Res_{m,n}(f, g) =
+  f_m^(n - n') Res_{m,n'}(f, g) (expand along the first column); if g_n != 0
+  and f has actual degree m' < m, Res_{m,n}(f, g) =
+  (-1)^(n (m - m')) g_n^(m - m') Res_{m',n}(f, g);
+* at actual degrees m >= n, Res_{m,n}(f, g) = Res_{m,n}(f mod g, g), and
+  at m < n, Res_{m,n}(f, g) = Res_{m,n}(f, g mod f): both are row
+  operations on the Sylvester matrix at the formal degrees m, n.
 """
 
 from __future__ import annotations
@@ -101,69 +135,115 @@ def rank_modp(rows, p):
     return len(_eliminate_modp(rows, p)[0])
 
 
-def _sylvester_det_modp(f, g, df, dg, p):
-    n = df + dg
-    if n == 0:
-        return 1
-    m = [[0] * n for _ in range(n)]
-    for r in range(dg):
-        for i in range(df + 1):
-            m[r][r + i] = f[df - i] if df - i < len(f) else 0
-    for r in range(df):
-        for i in range(dg + 1):
-            m[dg + r][r + i] = g[dg - i] if dg - i < len(g) else 0
-    pivots, swaps = _eliminate_modp(m, p)
-    if len(pivots) < n:
-        return 0
-    det = p - 1 if swaps % 2 else 1
-    for piv in pivots:
-        det = (det * piv) % p
-    return det
+def _trim(a):
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _rem_modp(a, b, p):
+    """Remainder of a by b over GF(p); ``b`` is trimmed and nonzero, ``a``
+    trimmed."""
+    a = list(a)
+    nb = len(b)
+    inv = pow(b[-1], p - 2, p)
+    while len(a) >= nb:
+        q = (a[-1] * inv) % p
+        shift = len(a) - nb
+        for i in range(nb - 1):
+            a[shift + i] = (a[shift + i] - q * b[i]) % p
+        a.pop()
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _resultant_modp(f, g, m, n, p):
+    """Res_{m,n}(f, g) over GF(p): the Sylvester determinant of ``f`` at
+    formal degree m and ``g`` at formal degree n (coefficient lists, constant
+    first, entries in [0, p), at most m + 1 and n + 1 entries), by the
+    Euclidean algorithm in O(mn) with the rules in the module docstring."""
+    f, g = _trim(f), _trim(g)
+    res = 1
+    while True:
+        if m == 0:
+            return (res * pow(f[0] if f else 0, n, p)) % p
+        if n == 0:
+            return (res * pow(g[0] if g else 0, m, p)) % p
+        if not f or not g:
+            return 0
+        df, dg = len(f) - 1, len(g) - 1
+        if df < m and dg < n:
+            return 0
+        if dg < n:
+            res = (res * pow(f[-1], n - dg, p)) % p
+            n = dg
+        elif df < m:
+            res = (res * pow(g[-1], m - df, p)) % p
+            if (n * (m - df)) % 2:
+                res = p - res if res else 0
+            m = df
+        elif m >= n:
+            f = _rem_modp(f, g, p)
+        else:
+            g = _rem_modp(g, f, p)
 
 
 def _interpolate_modp(xs, vals, p):
-    """Newton interpolation in GF(p); coefficient list, constant first."""
+    """Newton interpolation in GF(p); coefficient list, constant first.
+    Each node distance is inverted once."""
     k = len(xs)
     coeffs = list(vals)
+    inverses = {}
     for j in range(1, k):
-        for i in range(k - 1, j - 1, -1):
-            denom = (xs[i] - xs[i - j]) % p
-            coeffs[i] = ((coeffs[i] - coeffs[i - 1]) *
-                         pow(denom, p - 2, p)) % p
-    poly = [0]
+        dists = [(xs[i] - xs[i - j]) % p for i in range(j, k)]
+        for dist in dists:
+            if dist not in inverses:
+                inverses[dist] = pow(dist, p - 2, p)
+        # divided differences of order j, all from those of order j - 1
+        coeffs[j:] = [((coeffs[i] - coeffs[i - 1]) * inverses[dist]) % p
+                      for i, dist in zip(range(j, k), dists)]
+    poly = []
     for i in range(k - 1, -1, -1):
         # poly = poly * (x - xs[i]) + coeffs[i]
-        new = [0] * (len(poly) + 1)
-        for d, c in enumerate(poly):
-            if c:
-                new[d + 1] = (new[d + 1] + c) % p
-                new[d] = (new[d] - c * xs[i]) % p
-        new[0] = (new[0] + coeffs[i]) % p
-        poly = new
+        xi = xs[i]
+        poly = [(a - xi * b) % p for a, b in zip([0] + poly, poly + [0])]
+        poly[0] = (poly[0] + coeffs[i]) % p
     while poly and poly[-1] == 0:
         poly.pop()
     return poly
 
 
 def _gcd_modp(a, b, p):
-    a = [x % p for x in a]
-    b = [x % p for x in b]
-    while b and not b[-1]:
-        b.pop()
-    while a and not a[-1]:
-        a.pop()
+    """A gcd over GF(p) of two coefficient lists with entries in [0, p)
+    (not made monic; [] is the zero polynomial)."""
+    a, b = _trim(a), _trim(b)
     while b:
-        while len(a) >= len(b):
-            f = (a[-1] * pow(b[-1], p - 2, p)) % p
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - f * c) % p
-            while a and not a[-1]:
-                a.pop()
-            if not a:
-                break
-        a, b = b, a
+        a, b = b, _rem_modp(a, b, p)
     return a
+
+
+def coprime_forms_prime(reductions, primes=PRIMES):
+    """The first prime of ``primes`` at which Gaussian-integer binary forms
+    are proven to have a constant gcd over Q(i), or None when every prime is
+    inconclusive (see the module docstring).
+
+    ``reductions(p, ip)`` returns an iterable of the forms reduced modulo p
+    with i sent to ``ip``, each as its d + 1 coefficients of z0^d,
+    z0^(d-1) z1, ..., z1^d in [0, p).  It is read only until the proof is
+    complete, so the forms may be produced lazily.
+    """
+    for p in primes:
+        common = []        # gcd so far of the dehomogenizations f(1, t)
+        finite = False     # some reduced form is nonzero at (0 : 1)
+        for f in reductions(p, sqrt_minus_one(p)):
+            finite = finite or f[-1] != 0
+            if len(common) != 1:
+                common = _gcd_modp(common, f, p)
+            if finite and len(common) == 1:
+                return p
+    return None
 
 
 def bideg(h):
@@ -174,18 +254,21 @@ def bideg(h):
 
 
 def resultant_gcd_is_constant(h_list, primes=PRIMES):
-    """True when the monic gcd G of the true resultants Res_y(h1, h) is
-    provably constant; ``h_list`` holds Gaussian-integer bivariates, rows
-    over x-powers of y-coefficient lists of (re, im) int pairs.
+    """The prime at which the monic gcd G of the true resultants
+    Res_y(h1, h) is proven constant, or None; ``h_list`` holds
+    Gaussian-integer bivariates, rows over x-powers of y-coefficient lists
+    of (re, im) int pairs.
 
     The reductions satisfy (R_H mod p) = lc_y(h1bar)^e * Res(h1bar, hbar)
     once h1's y-degree survives reduction, and Gbar divides every R_H mod p,
     so a constant gcd of { lc_y(h1bar) } + { Res(h1bar, hbar) } in GF(p)
     forces G constant.  Anything else is inconclusive, never a false pass.
+    Each Res(h1bar, hbar) is interpolated from its values at x = 0, 1, ...,
+    computed by :func:`_resultant_modp` at the formal y-degrees.
     """
     ints = [h for h in h_list if any(c != (0, 0) for row in h for c in row)]
     if len(ints) < 2:
-        return False
+        return None
     ints.sort(key=lambda h: bideg(h)[1])
     h1_int = ints[0]
     _, d1y_int = bideg(h1_int)
@@ -205,37 +288,31 @@ def resultant_gcd_is_constant(h_list, primes=PRIMES):
                 if hx:
                     acc = _gcd_modp(acc, hx, p)
                     if len(acc) == 1:
-                        return True
+                        return p
             continue
-        lcf = [row[d1y] if len(row) > d1y else 0 for row in h1]
-        while lcf and not lcf[-1]:
-            lcf.pop()
+        lcf = _trim(row[d1y] if len(row) > d1y else 0 for row in h1)
         if not lcf:
             continue
-        acc = list(lcf)
-        if len(acc) == 1:
-            acc = None                     # unit leading coefficient
+        acc = lcf if len(lcf) > 1 else None    # None: unit leading coefficient
+        h1_at = []                             # h1(x, y) at x = 0, 1, ...
         for h_int in ints[1:]:
             h = reduce_modp(h_int, p, ip)
             if not any(c for row in h for c in row):
                 continue                   # reduced to zero: inconclusive term
             d2x, d2y = bideg(h)
             bound = d1x * d2y + d2x * d1y + 1
-            xs = list(range(bound))
-            vals = []
-            for x in xs:
-                f = _eval_x_modp(h1, x, d1y, p)
-                g = _eval_x_modp(h, x, d2y, p)
-                vals.append(_sylvester_det_modp(f, g, d1y, d2y, p))
-            poly = _interpolate_modp(xs, vals, p)
+            while len(h1_at) < bound:
+                h1_at.append(_eval_x_modp(h1, len(h1_at), d1y, p))
+            vals = [_resultant_modp(h1_at[x], _eval_x_modp(h, x, d2y, p),
+                                    d1y, d2y, p)
+                    for x in range(bound)]
+            poly = _interpolate_modp(range(bound), vals, p)
             if not poly:
                 continue                   # identically zero: inconclusive
             acc = poly if acc is None else _gcd_modp(acc, poly, p)
             if len(acc) == 1:
-                return True
-        if acc is not None and len(acc) == 1:
-            return True
-    return False
+                return p
+    return None
 
 
 def _poly_in_x(h, p):

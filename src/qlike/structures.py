@@ -6,7 +6,7 @@ spanning matrix z -> U^z and (in real mode) an antilinear conjugation
 x -> C conj(x) compatible with the antipodal map of the sphere.
 
 The module provides validation (rank, reality, immersion, injectivity,
-nonsplitting), classification by splitting types, the plus/minus section-space
+nonsplitting; the curve checks live in :mod:`qlike.embedding`), classification by splitting types, the plus/minus section-space
 presentations ("heaven" data and its dual), and the verifier for the
 factorization identity psi_plus . psi_minus = rho_plus . iota . rho_minus_star
 together with its kernel/cokernel bookkeeping.
@@ -14,21 +14,17 @@ together with its kernel/cokernel bookkeeping.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .bundles import (SAMPLE_POINTS, QuotientBundle, SplittingType,
                       SubbundleFamily, _canonical_checks, _checked_splitting,
                       annihilator, family_contains, is_split_extension,
                       saturate)
+from .embedding import _immersion_check, _injectivity_check, _reduced_pluecker
 from .errors import InternalError, InvalidInput
-from .forms import (BinaryForm, _int_poly, _int_polys, antipodal_transform,
-                    form_gcd, format_form, ip_add, ip_deriv, ip_gcd, ip_mul,
-                    ip_scale, ip_sub, ip_trim, parse_form)
-from .linalg import (conj_matrix, identity, independent_rows, inverse,
-                     kernel_basis, mat_eq, mat_mul, mat_vec, rank,
-                     solve_affine, transpose, zeros)
-from .modp import bideg, resultant_gcd_is_constant
+from .forms import BinaryForm, antipodal_transform, format_form, parse_form
+from .linalg import (conj_matrix, identity, inverse, kernel_basis, mat_eq,
+                     mat_mul, mat_vec, rank, solve_affine, transpose, zeros)
 from .polymatrix import PolyMatrix, generic_rank, solve_combination
 from .scalars import ONE, ZERO, Scalar, scalar
 
@@ -120,6 +116,10 @@ class ValidationReport:
     # analyze; not serialized
     family: SubbundleFamily = field(default=None, compare=False, repr=False)
     ann: SubbundleFamily = field(default=None, compare=False, repr=False)
+    # how each curve check was decided, by "pluecker", "immersion" and
+    # "injectivity": "modular:<p>" (a certificate modulo the prime p),
+    # "exact" or "sampled"; not serialized
+    routes: dict = field(default_factory=dict, compare=False, repr=False)
 
     def add(self, name, status, detail=""):
         self.checks.append(CheckResult(name, status, detail))
@@ -169,15 +169,17 @@ def validate(S: QLikeStructure) -> ValidationReport:
         status, detail = _reality_check(S, family)
         report.add("reality", status, detail)
 
-    gamma = _reduced_pluecker(family)
+    routes = report.routes
+    gamma, routes["pluecker"] = _reduced_pluecker(family)
     if len(gamma) == 1:
         report.add("immersion", "fail", "constant map, not an embedding")
         report.add("injectivity", "fail", "constant map")
+        routes["immersion"] = routes["injectivity"] = "exact"
     else:
-        ok = _immersion_check(gamma)
+        ok, routes["immersion"] = _immersion_check(gamma)
         report.add("immersion", "pass" if ok else "fail",
                    "" if ok else "critical point on the parameter sphere")
-        status, detail = _injectivity_check(gamma)
+        status, detail, routes["injectivity"] = _injectivity_check(gamma)
         report.add("injectivity", status, detail)
 
     split = is_split_extension(family)
@@ -216,199 +218,6 @@ def _apply_scalar_matrix(M, vec_forms):
     return out
 
 
-def _pluecker_coordinates(family: SubbundleFamily):
-    """All k x k minors of the basis (rows sorted lexicographically), as
-    trimmed Gaussian-integer pair lists.
-
-    Each basis column is cleared of denominators first, so every minor is
-    the true one times the same positive integer.
-    """
-    n, k = family.ambient, family.rank
-    table = {(): [(1, 0)]}
-    for j, col in enumerate(family.columns()):
-        col = _int_polys(col)
-        new = {}
-        for rows in itertools.combinations(range(n), j + 1):
-            acc = []
-            for pos, i in enumerate(rows):
-                sub = table[rows[:pos] + rows[pos + 1:]]
-                if not col[i] or not sub:
-                    continue
-                term = ip_mul(sub, col[i])
-                acc = ip_sub(acc, term) if pos % 2 else ip_add(acc, term)
-            new[rows] = acc
-        table = new
-    return [table[rows] for rows in itertools.combinations(range(n), k)]
-
-
-def _reduced_pluecker(family: SubbundleFamily):
-    """A basis of the linear span of the Pluecker coordinate forms.
-
-    Injectivity and immersion of the Grassmann curve are equivalent to those
-    of this reduced curve (the coordinates differ by an injective constant
-    linear map), so the common factor of the coordinates does not matter.
-    """
-    d = sum(family.degrees)
-    gamma = [BinaryForm(d, [Scalar(re, im) for re, im in g] +
-                        [ZERO] * (d + 1 - len(g)))
-             for g in _pluecker_coordinates(family) if g]
-    if not gamma:
-        raise InternalError("Pluecker image vanished on a rank-k family")
-    g = gamma[0]
-    for extra in gamma[1:]:
-        g = form_gcd(g, extra)
-        if g.degree == 0:
-            break
-    if g.degree > 0:
-        raise InternalError("saturated family has nonreduced Pluecker image")
-    return [gamma[i] for i in independent_rows([f.coeffs for f in gamma])]
-
-
-def _immersion_check(gamma):
-    """Immersion of the reduced curve, decided chartwise by Wronskian gcds.
-
-    The whole chain runs over primitive integer-pair polynomials (scaling a
-    coordinate does not move the Wronskian zero locus)."""
-    for chart in (0, 1):
-        polys = []
-        for f in gamma:
-            coeffs = list(f.coeffs) if chart == 0 else list(reversed(f.coeffs))
-            polys.append(_int_poly(coeffs))
-        g = None
-        done = False
-        m = len(polys)
-        for a in range(m):
-            for b in range(a + 1, m):
-                w = ip_sub(ip_mul(polys[a], ip_deriv(polys[b])),
-                           ip_mul(polys[b], ip_deriv(polys[a])))
-                if not w:
-                    continue
-                g = w if g is None else ip_gcd(g, w)
-                if g is not None and len(g) == 1:
-                    done = True
-                    break
-            if done:
-                break
-        if g is None:
-            return False          # all Wronskians vanish: nowhere an immersion
-        if len(g) > 1:
-            return False
-    return True
-
-
-def _injectivity_check(gamma):
-    """("pass"|"fail"|"warn", detail) for injectivity of the reduced curve.
-
-    Exact route: divide the two-point minors by the diagonal, then eliminate
-    one variable by resultants; a constant gcd proves injectivity.  When the
-    exact route is inconclusive or oversized, fall back to sampled pair
-    distinctness with a warning, as documented.
-    """
-    beta = len(gamma)
-    d = gamma[0].degree
-    if d == 1:
-        return "pass", ""
-    if beta == 2:
-        # a degree-d self-map of the sphere is injective only when linear
-        return "fail", "curve lies on a line but has degree %d" % d
-    ipolys = [_int_poly(f.coeffs) for f in gamma]
-
-    # point at infinity against the affine chart: a common root of the
-    # cross terms is a finite parameter whose image equals gamma(infinity)
-    inf_vals = [ip[-1] if len(ip) == d + 1 else (0, 0) for ip in ipolys]
-    g_inf = None
-    for a in range(beta):
-        for b in range(a + 1, beta):
-            w = ip_sub(ip_scale(ipolys[a], inf_vals[b]),
-                       ip_scale(ipolys[b], inf_vals[a]))
-            if not w:
-                continue
-            g_inf = w if g_inf is None else ip_gcd(g_inf, w)
-            if len(g_inf) == 1:
-                break
-        if g_inf is not None and len(g_inf) == 1:
-            break
-    if g_inf is None:
-        return "fail", "curve collapses to the point at infinity"
-    if len(g_inf) > 1:
-        return "fail", "a finite parameter meets the point at infinity"
-
-    h_list = []
-    for a in range(beta):
-        for b in range(a + 1, beta):
-            h = _bivariate_two_point(ipolys[a], ipolys[b], d)
-            if h is None:
-                continue
-            if bideg(h) == (0, 0):
-                return "pass", ""
-            h_list.append(h)
-            if len(h_list) >= 30:
-                break
-        if len(h_list) >= 30:
-            break
-    if not h_list:
-        return "fail", "all two-point minors vanish identically"
-    if len(h_list) >= 2 and resultant_gcd_is_constant(h_list):
-        return "pass", ""
-    return _sampled_injectivity(gamma)
-
-
-def _bivariate_two_point(pa, pb, d):
-    """H(x, y) = (pa(x) pb(y) - pb(x) pa(y)) / (y - x), as rows in x.
-
-    ``pa`` and ``pb`` are Gaussian-integer pair lists of degree at most d.
-    Returned as a list over x-powers of trimmed y-coefficient pair lists;
-    None when the minor vanishes identically.  The minor is antisymmetric,
-    so the division is exact (synthetic division of the y-polynomial at
-    the root y = x) and H has Gaussian-integer coefficients.
-    """
-    size = d + 1
-    pa = list(pa) + [(0, 0)] * (size - len(pa))
-    pb = list(pb) + [(0, 0)] * (size - len(pb))
-    # c[j][i] = pa_i pb_j - pb_i pa_j, the coefficient of x^i y^j
-    c = [[(xr * ur - xi * ui - (yr * vr - yi * vi),
-           xr * ui + xi * ur - (yr * vi + yi * vr))
-          for (xr, xi), (yr, yi) in zip(pa, pb)]
-         for (ur, ui), (vr, vi) in zip(pb, pa)]
-    if all(x == (0, 0) for cj in c for x in cj):
-        return None
-    m = size - 1
-    q = [None] * m
-    q[m - 1] = c[m]
-    for j in range(m - 1, 0, -1):
-        q[j - 1] = ip_add(c[j], [(0, 0)] + q[j])  # q_{j-1} = c_j + x q_j
-    if ip_add(c[0], [(0, 0)] + q[0]):
-        raise InternalError("two-point minor not divisible by the diagonal")
-    H = [ip_trim([qj[i] if i < len(qj) else (0, 0) for qj in q])
-         for i in range(max(len(qj) for qj in q))]
-    while H and not H[-1]:
-        H.pop()
-    return H if H else None
-
-
-def _sampled_injectivity(gamma):
-    import random
-    rng = random.Random(2025)
-    pts = []
-    while len(pts) < 25:
-        a = rng.randint(-40, 40)
-        b = rng.randint(-40, 40)
-        if (a, b) not in pts and (a or b):
-            pts.append((a, b))
-    values = [[f.evaluate(Scalar(a), Scalar(b)) for f in gamma] for a, b in pts]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if _projectively_equal(pts[i], pts[j]):
-                continue
-            if rank([values[i], values[j]]) < 2:
-                return "fail", "sampled pair with equal image"
-    return "warn", "injectivity: sampled"
-
-
-def _projectively_equal(p, q):
-    return p[0] * q[1] - p[1] * q[0] == 0
-
-
 # --------------------------------------------------------------------------
 # derived families and duality
 # --------------------------------------------------------------------------
@@ -419,8 +228,18 @@ def minus_family(S: QLikeStructure) -> SubbundleFamily:
 
 
 def dualize(S: QLikeStructure) -> QLikeStructure:
-    """Structure on the dual space: z maps to the annihilator of U^z."""
-    return _dual_structure(S, annihilator(minus_family(S)))
+    """Structure on the dual space: z maps to the annihilator of U^z.
+
+    Raises InvalidInput unless 0 < k < dim and the saturated family has
+    rank k, since otherwise the dual's k = dim - k contradicts its span."""
+    if S.k <= 0 or S.k >= S.dim:
+        raise InvalidInput("cannot dualize: need 0 < k < dim (k=%d, dim=%d)"
+                           % (S.k, S.dim))
+    fam = minus_family(S)
+    if fam.rank != S.k:
+        raise InvalidInput("cannot dualize: spanning matrix has generic rank "
+                           "%d, expected k=%d" % (fam.rank, S.k))
+    return _dual_structure(S, annihilator(fam))
 
 
 def _dual_structure(S: QLikeStructure, ann: SubbundleFamily) -> QLikeStructure:
@@ -676,6 +495,7 @@ class MinusData:
     e_minus_dim: int
     psi_minus: list          # U_minus -> U
     rho_minus_star: list     # U_minus -> E_minus
+    ker_psi_minus: list = None   # kernel_basis(psi_minus); not serialized
 
 
 def minus_data(hd: HeavenData) -> MinusData:
@@ -683,12 +503,13 @@ def minus_data(hd: HeavenData) -> MinusData:
     and its annihilator is hd.family, so neither is derived again."""
     S = hd.structure
     dual = _heaven_from(_dual_structure(S, hd.ann), hd.ann, hd.family)
+    psi_minus = transpose(dual.psi_plus)
+    ker_psi = kernel_basis(psi_minus)
     md = MinusData(S, dual, dual.u_plus_dim, dual.h_plus_dim,
-                   dual.e_plus_dim, transpose(dual.psi_plus),
-                   transpose(dual.rho_plus))
+                   dual.e_plus_dim, psi_minus, transpose(dual.rho_plus),
+                   ker_psi)
 
     # minus-side genericity: (U_minus)^z meets ker psi_minus trivially
-    ker_psi = kernel_basis(md.psi_minus)
     if not ker_psi:
         return md
     degs = list(dual.ann.degrees)
@@ -793,11 +614,16 @@ def verify_factorization(hd: HeavenData, md: MinusData) -> FactorizationReport:
     x, homogeneous = solve_affine(a, b)
     solvable = x is not None
 
-    dims = _correspondence_dims(hd, md)
+    # each map's kernel is taken once; its rank is read from the kernel
+    kernels = {"psi_minus": md.ker_psi_minus,
+               "rho_plus": kernel_basis(hd.rho_plus),
+               "rho_minus_star": kernel_basis(md.rho_minus_star),
+               "psi_plus": kernel_basis(hd.psi_plus)}
+    dims = _correspondence_dims(hd, md, kernels)
     facts = {
         "kernel_dims_match": dims["ker_psi_minus"] == dims["ker_rho_plus"],
         "psi_minus_maps_ker_rho_minus_star_onto_ker_psi_plus":
-            _check_fact_c(hd, md),
+            _check_fact_c(md, kernels),
         "cokernel_dims_match_d":
             dims["coker_rho_minus_star"] == dims["coker_psi_plus"],
         "cokernel_dims_match_e":
@@ -810,18 +636,24 @@ def verify_factorization(hd: HeavenData, md: MinusData) -> FactorizationReport:
         if X is not None:
             iota_found = True
             facts["rho_minus_star_maps_ker_psi_minus_onto_iota_inv_ker_rho_plus"] = \
-                _check_fact_b(hd, md, X, omega)
+                _check_fact_b(hd, md, X, omega, kernels)
         else:
             facts["rho_minus_star_maps_ker_psi_minus_onto_iota_inv_ker_rho_plus"] = False
     return FactorizationReport(solvable, len(homogeneous), iota_found, dims,
                                facts)
 
 
-def _correspondence_dims(hd, md):
-    rk_psi_minus = rank(md.psi_minus) if md.psi_minus else 0
-    rk_rho_plus = rank(hd.rho_plus) if hd.rho_plus else 0
-    rk_rho_minus = rank(md.rho_minus_star) if md.rho_minus_star else 0
-    rk_psi_plus = rank(hd.psi_plus) if hd.psi_plus else 0
+def _correspondence_dims(hd, md, kernels):
+    """Kernel and cokernel dimensions, with each rank read from the
+    ``kernels`` (kernel_basis of each map, by name): a matrix with rows has
+    rank ncols - len(kernel), and one without rows has rank 0."""
+    def rk(name, matrix):
+        return len(matrix[0]) - len(kernels[name]) if matrix else 0
+
+    rk_psi_minus = rk("psi_minus", md.psi_minus)
+    rk_rho_plus = rk("rho_plus", hd.rho_plus)
+    rk_rho_minus = rk("rho_minus_star", md.rho_minus_star)
+    rk_psi_plus = rk("psi_plus", hd.psi_plus)
     return {
         "U": hd.structure.dim,
         "U_plus": hd.u_plus_dim,
@@ -840,12 +672,12 @@ def _correspondence_dims(hd, md):
     }
 
 
-def _check_fact_c(hd, md):
+def _check_fact_c(md, kernels):
     """psi_minus restricted to ker rho_minus_star is a bijection onto
     ker psi_plus."""
-    kernel_rms = kernel_basis(md.rho_minus_star)
+    kernel_rms = kernels["rho_minus_star"]
     images = [mat_vec(md.psi_minus, v) for v in kernel_rms]
-    kernel_pp = kernel_basis(hd.psi_plus)
+    kernel_pp = kernels["psi_plus"]
     if len(kernel_rms) != len(kernel_pp):
         return False
     if not images:
@@ -855,7 +687,7 @@ def _check_fact_c(hd, md):
     return rank(images + kernel_pp) == len(kernel_pp)
 
 
-def _check_fact_b(hd, md, X, omega):
+def _check_fact_b(hd, md, X, omega, kernels):
     """With iota fixed, rho_minus_star maps ker psi_minus bijectively onto
     iota^{-1}(ker rho_plus)."""
     hp = hd.h_plus_dim
@@ -866,12 +698,11 @@ def _check_fact_b(hd, md, X, omega):
         for g in range(hp):
             for bta in range(hp):
                 iota[arow * hp + g][acol * hp + bta] = coeff * X[g][bta]
-    kernel_pm = kernel_basis(md.psi_minus)
-    images = [mat_vec(md.rho_minus_star, v) for v in kernel_pm]
+    images = [mat_vec(md.rho_minus_star, v) for v in kernels["psi_minus"]]
     if images and rank(images) != len(images):
         return False
     moved = [mat_vec(iota, v) for v in images]
-    kernel_rp = kernel_basis(hd.rho_plus)
+    kernel_rp = kernels["rho_plus"]
     if len(moved) != len(kernel_rp):
         return False
     if not moved:

@@ -4,7 +4,7 @@ These deliberately take different routes than the library: determinants by
 permutation expansion, section spaces by the (r+1)-minor membership system
 rather than the annihilator kernel, twisted dimensions by the splitting
 formula, kernels and solutions by Gauss-Jordan elimination in Q(i)
-arithmetic.
+arithmetic, resultants over GF(p) by eliminating the Sylvester matrix.
 """
 
 from fractions import Fraction
@@ -12,6 +12,7 @@ from itertools import combinations, permutations
 
 from qlike.forms import BinaryForm
 from qlike.linalg import kernel_basis
+from qlike.modp import _eliminate_modp
 from qlike.scalars import ONE, ZERO, Scalar, clear_denominators
 
 
@@ -248,3 +249,26 @@ def poly_mat_vec(M, vec):
             s = s + e * f
         out.append(s)
     return out
+
+
+def sylvester_det_modp(f, g, df, dg, p):
+    """Res_{df,dg}(f, g) over GF(p) as the determinant of the Sylvester
+    matrix at the formal degrees df, dg (coefficient lists, constant first,
+    possibly shorter than df + 1 and dg + 1), by elimination."""
+    n = df + dg
+    if n == 0:
+        return 1
+    m = [[0] * n for _ in range(n)]
+    for r in range(dg):
+        for i in range(df + 1):
+            m[r][r + i] = f[df - i] if df - i < len(f) else 0
+    for r in range(df):
+        for i in range(dg + 1):
+            m[dg + r][r + i] = g[dg - i] if dg - i < len(g) else 0
+    pivots, swaps = _eliminate_modp(m, p)
+    if len(pivots) < n:
+        return 0
+    det = p - 1 if swaps % 2 else 1
+    for piv in pivots:
+        det = (det * piv) % p
+    return det

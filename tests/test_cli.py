@@ -149,6 +149,24 @@ def test_catalog_regen(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("change, message", [
+    ({"k": -1}, "0 < k < dim"),
+    ({"k": 3}, "0 < k < dim"),
+    ({"spanning": [["0", "0", "0"]]}, "generic rank 0, expected k=1"),
+])
+def test_dual_invalid_structure_exit_two(tmp_path, capsys, change, message):
+    # a dual of these would contradict itself (k = 4 on dim 3, or k = 2
+    # spanned by the 3 x 3 identity)
+    data = {"mode": "complex", "dim": 3, "k": 1,
+            "spanning": [["z0^2", "z0*z1", "z1^2"]]}
+    data.update(change)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "dual", str(path))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+@pytest.mark.parametrize("change, message", [
     ({"spanning": [["z0^2", "z0*z1"]]}, "3 entries"),
     ({"conjugation": [[0, 0, 1], [0, -1, 0], [1, 0, 0.5]]}, "floating-point"),
     ({"k": "x"}, "must be integers"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlike import catalog
+from qlike import catalog, embedding
 
 from qlike.bundles import SplittingType
 from qlike.catalog import (build_conic_r3, build_quaternionic,
@@ -17,11 +17,13 @@ from qlike.linalg import identity, mat_vec, rank
 from qlike.polymatrix import PolyMatrix
 from qlike.sampling import random_structures
 from qlike.scalars import ONE, Scalar, ZERO
-from qlike.structures import (QLikeStructure, _bivariate_two_point, analyze,
-                              check_morphism, dualize, heaven_data, minus_data,
-                              minus_family, validate, verify_factorization)
+from qlike.embedding import _bivariate_two_point
+from qlike.structures import (QLikeStructure, analyze, check_morphism, dualize,
+                              heaven_data, minus_data, minus_family, validate,
+                              verify_factorization)
 from qlike.bundles import annihilator, family_span_equal, saturate
-from qlike.serialize import digest, load_structure_file
+from qlike.modp import PRIMES
+from qlike.serialize import canonical_json, digest, load_structure_file
 
 
 CONIC = build_conic_r3()
@@ -389,3 +391,46 @@ def test_validation_digests():
     got = [digest(validate(s).to_json())
            for s in structures + random_structures(123, 8)]
     assert got == VALIDATION_DIGESTS
+
+
+def _fixture_structures():
+    folder = os.path.join(os.path.dirname(catalog.__file__), "fixtures", "v1")
+    return [load_structure_file(os.path.join(folder, name))
+            for name in sorted(GOLDEN_DIGESTS)]
+
+
+def test_cusp_fails_immersion_through_the_exact_route():
+    # [z0^3 : z0 z1^2 : z1^3] has a cusp at z1 = 0, so no modular
+    # certificate exists and the exact Wronskian gcd decides the failure
+    col = [parse_form("z0^3"), parse_form("z0*z1^2"), parse_form("z1^3")]
+    s = QLikeStructure(3, 1, PolyMatrix.from_columns(3, [col]), None,
+                       complex_mode=True)
+    report = validate(s)
+    assert check_status(report, "immersion") == "fail"
+    assert report.routes["immersion"] == "exact"
+    assert report.routes["pluecker"] == "modular:%d" % PRIMES[0]
+
+
+def test_exact_curve_routes_keep_validation_digests(monkeypatch):
+    # with no prime to certify at, the Pluecker gcd and immersion take the
+    # exact route, and the reports must not move
+    certify = embedding.coprime_forms_prime
+    monkeypatch.setattr(embedding, "coprime_forms_prime",
+                        lambda reductions, primes=(): certify(reductions, ()))
+    reports = [validate(s)
+               for s in _fixture_structures() + random_structures(123, 4)]
+    assert all(r.routes["pluecker"] == r.routes["immersion"] == "exact"
+               for r in reports)
+    assert [digest(r.to_json()) for r in reports] == VALIDATION_DIGESTS[:7]
+
+
+def test_routes_are_recorded_but_not_serialized():
+    for s in _fixture_structures():
+        report = validate(s)
+        assert set(report.routes) == {"pluecker", "immersion", "injectivity"}
+        assert all(route == "exact" or route.startswith("modular:")
+                   for route in report.routes.values())
+        text = canonical_json(report.to_json())
+        report.routes.clear()
+        assert canonical_json(report.to_json()) == text
+        assert "modular" not in text
