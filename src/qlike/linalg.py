@@ -26,9 +26,9 @@ other, so the components' profiles together are the whole matrix's.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 
-from .scalars import ONE, ZERO, Scalar, clear_denominators, primitive_part
+from .scalars import (ONE, ZERO, clear_denominators, gaussian,
+                      primitive_part)
 
 # Gaussian integers are plain (re, im) int pairs inside this module.
 _GZERO = (0, 0)
@@ -182,7 +182,7 @@ def _free_vector(rows, pivots, fc, ncols, den=1):
     """
     out = [ZERO] * ncols
     if fc < ncols:
-        out[fc] = Scalar(Fraction(1, den))
+        out[fc] = gaussian(1, 0, den)
     m = bisect_left(pivots, fc)
     if m == 0:
         return out
@@ -201,8 +201,7 @@ def _free_vector(rows, pivots, fc, ncols, den=1):
     dr, di = d[0] * den, d[1] * den
     n = dr * dr + di * di
     for j, (xr, xi) in x[1:]:
-        out[j] = Scalar._raw(Fraction(xr * dr + xi * di, n),
-                             Fraction(xi * dr - xr * di, n))
+        out[j] = gaussian(xr * dr + xi * di, xi * dr - xr * di, n)
     return out
 
 

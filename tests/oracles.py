@@ -4,7 +4,9 @@ These deliberately take different routes than the library: determinants by
 permutation expansion, section spaces by the (r+1)-minor membership system
 rather than the annihilator kernel, twisted dimensions by the splitting
 formula, kernels and solutions by Gauss-Jordan elimination in Q(i)
-arithmetic, resultants over GF(p) by eliminating the Sylvester matrix.
+arithmetic, resultants over GF(p) by eliminating the Sylvester matrix,
+Q(i) arithmetic on a pair of Fractions rather than a Gaussian integer over
+one denominator.
 """
 
 from fractions import Fraction
@@ -272,3 +274,71 @@ def sylvester_det_modp(f, g, df, dg, p):
     for piv in pivots:
         det = (det * piv) % p
     return det
+
+
+class PairScalar:
+    """An element of Q(i) as the Fraction pair ``re + im*i``: the
+    representation ``qlike.scalars.Scalar`` had before it stored a
+    Gaussian-integer numerator over one denominator, kept with its
+    arithmetic as the oracle for the new one."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def is_zero(self):
+        return not self.re and not self.im
+
+    def is_one(self):
+        return self.re == 1 and not self.im
+
+    def is_real(self):
+        return not self.im
+
+    def __add__(self, other):
+        return PairScalar(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return PairScalar(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return PairScalar(-self.re, -self.im)
+
+    def __mul__(self, other):
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return PairScalar(a * c - b * d, a * d + b * c)
+
+    def __truediv__(self, other):
+        n = other.re * other.re + other.im * other.im
+        if not n:
+            raise ZeroDivisionError("division by zero PairScalar")
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return PairScalar((a * c + b * d) / n, (b * c - a * d) / n)
+
+    def conjugate(self):
+        return PairScalar(self.re, -self.im)
+
+    def inverse(self):
+        return PairScalar(1) / self
+
+    def __eq__(self, other):
+        return self.re == other.re and self.im == other.im
+
+
+def format_pair(s: PairScalar) -> str:
+    """The canonical text form of ``qlike.scalars.format_scalar``, from the
+    two Fractions."""
+    if s.is_zero():
+        return "0"
+    parts = []
+    if s.re:
+        parts.append(str(s.re))
+    if s.im:
+        imag = "%s*i" % s.im
+        if parts and s.im > 0:
+            parts.append("+" + imag)
+        else:
+            parts.append(imag)
+    return "".join(parts)

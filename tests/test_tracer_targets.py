@@ -1,24 +1,67 @@
-"""Every function the benchmark tracer wraps must keep its name.
+"""Every function the benchmark tracer wraps must keep its name, and every
+call to it must stay visible to the tracer.
 
 perfbench/tracer.py looks each TARGETS entry up with getattr when it
 installs, so a renamed or deleted function breaks traced benchmark runs.
-The file is parsed, not imported, and nothing in it is changed.
+It rebinds a traced function only in the modules named in its MODULES list
+(and the package itself), so a module outside that list that binds the
+function with a module-level `from .mod import name` keeps the untraced
+original, and its calls are silently not counted.  The file is parsed, not
+imported, and nothing in it is changed.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+PACKAGE = ROOT / "src" / "qlike"
 
 
-def tracer_targets():
+def tracer_list(name):
     tree = ast.parse(TRACER.read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and \
-                any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
+                any(getattr(t, "id", None) == name for t in node.targets):
             return ast.literal_eval(node.value)
-    raise AssertionError("no TARGETS list in %s" % TRACER)
+    raise AssertionError("no %s list in %s" % (name, TRACER))
+
+
+def tracer_targets():
+    return tracer_list("TARGETS")
+
+
+def import_time_from_imports(tree):
+    """The ``from ... import`` statements that run when the module is
+    imported: those outside function bodies.  A function-local import runs
+    at call time, after the tracer has patched the defining module."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ImportFrom):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def untraced_bindings(source):
+    """``(module, name)`` for each traced function that ``source``, a qlike
+    module, binds by a module-level ``from .module import name``."""
+    functions = {(module, qualname) for module, qualname, _ in tracer_targets()
+                 if "." not in qualname}
+    found = []
+    for node in import_time_from_imports(ast.parse(source)):
+        if node.level == 1:
+            module = node.module
+        elif node.level == 0 and (node.module or "").startswith("qlike."):
+            module = node.module[len("qlike."):]
+        else:
+            continue
+        found += [(module, alias.name) for alias in node.names
+                  if (module, alias.name) in functions]
+    return found
 
 
 def test_every_traced_function_resolves():
@@ -29,3 +72,22 @@ def test_every_traced_function_resolves():
         for part in qualname.split("."):
             obj = getattr(obj, part)
         assert callable(obj), (module, qualname)
+
+
+def test_untraced_modules_call_traced_functions_through_their_module():
+    traced = set(tracer_list("MODULES")) | {"__init__"}
+    untraced = [path for path in sorted(PACKAGE.glob("*.py"))
+                if path.stem not in traced]
+    assert any(path.stem == "embedding" for path in untraced)
+    for path in untraced:
+        assert untraced_bindings(path.read_text()) == [], path.name
+
+
+def test_untraced_binding_is_detected():
+    source = ("from .modp import resultant_gcd_is_constant, reduce_modp\n"
+              "from qlike.linalg import kernel_basis as kb\n"
+              "from . import linalg\n"
+              "def f():\n"
+              "    from .linalg import rank\n")
+    assert sorted(untraced_bindings(source)) == [
+        ("linalg", "kernel_basis"), ("modp", "resultant_gcd_is_constant")]
