@@ -69,7 +69,7 @@ class SubbundleFamily:
     represented bundle is isomorphic to O(-e_1) + ... + O(-e_k).
     """
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "basis", "_annihilator")
 
     def __init__(self, ambient, basis: PolyMatrix):
         if basis.rows != ambient:
@@ -81,6 +81,7 @@ class SubbundleFamily:
             PolyMatrix(ambient, 0, (), [[] for _ in range(ambient)])
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_annihilator", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SubbundleFamily is immutable")
@@ -137,7 +138,7 @@ def _family_of(n, gens):
         n, [list(v) for _, v in gens], [m for m, _ in gens]))
 
 
-def saturate(P: PolyMatrix, _rank=None, _with_annihilator=False):
+def saturate(P: PolyMatrix) -> SubbundleFamily:
     """Free basis of the saturation of the image sheaf of P.
 
     Computed as annihilator-of-annihilator: the saturated module is exactly
@@ -146,35 +147,42 @@ def saturate(P: PolyMatrix, _rank=None, _with_annihilator=False):
     sum of P's column degrees + 1; failing to reach the free rank by then is
     a bug, not bad input.
 
-    ``_rank`` is P's generic rank when the caller has computed it.  With
-    ``_with_annihilator`` the result is ``(family, annihilator(family))``:
-    the annihilator generators built here are that annihilator's basis,
-    because saturating does not change which functionals kill the fibers and
-    the graded kernel's output depends only on that module.
+    The annihilator generators built on the way are the basis of the
+    result's annihilator: saturating does not change which functionals kill
+    the fibers, and the graded kernel's output depends only on that module.
+    So the result and that annihilator family are linked to each other, and
+    :func:`annihilator` of either returns the other.  Only saturate sets
+    links; a rank-0 result has none.
     """
     n = P.rows
-    r = generic_rank(P.transpose_relations()) if _rank is None else _rank
+    r = generic_rank(P.transpose_relations())
     if r == 0:
-        fam = _family_of(n, [])
-        return (fam, annihilator(fam)) if _with_annihilator else fam
-    ann = annihilator_generators(P.columns(), P.col_degrees, n, _rank=r)
+        return _family_of(n, [])
+    ann = annihilator_generators(P.columns(), P.col_degrees, n, r)
     cap = sum(max(0, d) for d in P.col_degrees) + 1
     gens = graded_kernel([list(q) for _, q in ann], n, expected_count=r,
                          cap=cap, context="saturation")
     fam = _family_of(n, gens)
     if fam.rank != r:
         raise InternalError("saturation did not terminate")
-    return (fam, _family_of(n, ann)) if _with_annihilator else fam
+    dual = _family_of(n, ann)
+    object.__setattr__(fam, "_annihilator", dual)
+    object.__setattr__(dual, "_annihilator", fam)
+    return fam
 
 
 def annihilator(A: SubbundleFamily) -> SubbundleFamily:
     """The rank (n-k) family of functionals killing A's fibers pointwise.
 
     Lives in the dual trivial bundle; annihilator(annihilator(A)) spans the
-    same family as A.
+    same family as A.  The two families :func:`saturate` links return each
+    other; for any other family it is computed, on every call.
     """
+    if A._annihilator is not None:
+        return A._annihilator
     n = A.ambient
-    gens = annihilator_generators(A.columns(), A.degrees, n)
+    columns = A.columns()
+    gens = annihilator_generators(columns, A.degrees, n, generic_rank(columns))
     if len(gens) != n - A.rank:
         raise InternalError("annihilator rank %d, expected %d"
                             % (len(gens), n - A.rank))
@@ -330,13 +338,9 @@ def splitting_type(F) -> SplittingType:
         return splitting_type(ann).negate()
     if not isinstance(F, SubbundleFamily):
         raise TypeError("splitting_type expects a bundle value")
-    return _checked_splitting(F, annihilator(F) if F.rank else None)
-
-
-def _checked_splitting(F: SubbundleFamily, ann) -> SplittingType:
-    """splitting_type of F, given its annihilator ``ann``."""
     st = SplittingType.of([-e for e in F.degrees])
     if F.rank:
+        ann = annihilator(F)
         lo = min(F.degrees)
         hi = max(F.degrees)
         h = _certified_h0s(F, ann, range(lo - 2, hi + 2))
@@ -452,12 +456,7 @@ def verify_canonical_sequences(Q: QuotientBundle) -> dict:
     The h^1 entry is computed from the splitting and cross-checked through
     the Serre-dual section space of the dual bundle.
     """
-    return _canonical_checks(Q.rank, annihilator(Q.denominator).degrees)
-
-
-def _canonical_checks(rank, ann_degrees) -> dict:
-    """verify_canonical_sequences of a quotient of the given rank whose
-    denominator's annihilator has the given generator degrees."""
+    ann_degrees = annihilator(Q.denominator).degrees
     st = SplittingType.of(ann_degrees)
     if not st.is_nonnegative():
         raise InvalidInput("not nonnegative: splitting %s" % st)
@@ -474,11 +473,11 @@ def _canonical_checks(rank, ann_degrees) -> dict:
         "h1_minus2": h1_m2,
         "serre_h1_check": serre == h1_m2,
         "first_sequence": {
-            "rank_additivity": h0_m1 + rank == h0,
+            "rank_additivity": h0_m1 + Q.rank == h0,
             "c1_additivity": st.degree == h0_m1,
         },
         "second_sequence": {
-            "rank_additivity": h0_m2 - h0_m1 + rank - h1_m2 == 0,
+            "rank_additivity": h0_m2 - h0_m1 + Q.rank - h1_m2 == 0,
             "c1_additivity": st.degree == h0_m1,
         },
     }
@@ -487,7 +486,7 @@ def _canonical_checks(rank, ann_degrees) -> dict:
     fibers_ok = True
     for z0, z1 in SAMPLE_POINTS[:3]:
         values = [[f.evaluate(z0, z1) for f in tup] for tup in basis]
-        if scalar_rank(values) != rank:
+        if scalar_rank(values) != Q.rank:
             fibers_ok = False
     report["evaluation_surjective"] = fibers_ok
     report["ok"] = all([

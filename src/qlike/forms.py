@@ -30,6 +30,9 @@ class BinaryForm:
     def __setattr__(self, name, value):
         raise AttributeError("BinaryForm is immutable")
 
+    def __reduce__(self):
+        return BinaryForm, (self.degree, self.coeffs)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod

@@ -352,6 +352,7 @@ def sp_algebra(two_m) -> MatrixAlgebra:
 
 
 _BUILTIN_CACHE = {}
+_BUILDERS = {"sl(": sl_algebra, "so(": so_algebra, "sp(": sp_algebra}
 
 
 def builtin_algebra(name) -> MatrixAlgebra:
@@ -359,14 +360,15 @@ def builtin_algebra(name) -> MatrixAlgebra:
     name = name.replace(" ", "")
     if name in _BUILTIN_CACHE:
         return _BUILTIN_CACHE[name]
-    if name.startswith("sl(") and name.endswith(")"):
-        ma = sl_algebra(int(name[3:-1]))
-    elif name.startswith("so(") and name.endswith(")"):
-        ma = so_algebra(int(name[3:-1]))
-    elif name.startswith("sp(") and name.endswith(")"):
-        ma = sp_algebra(int(name[3:-1]))
-    else:
+    build = _BUILDERS.get(name[:3])
+    if build is None or not name.endswith(")"):
         raise InvalidInput("unknown algebra %r" % name)
+    try:
+        size = int(name[3:-1])
+    except ValueError:
+        raise InvalidInput("algebra size must be an integer: %r" % name) \
+            from None
+    ma = build(size)
     _BUILTIN_CACHE[name] = ma
     return ma
 

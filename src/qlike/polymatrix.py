@@ -129,8 +129,8 @@ def generic_rank(rows_of_forms):
     return best
 
 
-def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None,
-                  expected_count=None, cap=None, context="graded kernel"):
+def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None, *,
+                  expected_count, cap, context="graded kernel"):
     """Minimal free generators of { c : sum_j M[i][j] * c_j = 0 for all i }.
 
     ``relation_rows`` is a list of rows, each a list of ``n_unknowns`` forms;
@@ -140,21 +140,15 @@ def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None,
     The generators of degree m are the kernel vectors at stage m that
     :func:`~qlike.linalg.independent_rows` finds independent of the
     z-multiples of the generators of lower degree (and of each other).
+    It stops at ``expected_count`` generators (n_unknowns minus the generic
+    rank) and fails past degree ``cap``, or QLIKE_MAX_DEGREE if lower.
     """
     shifts = list(unknown_shifts or [0] * n_unknowns)
     if len(shifts) != n_unknowns:
         raise ValueError("need one shift per unknown")
-    if n_unknowns == 0:
+    if n_unknowns == 0 or expected_count == 0:
         return []
-    if expected_count is None:
-        rk = generic_rank(relation_rows) if relation_rows else 0
-        expected_count = n_unknowns - rk
-    if expected_count == 0:
-        return []
-    hard_cap = max_degree_cap()
-    if cap is None:
-        cap = hard_cap
-    cap = min(cap, hard_cap)
+    cap = min(cap, max_degree_cap())
 
     gens = []
     m = -max(shifts)
@@ -254,19 +248,18 @@ def graded_kernel_basis(M: PolyMatrix) -> PolyMatrix:
                                    [m for m, _ in gens])
 
 
-def annihilator_generators(columns, col_degrees, ambient, _rank=None):
+def annihilator_generators(columns, col_degrees, ambient, rank):
     """Free generators of { g in S^ambient : g . column = 0 for all columns }.
 
     These are the functional covectors killing the pointwise span of the
     column family; the result is automatically the saturated annihilator
-    module.  Returns a list of (degree, covector) pairs.  ``_rank`` is the
-    columns' generic rank when the caller has computed it.
+    module.  ``rank`` is the columns' generic rank.  Returns a list of
+    (degree, covector) pairs.
     """
-    relations = [list(col) for col in columns]
-    rk = generic_rank(relations) if _rank is None else _rank
     cap = sum(max(0, d) for d in col_degrees) + 2
-    return graded_kernel(relations, ambient, expected_count=ambient - rk,
-                         cap=cap, context="annihilator computation")
+    return graded_kernel([list(col) for col in columns], ambient,
+                         expected_count=ambient - rank, cap=cap,
+                         context="annihilator computation")
 
 
 def solve_combination(columns, col_degrees, target, target_degree):

@@ -53,6 +53,9 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        return gaussian, (self.a, self.b, self.d)
+
     @property
     def re(self):
         return Fraction(self.a, self.d)

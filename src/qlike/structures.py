@@ -17,15 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bundles import (SAMPLE_POINTS, QuotientBundle, SplittingType,
-                      SubbundleFamily, _canonical_checks, _checked_splitting,
-                      annihilator, family_contains, is_split_extension,
-                      saturate)
+                      SubbundleFamily, annihilator, family_contains,
+                      is_split_extension, saturate, splitting_type,
+                      verify_canonical_sequences)
 from .embedding import _immersion_check, _injectivity_check, _reduced_pluecker
 from .errors import InternalError, InvalidInput
 from .forms import BinaryForm, antipodal_transform, format_form, parse_form
 from .linalg import (conj_matrix, identity, inverse, kernel_basis, mat_eq,
                      mat_mul, mat_vec, rank, solve_affine, transpose, zeros)
-from .polymatrix import PolyMatrix, generic_rank, solve_combination
+from .polymatrix import PolyMatrix, solve_combination
 from .scalars import ONE, ZERO, Scalar, scalar
 
 
@@ -112,10 +112,9 @@ class CheckResult:
 @dataclass
 class ValidationReport:
     checks: list = field(default_factory=list)
-    # the saturated family the checks ran on and its annihilator, for
-    # analyze; not serialized
+    # the saturated family the checks ran on, for analyze (its annihilator
+    # comes with it); not serialized
     family: SubbundleFamily = field(default=None, compare=False, repr=False)
-    ann: SubbundleFamily = field(default=None, compare=False, repr=False)
     # how each curve check was decided, by "pluecker", "immersion" and
     # "injectivity": "modular:<p>" (a certificate modulo the prime p),
     # "exact" or "sampled"; not serialized
@@ -153,15 +152,15 @@ def validate(S: QLikeStructure) -> ValidationReport:
                    % (k, n))
         return report
     report.add("codimension", "pass")
-    r = generic_rank(S.spanning.transpose_relations())
-    if r != k:
+    family = saturate(S.spanning)
+    if family.rank != k:
         report.add("generic-rank", "fail",
-                   "spanning matrix has generic rank %d, expected k=%d" % (r, k))
+                   "spanning matrix has generic rank %d, expected k=%d"
+                   % (family.rank, k))
         return report
     report.add("generic-rank", "pass")
 
-    family, ann = saturate(S.spanning, _rank=r, _with_annihilator=True)
-    report.family, report.ann = family, ann
+    report.family = family
     report.add("saturation", "pass",
                "free basis degrees %s" % (list(family.degrees),))
 
@@ -334,21 +333,14 @@ def _ann_offsets(degrees, twist):
     return offsets, acc
 
 
-def heaven_data(S: QLikeStructure, family: SubbundleFamily = None,
-                ann: SubbundleFamily = None) -> HeavenData:
-    """Plus-side data of S.  ``family`` is S's saturated family and ``ann``
-    its annihilator when the caller has them (validate's); otherwise they
-    are derived here, in one saturation.  analyze reads the splittings, the
-    canonical sequences and the minus side from them."""
+def heaven_data(S: QLikeStructure, family: SubbundleFamily = None) -> HeavenData:
+    """Plus-side data of S.  ``family`` is S's saturated family when the
+    caller has it (validate's); otherwise it is saturated here.  Either
+    way its annihilator is the saturation's link, so analyze reads the
+    splittings, canonical sequences and minus side without re-deriving."""
     if family is None:
-        family, ann = saturate(S.spanning, _with_annihilator=True)
-    elif ann is None:
-        ann = annihilator(family)
-    return _heaven_from(S, family, ann)
-
-
-def _heaven_from(S: QLikeStructure, fam: SubbundleFamily,
-                 ann: SubbundleFamily) -> HeavenData:
+        family = saturate(S.spanning)
+    ann = annihilator(family)
     degs = list(ann.degrees)
     n = S.dim
     off0, u_dim = _ann_offsets(degs, 0)
@@ -377,7 +369,7 @@ def _heaven_from(S: QLikeStructure, fam: SubbundleFamily,
                 w = t + a
                 rho[off0[j] + w][col] = ONE
 
-    hd = HeavenData(S, fam, ann, u_dim, h_dim, e_dim, psi, rho)
+    hd = HeavenData(S, family, ann, u_dim, h_dim, e_dim, psi, rho)
 
     # genericity: sections vanishing at z plus the image of psi_plus span U_plus
     for z0, z1 in SAMPLE_POINTS[:3]:
@@ -499,10 +491,10 @@ class MinusData:
 
 
 def minus_data(hd: HeavenData) -> MinusData:
-    """Minus side of hd's structure.  The dual structure's family is hd.ann
-    and its annihilator is hd.family, so neither is derived again."""
+    """Minus side of hd's structure.  The dual structure's family is hd.ann,
+    whose annihilator is hd.family, so neither is derived again."""
     S = hd.structure
-    dual = _heaven_from(_dual_structure(S, hd.ann), hd.ann, hd.family)
+    dual = heaven_data(_dual_structure(S, hd.ann), hd.ann)
     psi_minus = transpose(dual.psi_plus)
     ker_psi = kernel_basis(psi_minus)
     md = MinusData(S, dual, dual.u_plus_dim, dual.h_plus_dim,
@@ -782,8 +774,8 @@ def analyze(S: QLikeStructure, validation: ValidationReport = None) -> AnalysisR
     if not validation.passed:
         raise InvalidInput("structure failed validation: %s"
                            % ", ".join(validation.failed_names()))
-    hd = heaven_data(S, validation.family, validation.ann)
-    st_minus = _checked_splitting(hd.family, hd.ann)
+    hd = heaven_data(S, validation.family)
+    st_minus = splitting_type(hd.family)
     st_plus = SplittingType.of(hd.ann.degrees)
     if st_minus.degree + st_plus.degree != 0:
         raise InternalError("first Chern additivity failed")
@@ -819,8 +811,8 @@ def analyze(S: QLikeStructure, validation: ValidationReport = None) -> AnalysisR
 
 
 def verify_canonical_for(quotient, st):
-    """Canonical-sequence checks of the quotient, whose splitting is st
-    (the degrees of its denominator's annihilator)."""
+    """Canonical-sequence checks of the quotient, whose splitting is st,
+    or a skip when st is not nonnegative."""
     if not st.is_nonnegative():
         return {"skipped": "quotient not nonnegative", "ok": True}
-    return _canonical_checks(quotient.rank, st.summands)
+    return verify_canonical_sequences(quotient)

@@ -211,6 +211,14 @@ def test_lie_jm_bad_nilpotent_exit_two(capsys, vector):
     assert "nilpotent" in err
 
 
+@pytest.mark.parametrize("algebra", ["sl(x)", "so()", "sp(2.5)"])
+def test_lie_jm_bad_algebra_size_exit_two(capsys, algebra):
+    code, out, err = run_cli(capsys, "lie-jm", "--algebra", algebra,
+                             "--nilpotent", "[1]")
+    assert code == 2
+    assert "algebra size" in err
+
+
 _E = [1, 0, 0, 0, 0, 0, 0, 0]
 _F = [0, 1, 0, 0, 0, 0, 0, 0]
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -64,6 +66,17 @@ def test_parse_format_round_trip():
     assert p.degree == 2
     assert p.coeffs[1] == Scalar(-1)
     assert p.coeffs[2] == Scalar(0, 1)
+
+
+@pytest.mark.parametrize("round_trip", [
+    copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))])
+@pytest.mark.parametrize("text", ["0", "1", "z0", "(1/2)*z0^3 - i*z1^3",
+                                  "(2+3*i)*z0*z1 + (1/7)*z1^2"])
+def test_copy_and_pickle_round_trips(text, round_trip):
+    f = parse_form(text)
+    got = round_trip(f)
+    assert got == f and hash(got) == hash(f)
+    assert got.degree == f.degree
 
 
 def test_parse_rejects_inhomogeneous():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -70,6 +72,20 @@ def test_immutable():
         with pytest.raises(AttributeError):
             setattr(s, name, 3)
     assert s == Scalar(1, 2)
+
+
+ROUND_TRIPS = [copy.copy, copy.deepcopy,
+               lambda x: pickle.loads(pickle.dumps(x))]
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS)
+@pytest.mark.parametrize("value", [ZERO, ONE, I, Scalar(3), Scalar(1, 2),
+                                   Scalar(Fraction(1, 2), Fraction(-2, 3)),
+                                   Scalar(Fraction(7, 2 ** 120), 5 ** 60)])
+def test_copy_and_pickle_round_trips(value, round_trip):
+    got = round_trip(value)
+    assert got == value and hash(got) == hash(value)
+    assert (got.a, got.b, got.d) == (value.a, value.b, value.d)
 
 
 def test_division_by_zero():

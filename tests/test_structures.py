@@ -1,11 +1,12 @@
 import os
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlike import catalog, embedding
+from qlike import bundles, catalog, embedding, polymatrix
 
 from qlike.bundles import SplittingType
 from qlike.catalog import (build_conic_r3, build_quaternionic,
@@ -21,7 +22,8 @@ from qlike.embedding import _bivariate_two_point
 from qlike.structures import (QLikeStructure, analyze, check_morphism, dualize,
                               heaven_data, minus_data, minus_family, validate,
                               verify_factorization)
-from qlike.bundles import annihilator, family_span_equal, saturate
+from qlike.bundles import (SubbundleFamily, annihilator, family_span_equal,
+                           saturate)
 from qlike.modp import PRIMES
 from qlike.serialize import canonical_json, digest, load_structure_file
 
@@ -29,6 +31,11 @@ from qlike.serialize import canonical_json, digest, load_structure_file
 CONIC = build_conic_r3()
 QUAT = build_quaternionic(1)
 PLANE = build_twisted_plane_c4()
+
+
+def unlinked(family):
+    """A copy of the family without the annihilator link saturate sets."""
+    return SubbundleFamily(family.ambient, family.basis)
 
 
 def check_status(report, name):
@@ -286,26 +293,55 @@ def test_fixture_report_digests(name):
 def test_dual_family_is_the_annihilator():
     # minus_data takes the dual structure's family and annihilator from the
     # heaven data instead of deriving them again; that is exact only if
-    # both derivations return these very bases
+    # both derivations return these very bases (the second one is computed
+    # on a link-free copy, so it does not read the link saturate set)
     for s in [CONIC, QUAT, PLANE] + random_structures(123, 4):
         fam = saturate(s.spanning)
         ann = annihilator(fam)
         assert saturate(ann.basis).basis == ann.basis
-        assert annihilator(ann).basis == fam.basis
+        assert annihilator(unlinked(ann)).basis == fam.basis
 
 
 def test_saturation_hands_over_the_annihilator():
-    # validate keeps the annihilator generators its saturation built, and
-    # analyze uses them in place of annihilator(family); that is exact only
-    # if they are the very basis annihilator(family) returns
+    # saturate links the family and the annihilator generators it built to
+    # each other, and analyze reads the links in place of annihilator's
+    # graded kernel; that is exact only if each link is the very basis a
+    # fresh annihilator returns, from both sides
     for s in [CONIC, QUAT, PLANE] + random_structures(123, 4):
         fam = saturate(s.spanning)
-        expected = annihilator(fam).basis
-        report = validate(s)
-        assert report.family.basis == fam.basis
-        assert report.ann.basis == expected
-        pair = saturate(s.spanning, _with_annihilator=True)
-        assert (pair[0].basis, pair[1].basis) == (fam.basis, expected)
+        ann = annihilator(fam)
+        assert annihilator(ann) is fam
+        assert ann.basis == annihilator(unlinked(fam)).basis
+        assert fam.basis == annihilator(unlinked(ann)).basis
+        assert validate(s).family.basis == fam.basis
+
+
+def test_each_family_and_annihilator_is_derived_once(monkeypatch):
+    # count what bundles calls, and the graded kernel that
+    # annihilator_generators runs inside polymatrix
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("graded_kernel", "annihilator_generators", "generic_rank"):
+        monkeypatch.setattr(bundles, name,
+                            counting(name, getattr(bundles, name)))
+    monkeypatch.setattr(polymatrix, "graded_kernel", bundles.graded_kernel)
+    for s in [CONIC, QUAT, PLANE] + random_structures(123, 4):
+        v = validate(s)
+        calls.clear()
+        analyze(s, v)
+        assert calls == Counter()
+        dualize(s)
+        # one saturation: its rank, the annihilator generators and the
+        # graded kernel over them; the annihilator is the link
+        assert calls == Counter({"generic_rank": 1,
+                                 "annihilator_generators": 1,
+                                 "graded_kernel": 2})
 
 
 # sha256 of the canonical JSON of each minus family and of its annihilator
