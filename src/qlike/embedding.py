@@ -151,9 +151,10 @@ def _injectivity_check(gamma):
 
     Exact route: divide the two-point minors by the diagonal, then eliminate
     one variable by resultants; a constant gcd, proven modulo a prime by
-    :func:`~qlike.modp.resultant_gcd_is_constant`, proves injectivity.  When
-    that is inconclusive or oversized, fall back to sampled pair
-    distinctness with a warning, as documented.
+    :func:`~qlike.modp.resultant_gcd_is_constant`, proves injectivity.  The
+    first two nonzero minors are tried alone, then up to 30; a constant
+    minor proves it outright.  When that is inconclusive or oversized, fall
+    back to sampled pair distinctness with a warning, as documented.
     """
     beta = len(gamma)
     d = len(gamma[0]) - 1
@@ -185,24 +186,26 @@ def _injectivity_check(gamma):
         return ("fail", "a finite parameter meets the point at infinity",
                 "exact")
 
+    minors = (h for a in range(beta) for b in range(a + 1, beta)
+              for h in [_bivariate_two_point(ipolys[a], ipolys[b], d)]
+              if h is not None)
     h_list = []
-    for a in range(beta):
-        for b in range(a + 1, beta):
-            h = _bivariate_two_point(ipolys[a], ipolys[b], d)
-            if h is None:
-                continue
+    # the first two minors almost always prove it; the rest only on demand
+    for limit in (2, 30):
+        size = len(h_list)
+        for h in minors:
             if bideg(h) == (0, 0):
                 return "pass", "", "exact"
             h_list.append(h)
-            if len(h_list) >= 30:
+            if len(h_list) >= limit:
                 break
-        if len(h_list) >= 30:
+        if not h_list:
+            return "fail", "all two-point minors vanish identically", "exact"
+        if len(h_list) == size:
             break
-    if not h_list:
-        return "fail", "all two-point minors vanish identically", "exact"
-    p = modp.resultant_gcd_is_constant(h_list)
-    if p is not None:
-        return "pass", "", "modular:%d" % p
+        p = modp.resultant_gcd_is_constant(h_list)
+        if p is not None:
+            return "pass", "", "modular:%d" % p
     return _sampled_injectivity(gamma) + ("sampled",)
 
 

@@ -21,12 +21,34 @@ relies on this to pick independent vectors in order, and
 :func:`solve_affine` to eliminate each connected component of a sparse
 system on its own: columns whose rows are disjoint cannot depend on each
 other, so the components' profiles together are the whole matrix's.
+
+Wide inputs.  When a cleared row of :func:`kernel_basis` or :func:`rank`
+has an entry wider than 30 bits (one CPython digit), Bareiss pivots grow
+to hundreds of bits while the kernel vectors stay small, so these two try
+a modular route first (see "Kernels" in :mod:`qlike.modp`); narrow inputs
+go straight to Bareiss, as does every wide input the route cannot prove.
+For the kernel, each modular candidate is checked exactly in Z[i]: every
+cleared row must be orthogonal to every vector.  A checked candidate is
+byte-identical to the Bareiss output:
+
+* rank(A mod p) <= rank(A), since minors reduce to minors;
+* the candidate holds one vector per free column fc of A mod p, namely
+  e_fc plus entries on the pivots left of fc; these vectors are
+  independent and lie in the kernel, so rank(A) <= ncols - |F_p| =
+  rank(A mod p), and the two ranks are equal;
+* each fc in F_p depends on the columns before it, so it is free in A as
+  well, and F_p, of the right size, is the true free set;
+* a kernel vector is unique once its free column is fixed, so the
+  Scalars equal those of Bareiss.
+
+For the rank, a rank modulo p equal to min(rows, cols) is already a proof.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 
+from . import modp
 from .scalars import (ONE, ZERO, clear_denominators, gaussian,
                       primitive_part)
 
@@ -47,6 +69,35 @@ def _int_rows(a):
     """Each row times its denominator lcm, as primitive Gaussian-integer
     rows."""
     return [primitive_part(clear_denominators(row)[1]) for row in a]
+
+
+# one CPython digit: wider cleared entries make Bareiss grow long pivots
+_WIDE = 1 << 30
+
+
+def _is_wide(rows):
+    """Whether some entry of the Gaussian-integer rows has more than 30
+    bits."""
+    for row in rows:
+        for re, im in row:
+            if abs(re) | abs(im) >= _WIDE:
+                return True
+    return False
+
+
+def _kills(rows, entries):
+    """Whether every Gaussian-integer row is orthogonal to the sparse
+    vector ``entries`` of (column, (re, im)) pairs."""
+    for row in rows:
+        sr = si = 0
+        for j, (xr, xi) in entries:
+            ur, ui = row[j]
+            if ur or ui:
+                sr += ur * xr - ui * xi
+                si += ur * xi + ui * xr
+        if sr or si:
+            return False
+    return True
 
 
 def _bareiss(rows, ncols):
@@ -158,7 +209,16 @@ def mat_eq(a, b):
 def rank(a):
     if not a or not a[0]:
         return 0
-    return len(_bareiss(_int_rows(a), len(a[0])))
+    ncols = len(a[0])
+    rows = [clear_denominators(row)[1] for row in a]
+    if _is_wide(rows):
+        # rank(A mod p) <= rank(A) <= min(rows, cols)
+        full = min(len(rows), ncols)
+        p = modp.KERNEL_PRIMES[0]
+        reduced = modp.reduce_modp(rows, p, modp.sqrt_minus_one(p))
+        if modp.rank_modp(reduced, p) == full:
+            return full
+    return len(_bareiss([primitive_part(row) for row in rows], ncols))
 
 
 def independent_rows(vectors):
@@ -209,7 +269,18 @@ def kernel_basis(a):
     """Basis of the right kernel, one vector per free column (that free
     variable 1, the others 0, pivots back-substituted).  Deterministic."""
     ncols = len(a[0]) if a else 0
-    rows = _int_rows(a)
+    rows = [clear_denominators(row)[1] for row in a]
+    if _is_wide(rows):
+        for vectors in modp.kernel_candidates(rows, ncols):
+            if all(_kills(rows, entries) for _, entries in vectors):
+                out = []
+                for den, entries in vectors:
+                    v = [ZERO] * ncols
+                    for j, (xr, xi) in entries:
+                        v[j] = gaussian(xr, xi, den)
+                    out.append(v)
+                return out
+    rows = [primitive_part(row) for row in rows]
     pivots = _bareiss(rows, ncols)
     pivot_set = set(pivots)
     return [_free_vector(rows, pivots, fc, ncols)

@@ -1,5 +1,5 @@
 """Sound modular certificates: rank bounds, coprime forms and the
-injectivity resultant gcd.
+injectivity resultant gcd; and kernel candidates for an exact check.
 
 Reduction modulo a prime p = 1 mod 4, sending i to a square root of -1 in
 GF(p), is a ring map from the Gaussian integers onto GF(p); its kernel is a
@@ -15,6 +15,20 @@ rank(W) <= ncols - rank(W mod p), and rank(A mod p) <= rank(A).  When
 rank(A mod p) + rank(W mod p) = ncols the two bounds meet, which proves
 rank(A) = rank(A mod p) exactly.  A sum below ncols is merely
 inconclusive.  :func:`rank_modp` computes the reduced ranks.
+
+Kernels.  :func:`kernel_candidates` proposes the kernel basis of a
+Gaussian-integer matrix from its reduced row echelon forms over GF(p),
+one under each square root s and p - s of -1; they are the images of A
+under the two Gaussian primes over p.  When both have the same pivots, an
+entry a + b i of a kernel vector (a, b rational) reduces to x1 = a + b s
+and x2 = a - b s, so a = (x1 + x2) / 2 and b = (x1 - x2) / 2s modulo p.
+Primes with the same pivots are combined by Chinese remaindering, and
+each part is recovered from its residue modulo the product M by rational
+reconstruction (Wang, Guy and Davenport 1982), which is unique for
+numerators and denominators below sqrt(M / 2).  An unlucky prime, or a
+part past that bound, gives a wrong candidate or none; nothing here is
+proven, and :func:`qlike.linalg.kernel_basis` checks each candidate
+exactly before it trusts it.
 
 Coprime forms.  Let G be the primitive gcd over Z[i] of Gaussian-integer
 binary forms F_1, ..., F_s, not all zero.  Z[i] is a unique factorization
@@ -61,7 +75,14 @@ f at formal degree m and g at formal degree n:
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from math import isqrt
+
 PRIMES = (998244353, 754974721, 167772161)
+# the largest primes p = 1 mod 4 below 2^62, for the kernel candidates: one
+# of them reconstructs parts of up to 30 bits over 30 bits
+KERNEL_PRIMES = (4611686018427387817, 4611686018427387761,
+                 4611686018427387737, 4611686018427387733)
 
 _SQRT_CACHE = {}
 
@@ -94,10 +115,13 @@ def _eval_x_modp(h, x, dy, p):
     return out
 
 
-def _eliminate_modp(rows, p):
+def _eliminate_modp(rows, p, reduced=False):
     """Gaussian elimination over GF(p) of rows with entries in [0, p), in
-    place; returns the pivot values in order and the number of row swaps.
-    The rank is the number of pivots."""
+    place; returns the pivot columns and the number of row swaps.  The rank
+    is the number of pivots, and pivot k has the value
+    ``rows[k][pivots[k]]``.  With ``reduced`` the rows end in reduced row
+    echelon form: every pivot is 1 and the only nonzero entry of its
+    column."""
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -113,16 +137,22 @@ def _eliminate_modp(rows, p):
             rows[r], rows[i] = rows[i], rows[r]
             swaps += 1
         row_r = rows[r]
-        piv = row_r[c]
-        inv = pow(piv, p - 2, p)
+        inv = pow(row_r[c], -1, p)
         nz = [j for j in range(c + 1, ncols) if row_r[j]]
-        for row_i in rows[r + 1:]:
+        targets = rows[r + 1:]
+        if reduced:
+            for j in nz:
+                row_r[j] = (row_r[j] * inv) % p
+            row_r[c] = inv = 1
+            targets += rows[:r]
+        nz = [(j, row_r[j]) for j in nz]
+        for row_i in targets:
             if row_i[c]:
                 f = (row_i[c] * inv) % p
-                for j in nz:
-                    row_i[j] = (row_i[j] - f * row_r[j]) % p
+                for j, y in nz:
+                    row_i[j] = (row_i[j] - f * y) % p
                 row_i[c] = 0
-        pivots.append(piv)
+        pivots.append(c)
         r += 1
         if r == nrows:
             break
@@ -133,6 +163,91 @@ def rank_modp(rows, p):
     """Rank over GF(p) of integer rows with entries in [0, p); the rows are
     overwritten."""
     return len(_eliminate_modp(rows, p)[0])
+
+
+def kernel_candidates(rows, ncols):
+    """Candidate right-kernel bases of Gaussian-integer rows of ``ncols``
+    (re, im) pairs, at most one per prime; unproven (see "Kernels" in the
+    module docstring), so the caller checks each exactly.
+
+    A candidate has one ``(den, entries)`` per free column fc of the
+    reduced rows, in column order: the integer ``den > 0`` and the
+    Gaussian integers ``entries``, (column, (re, im)) pairs on fc and the
+    pivots left of it, whose quotient is the vector that is 1 on fc.
+    """
+    pivots = None
+    modulus = 1
+    parts = []      # residues mod ``modulus``, one pair list per free column
+    for p in KERNEL_PRIMES:
+        s = sqrt_minus_one(p)
+        r1 = reduce_modp(rows, p, s)
+        r2 = reduce_modp(rows, p, p - s)
+        piv = _eliminate_modp(r1, p, True)[0]
+        if _eliminate_modp(r2, p, True)[0] != piv:
+            continue
+        # the vector of fc is -R[k][fc] on pivot k; each entry a + b i has
+        # the images x1 = a + b s and x2 = a - b s
+        half = (p + 1) // 2
+        half_s = pow(2 * s, -1, p)
+        pivot_set = set(piv)
+        free = [c for c in range(ncols) if c not in pivot_set]
+        new = [[((-u1 - u2) * half % p, (u2 - u1) * half_s % p)
+                for u1, u2 in ((r1[k][fc], r2[k][fc])
+                               for k in range(bisect_left(piv, fc)))]
+               for fc in free]
+        if piv != pivots:
+            pivots, modulus, parts = piv, p, new
+        else:
+            # Chinese remaindering: x = a + modulus * ((b - a) / modulus mod p)
+            inv = pow(modulus, -1, p)
+            parts = [[(ar + modulus * ((br - ar) * inv % p),
+                       ai + modulus * ((bi - ai) * inv % p))
+                      for (ar, ai), (br, bi) in zip(old, cur)]
+                     for old, cur in zip(parts, new)]
+            modulus *= p
+        bound = isqrt(modulus // 2)
+        vectors = []
+        for fc, residues in zip(free, parts):
+            vec = _reconstruct(residues, modulus, bound)
+            if vec is None:
+                break
+            den, nums = vec
+            vectors.append((den, list(zip(pivots, nums)) + [(fc, (den, 0))]))
+        else:
+            yield vectors
+
+
+def _reconstruct(residues, modulus, bound):
+    """``(den, nums)`` with ``nums[k] / den`` congruent to the Gaussian
+    residue pair ``residues[k]`` modulo ``modulus``, or None.
+
+    Each part is reconstructed (Wang, Guy and Davenport 1982) after
+    multiplying by the denominator found so far, so that once the common
+    denominator is known the rest of the vector needs no Euclidean chain.
+    """
+    den = 1
+    flat = []
+    for pair in residues:
+        for u in pair:
+            w = u * den % modulus
+            if w > modulus - bound:
+                flat.append(w - modulus)
+            elif w <= bound:
+                flat.append(w)
+            else:
+                # extended Euclid on (modulus, w), stopped below the bound
+                r0, r1, t0, t1 = modulus, w, 0, 1
+                while r1 > bound:
+                    q = r0 // r1
+                    r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+                if abs(t1) > bound:
+                    return None
+                if t1 < 0:
+                    r1, t1 = -r1, -t1
+                den *= t1
+                flat = [x * t1 for x in flat]
+                flat.append(r1)
+    return den, list(zip(flat[::2], flat[1::2]))
 
 
 def _trim(a):

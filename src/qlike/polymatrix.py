@@ -141,14 +141,17 @@ def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None, *,
     :func:`~qlike.linalg.independent_rows` finds independent of the
     z-multiples of the generators of lower degree (and of each other).
     It stops at ``expected_count`` generators (n_unknowns minus the generic
-    rank) and fails past degree ``cap``, or QLIKE_MAX_DEGREE if lower.
+    rank) and fails past degree ``cap`` (an internal error), or past
+    QLIKE_MAX_DEGREE if that is lower (bad input).
     """
     shifts = list(unknown_shifts or [0] * n_unknowns)
     if len(shifts) != n_unknowns:
         raise ValueError("need one shift per unknown")
     if n_unknowns == 0 or expected_count == 0:
         return []
-    cap = min(cap, max_degree_cap())
+    env_cap = max_degree_cap()
+    limited = env_cap < cap
+    cap = min(cap, env_cap)
 
     gens = []
     m = -max(shifts)
@@ -173,6 +176,9 @@ def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None, *,
                     if len(gens) == expected_count:
                         return gens
         m += 1
+    if limited:
+        raise InvalidInput("%s did not terminate by degree %d, the "
+                           "QLIKE_MAX_DEGREE limit" % (context, cap))
     raise InternalError("%s did not terminate by degree %d" % (context, cap))
 
 

@@ -271,8 +271,8 @@ def sylvester_det_modp(f, g, df, dg, p):
     if len(pivots) < n:
         return 0
     det = p - 1 if swaps % 2 else 1
-    for piv in pivots:
-        det = (det * piv) % p
+    for k, c in enumerate(pivots):
+        det = (det * m[k][c]) % p
     return det
 
 

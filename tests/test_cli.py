@@ -65,6 +65,28 @@ def test_bad_max_degree_exit_two(capsys, monkeypatch, value):
     assert "QLIKE_MAX_DEGREE" in err
 
 
+# a rank-1 structure with k=2 saturates before its rank check fails
+RANK_ONE = {"mode": "complex", "dim": 4, "k": 2,
+            "spanning": [["z0", "z1", "0", "0"], ["2*z0", "2*z1", "0", "0"]]}
+
+
+@pytest.mark.parametrize("structure", ["conic_r3.json", RANK_ONE],
+                         ids=["conic_r3", "rank_one"])
+def test_max_degree_too_low_exit_two(tmp_path, capsys, monkeypatch,
+                                     structure):
+    # the saturation outgrows the user's degree limit: bad input, not an
+    # internal error
+    if isinstance(structure, dict):
+        path = tmp_path / "rank_one.json"
+        path.write_text(json.dumps(structure))
+    else:
+        path = os.path.join(FIXTURES, structure)
+    monkeypatch.setenv("QLIKE_MAX_DEGREE", "0")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert "QLIKE_MAX_DEGREE" in err and "Traceback" not in err
+
+
 def test_dual_round_trip(tmp_path, capsys):
     path = os.path.join(FIXTURES, "conic_r3.json")
     code, out, _ = run_cli(capsys, "dual", path)

@@ -1,5 +1,6 @@
 """Property tests: the Gaussian-integer solvers and the vector selection
-against the Q(i) RREF oracle.
+against the Q(i) RREF oracle, and the modular route of ``kernel_basis`` and
+``rank`` on wide inputs with its Bareiss fallback.
 
 Each solver output is unique (kernel vectors are fixed by their free
 column, particular solutions set every free variable to 0), so the solvers
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import rref
 
+from qlike import linalg, modp
 from qlike.linalg import independent_rows, kernel_basis, mat_mul, mat_vec, \
     rank, solve, solve_affine, solve_matrix
 from qlike.scalars import ONE, ZERO, Scalar
@@ -239,3 +241,94 @@ def test_row_content_leaves_outputs_unchanged(data):
     sv = [[CONTENT * x if s else x for x, s in zip(v, coords)] for v in a]
     assert independent_rows(sv) == independent_rows(a) == \
         _greedy_independent(a)
+
+
+# -- wide inputs: the modular route of kernel_basis and rank ---------------
+
+def _wide_gaussian():
+    # a Gaussian integer whose real part has 31 to 80 bits
+    return st.integers(31, 80).flatmap(lambda bits: st.builds(
+        Scalar, st.integers(2 ** (bits - 1), 2 ** bits - 1)
+        | st.integers(1 - 2 ** bits, -2 ** (bits - 1)),
+        st.integers(1 - 2 ** bits, 2 ** bits - 1)))
+
+
+@st.composite
+def wide_matrices(draw):
+    """Small matrices, often rank-deficient, with rows scaled by 31-80-bit
+    Gaussian integers, and rows of >100-bit rationals or big-rational
+    multiples of other rows mixed in."""
+    a = draw(matrices())
+    a = [[c * x for x in row] if draw(st.booleans()) else row
+         for row, c in zip(a, draw(st.lists(_wide_gaussian(),
+                                            min_size=len(a),
+                                            max_size=len(a))))]
+    m = len(a[0])
+    if draw(st.booleans()):
+        a.append([draw(_big_entries()) for _ in range(m)])
+    if draw(st.booleans()):
+        c = draw(_big_entries())
+        a.append([c * x for x in a[draw(st.integers(0, len(a) - 1))]])
+    return draw(st.permutations(a))
+
+
+@SETTINGS
+@given(wide_matrices())
+@example([[Scalar(2 ** 40 + 1), Scalar(0, 3)], [Scalar(2 ** 41 + 2),
+                                                Scalar(0, 6)]])
+def test_wide_kernel_basis_and_rank_match_rref(a):
+    assert kernel_basis(a) == _oracle_kernel(a)
+    assert rank(a) == len(rref(a)[1])
+
+
+def _count_bareiss(monkeypatch):
+    calls = []
+    inner = linalg._bareiss
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return inner(rows, ncols)
+    monkeypatch.setattr(linalg, "_bareiss", counted)
+    return calls
+
+
+def _product(xs):
+    out = 1
+    for x in xs:
+        out *= x
+    return out
+
+
+def test_modular_success_skips_bareiss(monkeypatch):
+    calls = _count_bareiss(monkeypatch)
+    c = Scalar(2 ** 40 + 15, 2 ** 35)
+    one_prime = [[c, 2 * c, 3 * c], [2 * c, 4 * c, 6 * c],
+                 [Scalar(1, 1) * c, ZERO, c]]
+    # -Y/X needs two primes to reconstruct; the pivot divisible by the
+    # first prime only makes it start over at the second
+    p1 = modp.KERNEL_PRIMES[0]
+    crt = [[Scalar(2 ** 45 + 11), Scalar(3 ** 28)]]
+    restart = [[Scalar(p1), ONE]]
+    for a in (one_prime, crt, restart):
+        assert kernel_basis(a) == _oracle_kernel(a)
+    # a rank mod p of min(rows, cols) is a proof
+    assert rank(one_prime[1:]) == 2 and rank(crt) == 1
+    assert calls == []
+
+
+def test_modular_failures_fall_back_to_bareiss(monkeypatch):
+    calls = _count_bareiss(monkeypatch)
+    q = _product(modp.KERNEL_PRIMES)
+    # a pivot divisible by every prime: each reduction moves it
+    a = [[Scalar(q), ONE]]
+    assert kernel_basis(a) == [[Scalar(Fraction(-1, q)), ONE]]
+    assert rank([[Scalar(q), ONE], [Scalar(2 * q), Scalar(3)]]) == 2
+    assert len(calls) == 2
+    # a kernel vector past the reconstruction range of all the primes
+    a = [[Scalar(q + 1), Scalar(q + 2)]]
+    assert kernel_basis(a) == _oracle_kernel(a)
+    assert len(calls) == 3
+    # a rank below min(rows, cols) is not proven modulo p
+    c = Scalar(2 ** 40 + 15, 2 ** 35)
+    assert rank([[c, 2 * c], [2 * c, 4 * c]]) == 1
+    assert len(calls) == 4

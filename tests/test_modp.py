@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlike.modp import (PRIMES, _interpolate_modp, _resultant_modp,
-                        coprime_forms_prime, reduce_modp)
+from qlike.modp import (KERNEL_PRIMES, PRIMES, _interpolate_modp,
+                        _resultant_modp, coprime_forms_prime, reduce_modp,
+                        sqrt_minus_one)
 
 from oracles import sylvester_det_modp
 
@@ -136,3 +137,36 @@ def test_zero_reductions_are_inconclusive():
 
 def test_empty_prime_list_is_inconclusive():
     assert _certify([[(1, 0), (0, 0)], [(0, 0), (1, 0)]], primes=()) is None
+
+
+def _is_prime(n):
+    """Miller-Rabin with the first 12 primes as bases, deterministic below
+    3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_kernel_primes_are_62_bit_primes_one_mod_four():
+    assert _is_prime(PRIMES[0]) and not _is_prime(PRIMES[0] - 2)
+    assert len(set(KERNEL_PRIMES)) == len(KERNEL_PRIMES)
+    for p in KERNEL_PRIMES:
+        assert _is_prime(p) and p % 4 == 1 and p.bit_length() == 62
+        assert pow(sqrt_minus_one(p), 2, p) == p - 1
