@@ -23,9 +23,9 @@ system on its own: columns whose rows are disjoint cannot depend on each
 other, so the components' profiles together are the whole matrix's.
 
 Wide inputs.  When a cleared row of :func:`kernel_basis` or :func:`rank`
-has an entry wider than 30 bits (one CPython digit), Bareiss pivots grow
-to hundreds of bits while the kernel vectors stay small, so these two try
-a modular route first (see "Kernels" in :mod:`qlike.modp`); narrow inputs
+has an entry wider than 30 bits (one CPython digit), Bareiss pivots can
+grow to hundreds of bits while the kernel vectors stay small, so these two
+try a modular route first (see "Kernels" in :mod:`qlike.modp`); narrow inputs
 go straight to Bareiss, as does every wide input the route cannot prove.
 For the kernel, each modular candidate is checked exactly in Z[i]: every
 cleared row must be orthogonal to every vector.  A checked candidate is
