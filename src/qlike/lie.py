@@ -411,9 +411,9 @@ def validate_lie(g: LieAlgebra) -> dict:
                             tr = tr + a * b
             killing[i][j] = tr
             killing[j][i] = tr
-    semisimple = jacobi_ok and rank(killing) == dim
-    return {"jacobi": jacobi_ok, "killing_rank": rank(killing),
-            "semisimple": semisimple}
+    killing_rank = rank(killing)
+    return {"jacobi": jacobi_ok, "killing_rank": killing_rank,
+            "semisimple": jacobi_ok and killing_rank == dim}
 
 
 def is_ad_nilpotent(g: LieAlgebra, y) -> bool:

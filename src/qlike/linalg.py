@@ -1,35 +1,43 @@
 """Exact dense linear algebra over Q(i).
 
-Matrices are lists of rows of :class:`~qlike.scalars.Scalar`.  The solvers
-stay in Gaussian integers from denominator clearing through
-back-substitution.  Each right-hand-side column is cleared with one common
-factor, then each row of the coefficient matrix with its denominator lcm,
-and each cleared row (with its right-hand sides) is divided by its
-Gaussian-integer content; none of these steps changes the zero pattern, the
-row space, the solution set or the column dependencies.  Single-step
-Bareiss elimination brings the integer matrix to an echelon form whose
-pivots are leading minors, so entries stay integral with linear bit growth.
-A solution is back-substituted with its free column set to the last pivot
-``d`` before it: by Cramer's rule every pivot value is then a Gaussian
-integer, each step is an exact division, and each output entry is divided
-by ``d`` (and the right-hand-side factor) once.  Pivoting is deterministic
-(first nonzero in row-major order), and each output is the unique solution
-fixed by its free variables, so results are reproducible byte for byte.
-The pivot columns are the column rank profile: column c is a pivot exactly
-when it is independent of the columns before it.  :func:`independent_rows`
-relies on this to pick independent vectors in order, and
-:func:`solve_affine` to eliminate each connected component of a sparse
-system on its own: columns whose rows are disjoint cannot depend on each
-other, so the components' profiles together are the whole matrix's.
+Matrices are lists of rows of :class:`~qlike.scalars.Scalar`.  Every exact
+elimination goes through one driver, :func:`_eliminate`, which stays in
+Gaussian integers from denominator clearing through back-substitution.
+Each right-hand-side column is cleared with one common factor, each row of
+the coefficient matrix with its denominator lcm, and each cleared row (with
+its right-hand sides) is divided by its Gaussian-integer content; none of
+these steps changes the zero pattern, the row space, the solution set or
+the column dependencies.  Single-step Bareiss elimination brings the
+integer matrix to an echelon form whose pivots are leading minors, so
+entries stay integral with linear bit growth.  A solution is
+back-substituted with its free column set to the last pivot ``d`` before
+it: by Cramer's rule every pivot value is then a Gaussian integer, each
+step is an exact division, and each output entry is divided by ``d`` (and
+the right-hand-side factor) once.  Pivoting is deterministic (first nonzero
+in row-major order), and each output is the unique solution fixed by its
+free variables, so results are reproducible byte for byte.
+
+Components.  The pivot columns are the column rank profile: column c is a
+pivot exactly when it is independent of the columns before it.
+:func:`independent_rows` relies on this to pick independent vectors in
+order, and the driver to eliminate each connected component of A's nonzero
+pattern on its own.  Two unknowns are connected when a row holds both; the
+rows of a component touch only its unknowns, so a column depends on the
+columns before it exactly when it does within its component.  The pivots
+of A are therefore the union of the components' pivots, each kernel vector
+is its component's vector padded with zeros, and a particular solution is
+the union of the components' ones.  The unknowns in no row and the
+all-zero rows form one more component, where a nonzero right-hand side is
+inconsistent.  Below ``_SPLIT_CELLS`` cells a matrix is one component.
 
 Wide inputs.  When a cleared row of :func:`kernel_basis` or :func:`rank`
 has an entry wider than 30 bits (one CPython digit), Bareiss pivots can
 grow to hundreds of bits while the kernel vectors stay small, so these two
-try a modular route first (see "Kernels" in :mod:`qlike.modp`); narrow inputs
-go straight to Bareiss, as does every wide input the route cannot prove.
-For the kernel, each modular candidate is checked exactly in Z[i]: every
-cleared row must be orthogonal to every vector.  A checked candidate is
-byte-identical to the Bareiss output:
+first try a modular route on the whole cleared matrix (see "Kernels" in
+:mod:`qlike.modp`), and go to the driver when it proves nothing.  Each
+modular kernel candidate is checked exactly in Z[i]: every cleared row must
+be orthogonal to every vector.  A checked candidate is byte-identical to
+the Bareiss output:
 
 * rank(A mod p) <= rank(A), since minors reduce to minors;
 * the candidate holds one vector per free column fc of A mod p, namely
@@ -63,12 +71,6 @@ def _gdiv(a, b):
     re = a[0] * b[0] + a[1] * b[1]
     im = a[1] * b[0] - a[0] * b[1]
     return (re // n, im // n)
-
-
-def _int_rows(a):
-    """Each row times its denominator lcm, as primitive Gaussian-integer
-    rows."""
-    return [primitive_part(clear_denominators(row)[1]) for row in a]
 
 
 # one CPython digit: wider cleared entries make Bareiss grow long pivots
@@ -206,43 +208,50 @@ def mat_eq(a, b):
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
-def rank(a):
-    if not a or not a[0]:
-        return 0
-    ncols = len(a[0])
-    rows = [clear_denominators(row)[1] for row in a]
-    if _is_wide(rows):
-        # rank(A mod p) <= rank(A) <= min(rows, cols)
-        full = min(len(rows), ncols)
-        p = modp.KERNEL_PRIMES[0]
-        reduced = modp.reduce_modp(rows, p, modp.sqrt_minus_one(p))
-        if modp.rank_modp(reduced, p) == full:
-            return full
-    return len(_bareiss([primitive_part(row) for row in rows], ncols))
+# Below this many cells finding the components costs more than eliminating
+# them apart saves (timed both ways on every call of the benchmark workloads)
+_SPLIT_CELLS = 128
 
 
-def independent_rows(vectors):
-    """Indices of the vectors that are independent of all earlier ones.
+def _components(a, ncols):
+    """``(columns, row indices)`` of each connected component of A's nonzero
+    pattern, and of the unknowns in no row with the all-zero rows."""
+    parent = list(range(ncols))
 
-    They are the pivot columns of the matrix whose columns are the vectors;
-    clearing the denominators of each coordinate scales a row of that
-    matrix, which leaves its column dependencies unchanged.
-    """
-    return _bareiss(_int_rows(transpose(vectors)), len(vectors))
+    def find(j):
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    # most cells of a sparse matrix are the shared ZERO: skip their truth test
+    supports = [[j for j, x in enumerate(row) if x is not ZERO and x]
+                for row in a]
+    for support in supports:
+        for j in support[1:]:
+            parent[find(j)] = find(support[0])
+    comps = {}
+    for i, support in enumerate(supports):
+        comps.setdefault(find(support[0]) if support else -1,
+                         ([], []))[1].append(i)
+    for j in range(ncols):
+        root = find(j)
+        comps.setdefault(root if root in comps else -1, ([], []))[0].append(j)
+    return list(comps.values())
 
 
-def _free_vector(rows, pivots, fc, ncols, den=1):
-    """Entries ``0..ncols-1`` of the solution of the echelon system ``rows``
-    that is ``1/den`` on column ``fc`` and 0 on every other free column.
+def _free_vector(rows, pivots, fc, cols, out, den=1):
+    """Set in ``out`` (column t of ``rows`` is column ``cols[t]`` of ``out``)
+    the solution of the echelon system ``rows`` that is ``1/den`` on column
+    ``fc`` and 0 on the other free columns; returns ``out``.
 
     Only pivots left of ``fc`` can be nonzero.  Column ``fc`` is set to the
     last of their pivots ``d``, which makes every pivot value a minor
     (Cramer's rule), so each step divides exactly; the entries are divided
     by ``d * den`` once at the end.
     """
-    out = [ZERO] * ncols
-    if fc < ncols:
-        out[fc] = gaussian(1, 0, den)
+    if fc < len(cols):
+        out[cols[fc]] = gaussian(1, 0, den)
     m = bisect_left(pivots, fc)
     if m == 0:
         return out
@@ -261,8 +270,90 @@ def _free_vector(rows, pivots, fc, ncols, den=1):
     dr, di = d[0] * den, d[1] * den
     n = dr * dr + di * di
     for j, (xr, xi) in x[1:]:
-        out[j] = gaussian(xr * dr + xi * di, xi * dr - xr * di, n)
+        out[cols[j]] = gaussian(xr * dr + xi * di, xi * dr - xr * di, n)
     return out
+
+
+def _eliminate(a, ncols, rhs=(), kernel=False, cleared=None):
+    """``(pivots, kernel, solutions)`` of ``[A | b_1 | ...]`` for the
+    right-hand sides ``b_k`` in ``rhs``, one component of A at a time.
+
+    ``pivots`` are A's pivot columns; ``kernel`` (empty unless asked for)
+    has one vector per free column, that variable 1 and the other free ones
+    0; ``solutions`` holds the solution of A x = b_k with every free
+    variable 0 for each ``b_k``, or is None if any is inconsistent.
+    ``cleared`` may give A's rows already cleared of denominators, when
+    ``rhs`` is empty.
+    """
+    if len(a) * ncols < _SPLIT_CELLS:
+        comps = [(range(ncols), range(len(a)))]
+    else:
+        comps = _components(a, ncols)
+    pivots = []
+    free = {}
+    solutions = [[ZERO] * ncols for _ in rhs]
+    for cols, row_ids in comps:
+        m = len(cols)
+        whole = m == ncols
+        if cleared is not None:
+            sides = ()
+            rows = [primitive_part(cleared[i] if whole
+                                   else [cleared[i][j] for j in cols])
+                    for i in row_ids]
+        else:
+            # A x = D b for the column's common denominator D: the right
+            # sides do not scale the rows of A
+            sides = [clear_denominators([b[i] for i in row_ids]) for b in rhs]
+            rows = []
+            for t, i in enumerate(row_ids):
+                l, ints = clear_denominators(a[i] if whole
+                                             else [a[i][j] for j in cols])
+                if sides:
+                    ints += [(l * ib[t][0], l * ib[t][1]) for _, ib in sides]
+                rows.append(primitive_part(ints))
+        comp_pivots = _bareiss(rows, m + len(sides))
+        if comp_pivots and comp_pivots[-1] >= m:
+            solutions = None
+        pivots += (comp_pivots if whole and not sides
+                   else [cols[c] for c in comp_pivots if c < m])
+        if kernel:
+            pivot_set = set(comp_pivots)
+            for fc in range(m):
+                if fc not in pivot_set:
+                    free[cols[fc]] = _free_vector(rows, comp_pivots, fc, cols,
+                                                  [ZERO] * ncols)
+        if solutions is not None:
+            # x = -(kernel vector of [A | D b] that is 1 on b's column)/D
+            for k, (l, _) in enumerate(sides):
+                _free_vector(rows, comp_pivots, m + k, cols, solutions[k], -l)
+    if len(comps) > 1:
+        pivots.sort()
+    return pivots, [free[j] for j in sorted(free)], solutions
+
+
+def rank(a):
+    if not a or not a[0]:
+        return 0
+    ncols = len(a[0])
+    rows = [clear_denominators(row)[1] for row in a]
+    if _is_wide(rows):
+        # rank(A mod p) <= rank(A) <= min(rows, cols)
+        full = min(len(rows), ncols)
+        p = modp.KERNEL_PRIMES[0]
+        reduced = modp.reduce_modp(rows, p, modp.sqrt_minus_one(p))
+        if modp.rank_modp(reduced, p) == full:
+            return full
+    return len(_eliminate(a, ncols, cleared=rows)[0])
+
+
+def independent_rows(vectors):
+    """Indices of the vectors that are independent of all earlier ones.
+
+    They are the pivot columns of the matrix whose columns are the vectors;
+    clearing the denominators of each coordinate scales a row of that
+    matrix, which leaves its column dependencies unchanged.
+    """
+    return _eliminate(transpose(vectors), len(vectors))[0]
 
 
 def kernel_basis(a):
@@ -280,127 +371,28 @@ def kernel_basis(a):
                         v[j] = gaussian(xr, xi, den)
                     out.append(v)
                 return out
-    rows = [primitive_part(row) for row in rows]
-    pivots = _bareiss(rows, ncols)
-    pivot_set = set(pivots)
-    return [_free_vector(rows, pivots, fc, ncols)
-            for fc in range(ncols) if fc not in pivot_set]
-
-
-def _augmented_rows(a, cols):
-    """The primitive Gaussian-integer rows of ``[A | D_1 b_1 | ...]`` for the
-    right-hand sides ``b_k`` in ``cols``, and the factors ``D_k``.
-
-    Each ``D_k`` is the common denominator of its column, and each row is
-    scaled by the denominator lcm of its part in A only, so the right sides
-    do not inflate the rows of A.
-    """
-    cleared = [clear_denominators(b) for b in cols]
-    rows = []
-    for i, row in enumerate(a):
-        l, ints = clear_denominators(row)
-        rows.append(primitive_part(
-            ints + [(l * ib[i][0], l * ib[i][1]) for _, ib in cleared]))
-    return rows, [l for l, _ in cleared]
-
-
-def _solve_columns(a, cols):
-    """The solution of A x = b with every free variable 0, for each
-    right-hand side ``b`` in ``cols``; None if any of them is inconsistent.
-
-    Solving A x = D b for the column's common denominator D keeps the right
-    sides from scaling the rows of A; the factor is divided out at the end.
-    """
-    ncols = len(a[0]) if a else 0
-    rows, dens = _augmented_rows(a, cols)
-    pivots = _bareiss(rows, ncols + len(cols))
-    if pivots and pivots[-1] >= ncols:
-        return None
-    # x = -(kernel vector of [A | D b] that is 1 on the right-hand column)/D
-    return [_free_vector(rows, pivots, ncols + k, ncols, -l)
-            for k, l in enumerate(dens)]
+    return _eliminate(a, ncols, kernel=True, cleared=rows)[1]
 
 
 def solve(a, b):
     """One exact solution of A x = b, or None if the system is inconsistent."""
-    x = _solve_columns(a, [b])
+    x = _eliminate(a, len(a[0]) if a else 0, [b])[2]
     return None if x is None else x[0]
 
 
 def solve_matrix(a, b):
     """Solve A X = B columnwise; None if any column is inconsistent."""
-    cols = _solve_columns(a, transpose(b))
+    ncols = len(a[0]) if a else 0
+    cols = _eliminate(a, ncols, transpose(b))[2]
     if cols is None:
         return None
-    return [[col[c] for col in cols] for c in range(len(a[0]) if a else 0)]
+    return [[col[c] for col in cols] for c in range(ncols)]
 
 
 def solve_affine(a, b):
-    """``(solve(a, b), kernel_basis(a))``, from one elimination of
-    ``[A_c | b_c]`` per connected component c of A's nonzero pattern.
-
-    Two unknowns are connected when a row holds both.  The rows of one
-    component touch only its unknowns, so column j of A depends on the
-    columns before it exactly when it does within its component: the pivots
-    of A are the union of the components' pivots, each kernel vector is its
-    component's vector padded with zeros, and the particular solution is
-    the union of the components' ones.  An all-zero row with a nonzero
-    right-hand side makes the system inconsistent; an unknown in no row is
-    free.
-    """
-    ncols = len(a[0]) if a else 0
-    parent = list(range(ncols))
-
-    def find(j):
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    consistent = True
-    supports = []
-    for row, y in zip(a, b):
-        support = [j for j, x in enumerate(row) if x]
-        supports.append(support)
-        if not support:
-            if y:
-                consistent = False
-            continue
-        root = find(support[0])
-        for j in support[1:]:
-            rj = find(j)
-            if rj != root:
-                parent[rj] = root
-    comp_cols = {}
-    for j in range(ncols):
-        comp_cols.setdefault(find(j), []).append(j)
-    comp_rows = {}
-    for i, support in enumerate(supports):
-        if support:
-            comp_rows.setdefault(find(support[0]), []).append(i)
-
-    x = [ZERO] * ncols
-    kernel = {}
-    for root, cols in comp_cols.items():
-        row_ids = comp_rows.get(root, [])
-        m = len(cols)
-        rows, (den,) = _augmented_rows([[a[i][j] for j in cols]
-                                        for i in row_ids],
-                                       [[b[i] for i in row_ids]])
-        pivots = _bareiss(rows, m + 1)
-        if pivots and pivots[-1] == m:
-            consistent = False
-        elif consistent:
-            for j, v in zip(cols, _free_vector(rows, pivots, m, m, -den)):
-                x[j] = v
-        pivot_set = set(pivots)
-        for fc in range(m):
-            if fc not in pivot_set:
-                v = [ZERO] * ncols
-                for j, y in zip(cols, _free_vector(rows, pivots, fc, m)):
-                    v[j] = y
-                kernel[cols[fc]] = v
-    return (x if consistent else None), [kernel[j] for j in sorted(kernel)]
+    """``(solve(a, b), kernel_basis(a))``, from one elimination."""
+    _, kernel, x = _eliminate(a, len(a[0]) if a else 0, [b], kernel=True)
+    return (None if x is None else x[0]), kernel
 
 
 def inverse(a):

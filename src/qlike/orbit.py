@@ -78,6 +78,12 @@ def _restricted_sl2_matrices(q: GoodQuadruple):
 def validate_good_quadruple(q: GoodQuadruple) -> dict:
     """Bracket/injectivity of tau, representation identity of sigma,
     invariance of U, and irreducible nontriviality of the restriction."""
+    return _validate_quadruple(q)[0]
+
+
+def _validate_quadruple(q: GoodQuadruple):
+    """(the :func:`validate_good_quadruple` report, the restricted sl(2)
+    matrices or None)."""
     report = {"checks": []}
 
     def add(name, ok, detail=""):
@@ -113,7 +119,7 @@ def validate_good_quadruple(q: GoodQuadruple) -> dict:
                     "restriction is not a single irreducible: %r" % nonzero)
     report["valid"] = all(c["status"] == "pass" for c in report["checks"])
     report["curve_degree"] = degree
-    return report
+    return report, restricted
 
 
 def veronese_curve(q: GoodQuadruple):
@@ -123,12 +129,11 @@ def veronese_curve(q: GoodQuadruple):
     coordinates); the kernel is one-dimensional at every point and the
     degree is cross-checked against the weight decomposition of U.
     """
-    report = validate_good_quadruple(q)
+    report, restricted = _validate_quadruple(q)
     if not report["valid"]:
         raise InvalidInput("invalid quadruple: %s" % "; ".join(
             c["name"] for c in report["checks"] if c["status"] == "fail"))
     d = report["curve_degree"]
-    restricted, _ = _restricted_sl2_matrices(q)
     s_e, s_h, s_f = restricted
     du = q.u_dim
     z0z1 = Z0 * Z1

@@ -230,10 +230,13 @@ def dualize(S: QLikeStructure) -> QLikeStructure:
     """Structure on the dual space: z maps to the annihilator of U^z.
 
     Raises InvalidInput unless 0 < k < dim and the saturated family has
-    rank k, since otherwise the dual's k = dim - k contradicts its span."""
+    rank k, since otherwise the dual's k = dim - k contradicts its span,
+    and in real mode unless the conjugation matrix is invertible."""
     if S.k <= 0 or S.k >= S.dim:
         raise InvalidInput("cannot dualize: need 0 < k < dim (k=%d, dim=%d)"
                            % (S.k, S.dim))
+    if not S.complex_mode and rank(S.conjugation_matrix()) < S.dim:
+        raise InvalidInput("cannot dualize: the conjugation matrix is singular")
     fam = minus_family(S)
     if fam.rank != S.k:
         raise InvalidInput("cannot dualize: spanning matrix has generic rank "
@@ -567,8 +570,9 @@ def verify_factorization(hd: HeavenData, md: MinusData) -> FactorizationReport:
     rho_minus_star are block-diagonal by summand and preserve a monomial
     weight, so each equation touches few unknowns (connected components of
     at most 3 on the benchmark pool).  :func:`~qlike.linalg.solve_affine`
-    eliminates each component once and returns the particular solution and
-    the homogeneous solutions that ``solve`` and ``kernel_basis`` would.
+    returns the particular solution and the homogeneous solutions from one
+    run of linalg's elimination driver, which eliminates each component on
+    its own.
     """
     if hd.h_plus_dim != md.h_minus_dim:
         raise InternalError("twisted section dimensions disagree "
@@ -664,19 +668,24 @@ def _correspondence_dims(hd, md, kernels):
     }
 
 
-def _check_fact_c(md, kernels):
-    """psi_minus restricted to ker rho_minus_star is a bijection onto
-    ker psi_plus."""
-    kernel_rms = kernels["rho_minus_star"]
-    images = [mat_vec(md.psi_minus, v) for v in kernel_rms]
-    kernel_pp = kernels["psi_plus"]
-    if len(kernel_rms) != len(kernel_pp):
+def _maps_onto(images, basis):
+    """Whether the ``images`` of a basis form a basis of the span of the
+    independent vectors ``basis``."""
+    if len(images) != len(basis):
         return False
     if not images:
         return True
     if rank(images) != len(images):
         return False
-    return rank(images + kernel_pp) == len(kernel_pp)
+    return rank(images + basis) == len(basis)
+
+
+def _check_fact_c(md, kernels):
+    """psi_minus restricted to ker rho_minus_star is a bijection onto
+    ker psi_plus."""
+    return _maps_onto([mat_vec(md.psi_minus, v)
+                       for v in kernels["rho_minus_star"]],
+                      kernels["psi_plus"])
 
 
 def _check_fact_b(hd, md, X, omega, kernels):
@@ -693,15 +702,7 @@ def _check_fact_b(hd, md, X, omega, kernels):
     images = [mat_vec(md.rho_minus_star, v) for v in kernels["psi_minus"]]
     if images and rank(images) != len(images):
         return False
-    moved = [mat_vec(iota, v) for v in images]
-    kernel_rp = kernels["rho_plus"]
-    if len(moved) != len(kernel_rp):
-        return False
-    if not moved:
-        return True
-    if rank(moved) != len(moved):
-        return False
-    return rank(moved + kernel_rp) == len(kernel_rp)
+    return _maps_onto([mat_vec(iota, v) for v in images], kernels["rho_plus"])
 
 
 def _find_invertible(particular, homogeneous, hp):

@@ -174,10 +174,11 @@ def test_catalog_regen(tmp_path, capsys):
     ({"k": -1}, "0 < k < dim"),
     ({"k": 3}, "0 < k < dim"),
     ({"spanning": [["0", "0", "0"]]}, "generic rank 0, expected k=1"),
+    ({"mode": "real", "conjugation": [[0, 0, 0]] * 3}, "matrix is singular"),
 ])
 def test_dual_invalid_structure_exit_two(tmp_path, capsys, change, message):
     # a dual of these would contradict itself (k = 4 on dim 3, or k = 2
-    # spanned by the 3 x 3 identity)
+    # spanned by the 3 x 3 identity), or has no conjugation (D = (C^T)^-1)
     data = {"mode": "complex", "dim": 3, "k": 1,
             "spanning": [["z0^2", "z0*z1", "z1^2"]]}
     data.update(change)

@@ -4,7 +4,10 @@ against the Q(i) RREF oracle, and the modular route of ``kernel_basis`` and
 
 Each solver output is unique (kernel vectors are fixed by their free
 column, particular solutions set every free variable to 0), so the solvers
-must agree with the oracle Scalar by Scalar, not only up to span.
+must agree with the oracle Scalar by Scalar, not only up to span.  Every
+entry point also gets block matrices, whose nonzero pattern has several
+connected components, and is run both with each matrix split into its
+components and with each matrix eliminated whole.
 """
 
 from fractions import Fraction
@@ -15,7 +18,7 @@ from oracles import rref
 
 from qlike import linalg, modp
 from qlike.linalg import independent_rows, kernel_basis, mat_mul, mat_vec, \
-    rank, solve, solve_affine, solve_matrix
+    rank, solve, solve_affine, solve_matrix, transpose
 from qlike.scalars import ONE, ZERO, Scalar
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -94,23 +97,70 @@ def right_sides(draw, a, ncols):
     return [[draw(entries) for _ in range(ncols)] for _ in a]
 
 
+@st.composite
+def block_matrices(draw):
+    """A block-diagonal matrix with its rows and columns shuffled, so that
+    its nonzero pattern has several components; zero rows and columns in no
+    row are mixed in."""
+    blocks = draw(st.lists(matrices(max_rows=3, max_cols=3), min_size=1,
+                           max_size=4))
+    ncols = sum(len(blk[0]) for blk in blocks) + draw(st.integers(0, 2))
+    a = []
+    off = 0
+    for blk in blocks:
+        for r in blk:
+            a.append([ZERO] * off + r + [ZERO] * (ncols - off - len(r)))
+        off += len(blk[0])
+    a += [[ZERO] * ncols for _ in range(draw(st.integers(0, 2)))]
+    perm = draw(st.permutations(range(ncols)))
+    return draw(st.permutations([[row[j] for j in perm] for row in a]))
+
+
+def some_matrices():
+    return matrices() | block_matrices()
+
+
+# a wide (>30-bit) 2 x 2 component beside a narrow 1 x 2 one
+W = Scalar(2 ** 40 + 1, 3)
+WIDE_AND_NARROW = [[W, ZERO, Scalar(0, 5), ZERO],
+                   [ZERO, ONE, ZERO, Scalar(2)],
+                   [2 * W, ZERO, Scalar(7), ZERO]]
+
+
+def _on_each_path(f, *args):
+    """``f(*args)`` with every matrix split into its components and with
+    every matrix eliminated whole; the two must agree."""
+    gate = linalg._SPLIT_CELLS
+    try:
+        linalg._SPLIT_CELLS = 0
+        split = f(*args)
+        linalg._SPLIT_CELLS = float("inf")
+        whole = f(*args)
+    finally:
+        linalg._SPLIT_CELLS = gate
+    assert split == whole
+    return split
+
+
 @SETTINGS
-@given(matrices())
+@given(some_matrices())
 @example([[ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]])
 @example([[Scalar(1, 1), Scalar(2, -1)], [Scalar(0, 2), Scalar(3, 1)]])
+@example(WIDE_AND_NARROW)
 def test_kernel_basis_matches_rref(a):
-    k = kernel_basis(a)
+    k = _on_each_path(kernel_basis, a)
     assert k == _oracle_kernel(a)
-    assert len(k) == len(a[0]) - rank(a)
+    r = _on_each_path(rank, a)
+    assert r == len(rref(a)[1]) == len(a[0]) - len(k)
 
 
 @SETTINGS
 @given(st.data())
 def test_solve_matches_rref(data):
-    a = data.draw(matrices())
+    a = data.draw(some_matrices())
     b = [row[0] for row in data.draw(right_sides(a, 1))]
     expected = _oracle_solve_matrix(a, [[x] for x in b])
-    x = solve(a, b)
+    x = _on_each_path(solve, a, b)
     if expected is None:
         assert x is None
     else:
@@ -121,9 +171,9 @@ def test_solve_matches_rref(data):
 @SETTINGS
 @given(st.data())
 def test_solve_matrix_matches_rref(data):
-    a = data.draw(matrices())
+    a = data.draw(some_matrices())
     b = data.draw(right_sides(a, data.draw(st.integers(1, 3))))
-    assert solve_matrix(a, b) == _oracle_solve_matrix(a, b)
+    assert _on_each_path(solve_matrix, a, b) == _oracle_solve_matrix(a, b)
 
 
 def test_inconsistent_big_denominator_system():
@@ -162,34 +212,22 @@ def _greedy_independent(vs):
 
 
 @SETTINGS
-@given(vector_lists())
+@given(vector_lists() | block_matrices().map(transpose))
 @example([])
 @example([[ZERO, ZERO], [ONE, ZERO], [ONE, ZERO], [ZERO, ZERO]])
 @example([[Scalar(Fraction(1, 3 ** 70)), Scalar(0, 1)],
           [ONE, Scalar(0, 3 ** 70)], [ZERO, ONE]])
 def test_independent_rows_is_greedy_selection(vs):
-    assert independent_rows(vs) == _greedy_independent(vs)
+    assert _on_each_path(independent_rows, vs) == _greedy_independent(vs)
 
 
 @st.composite
 def block_systems(draw):
-    """``(a, b)``: a block-diagonal system with its rows and unknowns
-    shuffled, so that its nonzero pattern has several components.  Zero
-    rows and unknowns in no row are mixed in; right-hand sides are A x0
+    """``(a, b)`` for a block matrix ``a``: right-hand sides are A x0
     (consistent) or A x0 with entries changed (inconsistent when a changed
     row depends on others of its component, or is zero)."""
-    blocks = draw(st.lists(matrices(max_rows=3, max_cols=3), min_size=1,
-                           max_size=4))
-    ncols = sum(len(blk[0]) for blk in blocks) + draw(st.integers(0, 2))
-    a = []
-    off = 0
-    for blk in blocks:
-        for r in blk:
-            a.append([ZERO] * off + r + [ZERO] * (ncols - off - len(r)))
-        off += len(blk[0])
-    a += [[ZERO] * ncols for _ in range(draw(st.integers(0, 2)))]
-    perm = draw(st.permutations(range(ncols)))
-    a = draw(st.permutations([[row[j] for j in perm] for row in a]))
+    a = draw(block_matrices())
+    ncols = len(a[0])
     entries = draw(st.sampled_from([_entries("rational"), _big_entries()]))
     b = mat_vec(a, [draw(entries) for _ in range(ncols)])
     for _ in range(draw(st.integers(0, 2))):
@@ -204,14 +242,19 @@ def block_systems(draw):
 @example(([[ONE, ZERO], [ONE, ZERO], [ZERO, Scalar(2)]],     # one component
           [ONE, Scalar(2), Scalar(3)]))                      # inconsistent
 @example(([[ZERO, Scalar(0, 3), ZERO]], [Scalar(1, 1)]))     # unknowns in no row
+@example((WIDE_AND_NARROW, [W, Scalar(3), ONE]))
+@example((WIDE_AND_NARROW, [W, Scalar(3), 2 * W]))
 @example(([], []))
-def test_solve_affine_matches_solve_and_kernel(system):
+def test_solve_affine_matches_rref(system):
     a, b = system
-    x, kernel = solve_affine(a, b)
-    assert x == solve(a, b)
-    assert kernel == kernel_basis(a)
+    x, kernel = _on_each_path(solve_affine, a, b)
     if a:
+        expected = _oracle_solve_matrix(a, [[y] for y in b])
+        assert x == (None if expected is None
+                     else [row[0] for row in expected])
         assert kernel == _oracle_kernel(a)
+    else:
+        assert (x, kernel) == ([], [])
 
 
 # (1+2i)^30: a Gaussian content far larger than the entries it multiplies
