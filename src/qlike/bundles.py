@@ -17,10 +17,12 @@ from dataclasses import dataclass
 
 from .errors import InternalError, InvalidInput
 from .forms import BinaryForm, _int_polys, format_form, ip_add, ip_mul, parse_form
-from .linalg import kernel_basis, rank as scalar_rank
+from .linalg import identity, kernel_basis, rank as scalar_rank, transpose
 from .modp import PRIMES, rank_modp, reduce_modp, sqrt_minus_one
-from .polymatrix import (PolyMatrix, _equation_rows, annihilator_generators,
-                         generic_rank, graded_kernel, solve_combination)
+from .polymatrix import (PolyMatrix, _decode, _equation_rows, _multiple_coeffs,
+                         _section_layout, _section_values,
+                         annihilator_generators, generic_rank, graded_kernel,
+                         solve_combination)
 
 SAMPLE_POINTS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))
 
@@ -53,7 +55,7 @@ class SplittingType:
         return SplittingType.of([a + m for a in self.summands])
 
     def h0(self, m=0):
-        return sum(max(0, a + m + 1) for a in self.summands)
+        return _section_layout(self.summands, m)[2]
 
     def to_json(self):
         return list(self.summands)
@@ -206,12 +208,11 @@ def _h0_killed_by(ann: SubbundleFamily, m: int) -> int:
     kernel solve."""
     if m < 0:
         return 0
-    n = ann.ambient
-    relations = [list(col) for col in ann.columns()]
-    eq = _equation_rows(relations, [0] * n, [m + 1] * n,
-                        [i * (m + 1) for i in range(n)], m)
+    shifts = [0] * ann.ambient
+    relations = [[f.coeffs for f in col] for col in ann.columns()]
+    eq = _equation_rows(relations, shifts, m)
     if not eq:
-        return n * (m + 1)
+        return _section_layout(shifts, m)[2]
     return len(kernel_basis(eq))
 
 
@@ -225,7 +226,9 @@ def _certified_h0s(F: SubbundleFamily, ann: SubbundleFamily, twists):
     Upper bound: the z-multiples of F's basis columns at degree m lie in
     its kernel once every column of ann pairs to zero with every column of
     F, which is checked exactly, as Gaussian-integer polynomial products.
-    See :mod:`qlike.modp` for why meeting bounds prove the rank.
+    See :mod:`qlike.modp` for why meeting bounds prove the rank.  Both
+    matrices are built by :mod:`qlike.polymatrix`'s layout functions, as
+    the exact solve's rows are, from reduced coefficient lists.
     """
     n = F.ambient
     fam = [_int_polys(col) for col in F.columns()]
@@ -252,45 +255,25 @@ def _pairing(q, f):
 
 def _certified_h0(rels, fam, degrees, n, m):
     """The kernel dimension at twist m from the first prime whose two rank
-    bounds meet; None if none does."""
-    ncols = n * (m + 1)
+    bounds meet; None if none does.  ``rels`` and ``fam`` hold untrimmed
+    coefficient lists: the equation rows are grouped by each form's degree,
+    which a trimmed list would understate."""
+    shifts = [0] * n
+    ncols = _section_layout(shifts, m)[2]
+    # F's basis column of degree e has one z-multiple per section of O(m - e)
+    multiples = _section_layout([-e for e in degrees], m)[0]
     for p in PRIMES:
         ip = sqrt_minus_one(p)
-        eq = []
-        for q in rels:
-            qp = reduce_modp(q, p, ip)
-            block = [[0] * ncols for _ in range(max(map(len, qp)) + m)]
-            for l, f in enumerate(qp):
-                for u, a in enumerate(f):
-                    if a:
-                        for t in range(m + 1):
-                            block[u + t][l * (m + 1) + t] = a
-            eq.extend(block)
-        witnesses = []
-        for col, e in zip(fam, degrees):
-            cp = reduce_modp(col, p, ip)
-            for shift in range(m - e + 1):
-                row = [0] * ncols
-                for l, f in enumerate(cp):
-                    off = l * (m + 1) + shift
-                    row[off:off + len(f)] = f
-                witnesses.append(row)
+        relsp = [reduce_modp(q, p, ip) for q in rels]
+        famp = [reduce_modp(col, p, ip) for col in fam]
+        eq = _equation_rows(relsp, shifts, m, zero=0)
+        witnesses = [_multiple_coeffs(col, shifts, m, t, zero=0)
+                     for col, count in zip(famp, multiples)
+                     for t in range(count)]
         r_eq = rank_modp(eq, p)
         if r_eq + rank_modp(witnesses, p) == ncols:
             return ncols - r_eq
     return None
-
-
-def _quotient_sections(ann_degrees, m):
-    """Pairing-tuple basis of H^0 of (trivial / A)(m), where A's annihilator
-    has the given generator degrees."""
-    basis = []
-    for j, e in enumerate(ann_degrees):
-        for t in range(max(0, m + e + 1)):
-            tup = [BinaryForm.zero(max(m + d, 0)) for d in ann_degrees]
-            tup[j] = BinaryForm.monomial(m + e, t)
-            basis.append(tup)
-    return basis
 
 
 def h0_twist(F, m: int):
@@ -299,21 +282,24 @@ def h0_twist(F, m: int):
     SubbundleFamily: basis vectors are n-tuples of degree-m forms, spanning
     the sections whose value lies in the fiber at every point.
     QuotientBundle: a section is a tuple (f_j), one form of degree m + e_j
-    per annihilator generator q_j (its pairing coordinates); the dimension is
-    sum_j max(0, m + e_j + 1).
+    per annihilator generator q_j (its pairing coordinates), so the
+    dimension is that of H^0 of the sum of the O(m + e_j).
     """
     if isinstance(F, SubbundleFamily):
         basis = []
-        for j in range(F.rank):
-            e = F.degrees[j]
+        lengths = _section_layout([-e for e in F.degrees], m)[0]
+        for j, length in enumerate(lengths):
             col = F.basis.column(j)
-            for t in range(max(0, m - e + 1)):
-                mono = BinaryForm.monomial(m - e, t)
+            for t in range(length):
+                mono = BinaryForm.monomial(length - 1, t)
                 basis.append([c * mono if not c.is_zero() else
                               BinaryForm.zero(m) for c in col])
         return len(basis), basis
     if isinstance(F, QuotientBundle):
-        basis = _quotient_sections(annihilator(F.denominator).degrees, m)
+        # the monomial basis of the layout, one coordinate at a time
+        degs = annihilator(F.denominator).degrees
+        basis = [list(_decode(row, degs, m))
+                 for row in identity(_section_layout(degs, m)[2])]
         return len(basis), basis
     raise TypeError("h0_twist expects a SubbundleFamily or QuotientBundle")
 
@@ -441,7 +427,7 @@ def is_split_extension(A: SubbundleFamily) -> bool:
             # row i of R is forced to zero; R.basis cannot hit the identity
             return False
     # all generator degrees zero: constant basis matrix, solve R B = I
-    from .linalg import identity, solve_matrix
+    from .linalg import solve_matrix
     bmat = [[A.basis.entries[l][j].coeffs[0] for j in range(k)]
             for l in range(n)]
     # R B = I transposes to B^T R^T = I with R^T the n x k unknown
@@ -481,13 +467,10 @@ def verify_canonical_sequences(Q: QuotientBundle) -> dict:
             "c1_additivity": st.degree == h0_m1,
         },
     }
-    # evaluation surjectivity of H^0 onto three sample fibers
-    basis = _quotient_sections(ann_degrees, 0)
-    fibers_ok = True
-    for z0, z1 in SAMPLE_POINTS[:3]:
-        values = [[f.evaluate(z0, z1) for f in tup] for tup in basis]
-        if scalar_rank(values) != Q.rank:
-            fibers_ok = False
+    # evaluation surjectivity of H^0 onto three sample fibers: the values of
+    # its monomial basis are the rows of this transpose
+    fibers_ok = all([scalar_rank(transpose(_section_values(ann_degrees, 0, *z)))
+                     == Q.rank for z in SAMPLE_POINTS[:3]])
     report["evaluation_surjective"] = fibers_ok
     report["ok"] = all([
         report["serre_h1_check"],

@@ -34,7 +34,7 @@ def _pluecker_coordinates(family: SubbundleFamily):
     n, k = family.ambient, family.rank
     table = {(): [(1, 0)]}
     for j, col in enumerate(family.columns()):
-        col = _int_polys(col)
+        col = [ip_trim(f) for f in _int_polys(col)]
         new = {}
         for rows in itertools.combinations(range(n), j + 1):
             acc = []

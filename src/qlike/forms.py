@@ -95,9 +95,6 @@ class BinaryForm:
     def scale(self, s: Scalar):
         return BinaryForm(self.degree, tuple(c * s for c in self.coeffs))
 
-    def conj_coeffs(self):
-        return BinaryForm(self.degree, tuple(c.conjugate() for c in self.coeffs))
-
     # -- calculus / evaluation ----------------------------------------------
 
     def evaluate(self, z0, z1) -> Scalar:
@@ -279,11 +276,12 @@ def _int_poly(coeffs):
 
 def _int_polys(forms):
     """Clear the denominators of several forms with one common factor; one
-    trimmed Gaussian-integer pair list per form.  Scaling a column of forms
-    by a constant keeps its pointwise span and its syzygies."""
+    untrimmed Gaussian-integer pair list per form, a pair per coefficient.
+    Scaling a column of forms by a constant keeps its pointwise span and its
+    syzygies."""
     _, flat = clear_denominators([c for f in forms for c in f.coeffs])
     it = iter(flat)
-    return [ip_trim([next(it) for _ in f.coeffs]) for f in forms]
+    return [[next(it) for _ in f.coeffs] for f in forms]
 
 
 def _pseudo_rem(a, b):

@@ -28,8 +28,13 @@ class LieAlgebra:
     __slots__ = ("dim", "brackets", "name")
 
     def __init__(self, dim, brackets, name=""):
+        if type(dim) is not int or dim < 1:
+            raise InvalidInput("algebra dim must be a positive integer: %r" % (dim,))
         table = {}
         for (i, j), vec in brackets.items():
+            if not all(type(x) is int and 0 <= x < dim for x in (i, j)):
+                raise InvalidInput("bracket [%r, %r] needs basis indices below %d"
+                                   % (i, j, dim))
             vec = tuple(scalar(c) for c in vec)
             if len(vec) != dim:
                 raise InvalidInput("bracket [%d,%d] has wrong length" % (i, j))
@@ -111,6 +116,9 @@ class LieAlgebra:
         for i, j, terms in data["brackets"]:
             vec = [ZERO] * dim
             for k, text in terms:
+                if type(k) is not int or not 0 <= k < len(vec):
+                    raise InvalidInput("bracket coordinate %r is not a basis index"
+                                       % (k,))
                 vec[k] = parse_scalar(text) if isinstance(text, str) else scalar(text)
             table[(i, j)] = vec
         return LieAlgebra(dim, table, data.get("name", ""))
@@ -131,6 +139,9 @@ class Representation:
                      for m in matrices)
         if len(mats) != algebra.dim:
             raise InvalidInput("need one matrix per basis element")
+        n = len(mats[0]) if mats else 0
+        if any(len(m) != n or any(len(row) != n for row in m) for m in mats):
+            raise InvalidInput("representation matrices must all be %d x %d" % (n, n))
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "matrices", mats)
 
@@ -182,10 +193,13 @@ class Sl2Embedding:
     f: tuple
 
     def __init__(self, algebra, e, h, f):
+        e, h, f = (tuple(scalar(c) for c in v) for v in (e, h, f))
+        if any(len(v) != algebra.dim for v in (e, h, f)):
+            raise InvalidInput("E, H and F need %d coordinates each" % algebra.dim)
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "e", tuple(scalar(c) for c in e))
-        object.__setattr__(self, "h", tuple(scalar(c) for c in h))
-        object.__setattr__(self, "f", tuple(scalar(c) for c in f))
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "f", f)
 
     def check(self):
         g = self.algebra

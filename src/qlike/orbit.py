@@ -43,6 +43,8 @@ class GoodQuadruple:
         object.__setattr__(self, "u_basis",
                            tuple(tuple(scalar(c) for c in v)
                                  for v in self.u_basis))
+        if any(len(v) != self.space_dim for v in self.u_basis):
+            raise InvalidInput("u_basis vectors need %d coordinates" % self.space_dim)
         if self.nilpotent is not None:
             object.__setattr__(self, "nilpotent",
                                tuple(scalar(c) for c in self.nilpotent))

@@ -8,7 +8,8 @@ are the kernel vectors that :func:`~qlike.linalg.independent_rows` finds
 independent of the z-multiples of the generators already found, so the
 output degrees are minimal.  Kernels of maps into torsion-free modules are
 saturated, hence free here (two variables), and the generator count equals
-cols - generic rank; the loop stops exactly there.
+cols - generic rank; the loop stops exactly there.  Every graded system,
+exact or modulo a prime, is built in this module's section-space layout.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 
 from .errors import InternalError, InvalidInput
 from .forms import BinaryForm
-from .linalg import independent_rows, kernel_basis, rank, solve
+from .linalg import identity, independent_rows, kernel_basis, rank, solve
 from .scalars import ONE, ZERO, Scalar, scalar
 
 DEFAULT_MAX_DEGREE = 64
@@ -153,25 +154,23 @@ def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None, *,
     limited = env_cap < cap
     cap = min(cap, env_cap)
 
+    rows = [[f.coeffs for f in row] for row in relation_rows]
     gens = []
     m = -max(shifts)
     while m <= cap:
-        lengths = [max(0, m + s + 1) for s in shifts]
-        total = sum(lengths)
+        total = _section_layout(shifts, m)[2]
         if total > 0:
-            offsets = [sum(lengths[:j]) for j in range(len(lengths))]
-            eq_rows = _equation_rows(relation_rows, shifts, lengths, offsets, m)
-            sols = kernel_basis(eq_rows) if eq_rows else \
-                [[ONE if i == j else ZERO for i in range(total)] for j in range(total)]
+            eq_rows = _equation_rows(rows, shifts, m)
+            sols = kernel_basis(eq_rows) if eq_rows else identity(total)
             if sols:
-                mults = [_multiple_coeffs(gvec, lengths, offsets, mono1)
-                         for mg, gvec in gens
+                known = [(mg, [f.coeffs for f in gvec]) for mg, gvec in gens]
+                mults = [_multiple_coeffs(gvec, shifts, m, mono1)
+                         for mg, gvec in known
                          for mono1 in range(m - mg, -1, -1)]
                 for i in independent_rows(mults + sols):
                     if i < len(mults):
                         continue
-                    vec = _decode(sols[i - len(mults)], shifts, lengths,
-                                  offsets, m)
+                    vec = _decode(sols[i - len(mults)], shifts, m)
                     gens.append((m, vec))
                     if len(gens) == expected_count:
                         return gens
@@ -182,55 +181,84 @@ def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None, *,
     raise InternalError("%s did not terminate by degree %d" % (context, cap))
 
 
-def _equation_rows(relation_rows, shifts, lengths, offsets, m):
-    total = sum(lengths)
+# -- the section-space layout ------------------------------------------------
+# A section (c_j) of the sum of the O(m + shift_j) is the vector whose block j
+# holds the max(0, m + shift_j + 1) coefficients of c_j.  The builders take
+# forms as coefficient sequences, BinaryForm.coeffs or their untrimmed
+# reductions modulo a prime, and ``zero`` fills the other cells.  A cell gets
+# at most one coefficient ((u, t) -> (u + t, offset_j + t) is injective and
+# the blocks are disjoint), so the builders assign.
+
+def _section_layout(shifts, m):
+    """(lengths, offsets, total) of the blocks at stage m."""
+    lengths = [max(0, m + s + 1) for s in shifts]
+    offsets = []
+    total = 0
+    for length in lengths:
+        offsets.append(total)
+        total += length
+    return lengths, offsets, total
+
+
+def _equation_rows(relation_rows, shifts, m, zero=ZERO):
+    """Rows of sum_j f_ij * c_j = 0 on the stage-m coordinates of the c_j:
+    one row per monomial of each relation's degree, a relation's entries
+    grouped by degree, and no rows for a relation whose entries are zero."""
+    lengths, offsets, total = _section_layout(shifts, m)
     out = []
     for row in relation_rows:
         by_degree = {}
         for j, f in enumerate(row):
-            if lengths[j] == 0 or f.is_zero():
+            length = lengths[j]
+            if not length or not any(f):
                 continue
-            D = f.degree + m + shifts[j]
+            D = len(f) - 1 + m + shifts[j]
             block = by_degree.get(D)
             if block is None:
-                block = [[ZERO] * total for _ in range(D + 1)]
-                by_degree[D] = block
+                block = by_degree[D] = [[zero] * total for _ in range(D + 1)]
             off = offsets[j]
-            for u, a in enumerate(f.coeffs):
-                if a.is_zero():
-                    continue
-                for t in range(lengths[j]):
-                    block[u + t][off + t] = block[u + t][off + t] + a
+            for u, a in enumerate(f):
+                if a:
+                    for t in range(length):
+                        block[u + t][off + t] = a
         for D in sorted(by_degree):
             out.extend(by_degree[D])
     return out
 
 
-def _multiple_coeffs(gvec, lengths, offsets, mono1):
-    """Coefficient vector of z0^a z1^mono1 times a generator at this stage
-    (the stage degree fixes a)."""
-    total = sum(lengths)
-    out = [ZERO] * total
+def _multiple_coeffs(gvec, shifts, m, mono1, zero=ZERO):
+    """Stage-m coordinates of z0^a z1^mono1 times the generator whose forms
+    have the coefficients ``gvec`` (the stage degree fixes a)."""
+    lengths, offsets, total = _section_layout(shifts, m)
+    out = [zero] * total
     for j, f in enumerate(gvec):
-        if lengths[j] == 0 or f.is_zero():
-            continue
-        off = offsets[j]
-        # multiplying by z0^a z1^b shifts the z1-power index by b
-        for u, c in enumerate(f.coeffs):
-            if not c.is_zero():
-                out[off + u + mono1] = out[off + u + mono1] + c
+        if lengths[j]:
+            # multiplying by z0^a z1^mono1 shifts the z1-power index by mono1
+            off = offsets[j] + mono1
+            for u, c in enumerate(f):
+                if c:
+                    out[off + u] = c
     return out
 
 
-def _decode(sol, shifts, lengths, offsets, m):
-    vec = []
-    for j, L in enumerate(lengths):
-        deg = m + shifts[j]
-        if L == 0:
-            vec.append(BinaryForm.zero(max(deg, 0)))
-        else:
-            vec.append(BinaryForm(deg, sol[offsets[j]:offsets[j] + L]))
-    return tuple(vec)
+def _decode(sol, shifts, m):
+    """The forms whose stage-m coordinates are ``sol``."""
+    lengths, offsets, _ = _section_layout(shifts, m)
+    return tuple(BinaryForm(m + s, sol[off:off + length]) if length else
+                 BinaryForm.zero(max(m + s, 0))
+                 for s, length, off in zip(shifts, lengths, offsets))
+
+
+def _section_values(shifts, m, z0, z1):
+    """The len(shifts) x total matrix of the layout's monomial basis at
+    [z0 : z1]: the basis section with coefficient 1 at coordinate t of block
+    j has the value z0^(d - t) * z1^t, d = m + shift_j, in entry j."""
+    lengths, offsets, total = _section_layout(shifts, m)
+    ev = [[ZERO] * total for _ in shifts]
+    for j, length in enumerate(lengths):
+        for t in range(length):
+            ev[j][offsets[j] + t] = BinaryForm.monomial(length - 1, t).evaluate(z0, z1)
+    return ev
 
 
 def graded_kernel_basis(M: PolyMatrix) -> PolyMatrix:
@@ -275,29 +303,24 @@ def solve_combination(columns, col_degrees, target, target_degree):
     generated by the columns.  For a free saturated basis the solution is
     unique when it exists.
     """
-    ncols = len(columns)
     ambient = len(target)
     shifts = [-d for d in col_degrees]
-    lengths = [max(0, target_degree + s + 1) for s in shifts]
-    offsets = [sum(lengths[:j]) for j in range(ncols)]
-    total = sum(lengths)
+    total = _section_layout(shifts, target_degree)[2]
     if total == 0:
         if all(f.is_zero() for f in target):
-            return list(_decode([], shifts, lengths, offsets, target_degree))
+            return list(_decode([], shifts, target_degree))
         return None
     if any(not f.is_zero() and f.degree != target_degree for f in target):
         return None
-    # the target rides as one more unknown, of degree 0, so the last entry
-    # of each row is its right-hand side
-    relations = [[col[l] for col in columns] + [target[l]]
+    # the target rides as one more unknown, of degree 0 and so the last in
+    # the layout, so the last entry of each row is its right-hand side
+    relations = [[col[l].coeffs for col in columns] + [target[l].coeffs]
                  for l in range(ambient)]
-    rows = _equation_rows(relations, shifts + [-target_degree],
-                          lengths + [1], offsets + [total], target_degree)
+    rows = _equation_rows(relations, shifts + [-target_degree], target_degree)
     # no rows: every column and the target are zero, and c = 0 solves it
     a = [r[:total] for r in rows] or [[ZERO] * total]
     b = [r[total] for r in rows] or [ZERO]
     sol = solve(a, b)
     if sol is None:
         return None
-    return list(_decode(sol, shifts, lengths, offsets, target_degree))
-
+    return list(_decode(sol, shifts, target_degree))

@@ -6,7 +6,8 @@ spanning matrix z -> U^z and (in real mode) an antilinear conjugation
 x -> C conj(x) compatible with the antipodal map of the sphere.
 
 The module provides validation (rank, reality, immersion, injectivity,
-nonsplitting; the curve checks live in :mod:`qlike.embedding`), classification by splitting types, the plus/minus section-space
+nonsplitting; the curve checks live in :mod:`qlike.embedding`),
+classification by splitting types, the plus/minus section-space
 presentations ("heaven" data and its dual), and the verifier for the
 factorization identity psi_plus . psi_minus = rho_plus . iota . rho_minus_star
 together with its kernel/cokernel bookkeeping.
@@ -25,7 +26,8 @@ from .errors import InternalError, InvalidInput
 from .forms import BinaryForm, antipodal_transform, format_form, parse_form
 from .linalg import (conj_matrix, identity, inverse, kernel_basis, mat_eq,
                      mat_mul, mat_vec, rank, solve_affine, transpose, zeros)
-from .polymatrix import PolyMatrix, solve_combination
+from .polymatrix import (PolyMatrix, _equation_rows, _section_layout,
+                         _section_values, solve_combination)
 from .scalars import ONE, ZERO, Scalar, scalar
 
 
@@ -327,15 +329,6 @@ class HeavenData:
     conj_e_plus: list = None
 
 
-def _ann_offsets(degrees, twist):
-    offsets = []
-    acc = 0
-    for e in degrees:
-        offsets.append(acc)
-        acc += max(0, e + twist + 1)
-    return offsets, acc
-
-
 def heaven_data(S: QLikeStructure, family: SubbundleFamily = None) -> HeavenData:
     """Plus-side data of S.  ``family`` is S's saturated family when the
     caller has it (validate's); otherwise it is saturated here.  Either
@@ -346,27 +339,20 @@ def heaven_data(S: QLikeStructure, family: SubbundleFamily = None) -> HeavenData
     ann = annihilator(family)
     degs = list(ann.degrees)
     n = S.dim
-    off0, u_dim = _ann_offsets(degs, 0)
-    offm1, h_dim = _ann_offsets(degs, -1)
+    _, off0, u_dim = _section_layout(degs, 0)
+    lenm1, offm1, h_dim = _section_layout(degs, -1)
     e_dim = 2 * h_dim
 
-    # psi_plus: u in U maps to the tuple of pairings <q_j(.), u>
-    psi = zeros(u_dim, n)
-    for j, e in enumerate(degs):
-        qcol = ann.basis.column(j)
-        for l in range(n):
-            f = qcol[l]
-            if f.is_zero():
-                continue
-            for w, c in enumerate(f.coeffs):
-                if not c.is_zero():
-                    psi[off0[j] + w][l] = psi[off0[j] + w][l] + c
+    # psi_plus: u in U maps to the tuple of pairings <q_j(.), u>, the
+    # equations of the constant vectors u that every q_j kills
+    psi = _equation_rows([[f.coeffs for f in col] for col in ann.columns()],
+                         [0] * n, 0)
 
     # rho_plus: (z_a tensor h) maps to z_a * h, E basis is z_a-major
     rho = zeros(u_dim, e_dim)
     for a in range(2):
-        for j, e in enumerate(degs):
-            for t in range(max(0, e)):
+        for j, length in enumerate(lenm1):
+            for t in range(length):
                 col = a * h_dim + offm1[j] + t
                 # z0 * monomial(e-1, t) = monomial(e, t); z1 * ... = monomial(e, t+1)
                 w = t + a
@@ -376,8 +362,7 @@ def heaven_data(S: QLikeStructure, family: SubbundleFamily = None) -> HeavenData
 
     # genericity: sections vanishing at z plus the image of psi_plus span U_plus
     for z0, z1 in SAMPLE_POINTS[:3]:
-        ev = _evaluation_matrix(ann, degs, off0, u_dim, z0, z1)
-        vanishing = kernel_basis(ev)
+        vanishing = kernel_basis(_section_values(degs, 0, z0, z1))
         image_vectors = [list(col) for col in zip(*psi)] if n else []
         if rank(vanishing + image_vectors) != u_dim:
             raise InternalError(
@@ -387,17 +372,6 @@ def heaven_data(S: QLikeStructure, family: SubbundleFamily = None) -> HeavenData
     if not S.complex_mode:
         _attach_conjugations(hd)
     return hd
-
-
-def _evaluation_matrix(ann, degs, offsets, u_dim, z0, z1):
-    """Rows: values (f_j(z))_j of the coordinate basis of U_plus."""
-    rows = len(degs)
-    ev = zeros(rows, u_dim)
-    z0, z1 = scalar(z0), scalar(z1)
-    for j, e in enumerate(degs):
-        for w in range(e + 1):
-            ev[j][offsets[j] + w] = BinaryForm.monomial(e, w).evaluate(z0, z1)
-    return ev
 
 
 def _attach_conjugations(hd: HeavenData):
@@ -456,7 +430,7 @@ def _attach_conjugations(hd: HeavenData):
 def _conj_matrix_on_sections(degs, G, twist):
     """Antilinear action on the tuple coordinates at the given twist,
     represented by the matrix A with kappa(x) = A conj(x)."""
-    offsets, total = _ann_offsets(degs, twist)
+    lengths, offsets, total = _section_layout(degs, twist)
     if total == 0:
         return []
     A = zeros(total, total)
@@ -467,7 +441,7 @@ def _conj_matrix_on_sections(degs, G, twist):
             if g.is_zero():
                 continue
             # basis monomial (l, t) contributes antipodal(G[j][l] * mono)
-            for t in range(max(0, el + twist + 1)):
+            for t in range(lengths[l]):
                 mono = BinaryForm.monomial(el + twist, t)
                 prod = antipodal_transform(g * mono)
                 if sign < 0:
@@ -508,13 +482,12 @@ def minus_data(hd: HeavenData) -> MinusData:
     if not ker_psi:
         return md
     degs = list(dual.ann.degrees)
-    off0, u_dim = _ann_offsets(degs, 0)
     for z0, z1 in SAMPLE_POINTS[:3]:
-        ev = _evaluation_matrix(dual.ann, degs, off0, u_dim, z0, z1)
-        vanishing = kernel_basis(ev)          # (U_plus of dual)^z
+        # (U_plus of dual)^z
+        vanishing = kernel_basis(_section_values(degs, 0, z0, z1))
         # (U_minus)^z is its annihilator inside the dual coordinates
         family_z = kernel_basis(vanishing) if vanishing else \
-            [list(row) for row in identity(u_dim)]
+            [list(row) for row in identity(dual.u_plus_dim)]
         if _intersection_dim(family_z, ker_psi) != 0:
             raise InternalError(
                 "minus-side genericity failed at a sample point; "

@@ -251,6 +251,19 @@ _F = [0, 1, 0, 0, 0, 0, 0, 0]
     ({"algebra": "sl(3)", "sl2": {"E": ["abc"] * 8, "H": _E, "F": _F}},
      "bad quadruple file"),
     ([], "JSON object"),
+    # badly shaped vectors and matrices, rejected where they are built
+    ({"algebra": "sl(2)", "sl2": {"E": [1, 0, 0], "H": [0, 0],
+                                  "F": [0, 1, 0]}}, "need 3 coordinates"),
+    ({"algebra": "sl(2)", "sl2": {"E": [1, 0, 0, 1], "H": [0, 0, 1, 1],
+                                  "F": [0, 1, 0, 1]}}, "need 3 coordinates"),
+    ({"algebra": "sl(2)", "sl2": {"nilpotent": "principal"},
+      "representation": {"matrices": [[[1, 0], [0]], [[0]], [[0]]]}},
+     "must all be 2 x 2"),
+    ({"algebra": "sl(2)", "representation": "adjoint",
+      "sl2": {"nilpotent": "principal"}, "u_basis": [[1, 0]]},
+     "u_basis vectors need 3 coordinates"),
+    ({"algebra": {"dim": 3, "brackets": [[0, 1, [[5, "1"]]]]},
+      "sl2": {"nilpotent": [0, 1, 0]}}, "not a basis index"),
 ])
 def test_malformed_quadruple_exit_two(tmp_path, capsys, spec, message):
     path = tmp_path / "quad.json"
@@ -258,3 +271,4 @@ def test_malformed_quadruple_exit_two(tmp_path, capsys, spec, message):
     code, out, err = run_cli(capsys, "twistor", "--file", str(path))
     assert code == 2
     assert message in err
+    assert "Traceback" not in err

@@ -12,6 +12,7 @@ imported, and nothing in it is changed.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,3 +92,52 @@ def test_untraced_binding_is_detected():
               "    from .linalg import rank\n")
     assert sorted(untraced_bindings(source)) == [
         ("linalg", "kernel_basis"), ("modp", "resultant_gcd_is_constant")]
+
+
+def hook_argument_reads():
+    """``(label, name, position)`` for each argument a tracer hook reads as
+    ``args[position] if ... else kwargs[name]`` (or ``kwargs.get(name)``),
+    with the label of the traced function the hook is installed on."""
+    tree = ast.parse(TRACER.read_text())
+    labels = {}
+    methods = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict) and all(
+                isinstance(v, ast.Attribute) and v.attr.endswith("_hook")
+                for v in node.values) and node.values:
+            labels.update({v.attr: k.value
+                           for k, v in zip(node.keys, node.values)})
+        elif isinstance(node, ast.FunctionDef) and node.name.endswith("_hook"):
+            methods[node.name] = node
+    reads = set()
+    for method, label in labels.items():
+        for node in ast.walk(methods[method]):
+            if not (isinstance(node, ast.IfExp)
+                    and isinstance(node.body, ast.Subscript)
+                    and getattr(node.body.value, "id", None) == "args"):
+                continue
+            other = node.orelse
+            if isinstance(other, ast.Call):        # kwargs.get(name)
+                name = other.args[0].value
+            else:                                  # kwargs[name]
+                name = other.slice.value
+            reads.add((label, name, node.body.slice.value))
+    return reads
+
+
+def test_tracer_hooks_read_arguments_where_the_signatures_have_them():
+    # a reordered or renamed parameter would make a hook read the wrong
+    # argument, and miscount e.g. polymatrix.graded_kernel.stages silently
+    reads = hook_argument_reads()
+    assert reads == {("linalg.kernel_basis", "a", 0),
+                     ("polymatrix.graded_kernel", "n_unknowns", 1),
+                     ("polymatrix.graded_kernel", "unknown_shifts", 2),
+                     ("bundles.annihilator", "A", 0),
+                     ("bundles.saturate", "P", 0)}
+    for label, name, position in reads:
+        module, function = label.split(".")
+        fn = getattr(importlib.import_module("qlike." + module), function)
+        params = list(inspect.signature(fn).parameters.values())
+        assert params[position].name == name, (label, name, position)
+        assert params[position].kind is \
+            inspect.Parameter.POSITIONAL_OR_KEYWORD, (label, name)
