@@ -14,15 +14,14 @@ from dataclasses import dataclass, field
 from .bundles import SplittingType
 from .errors import InternalError, InvalidInput
 from .forms import BinaryForm, parse_form
-from .lie import (MatrixAlgebra, Sl2Embedding, builtin_algebra,
-                  jacobson_morozov, principal_sl2_matrices, sl2_decompose,
+from .lie import (Sl2Embedding, builtin_algebra, jacobson_morozov,
+                  named_nilpotent, principal_sl2_matrices, sl2_decompose,
                   sl_algebra, so_algebra, sp_algebra,
                   wedge_square_representation)
 from .linalg import identity, kernel_basis, mat_mul, solve_matrix, zeros
 from .orbit import GoodQuadruple, normal_bundle, dimension_report
 from .polymatrix import PolyMatrix
 from .scalars import I, ONE, ZERO, Scalar
-from .structures import QLikeStructure
 
 
 # --------------------------------------------------------------------------
@@ -130,20 +129,6 @@ def build_sp(two_m) -> GoodQuadruple:
                          name="sp:%d" % two_m)
 
 
-def named_nilpotent(ma: MatrixAlgebra, spec: str):
-    """Named nilpotents for sl(n): "principal" (regular) and "minimal"."""
-    n = len(ma.basis_matrices[0])
-    m = zeros(n, n)
-    if spec == "principal":
-        for i in range(n - 1):
-            m[i + 1][i] = ONE
-    elif spec == "minimal":
-        m[n - 1][0] = ONE
-    else:
-        raise InvalidInput("unknown nilpotent spec %r" % spec)
-    return ma.coordinates_of_matrix(m)
-
-
 def build_adjoint(algebra_name, nilpotent_spec) -> GoodQuadruple:
     """Adjoint quadruple through a nilpotent: the sl(2) comes from the
     Jacobson-Morozov solver and U is its image."""
@@ -207,6 +192,7 @@ def build_quaternionic(k) -> QLikeStructure:
     """The classical structure on H^k: spheres of -i eigenspaces of the
     compatible complex structures, interpolated exactly from three sample
     points of the sphere ([1:0] -> I, [0:1] -> -I, [1:1] -> J)."""
+    from .structures import QLikeStructure
     if k < 1:
         raise InvalidInput("quaternionic builder needs k >= 1")
     n = 4 * k
@@ -248,6 +234,7 @@ def build_quaternionic(k) -> QLikeStructure:
 def build_conic_r3() -> QLikeStructure:
     """Degree-two structure on a three-dimensional real space, conjugation
     antidiagonal(1, -1, 1)."""
+    from .structures import QLikeStructure
     col = [parse_form("z0^2"), parse_form("z0*z1"), parse_form("z1^2")]
     spanning = PolyMatrix.from_columns(3, [col], [2])
     conj = [[0, 0, 1], [0, -1, 0], [1, 0, 0]]
@@ -256,6 +243,7 @@ def build_conic_r3() -> QLikeStructure:
 
 def build_twisted_plane_c4() -> QLikeStructure:
     """Complex-mode line family (z0^2, z0 z1, z1^2, 0) in C^4."""
+    from .structures import QLikeStructure
     col = [parse_form("z0^2"), parse_form("z0*z1"), parse_form("z1^2"),
            BinaryForm.zero(2)]
     spanning = PolyMatrix.from_columns(4, [col], [2])

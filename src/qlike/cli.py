@@ -159,8 +159,8 @@ def cmd_dual(args):
 
 def cmd_twistor(args):
     started = time.time()
-    from . import catalog
     if args.catalog:
+        from . import catalog
         entry = catalog.entry_by_name(args.catalog)
         result = catalog.run_quadruple_entry(entry)
         report = {"command": "twistor", "inputs_digest": digest(args.catalog)}
@@ -180,8 +180,8 @@ def cmd_twistor(args):
 
 
 def cmd_lie_jm(args):
-    from .lie import builtin_algebra, jacobson_morozov, sl2_decompose
-    from .catalog import named_nilpotent
+    from .lie import (builtin_algebra, jacobson_morozov, named_nilpotent,
+                      sl2_decompose)
     ma = builtin_algebra(args.algebra)
     if args.nilpotent in ("principal", "minimal"):
         y = named_nilpotent(ma, args.nilpotent)

@@ -387,6 +387,20 @@ def builtin_algebra(name) -> MatrixAlgebra:
     return ma
 
 
+def named_nilpotent(ma: MatrixAlgebra, spec: str):
+    """Named nilpotents for sl(n): "principal" (regular) and "minimal"."""
+    n = len(ma.basis_matrices[0])
+    m = zeros(n, n)
+    if spec == "principal":
+        for i in range(n - 1):
+            m[i + 1][i] = ONE
+    elif spec == "minimal":
+        m[n - 1][0] = ONE
+    else:
+        raise InvalidInput("unknown nilpotent spec %r" % spec)
+    return ma.coordinates_of_matrix(m)
+
+
 # --------------------------------------------------------------------------
 # validation, Jacobson-Morozov, decomposition
 # --------------------------------------------------------------------------

@@ -49,7 +49,9 @@ the Bareiss output:
 * a kernel vector is unique once its free column is fixed, so the
   Scalars equal those of Bareiss.
 
-For the rank, a rank modulo p equal to min(rows, cols) is already a proof.
+For the rank, a rank modulo p equal to min(rows, cols) is already a proof;
+below that, a checked candidate proves rank(A) = ncols - |F_p| by the
+same argument.
 """
 
 from __future__ import annotations
@@ -100,6 +102,15 @@ def _kills(rows, entries):
         if sr or si:
             return False
     return True
+
+
+def _checked_kernel(rows, ncols):
+    """The first candidate of :func:`modp.kernel_candidates` whose vectors
+    all pass the exact check, or None when no candidate does."""
+    for vectors in modp.kernel_candidates(rows, ncols):
+        if all(_kills(rows, entries) for _, entries in vectors):
+            return vectors
+    return None
 
 
 def _bareiss(rows, ncols):
@@ -343,6 +354,9 @@ def rank(a):
         reduced = modp.reduce_modp(rows, p, modp.sqrt_minus_one(p))
         if modp.rank_modp(reduced, p) == full:
             return full
+        vectors = _checked_kernel(rows, ncols)
+        if vectors is not None:
+            return ncols - len(vectors)
     return len(_eliminate(a, ncols, cleared=rows)[0])
 
 
@@ -362,15 +376,15 @@ def kernel_basis(a):
     ncols = len(a[0]) if a else 0
     rows = [clear_denominators(row)[1] for row in a]
     if _is_wide(rows):
-        for vectors in modp.kernel_candidates(rows, ncols):
-            if all(_kills(rows, entries) for _, entries in vectors):
-                out = []
-                for den, entries in vectors:
-                    v = [ZERO] * ncols
-                    for j, (xr, xi) in entries:
-                        v[j] = gaussian(xr, xi, den)
-                    out.append(v)
-                return out
+        vectors = _checked_kernel(rows, ncols)
+        if vectors is not None:
+            out = []
+            for den, entries in vectors:
+                v = [ZERO] * ncols
+                for j, (xr, xi) in entries:
+                    v[j] = gaussian(xr, xi, den)
+                out.append(v)
+            return out
     return _eliminate(a, ncols, kernel=True, cleared=rows)[1]
 
 

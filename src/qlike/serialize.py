@@ -10,11 +10,7 @@ import hashlib
 import json
 
 from .errors import InvalidInput
-from .lie import (LieAlgebra, Representation, Sl2Embedding, builtin_algebra,
-                  jacobson_morozov, wedge_square_representation)
-from .orbit import GoodQuadruple
 from .scalars import parse_scalar, scalar
-from .structures import QLikeStructure
 
 
 def canonical_json(obj) -> str:
@@ -37,6 +33,7 @@ def _load_object(path, what):
 
 
 def load_structure_file(path) -> QLikeStructure:
+    from .structures import QLikeStructure
     data = _load_object(path, "structure")
     try:
         return QLikeStructure.from_json(data)
@@ -57,6 +54,10 @@ def quadruple_from_json(data) -> GoodQuadruple:
     (matrix algebras only for the first and last); sl2: explicit {"E","H","F"}
     vectors or {"nilpotent": ...}; u_basis: vectors, "full", or "sl2-image".
     """
+    from .lie import (LieAlgebra, Representation, Sl2Embedding,
+                      builtin_algebra, jacobson_morozov, named_nilpotent,
+                      wedge_square_representation)
+    from .orbit import GoodQuadruple
     alg_spec = data.get("algebra")
     ma = None
     if isinstance(alg_spec, str):
@@ -92,7 +93,6 @@ def quadruple_from_json(data) -> GoodQuadruple:
         if isinstance(spec, str):
             if ma is None:
                 raise InvalidInput("named nilpotents need a built-in algebra")
-            from .catalog import named_nilpotent
             y = named_nilpotent(ma, spec)
         else:
             y = _parse_vector(spec)

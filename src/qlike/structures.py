@@ -361,7 +361,7 @@ def heaven_data(S: QLikeStructure, family: SubbundleFamily = None) -> HeavenData
     hd = HeavenData(S, family, ann, u_dim, h_dim, e_dim, psi, rho)
 
     # genericity: sections vanishing at z plus the image of psi_plus span U_plus
-    for z0, z1 in SAMPLE_POINTS[:3]:
+    for z0, z1 in SAMPLE_POINTS:
         vanishing = kernel_basis(_section_values(degs, 0, z0, z1))
         image_vectors = [list(col) for col in zip(*psi)] if n else []
         if rank(vanishing + image_vectors) != u_dim:
@@ -482,7 +482,7 @@ def minus_data(hd: HeavenData) -> MinusData:
     if not ker_psi:
         return md
     degs = list(dual.ann.degrees)
-    for z0, z1 in SAMPLE_POINTS[:3]:
+    for z0, z1 in SAMPLE_POINTS:
         # (U_plus of dual)^z
         vanishing = kernel_basis(_section_values(degs, 0, z0, z1))
         # (U_minus)^z is its annihilator inside the dual coordinates

@@ -1,0 +1,112 @@
+"""Each command loads only the modules it runs, and the lazy package
+namespace keeps the public API of ``qlike``.
+
+``import qlike`` imports no submodule; a public name is imported from its
+module on first access.  The command checks run in a fresh interpreter,
+since this test process has long since loaded every module.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qlike
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+FIXTURE = SRC / "qlike" / "fixtures" / "v1" / "conic_r3.json"
+
+# runs the command as ``python -m qlike`` does, then lists the qlike.*
+# modules it loaded on the last line of stderr
+CHILD = """
+import json, sys
+from qlike.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(json.dumps(sorted(m[len("qlike."):] for m in sys.modules
+                        if m.startswith("qlike."))), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def loaded_modules(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", CHILD, *map(str, argv)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+@pytest.fixture(scope="module")
+def quadruple_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("quadruple") / "sl3_minimal.json"
+    path.write_text(json.dumps({"algebra": "sl(3)",
+                                "sl2": {"nilpotent": "minimal"}}))
+    return path
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["analyze", FIXTURE], {"lie", "orbit", "catalog", "sampling"}),
+    (["dual", FIXTURE], {"lie", "orbit", "catalog", "sampling"}),
+    (["twistor", "--catalog", "veronese:2"],
+     {"structures", "embedding", "sampling"}),
+    (["verify", "--suite", "core"],
+     {"structures", "embedding", "lie", "orbit", "catalog", "sampling"}),
+])
+def test_command_leaves_unused_modules_unloaded(argv, unloaded):
+    loaded = loaded_modules(*argv)
+    assert "cli" in loaded
+    assert not loaded & unloaded, loaded & unloaded
+
+
+def test_twistor_file_leaves_catalog_and_structures_unloaded(quadruple_file):
+    loaded = loaded_modules("twistor", "--file", quadruple_file)
+    assert "orbit" in loaded
+    assert not loaded & {"catalog", "structures", "embedding", "sampling"}
+
+
+def test_lie_jm_loads_only_the_lie_stack():
+    assert loaded_modules("lie-jm", "--algebra", "sl(3)", "--nilpotent",
+                          "minimal") == {"cli", "errors", "serialize",
+                                         "scalars", "linalg", "modp", "lie"}
+
+
+def test_import_loads_no_submodule_and_dir_lists_the_api():
+    code = ("import sys, qlike\n"
+            "print([m for m in sys.modules if m.startswith('qlike.')])\n"
+            "print(set(qlike.__all__) <= set(dir(qlike)))\n"
+            "print([m for m in sys.modules if m.startswith('qlike.')])\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=60, check=True).stdout
+    assert out.split() == ["[]", "True", "[]"]
+
+
+def test_every_public_name_resolves_to_its_module():
+    for module, names in qlike._EXPORTS.items():
+        defining = __import__("qlike." + module, fromlist=["_"])
+        for name in names:
+            assert getattr(qlike, name) is getattr(defining, name), name
+    assert qlike.catalog is sys.modules["qlike.catalog"]
+    assert qlike.__version__ == "0.1.0"
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from qlike import *", namespace)
+    assert set(qlike.__all__) <= set(namespace)
+    assert len(qlike.__all__) == len(set(qlike.__all__))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qlike.no_such_name
+    assert not hasattr(qlike, "_no_such_private_name")
+    with pytest.raises(ImportError):
+        exec("from qlike import no_such_name", {})

@@ -319,6 +319,9 @@ def wide_matrices(draw):
 @given(wide_matrices())
 @example([[Scalar(2 ** 40 + 1), Scalar(0, 3)], [Scalar(2 ** 41 + 2),
                                                 Scalar(0, 6)]])
+@example([[Scalar(2 ** 40 + 1), ONE, Scalar(0, 3)],
+          [Scalar(0, 2 ** 40 + 1), Scalar(0, 1), Scalar(-3)],
+          [ZERO, Scalar(2 ** 33), ONE]])
 def test_wide_kernel_basis_and_rank_match_rref(a):
     assert kernel_basis(a) == _oracle_kernel(a)
     assert rank(a) == len(rref(a)[1])
@@ -354,8 +357,10 @@ def test_modular_success_skips_bareiss(monkeypatch):
     restart = [[Scalar(p1), ONE]]
     for a in (one_prime, crt, restart):
         assert kernel_basis(a) == _oracle_kernel(a)
-    # a rank mod p of min(rows, cols) is a proof
+    # a rank mod p of min(rows, cols) is a proof, and below it a checked
+    # kernel candidate is
     assert rank(one_prime[1:]) == 2 and rank(crt) == 1
+    assert rank(one_prime) == 2 and rank([[c, 2 * c], [2 * c, 4 * c]]) == 1
     assert calls == []
 
 
@@ -371,7 +376,25 @@ def test_modular_failures_fall_back_to_bareiss(monkeypatch):
     a = [[Scalar(q + 1), Scalar(q + 2)]]
     assert kernel_basis(a) == _oracle_kernel(a)
     assert len(calls) == 3
-    # a rank below min(rows, cols) is not proven modulo p
-    c = Scalar(2 ** 40 + 15, 2 ** 35)
-    assert rank([[c, 2 * c], [2 * c, 4 * c]]) == 1
+    # a rank-deficient matrix whose kernel candidates all fail the check
+    assert rank([[Scalar(q), ONE], [Scalar(2 * q), Scalar(2)]]) == 1
     assert len(calls) == 4
+
+
+def test_wide_rank_falls_back_when_no_candidate_checks(monkeypatch):
+    calls = _count_bareiss(monkeypatch)
+    c = Scalar(2 ** 40 + 15, 2 ** 35)
+    a = [[c, 2 * c, ONE], [2 * c, 4 * c, Scalar(2)], [ONE, Scalar(0, 1), c]]
+    assert rank(a) == len(rref(a)[1]) == 2
+    assert calls == []
+    inner = modp.kernel_candidates
+
+    def spoiled(rows, ncols):
+        # each candidate with one entry moved off the kernel
+        for vectors in inner(rows, ncols):
+            (den, entries), *rest = vectors
+            (j, (xr, xi)), *others = entries
+            yield [(den, [(j, (xr + 1, xi))] + others)] + rest
+    monkeypatch.setattr(modp, "kernel_candidates", spoiled)
+    assert rank(a) == 2
+    assert len(calls) == 1
