@@ -141,8 +141,7 @@ def cmd_analyze(args):
         return 2
     analysis = analyze(S, validation)
     report.update(analysis.to_json())
-    ok = analysis.factorization.passed and analysis.serre_identity \
-        and analysis.canonical_sequences.get("ok", True)
+    ok = analysis.passed
     report["verdict"] = "ok" if ok else "checks-failed"
     _emit(args, report, started)
     if not ok:
@@ -330,8 +329,7 @@ def _suite_random(seed, count):
         detail = ""
         try:
             report = analyze(S)
-            ok = (report.factorization.passed and report.serre_identity
-                  and report.canonical_sequences.get("ok", True))
+            ok = report.passed
             if not ok:
                 detail = canonical_json(S.to_json()).strip()
         except Exception as exc:

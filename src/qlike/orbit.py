@@ -24,7 +24,7 @@ from .forms import BinaryForm, Z0, Z1
 from .lie import LieAlgebra, Representation, Sl2Embedding, _multiplicities_from_h
 from .linalg import kernel_basis, mat_vec, solve_matrix
 from .polymatrix import PolyMatrix, generic_rank, graded_kernel
-from .scalars import ZERO, Scalar, scalar
+from .scalars import Scalar, scalar
 
 
 @dataclass(frozen=True)
@@ -60,21 +60,19 @@ class GoodQuadruple:
 
 def _restricted_sl2_matrices(q: GoodQuadruple):
     """Matrices of sigma(tau(E|H|F)) restricted to U, or a diagnostic."""
-    n = q.space_dim
-    ub = [[q.u_basis[j][i] for j in range(q.u_dim)] for i in range(n)]
-    out = []
+    n, u = q.space_dim, q.u_dim
+    ub = [[q.u_basis[j][i] for j in range(u)] for i in range(n)]
+    # one solve for the E, H and F images side by side, each column apart
+    image = [[] for _ in range(n)]
     for x in (q.tau.e, q.tau.h, q.tau.f):
         m = q.sigma.apply(list(x))
-        image = [[ZERO] * q.u_dim for _ in range(n)]
-        for j in range(q.u_dim):
-            col = mat_vec(m, list(q.u_basis[j]))
-            for i in range(n):
-                image[i][j] = col[i]
-        coords = solve_matrix(ub, image)
-        if coords is None:
-            return None, "U not invariant"
-        out.append(coords)
-    return out, ""
+        cols = [mat_vec(m, list(q.u_basis[j])) for j in range(u)]
+        for i in range(n):
+            image[i].extend(col[i] for col in cols)
+    coords = solve_matrix(ub, image)
+    if coords is None:
+        return None, "U not invariant"
+    return [[row[b * u:(b + 1) * u] for row in coords] for b in range(3)], ""
 
 
 def validate_good_quadruple(q: GoodQuadruple) -> dict:

@@ -26,14 +26,17 @@ def _random_form(rng, degree, span=2):
     return BinaryForm(degree, coeffs)
 
 
-def random_structure(rng: random.Random, max_dim=8, max_degree=3,
-                     max_tries=400) -> QLikeStructure:
+# largest dim and column degree of a sampled structure; attempts for each
+MAX_DIM, MAX_DEGREE, MAX_TRIES = 8, 3, 400
+
+
+def random_structure(rng: random.Random) -> QLikeStructure:
     """A random valid complex-mode structure (validator-passing, warnings
-    allowed), dim <= max_dim and column degrees <= max_degree."""
-    for _ in range(max_tries):
-        n = rng.randint(3, max_dim)
+    allowed), dim <= MAX_DIM and column degrees <= MAX_DEGREE."""
+    for _ in range(MAX_TRIES):
+        n = rng.randint(3, MAX_DIM)
         k = rng.randint(1, min(n - 1, 4))
-        degrees = [rng.randint(1, max_degree) for _ in range(k)]
+        degrees = [rng.randint(1, MAX_DEGREE) for _ in range(k)]
         cols = [[_random_form(rng, d) for _ in range(n)] for d in degrees]
         try:
             spanning = PolyMatrix.from_columns(n, cols, degrees)
@@ -47,12 +50,13 @@ def random_structure(rng: random.Random, max_dim=8, max_degree=3,
         if report.passed:
             return S
     raise InvalidInput("could not sample a valid structure in %d tries"
-                       % max_tries)
+                       % MAX_TRIES)
 
 
-def random_structures(seed, count, max_dim=8, max_degree=3):
+def random_structures(seed, count):
+    """``count`` structures of :func:`random_structure` from one seed."""
     rng = random.Random(seed)
-    return [random_structure(rng, max_dim, max_degree) for _ in range(count)]
+    return [random_structure(rng) for _ in range(count)]
 
 
 _UPPER_UNITS = {

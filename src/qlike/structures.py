@@ -27,7 +27,7 @@ from .forms import BinaryForm, antipodal_transform, format_form, parse_form
 from .linalg import (conj_matrix, identity, inverse, kernel_basis, mat_eq,
                      mat_mul, mat_vec, rank, solve_affine, transpose, zeros)
 from .polymatrix import (PolyMatrix, _equation_rows, _section_layout,
-                         _section_values, solve_combination)
+                         solve_combination)
 from .scalars import ONE, ZERO, Scalar, scalar
 
 
@@ -333,7 +333,9 @@ def heaven_data(S: QLikeStructure, family: SubbundleFamily = None) -> HeavenData
     """Plus-side data of S.  ``family`` is S's saturated family when the
     caller has it (validate's); otherwise it is saturated here.  Either
     way its annihilator is the saturation's link, so analyze reads the
-    splittings, canonical sequences and minus side without re-deriving."""
+    splittings, canonical sequences and minus side without re-deriving.
+    Plus-side genericity is checked here; run on the dual structure, as
+    :func:`minus_data` does, the same check is the minus side's."""
     if family is None:
         family = saturate(S.spanning)
     ann = annihilator(family)
@@ -360,11 +362,13 @@ def heaven_data(S: QLikeStructure, family: SubbundleFamily = None) -> HeavenData
 
     hd = HeavenData(S, family, ann, u_dim, h_dim, e_dim, psi, rho)
 
-    # genericity: sections vanishing at z plus the image of psi_plus span U_plus
+    # genericity: the sections V_z vanishing at z and im psi_plus span
+    # U_plus.  Annihilator degrees are >= 0 (graded_kernel starts at stage
+    # 0), so evaluation ev_z: U_plus -> C^(n-k) is onto with kernel V_z, and
+    # ev_z(psi_plus(u)) = (q_j(z) . u)_j = A(z)^T u for the fibre A(z); so
+    # dim(V_z + im psi_plus) = u_dim - (n - k) + rank A(z), u_dim iff full.
     for z0, z1 in SAMPLE_POINTS:
-        vanishing = kernel_basis(_section_values(degs, 0, z0, z1))
-        image_vectors = [list(col) for col in zip(*psi)] if n else []
-        if rank(vanishing + image_vectors) != u_dim:
+        if rank(ann.fiber_at(z0, z1)) != ann.rank:
             raise InternalError(
                 "plus-side genericity failed at a sample point; "
                 "this contradicts a validated structure")
@@ -468,39 +472,20 @@ class MinusData:
 
 
 def minus_data(hd: HeavenData) -> MinusData:
-    """Minus side of hd's structure.  The dual structure's family is hd.ann,
-    whose annihilator is hd.family, so neither is derived again."""
+    """Minus side of hd's structure, the transpose of the dual structure's
+    plus side; the dual's family is hd.ann, whose annihilator is hd.family.
+
+    Minus-side genericity, (V'_z)^perp meeting ker psi_minus trivially at
+    each sample point z (V'_z: the dual's sections vanishing at z), is the
+    dual's plus-side check, which heaven_data(dual) runs at the same points:
+    ker psi_minus = (im dual.psi_plus)^perp, as psi_minus = dual.psi_plus^T,
+    so the intersection is (V'_z + im dual.psi_plus)^perp."""
     S = hd.structure
     dual = heaven_data(_dual_structure(S, hd.ann), hd.ann)
     psi_minus = transpose(dual.psi_plus)
-    ker_psi = kernel_basis(psi_minus)
-    md = MinusData(S, dual, dual.u_plus_dim, dual.h_plus_dim,
-                   dual.e_plus_dim, psi_minus, transpose(dual.rho_plus),
-                   ker_psi)
-
-    # minus-side genericity: (U_minus)^z meets ker psi_minus trivially
-    if not ker_psi:
-        return md
-    degs = list(dual.ann.degrees)
-    for z0, z1 in SAMPLE_POINTS:
-        # (U_plus of dual)^z
-        vanishing = kernel_basis(_section_values(degs, 0, z0, z1))
-        # (U_minus)^z is its annihilator inside the dual coordinates
-        family_z = kernel_basis(vanishing) if vanishing else \
-            [list(row) for row in identity(dual.u_plus_dim)]
-        if _intersection_dim(family_z, ker_psi) != 0:
-            raise InternalError(
-                "minus-side genericity failed at a sample point; "
-                "this contradicts a validated structure")
-    return md
-
-
-def _intersection_dim(basis_a, basis_b):
-    if not basis_a or not basis_b:
-        return 0
-    ra = rank(basis_a)
-    rb = rank(basis_b)
-    return ra + rb - rank(basis_a + basis_b)
+    return MinusData(S, dual, dual.u_plus_dim, dual.h_plus_dim,
+                     dual.e_plus_dim, psi_minus, transpose(dual.rho_plus),
+                     kernel_basis(psi_minus))
 
 
 # --------------------------------------------------------------------------
@@ -672,9 +657,8 @@ def _check_fact_b(hd, md, X, omega, kernels):
         for g in range(hp):
             for bta in range(hp):
                 iota[arow * hp + g][acol * hp + bta] = coeff * X[g][bta]
+    # iota is invertible: _maps_onto's rank test also decides the images'
     images = [mat_vec(md.rho_minus_star, v) for v in kernels["psi_minus"]]
-    if images and rank(images) != len(images):
-        return False
     return _maps_onto([mat_vec(iota, v) for v in images], kernels["rho_plus"])
 
 
@@ -727,6 +711,13 @@ class AnalysisReport:
     factorization: FactorizationReport
     canonical_sequences: dict
     serre_identity: bool
+
+    @property
+    def passed(self):
+        """The analysis verdict: factorization, Serre identity and
+        canonical sequences all hold."""
+        return (self.factorization.passed and self.serre_identity
+                and self.canonical_sequences["ok"])
 
     def to_json(self):
         return {

@@ -342,3 +342,31 @@ def format_pair(s: PairScalar) -> str:
         else:
             parts.append(imag)
     return "".join(parts)
+
+
+def plus_side_generic_by_sections(ann, z0, z1):
+    """Plus-side genericity at [z0 : z1] on the whole section space: the
+    degree-0 section tuples of the annihilator's degrees that vanish at the
+    point, together with the image of psi_plus (the pairings of a constant
+    vector u with the generators q_j, coefficient by coefficient), span
+    U_plus."""
+    def power(x, e):
+        out = ONE
+        for _ in range(e):
+            out = out * x
+        return out
+
+    z0, z1 = Scalar(z0), Scalar(z1)
+    degs = list(ann.degrees)
+    blocks = [(j, t, d) for j, d in enumerate(degs) for t in range(d + 1)]
+    u_dim = len(blocks)
+    values = [[ZERO] * u_dim for _ in degs]
+    for c, (j, t, d) in enumerate(blocks):
+        values[j][c] = power(z0, d - t) * power(z1, t)
+    vanishing = kernel_basis(values) if u_dim else []
+    cols = ann.columns()
+    image = [[ZERO if cols[j][i].is_zero() else cols[j][i].coeffs[t]
+              for j, t, _ in blocks]
+             for i in range(ann.ambient)]
+    spanning = vanishing + image
+    return (len(rref(spanning)[1]) if spanning else 0) == u_dim

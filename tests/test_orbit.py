@@ -6,7 +6,9 @@ from qlike.catalog import (adjoint_expected, build_adjoint, build_so,
 from qlike.errors import InvalidInput
 from qlike.forms import Z0, Z1, parse_form
 from qlike.lie import sl_algebra, principal_sl2_matrices, Sl2Embedding
-from qlike.orbit import (GoodQuadruple, dimension_report, normal_bundle,
+from qlike.linalg import mat_vec, solve_matrix
+from qlike.orbit import (GoodQuadruple, _restricted_sl2_matrices,
+                         dimension_report, normal_bundle,
                          orbit_tangent_family, validate_good_quadruple,
                          veronese_curve)
 from qlike.scalars import ONE, Scalar, ZERO
@@ -135,3 +137,17 @@ def test_so5_and_sp4_agree():
     r2 = normal_bundle(build_sp(4))
     assert r1.normal == r2.normal == SplittingType.of([2, 2])
     assert r1.dim_z == r2.dim_z == 3
+
+
+@pytest.mark.parametrize("q", [build_veronese(3), build_so(5), build_sp(4)],
+                         ids=["veronese-3", "so-5", "sp-4"])
+def test_restricted_triple_matches_one_solve_per_operator(q):
+    # solving the E, H and F images side by side gives each the solution
+    # with its free variables 0, the one a solve of its own returns
+    ub = [[v[i] for v in q.u_basis] for i in range(q.space_dim)]
+    want = []
+    for x in (q.tau.e, q.tau.h, q.tau.f):
+        m = q.sigma.apply(list(x))
+        cols = [mat_vec(m, list(v)) for v in q.u_basis]
+        want.append(solve_matrix(ub, [list(r) for r in zip(*cols)]))
+    assert _restricted_sl2_matrices(q) == (want, "")

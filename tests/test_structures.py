@@ -1,18 +1,22 @@
 import os
 import random
+import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from dataclasses import replace
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qlike import bundles, catalog, embedding, polymatrix
+from qlike import bundles, catalog, embedding, polymatrix, structures
 
-from qlike.bundles import SplittingType
+from oracles import plus_side_generic_by_sections
+from qlike.bundles import SAMPLE_POINTS, SplittingType
 from qlike.catalog import (build_conic_r3, build_quaternionic,
                            build_twisted_plane_c4,
                            _left_quaternion_matrices)
-from qlike.errors import InvalidInput
+from qlike.errors import InternalError, InvalidInput
 from qlike.forms import BinaryForm, Z0, Z1, parse_form
 from qlike.linalg import identity, mat_vec, rank
 from qlike.polymatrix import PolyMatrix
@@ -470,3 +474,136 @@ def test_routes_are_recorded_but_not_serialized():
         report.routes.clear()
         assert canonical_json(report.to_json()) == text
         assert "modular" not in text
+
+
+# z1, z0 and z0 - z1 vanish at the first, second and third sample point
+MULTIPLIERS = (Z1, Z0, Z0 - Z1)
+
+
+def times(family, j, form):
+    """The family with generator j multiplied by ``form`` (not saturated)."""
+    cols = family.columns()
+    degs = list(family.degrees)
+    cols[j] = [f * form for f in cols[j]]
+    degs[j] += form.degree
+    return SubbundleFamily(family.ambient, PolyMatrix.from_columns(
+        family.ambient, cols, degs))
+
+
+def fibre_full_rank(family, z):
+    return rank(family.fiber_at(*z)) == family.rank
+
+
+def test_plus_side_genericity_is_the_fibre_rank():
+    # heaven_data decides genericity on the annihilator's fibre; the
+    # section-space statement it replaces must agree in both directions,
+    # on saturated families (the plus sides of a structure and of its
+    # dual) and on the same families with one generator multiplied by a
+    # linear form, whose fibre drops rank at exactly one sample point
+    for s in [CONIC, QUAT, PLANE] + random_structures(123, 4):
+        fam = saturate(s.spanning)
+        for side in (annihilator(fam), fam):
+            assert min(side.degrees) >= 0
+            for z in SAMPLE_POINTS:
+                assert plus_side_generic_by_sections(side, *z)
+                assert fibre_full_rank(side, z)
+            for j in range(side.rank):
+                for form, point in zip(MULTIPLIERS, SAMPLE_POINTS):
+                    bent = times(side, j, form)
+                    got = [plus_side_generic_by_sections(bent, *z)
+                           for z in SAMPLE_POINTS]
+                    assert got == [fibre_full_rank(bent, z)
+                                   for z in SAMPLE_POINTS]
+                    assert got == [z != point for z in SAMPLE_POINTS]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_section_space_genericity_matches_fibre_rank(data):
+    # the equivalence needs only nonnegative degrees, not saturation
+    n = data.draw(st.integers(2, 4))
+    coeff = st.builds(Scalar, st.integers(-2, 2), st.integers(-2, 2))
+    cols, degs = [], []
+    for _ in range(data.draw(st.integers(1, n - 1))):
+        d = data.draw(st.integers(0, 2))
+        col = [BinaryForm(d, data.draw(st.lists(coeff, min_size=d + 1,
+                                                max_size=d + 1)))
+               for _ in range(n)]
+        assume(not all(f.is_zero() for f in col))
+        cols.append(col)
+        degs.append(d)
+    fam = SubbundleFamily(n, PolyMatrix.from_columns(n, cols, degs))
+    bend = data.draw(st.sampled_from((None,) + MULTIPLIERS))
+    if bend is not None:
+        fam = times(fam, data.draw(st.integers(0, fam.rank - 1)), bend)
+    for z in SAMPLE_POINTS:
+        assert plus_side_generic_by_sections(fam, *z) == \
+            fibre_full_rank(fam, z)
+
+
+def linked(family, ann):
+    """A copy of ``family`` whose annihilator link is ``ann``, as saturate
+    sets it."""
+    copy = unlinked(family)
+    object.__setattr__(copy, "_annihilator", ann)
+    return copy
+
+
+@pytest.mark.parametrize("s", [CONIC, QUAT, PLANE])
+def test_rank_dropping_annihilator_fails_plus_side_genericity(s):
+    fam = saturate(s.spanning)
+    bad = times(annihilator(fam), 0, Z0 - Z1)
+    with pytest.raises(InternalError, match="plus-side genericity failed"):
+        heaven_data(s, linked(fam, bad))
+    # the minus side is the dual's plus side: a rank-dropping family behind
+    # the annihilator fails there, with the same check
+    hd = heaven_data(s, fam)
+    bad_family = times(fam, 0, Z1)
+    with pytest.raises(InternalError, match="plus-side genericity failed"):
+        minus_data(replace(hd, ann=linked(hd.ann, bad_family)))
+
+
+def test_analyze_checks_genericity_once(monkeypatch):
+    # of structures' kernels, only minus_data's ker psi_minus and the three
+    # kernels verify_factorization reads are left; the section values are
+    # evaluated only by the canonical-sequence check
+    kernels = Counter()
+    callers = Counter()
+
+    def counting_kernel(a):
+        kernels["kernel_basis"] += 1
+        return kernel_basis(a)
+
+    def recording_values(*args):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):    # a comprehension
+            frame = frame.f_back
+        callers[frame.f_code.co_name] += 1
+        return section_values(*args)
+
+    kernel_basis = structures.kernel_basis
+    section_values = polymatrix._section_values
+    monkeypatch.setattr(structures, "kernel_basis", counting_kernel)
+    for module in (polymatrix, bundles):
+        monkeypatch.setattr(module, "_section_values", recording_values)
+    assert not hasattr(structures, "_section_values")
+    for s in _fixture_structures():
+        v = validate(s)
+        kernels.clear()
+        analyze(s, v)
+        assert kernels == Counter({"kernel_basis": 4})
+    assert set(callers) == {"verify_canonical_sequences"}
+
+
+def test_analysis_verdict_reads_the_canonical_sequences(monkeypatch):
+    report = analyze(CONIC)
+    assert report.passed
+    failed = dict(report.canonical_sequences, ok=False)
+    assert not replace(report, canonical_sequences=failed).passed
+    # the catalog's verdict reads it too
+    entry = next(e for e in catalog.catalog_entries()
+                 if e.kind != "quadruple")
+    assert catalog.run_structure_entry(entry)["ok"]
+    monkeypatch.setattr(structures, "verify_canonical_for",
+                        lambda quotient, st: {"ok": False})
+    assert not catalog.run_structure_entry(entry)["ok"]
