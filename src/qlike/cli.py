@@ -320,7 +320,7 @@ def _suite_catalog():
 
 def _suite_random(seed, count):
     from .sampling import random_structures, random_quadruples
-    from .structures import analyze, validate
+    from .structures import analyze
     from .orbit import normal_bundle
     cases = []
     structures = random_structures(seed, count)

@@ -17,7 +17,7 @@ import itertools
 from . import linalg, modp
 from .bundles import SubbundleFamily
 from .errors import InternalError
-from .forms import (BinaryForm, _int_polys, form_gcd, ip_add, ip_deriv,
+from .forms import (_column_numerators, _form, form_gcd, ip_add, ip_deriv,
                     ip_gcd, ip_mul, ip_scale, ip_sub, ip_trim)
 from .linalg import independent_rows
 from .modp import bideg, coprime_forms_prime, reduce_modp
@@ -34,7 +34,7 @@ def _pluecker_coordinates(family: SubbundleFamily):
     n, k = family.ambient, family.rank
     table = {(): [(1, 0)]}
     for j, col in enumerate(family.columns()):
-        col = [ip_trim(f) for f in _int_polys(col)]
+        col = [ip_trim(list(f)) for f in _column_numerators(col)]
         new = {}
         for rows in itertools.combinations(range(n), j + 1):
             acc = []
@@ -68,17 +68,17 @@ def _reduced_pluecker(family: SubbundleFamily):
     if not coords:
         raise InternalError("Pluecker image vanished on a rank-k family")
     p = coprime_forms_prime(lambda p, ip: reduce_modp(coords, p, ip))
-    forms = [[Scalar(re, im) for re, im in g] for g in coords]
     if p is None:
-        g = BinaryForm(d, forms[0])
-        for extra in forms[1:]:
-            g = form_gcd(g, BinaryForm(d, extra))
+        g = _form(d, coords[0])
+        for extra in coords[1:]:
+            g = form_gcd(g, _form(d, extra))
             if g.degree == 0:
                 break
         if g.degree > 0:
             raise InternalError("saturated family has nonreduced Pluecker "
                                 "image")
-    return ([coords[i] for i in independent_rows(forms)],
+    rows = [[Scalar(re, im) for re, im in g] for g in coords]
+    return ([coords[i] for i in independent_rows(rows)],
             "exact" if p is None else "modular:%d" % p)
 
 
@@ -124,25 +124,25 @@ def _immersion_check(gamma):
         return True, "modular:%d" % p
     for chart in (0, 1):
         polys = [ip_trim(list(f) if chart == 0 else f[::-1]) for f in gamma]
-        g = None
-        done = False
-        m = len(polys)
-        for a in range(m):
-            for b in range(a + 1, m):
-                w = ip_sub(ip_mul(polys[a], ip_deriv(polys[b])),
-                           ip_mul(polys[b], ip_deriv(polys[a])))
-                if not w:
-                    continue
-                g = w if g is None else ip_gcd(g, w)
-                if g is not None and len(g) == 1:
-                    done = True
-                    break
-            if done:
-                break
+        g = _gcd_until_constant(
+            ip_sub(ip_mul(a, ip_deriv(b)), ip_mul(b, ip_deriv(a)))
+            for a, b in itertools.combinations(polys, 2))
         if g is None or len(g) > 1:
             # no nonzero Wronskian, or a common zero: a critical point
             return False, "exact"
     return True, "exact"
+
+
+def _gcd_until_constant(polys):
+    """The gcd of the nonzero integer-pair polynomials ``polys`` yields,
+    read only until it is constant; None when every one vanishes."""
+    g = None
+    for w in polys:
+        if w:
+            g = w if g is None else ip_gcd(g, w)
+            if len(g) == 1:
+                break
+    return g
 
 
 def _injectivity_check(gamma):
@@ -168,18 +168,10 @@ def _injectivity_check(gamma):
     # point at infinity against the affine chart: a common root of the
     # cross terms is a finite parameter whose image equals gamma(infinity)
     inf_vals = [ip[-1] if len(ip) == d + 1 else (0, 0) for ip in ipolys]
-    g_inf = None
-    for a in range(beta):
-        for b in range(a + 1, beta):
-            w = ip_sub(ip_scale(ipolys[a], inf_vals[b]),
-                       ip_scale(ipolys[b], inf_vals[a]))
-            if not w:
-                continue
-            g_inf = w if g_inf is None else ip_gcd(g_inf, w)
-            if len(g_inf) == 1:
-                break
-        if g_inf is not None and len(g_inf) == 1:
-            break
+    g_inf = _gcd_until_constant(
+        ip_sub(ip_scale(ipolys[a], inf_vals[b]),
+               ip_scale(ipolys[b], inf_vals[a]))
+        for a, b in itertools.combinations(range(beta), 2))
     if g_inf is None:
         return "fail", "curve collapses to the point at infinity", "exact"
     if len(g_inf) > 1:
@@ -221,12 +213,9 @@ def _bivariate_two_point(pa, pb, d):
     size = d + 1
     pa = list(pa) + [(0, 0)] * (size - len(pa))
     pb = list(pb) + [(0, 0)] * (size - len(pb))
-    # c[j][i] = pa_i pb_j - pb_i pa_j, the coefficient of x^i y^j
-    c = [[(xr * ur - xi * ui - (yr * vr - yi * vi),
-           xr * ui + xi * ur - (yr * vi + yi * vr))
-          for (xr, xi), (yr, yi) in zip(pa, pb)]
-         for (ur, ui), (vr, vi) in zip(pb, pa)]
-    if all(x == (0, 0) for cj in c for x in cj):
+    # c[j] = pa pb_j - pb pa_j, the coefficient of y^j, a polynomial in x
+    c = [ip_sub(ip_scale(pa, u), ip_scale(pb, v)) for u, v in zip(pb, pa)]
+    if not any(c):
         return None
     m = size - 1
     q = [None] * m
@@ -245,7 +234,7 @@ def _bivariate_two_point(pa, pb, d):
 def _sampled_injectivity(gamma):
     import random
     d = len(gamma[0]) - 1
-    gamma = [BinaryForm(d, [Scalar(re, im) for re, im in f]) for f in gamma]
+    gamma = [_form(d, f) for f in gamma]
     rng = random.Random(2025)
     pts = []
     while len(pts) < 25:
@@ -253,15 +242,9 @@ def _sampled_injectivity(gamma):
         b = rng.randint(-40, 40)
         if (a, b) not in pts and (a or b):
             pts.append((a, b))
-    values = [[f.evaluate(Scalar(a), Scalar(b)) for f in gamma] for a, b in pts]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if _projectively_equal(pts[i], pts[j]):
-                continue
-            if linalg.rank([values[i], values[j]]) < 2:
-                return "fail", "sampled pair with equal image"
+    values = [[f.evaluate(a, b) for f in gamma] for a, b in pts]
+    for (p, vp), (q, vq) in itertools.combinations(zip(pts, values), 2):
+        # distinct points of the sphere with linearly dependent images
+        if p[0] * q[1] != p[1] * q[0] and linalg.rank([vp, vq]) < 2:
+            return "fail", "sampled pair with equal image"
     return "warn", "injectivity: sampled"
-
-
-def _projectively_equal(p, q):
-    return p[0] * q[1] - p[1] * q[0] == 0

@@ -1,31 +1,64 @@
 """Homogeneous binary forms over Q(i).
 
-A form of degree d in the sphere coordinates (z0, z1) is stored as the
-coefficient tuple of (z0^d, z0^(d-1) z1, ..., z1^d).  The zero form keeps an
-explicit degree marker so that matrix columns stay honestly graded.
+A form of degree d in the sphere coordinates (z0, z1) is stored as an int
+denominator ``den > 0`` and d + 1 Gaussian-integer numerators ``num``,
+``(re, im)`` int pairs in z1-power order: the form is the sum of the
+``num[t] z0^(d-t) z1^t / den``.  The storage is in normal form: ``den`` has
+no factor in common with all the numerators' parts, and the zero form has
+``den == 1``.  So it is unique, and equality and hashing compare ints.  The
+zero form keeps an explicit degree, so that matrix columns stay honestly
+graded; the zero forms of every degree are equal.
+
+Arithmetic runs on the numerators, through one set of integer polynomial
+helpers (``ip_*``) that also carry the gcd chain, the Pluecker coordinates
+of :mod:`qlike.embedding` and the splitting certificate of
+:mod:`qlike.bundles`.  ``coeffs`` is the view as Scalars, for text I/O and
+for the matrices handed to :mod:`qlike.linalg`.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd as _igcd, lcm as _lcm
 
-from .scalars import (ONE, ZERO, Scalar, clear_denominators, format_scalar,
+from .scalars import (ONE, ZERO, Scalar, format_scalar, gaussian,
                       parse_scalar, primitive_part, scalar)
 
 
 class BinaryForm:
-    """Immutable homogeneous polynomial in z0, z1."""
+    """An immutable binary form, stored as the module docstring says.
 
-    __slots__ = ("degree", "coeffs")
+    ``BinaryForm(d, coeffs)`` takes the d + 1 coefficients in z1-power
+    order, as Scalars, ints or Fractions; ``coeffs`` gives them back as
+    Scalars.
+
+    >>> f = BinaryForm(2, [Fraction(1, 2), 0, Scalar(0, 1)])
+    >>> f.den, f.num
+    (2, ((1, 0), (0, 0), (0, 2)))
+    >>> f.coeffs
+    (Scalar('1/2'), Scalar('0'), Scalar('1*i'))
+    >>> f.scale(Scalar(2)).den, (f * Z1).num
+    (1, ((0, 0), (1, 0), (0, 0), (0, 2)))
+    >>> f.evaluate(1, 1), BinaryForm.zero(3) == BinaryForm.zero(0)
+    (Scalar('1/2+1*i'), True)
+    """
+
+    __slots__ = ("degree", "den", "num")
 
     def __init__(self, degree, coeffs):
-        coeffs = tuple(c if isinstance(c, Scalar) else Scalar(c) for c in coeffs)
+        coeffs = [c if isinstance(c, Scalar) else Scalar(c) for c in coeffs]
         if len(coeffs) != degree + 1:
             raise ValueError("degree %d needs %d coefficients, got %d"
                              % (degree, degree + 1, len(coeffs)))
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", coeffs)
+        # each coefficient is in normal form, so over the lcm of their
+        # denominators the numerators have no factor in common with it
+        den = _lcm(*[c.d for c in coeffs])
+        _set_degree(self, degree)
+        _set_den(self, den)
+        _set_num(self, tuple((c.a * (den // c.d), c.b * (den // c.d))
+                             for c in coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("BinaryForm is immutable")
@@ -33,11 +66,17 @@ class BinaryForm:
     def __reduce__(self):
         return BinaryForm, (self.degree, self.coeffs)
 
+    @property
+    def coeffs(self):
+        """The coefficients as Scalars, in z1-power order."""
+        den = self.den
+        return tuple(gaussian(re, im, den) for re, im in self.num)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(degree=0):
-        return BinaryForm(degree, (ZERO,) * (degree + 1))
+        return _form(degree, ())
 
     @staticmethod
     def constant(c):
@@ -45,14 +84,15 @@ class BinaryForm:
 
     @staticmethod
     def monomial(degree, z1_power, coeff=ONE):
-        coeffs = [ZERO] * (degree + 1)
-        coeffs[z1_power] = scalar(coeff)
-        return BinaryForm(degree, coeffs)
+        c = scalar(coeff)
+        num = [(0, 0)] * (degree + 1)
+        num[z1_power] = (c.a, c.b)
+        return _form(degree, num, c.d)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(map(any, self.num))
 
     def __bool__(self):
         return not self.is_zero()
@@ -68,91 +108,90 @@ class BinaryForm:
                 return a
             raise ValueError("cannot add forms of degrees %d and %d"
                              % (a.degree, b.degree))
-        return BinaryForm(a.degree, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if a.den == b.den:
+            return _form(a.degree, ip_add(a.num, b.num), a.den)
+        l = _lcm(a.den, b.den)
+        return _form(a.degree, ip_add(ip_scale(a.num, (l // a.den, 0)),
+                                      ip_scale(b.num, (l // b.den, 0))), l)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return BinaryForm(self.degree, tuple(-c for c in self.coeffs))
+        return _form(self.degree, [(-re, -im) for re, im in self.num],
+                     self.den)
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
-            s = scalar(other)
-            return BinaryForm(self.degree, tuple(c * s for c in self.coeffs))
-        d = self.degree + other.degree
-        out = [ZERO] * (d + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return BinaryForm(d, out)
+            return self.scale(other)
+        return _form(self.degree + other.degree, ip_mul(self.num, other.num),
+                     self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, s: Scalar):
-        return BinaryForm(self.degree, tuple(c * s for c in self.coeffs))
+        s = scalar(s)
+        return _form(self.degree, ip_scale(self.num, (s.a, s.b)),
+                     self.den * s.d)
 
     # -- calculus / evaluation ----------------------------------------------
 
     def evaluate(self, z0, z1) -> Scalar:
-        z0, z1 = scalar(z0), scalar(z1)
-        d = self.degree
-        pow0 = [ONE]
-        pow1 = [ONE]
-        for _ in range(d):
-            pow0.append(pow0[-1] * z0)
-            pow1.append(pow1[-1] * z1)
-        total = ZERO
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                total = total + c * pow0[d - i] * pow1[i]
-        return total
+        """The value at (z0, z1), built as one Scalar."""
+        # (z0, z1) = (u, v) / e for Gaussian integers u, v; the value is
+        # e^-d times the value at (u, v)
+        if type(z0) is int and type(z1) is int:
+            u, v, e = (z0, 0), (z1, 0), 1
+        else:
+            z0, z1 = scalar(z0), scalar(z1)
+            e = _lcm(z0.d, z1.d)
+            u = (z0.a * (e // z0.d), z0.b * (e // z0.d))
+            v = (z1.a * (e // z1.d), z1.b * (e // z1.d))
+        re, im = ip_value(self.num, u, v)
+        return gaussian(re, im, self.den * e ** self.degree)
 
     def d_z0(self):
-        """Partial derivative with respect to z0 (degree drops by one)."""
-        d = self.degree
-        if d == 0:
-            return BinaryForm.zero(0)
-        return BinaryForm(d - 1, tuple(self.coeffs[i] * (d - i) for i in range(d)))
+        """Partial derivative with respect to z0 (degree drops by one; a
+        constant has the zero form of degree 0)."""
+        # d_z1 with the roles of z0 and z1, so the order of num, swapped
+        return _form(max(self.degree - 1, 0), ip_deriv(self.num[::-1])[::-1],
+                     self.den)
 
     def d_z1(self):
-        d = self.degree
-        if d == 0:
-            return BinaryForm.zero(0)
-        return BinaryForm(d - 1, tuple(self.coeffs[i + 1] * (i + 1) for i in range(d)))
+        return _form(max(self.degree - 1, 0), ip_deriv(self.num), self.den)
 
     def substitute(self, t00, t01, t10, t11):
         """p(z0, z1) -> p(t00 z0 + t01 z1, t10 z0 + t11 z1), exactly."""
-        u = BinaryForm(1, (scalar(t00), scalar(t01)))
-        v = BinaryForm(1, (scalar(t10), scalar(t11)))
-        d = self.degree
-        u_pows = [BinaryForm.constant(1)]
-        v_pows = [BinaryForm.constant(1)]
+        t = [scalar(x) for x in (t00, t01, t10, t11)]
+        # u, v are e times the linear forms: p(u, v) is e^d times the result
+        e = _lcm(*[x.d for x in t])
+        t = [(x.a * (e // x.d), x.b * (e // x.d)) for x in t]
+        u, v, d = t[:2], t[2:], self.degree
+        u_pows = [[(1, 0)]]
+        v_pows = [[(1, 0)]]
         for _ in range(d):
-            u_pows.append(u_pows[-1] * u)
-            v_pows.append(v_pows[-1] * v)
-        result = BinaryForm.zero(d)
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                result = result + (u_pows[d - i] * v_pows[i]).scale(c)
-        return result
+            u_pows.append(ip_mul(u_pows[-1], u))
+            v_pows.append(ip_mul(v_pows[-1], v))
+        acc = []
+        for i, c in enumerate(self.num):
+            if c != (0, 0):
+                acc = ip_add(acc, ip_scale(ip_mul(u_pows[d - i], v_pows[i]),
+                                           c))
+        return _form(d, acc, self.den * e ** d)
 
     # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, BinaryForm):
             return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        return self.degree == other.degree and self.coeffs == other.coeffs
+        if self.degree != other.degree:
+            return self.is_zero() and other.is_zero()
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
         if self.is_zero():
             return hash(("BinaryForm", 0))
-        return hash(("BinaryForm", self.degree, self.coeffs))
+        return hash(("BinaryForm", self.degree, self.den, self.num))
 
     def __str__(self):
         return format_form(self)
@@ -161,8 +200,38 @@ class BinaryForm:
         return "BinaryForm(%r)" % format_form(self)
 
 
-Z0 = BinaryForm(1, (ONE, ZERO))
-Z1 = BinaryForm(1, (ZERO, ONE))
+_new = object.__new__
+_set_degree = BinaryForm.degree.__set__
+_set_den = BinaryForm.den.__set__
+_set_num = BinaryForm.num.__set__
+
+
+def _form(degree, num, den=1):
+    """The form of this degree with the numerators ``num`` over the int
+    ``den > 0``, brought to normal form.  Entries missing at the top of
+    ``num`` are zero, so a trimmed ``ip_*`` list will do."""
+    if den != 1:
+        g = den
+        for re, im in num:
+            g = _igcd(g, re, im)
+            if g == 1:
+                break
+        if g != 1:
+            # a zero form ends with g == den, hence with denominator 1
+            den //= g
+            num = [(re // g, im // g) for re, im in num]
+    num = tuple(num)
+    if len(num) <= degree:
+        num += ((0, 0),) * (degree + 1 - len(num))
+    f = _new(BinaryForm)
+    _set_degree(f, degree)
+    _set_den(f, den)
+    _set_num(f, num)
+    return f
+
+
+Z0 = BinaryForm(1, (1, 0))
+Z1 = BinaryForm(1, (0, 1))
 
 
 def antipodal_transform(p: BinaryForm) -> BinaryForm:
@@ -171,48 +240,28 @@ def antipodal_transform(p: BinaryForm) -> BinaryForm:
     Applying it twice multiplies a degree-d form by (-1)^d.
     """
     d = p.degree
-    out = [ZERO] * (d + 1)
-    for i, c in enumerate(p.coeffs):
+    out = [None] * (d + 1)
+    for i, (re, im) in enumerate(p.num):
         # z0^(d-i) z1^i  ->  (-z1)^(d-i) z0^i: lands at z1-power d-i
-        cc = c.conjugate()
-        out[d - i] = -cc if (d - i) % 2 else cc
-    return BinaryForm(d, out)
+        out[d - i] = (-re, im) if (d - i) % 2 else (re, -im)
+    return _form(d, out, p.den)
 
 
-def _z1_valuation(p: BinaryForm):
-    # coeffs[v] multiplies z0^(d-v) z1^v, so z1^a | p iff coeffs[0..a-1] vanish
-    v = 0
-    while v <= p.degree and p.coeffs[v].is_zero():
-        v += 1
-    return v
+def _column_numerators(forms):
+    """The forms times the lcm of their denominators, as untrimmed
+    Gaussian-integer pair lists, a pair per coefficient.  Scaling a column
+    of forms by a constant keeps its pointwise span and its syzygies."""
+    l = _lcm(*[f.den for f in forms])
+    return [f.num if f.den == l else ip_scale(f.num, (l // f.den, 0))
+            for f in forms]
 
 
-def _z0_valuation(p: BinaryForm):
-    v = 0
-    while v <= p.degree and p.coeffs[p.degree - v].is_zero():
-        v += 1
-    return v
-
-
-def _univariate_gcd(a, b):
-    """Monic gcd of coefficient lists (t^0 first) over Q(i).
-
-    Runs a primitive pseudo-remainder sequence over the Gaussian integers
-    (denominators cleared up front, integer content stripped each step), so
-    coefficient growth stays polynomial instead of the exponential blowup
-    of naive rational Euclid.
-    """
-    ia = ip_gcd(_int_poly(a), _int_poly(b))
-    if not ia:
-        return [ZERO]
-    lead = Scalar(ia[-1][0], ia[-1][1])
-    inv = lead.inverse()
-    return [Scalar(re, im) * inv for re, im in ia]
-
-
-# -- primitive integer-pair polynomial toolkit -------------------------------
-# coefficient lists of (re, im) Gaussian-integer pairs, constant term first;
-# gcd chains stay integral and primitive, which keeps growth polynomial.
+# -- integer polynomial helpers ----------------------------------------------
+# Lists of (re, im) Gaussian-integer pairs, constant term first: a form's
+# numerators are the list of p(1, t).  ip_mul, ip_add and ip_sub trim their
+# results (a zero polynomial is the empty list); ip_scale and ip_deriv keep
+# the length.  Gcd chains stay integral and primitive, which keeps
+# coefficient growth polynomial.
 
 def ip_trim(a):
     while a and a[-1] == (0, 0):
@@ -236,13 +285,8 @@ def ip_mul(a, b):
 
 
 def ip_add(a, b):
-    m = max(len(a), len(b))
-    out = []
-    for i in range(m):
-        ar, ai = a[i] if i < len(a) else (0, 0)
-        br, bi = b[i] if i < len(b) else (0, 0)
-        out.append((ar + br, ai + bi))
-    return ip_trim(out)
+    return ip_trim([(ar + br, ai + bi) for (ar, ai), (br, bi)
+                    in zip_longest(a, b, fillvalue=(0, 0))])
 
 
 def ip_sub(a, b):
@@ -250,16 +294,39 @@ def ip_sub(a, b):
 
 
 def ip_deriv(a):
-    return ip_trim([(a[i][0] * i, a[i][1] * i) for i in range(1, len(a))])
+    """d/dt, one entry shorter than ``a`` (trimmed when ``a`` is)."""
+    return [(a[i][0] * i, a[i][1] * i) for i in range(1, len(a))]
 
 
 def ip_scale(a, c):
+    """``a`` times the Gaussian integer ``c``, entry by entry."""
     cr, ci = c
-    return ip_trim([(ar * cr - ai * ci, ar * ci + ai * cr) for ar, ai in a])
+    if not ci:
+        return [(ar * cr, ai * cr) for ar, ai in a]
+    return [(ar * cr - ai * ci, ar * ci + ai * cr) for ar, ai in a]
+
+
+def ip_value(a, u, v):
+    """sum_i a_i u^(d-i) v^i for d = len(a) - 1: the binary form with
+    numerators ``a`` at the Gaussian-integer point (u, v), by Horner's rule
+    in v."""
+    ur, ui = u
+    vr, vi = v
+    sr, si = a[-1]
+    pr, pi = 1, 0                       # u^(d-i)
+    for i in range(len(a) - 2, -1, -1):
+        pr, pi = pr * ur - pi * ui, pr * ui + pi * ur
+        sr, si = sr * vr - si * vi, sr * vi + si * vr
+        cr, ci = a[i]
+        if cr or ci:
+            sr += cr * pr - ci * pi
+            si += cr * pi + ci * pr
+    return sr, si
 
 
 def ip_gcd(ia, ib):
-    """Primitive gcd via pseudo-remainders (Gaussian content stripped)."""
+    """Primitive gcd via pseudo-remainders (Gaussian content stripped at
+    each step: the primitive remainder sequence of Brown 1971)."""
     ia = primitive_part(ip_trim(list(ia)))
     ib = primitive_part(ip_trim(list(ib)))
     while ib:
@@ -267,21 +334,6 @@ def ip_gcd(ia, ib):
         ia = primitive_part(ia)
         ia, ib = ib, ia
     return ia
-
-
-def _int_poly(coeffs):
-    """Clear denominators to a Gaussian-integer pair list, trimmed."""
-    return ip_trim(clear_denominators(coeffs)[1])
-
-
-def _int_polys(forms):
-    """Clear the denominators of several forms with one common factor; one
-    untrimmed Gaussian-integer pair list per form, a pair per coefficient.
-    Scaling a column of forms by a constant keeps its pointwise span and its
-    syzygies."""
-    _, flat = clear_denominators([c for f in forms for c in f.coeffs])
-    it = iter(flat)
-    return [[next(it) for _ in f.coeffs] for f in forms]
 
 
 def _pseudo_rem(a, b):
@@ -308,37 +360,40 @@ def _pseudo_rem(a, b):
     return a
 
 
+def _valuation(num):
+    """How many leading entries of ``num`` vanish."""
+    v = 0
+    while v < len(num) and num[v] == (0, 0):
+        v += 1
+    return v
+
+
 def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Monic gcd of two binary forms (gcd with the zero form is the other one)."""
+    """Monic gcd of two binary forms (gcd with the zero form is the other one).
+
+    The powers of z1 and z0 are split off first (they are the leading and
+    trailing zero numerators); the cores left have nonzero ends, so p(1, t)
+    keeps their full degree and a nonzero constant term, and their gcd is
+    the primitive pseudo-remainder chain of :func:`ip_gcd`.
+    """
     if f.is_zero():
         return _monic(g)
     if g.is_zero():
         return _monic(f)
-    a0, a1 = _z0_valuation(f), _z1_valuation(f)
-    b0, b1 = _z0_valuation(g), _z1_valuation(g)
-    core_f = _strip(f, a1, a0)
-    core_g = _strip(g, b1, b0)
-    # cores have nonzero ends, so p(1, t) keeps full degree and nonzero constant
-    u = _univariate_gcd(list(core_f.coeffs), list(core_g.coeffs))
-    core = BinaryForm(len(u) - 1, u)
-    out = core
-    for _ in range(min(a1, b1)):
-        out = out * Z1
-    for _ in range(min(a0, b0)):
-        out = out * Z0
-    return _monic(out)
-
-
-def _strip(p: BinaryForm, v1, v0):
-    d = p.degree - v1 - v0
-    return BinaryForm(d, p.coeffs[v1:v1 + d + 1])
+    a1, b1 = _valuation(f.num), _valuation(g.num)
+    a0, b0 = _valuation(f.num[::-1]), _valuation(g.num[::-1])
+    core = ip_gcd(f.num[a1:f.degree + 1 - a0], g.num[b1:g.degree + 1 - b0])
+    v1, v0 = min(a1, b1), min(a0, b0)
+    return _monic(_form(v1 + len(core) - 1 + v0, [(0, 0)] * v1 + core))
 
 
 def _monic(p: BinaryForm) -> BinaryForm:
+    """``p`` over its first nonzero coefficient (the lowest z1 power)."""
     if p.is_zero():
         return p
-    lead = next(c for c in p.coeffs if not c.is_zero())
-    return p.scale(lead.inverse())
+    re, im = p.num[_valuation(p.num)]
+    # over (re + im*i) / den: times den / (re + im*i), so den cancels
+    return _form(p.degree, ip_scale(p.num, (re, -im)), re * re + im * im)
 
 
 # -- parsing / formatting ----------------------------------------------------
@@ -498,13 +553,5 @@ def format_form(p: BinaryForm) -> str:
 
 
 def _monomial_text(p0, p1):
-    parts = []
-    if p0 == 1:
-        parts.append("z0")
-    elif p0 > 1:
-        parts.append("z0^%d" % p0)
-    if p1 == 1:
-        parts.append("z1")
-    elif p1 > 1:
-        parts.append("z1^%d" % p1)
-    return "*".join(parts)
+    return "*".join(v if p == 1 else "%s^%d" % (v, p)
+                    for v, p in (("z0", p0), ("z1", p1)) if p)

@@ -23,7 +23,8 @@ from .errors import InternalError, InvalidInput
 from .forms import BinaryForm, Z0, Z1
 from .lie import LieAlgebra, Representation, Sl2Embedding, _multiplicities_from_h
 from .linalg import kernel_basis, mat_vec, solve_matrix
-from .polymatrix import PolyMatrix, generic_rank, graded_kernel
+from .polymatrix import (PolyMatrix, _apply_scalar_matrix, generic_rank,
+                         graded_kernel)
 from .scalars import Scalar, scalar
 
 
@@ -136,22 +137,11 @@ def veronese_curve(q: GoodQuadruple):
     d = report["curve_degree"]
     s_e, s_h, s_f = restricted
     du = q.u_dim
-    z0z1 = Z0 * Z1
-    z0sq = Z0 * Z0
-    z1sq = Z1 * Z1
-    rows = []
-    for i in range(du):
-        row = []
-        for j in range(du):
-            f = BinaryForm.zero(2)
-            if not s_e[i][j].is_zero():
-                f = f + z0sq.scale(-s_e[i][j])
-            if not s_f[i][j].is_zero():
-                f = f + z1sq.scale(s_f[i][j])
-            if not s_h[i][j].is_zero():
-                f = f + z0z1.scale(s_h[i][j])
-            row.append(f)
-        rows.append(row)
+    # entry (i, j) is -e_ij z0^2 + f_ij z1^2 + h_ij z0 z1
+    quadrics = [Z0 * Z0, Z1 * Z1, Z0 * Z1]
+    rows = [_apply_scalar_matrix([(-s_e[i][j], s_f[i][j], s_h[i][j])
+                                  for j in range(du)], quadrics, 2)
+            for i in range(du)]
     rk = generic_rank(rows)
     if du - rk != 1:
         raise InvalidInput("kernel rank %d of the nilpotent family at a "
@@ -163,15 +153,8 @@ def veronese_curve(q: GoodQuadruple):
         raise InternalError("kernel curve degree %d disagrees with the "
                             "weight decomposition degree %d" % (m, d))
     v_u = list(vec)
-    n = q.space_dim
-    v_e = []
-    for i in range(n):
-        s = BinaryForm.zero(d)
-        for j in range(du):
-            c = q.u_basis[j][i]
-            if not c.is_zero() and not v_u[j].is_zero():
-                s = s + v_u[j].scale(c)
-        v_e.append(s)
+    v_e = _apply_scalar_matrix([[v[i] for v in q.u_basis]
+                                for i in range(q.space_dim)], v_u, d)
     return d, v_u, v_e
 
 
@@ -195,18 +178,7 @@ def orbit_tangent_family(q: GoodQuadruple) -> TangentFamilies:
     """
     d, v_u, v_e = veronese_curve(q)
     n = q.space_dim
-    raw_cols = []
-    for i in range(q.algebra.dim):
-        m = [list(r) for r in q.sigma.matrices[i]]
-        col = []
-        for r in range(n):
-            s = BinaryForm.zero(d)
-            for c in range(n):
-                x = m[r][c]
-                if not x.is_zero() and not v_e[c].is_zero():
-                    s = s + v_e[c].scale(x)
-            col.append(s)
-        raw_cols.append(col)
+    raw_cols = [_apply_scalar_matrix(m, v_e, d) for m in q.sigma.matrices]
     raw_cols.append(list(v_e))
     raw = PolyMatrix.from_columns(n, raw_cols, [d] * len(raw_cols))
     w = saturate(raw)

@@ -19,7 +19,7 @@ import os
 from .errors import InternalError, InvalidInput
 from .forms import BinaryForm
 from .linalg import identity, independent_rows, kernel_basis, rank, solve
-from .scalars import ONE, ZERO, Scalar, scalar
+from .scalars import ZERO
 
 DEFAULT_MAX_DEGREE = 64
 
@@ -90,7 +90,6 @@ class PolyMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def evaluate(self, z0, z1):
-        z0, z1 = scalar(z0), scalar(z1)
         return [[e.evaluate(z0, z1) for e in row] for row in self.entries]
 
     def transpose_relations(self):
@@ -108,6 +107,20 @@ class PolyMatrix:
                                                   list(self.col_degrees))
 
 
+def _apply_scalar_matrix(M, forms, degree=0):
+    """The forms sum_j M[i][j] * forms[j], one per row of the scalar matrix
+    ``M``; a row with no term of nonzero scalar and form gives the zero
+    form of ``degree``."""
+    out = []
+    for row in M:
+        s = BinaryForm.zero(degree)
+        for c, f in zip(row, forms):
+            if c and f:
+                s = s + f.scale(c)
+        out.append(s)
+    return out
+
+
 def generic_rank(rows_of_forms):
     """Generic rank of a matrix of forms, proven by point evaluation.
 
@@ -123,7 +136,7 @@ def generic_rank(rows_of_forms):
                       if not row[j].is_zero()), default=0)
     best = 0
     for t in range(bound + 1):
-        pt = [[e.evaluate(ONE, Scalar(t)) for e in row] for row in rows_of_forms]
+        pt = [[e.evaluate(1, t) for e in row] for row in rows_of_forms]
         best = max(best, rank(pt))
         if best == min(len(rows_of_forms), ncols):
             break
@@ -247,18 +260,6 @@ def _decode(sol, shifts, m):
     return tuple(BinaryForm(m + s, sol[off:off + length]) if length else
                  BinaryForm.zero(max(m + s, 0))
                  for s, length, off in zip(shifts, lengths, offsets))
-
-
-def _section_values(shifts, m, z0, z1):
-    """The len(shifts) x total matrix of the layout's monomial basis at
-    [z0 : z1]: the basis section with coefficient 1 at coordinate t of block
-    j has the value z0^(d - t) * z1^t, d = m + shift_j, in entry j."""
-    lengths, offsets, total = _section_layout(shifts, m)
-    ev = [[ZERO] * total for _ in shifts]
-    for j, length in enumerate(lengths):
-        for t in range(length):
-            ev[j][offsets[j] + t] = BinaryForm.monomial(length - 1, t).evaluate(z0, z1)
-    return ev
 
 
 def graded_kernel_basis(M: PolyMatrix) -> PolyMatrix:

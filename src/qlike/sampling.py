@@ -38,14 +38,13 @@ def random_structure(rng: random.Random) -> QLikeStructure:
         k = rng.randint(1, min(n - 1, 4))
         degrees = [rng.randint(1, MAX_DEGREE) for _ in range(k)]
         cols = [[_random_form(rng, d) for _ in range(n)] for d in degrees]
+        # a draw that is not a valid structure is bad input, and is drawn
+        # again; any other exception is a broken invariant and propagates
         try:
             spanning = PolyMatrix.from_columns(n, cols, degrees)
             S = QLikeStructure(n, k, spanning, None, complex_mode=True)
-        except Exception:
-            continue
-        try:
             report = validate(S)
-        except Exception:
+        except InvalidInput:
             continue
         if report.passed:
             return S

@@ -26,8 +26,8 @@ from .errors import InternalError, InvalidInput
 from .forms import BinaryForm, antipodal_transform, format_form, parse_form
 from .linalg import (conj_matrix, identity, inverse, kernel_basis, mat_eq,
                      mat_mul, mat_vec, rank, solve_affine, transpose, zeros)
-from .polymatrix import (PolyMatrix, _equation_rows, _section_layout,
-                         solve_combination)
+from .polymatrix import (PolyMatrix, _apply_scalar_matrix, _equation_rows,
+                         _section_layout, solve_combination)
 from .scalars import ONE, ZERO, Scalar, scalar
 
 
@@ -203,20 +203,6 @@ def _reality_check(S, family):
         if not family_contains(family, moved, d):
             return "fail", "conjugation does not preserve the family"
     return "pass", ""
-
-
-def _apply_scalar_matrix(M, vec_forms):
-    n = len(M)
-    out = []
-    for i in range(n):
-        s = BinaryForm.zero(0)
-        for j, f in enumerate(vec_forms):
-            c = M[i][j]
-            if c.is_zero() or f.is_zero():
-                continue
-            s = s + f.scale(c)
-        out.append(s)
-    return out
 
 
 # --------------------------------------------------------------------------

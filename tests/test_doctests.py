@@ -22,3 +22,8 @@ def test_module_doctests(name):
 def test_scalar_docstring_has_examples():
     from qlike import scalars
     assert doctest.testmod(scalars).attempted >= 2
+
+
+def test_forms_docstring_has_examples():
+    from qlike import forms
+    assert doctest.testmod(forms).attempted >= 2

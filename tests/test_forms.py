@@ -1,6 +1,8 @@
 import copy
 import pickle
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,10 +13,26 @@ from qlike.forms import (BinaryForm, Z0, Z1, antipodal_transform, form_gcd,
 from qlike.scalars import ONE, Scalar, ZERO
 
 
+def rand_scalar(rng, span=4):
+    """A Gaussian rational with parts over denominators 1, 2 or 3."""
+    return Scalar(Fraction(rng.randint(-span, span), rng.randint(1, 3)),
+                  Fraction(rng.randint(-span, span), rng.randint(1, 3)))
+
+
 def rand_form(rng, degree, span=4):
-    return BinaryForm(degree, [Scalar(rng.randint(-span, span),
-                                      rng.randint(-span, span))
+    return BinaryForm(degree, [rand_scalar(rng, span)
                                for _ in range(degree + 1)])
+
+
+def storage(f):
+    return f.degree, f.den, f.num
+
+
+def assert_normal_form(f):
+    assert f.den > 0 and len(f.num) == f.degree + 1
+    assert gcd(f.den, *[x for pair in f.num for x in pair]) == 1
+    if f.is_zero():
+        assert f.den == 1
 
 
 def test_antipodal_examples():
@@ -35,14 +53,31 @@ def test_antipodal_involution_property():
         assert twice == (p if d % 2 == 0 else -p)
 
 
+def scalar_value(p, z0, z1):
+    """p(z0, z1) summed term by term in Scalar arithmetic."""
+    z0, z1 = Scalar(0) + z0, Scalar(0) + z1
+    total = ZERO
+    for i, c in enumerate(p.coeffs):
+        term = c
+        for _ in range(p.degree - i):
+            term = term * z0
+        for _ in range(i):
+            term = term * z1
+        total = total + term
+    return total
+
+
 def test_multiplication_against_evaluation():
     rng = random.Random(9)
-    pts = [(1, 0), (0, 1), (1, 1), (2, -3), (1, 5)]
+    pts = [(1, 0), (0, 1), (1, 1), (2, -3), (1, 5),
+           (Scalar(Fraction(1, 2)), Scalar(1, -1)),
+           (Scalar(0, 2), Fraction(-2, 3))]
     for _ in range(40):
         a = rand_form(rng, rng.randint(0, 4))
         b = rand_form(rng, rng.randint(0, 4))
         prod = a * b
         for z0, z1 in pts:
+            assert a.evaluate(z0, z1) == scalar_value(a, z0, z1)
             assert prod.evaluate(z0, z1) == \
                 a.evaluate(z0, z1) * b.evaluate(z0, z1)
 
@@ -115,10 +150,56 @@ def test_gcd_properties():
 
 def test_substitute_is_ring_map():
     rng = random.Random(8)
-    t = (2, 1, -1, 3)
-    for _ in range(20):
-        a = rand_form(rng, rng.randint(0, 3))
-        b = rand_form(rng, rng.randint(0, 3))
-        lhs = (a * b).substitute(*t)
-        rhs = a.substitute(*t) * b.substitute(*t)
-        assert lhs == rhs
+    for t in [(2, 1, -1, 3),
+              (Fraction(1, 2), Scalar(0, 1), Scalar(1, Fraction(-1, 3)), 2)]:
+        for _ in range(20):
+            a = rand_form(rng, rng.randint(0, 3))
+            b = rand_form(rng, rng.randint(0, 3))
+            lhs = (a * b).substitute(*t)
+            rhs = a.substitute(*t) * b.substitute(*t)
+            assert lhs == rhs
+            # p(T z) at z = (2, -1)
+            z0 = Scalar(0) + t[0] * 2 - t[1]
+            z1 = Scalar(0) + t[2] * 2 - t[3]
+            assert a.substitute(*t).evaluate(2, -1) == a.evaluate(z0, z1)
+
+
+def test_normal_form_is_unique():
+    # each group holds one form built by different routes
+    half_z0 = parse_form("(1/2)*z0 + z1")
+    groups = [
+        [parse_form("z0^2 + (3/2)*z0*z1 - z1^2"),
+         half_z0 * parse_form("2*z0 - z1"),
+         parse_form("2*z0 - z1") * half_z0],
+        [parse_form("z0*z1"), parse_form("(1/3)*z0") * parse_form("3*z1"),
+         (Z0 * Z1).scale(Scalar(Fraction(2, 3))).scale(Fraction(3, 2))],
+        [parse_form("(1/6)*z0 - (1/4)*i*z1"),
+         BinaryForm(1, [Fraction(1, 6), Scalar(0, Fraction(-1, 4))]),
+         parse_form("2*z0 - 3*i*z1").scale(Scalar(Fraction(1, 12)))],
+    ]
+    rng = random.Random(17)
+    for _ in range(30):
+        p = rand_form(rng, rng.randint(0, 4))
+        c = rand_scalar(rng)
+        if c.is_zero():
+            continue
+        groups.append([p, parse_form(format_form(p)),
+                       p.scale(c).scale(c.inverse()),
+                       BinaryForm(p.degree, p.coeffs)])
+    for group in groups:
+        first = group[0]
+        for f in group:
+            assert_normal_form(f)
+            assert storage(f) == storage(first)
+            assert f == first and hash(f) == hash(first)
+            for round_trip in (copy.copy, copy.deepcopy,
+                               lambda g: pickle.loads(pickle.dumps(g))):
+                assert storage(round_trip(f)) == storage(first)
+    zeros = [BinaryForm.zero(d) for d in range(4)] + [
+        parse_form("0", 2), Z0 - Z0, parse_form("(1/2)*z0*z1").scale(ZERO),
+        parse_form("(1/3)*z0^2") - parse_form("(1/3)*z0^2")]
+    for f in zeros:
+        assert_normal_form(f)
+        assert f.den == 1 and f.num == ((0, 0),) * (f.degree + 1)
+        assert f == zeros[0] and hash(f) == hash(zeros[0])
+        assert pickle.loads(pickle.dumps(f)).degree == f.degree

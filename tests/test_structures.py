@@ -1,6 +1,5 @@
 import os
 import random
-import sys
 from collections import Counter
 
 import pytest
@@ -9,7 +8,8 @@ from dataclasses import replace
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qlike import bundles, catalog, embedding, polymatrix, structures
+from qlike import (bundles, catalog, embedding, polymatrix, sampling,
+                   structures)
 
 from oracles import plus_side_generic_by_sections
 from qlike.bundles import SAMPLE_POINTS, SplittingType
@@ -250,6 +250,27 @@ def test_random_structures_all_valid_and_factorize():
         fact = factorization(s)
         assert fact.solvable
         assert all(fact.facts.values()), fact.facts
+
+
+def test_sampler_redraws_bad_input_only(monkeypatch):
+    calls = []
+
+    def rejecting(s):
+        calls.append(s)
+        if len(calls) < 3:
+            raise InvalidInput("rejected draw")
+        return validate(s)
+
+    monkeypatch.setattr(sampling, "validate", rejecting)
+    assert len(random_structures(123, 1)) == 1 and len(calls) >= 3
+
+    def broken(s):
+        raise InternalError("broken invariant")
+
+    # a broken invariant is not a bad draw: it reaches the caller (exit 3)
+    monkeypatch.setattr(sampling, "validate", broken)
+    with pytest.raises(InternalError, match="broken invariant"):
+        random_structures(123, 1)
 
 
 def test_heaven_of_rho_quaternionic_is_bijective():
@@ -565,34 +586,23 @@ def test_rank_dropping_annihilator_fails_plus_side_genericity(s):
 
 def test_analyze_checks_genericity_once(monkeypatch):
     # of structures' kernels, only minus_data's ker psi_minus and the three
-    # kernels verify_factorization reads are left; the section values are
-    # evaluated only by the canonical-sequence check
+    # kernels verify_factorization reads are left; no section values are
+    # evaluated, the canonical-sequence check included
     kernels = Counter()
-    callers = Counter()
 
     def counting_kernel(a):
         kernels["kernel_basis"] += 1
         return kernel_basis(a)
 
-    def recording_values(*args):
-        frame = sys._getframe(1)
-        while frame.f_code.co_name.startswith("<"):    # a comprehension
-            frame = frame.f_back
-        callers[frame.f_code.co_name] += 1
-        return section_values(*args)
-
     kernel_basis = structures.kernel_basis
-    section_values = polymatrix._section_values
     monkeypatch.setattr(structures, "kernel_basis", counting_kernel)
-    for module in (polymatrix, bundles):
-        monkeypatch.setattr(module, "_section_values", recording_values)
-    assert not hasattr(structures, "_section_values")
+    for module in (polymatrix, bundles, structures):
+        assert not hasattr(module, "_section_values")
     for s in _fixture_structures():
         v = validate(s)
         kernels.clear()
         analyze(s, v)
         assert kernels == Counter({"kernel_basis": 4})
-    assert set(callers) == {"verify_canonical_sequences"}
 
 
 def test_analysis_verdict_reads_the_canonical_sequences(monkeypatch):
