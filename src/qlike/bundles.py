@@ -51,9 +51,6 @@ class SplittingType:
     def negate(self):
         return SplittingType.of([-a for a in self.summands])
 
-    def twist(self, m):
-        return SplittingType.of([a + m for a in self.summands])
-
     def h0(self, m=0):
         return _section_layout(self.summands, m)[2]
 

@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 from .bundles import SplittingType
 from .errors import InternalError, InvalidInput
 from .forms import BinaryForm, parse_form
-from .lie import (Sl2Embedding, builtin_algebra, jacobson_morozov,
-                  named_nilpotent, principal_sl2_matrices, sl2_decompose,
-                  sl_algebra, so_algebra, sp_algebra,
+from .lie import (Sl2Embedding, builtin_algebra, named_nilpotent,
+                  principal_sl2_matrices, sl_algebra, so_algebra, sp_algebra,
                   wedge_square_representation)
 from .linalg import identity, kernel_basis, mat_mul, solve_matrix, zeros
-from .orbit import GoodQuadruple, normal_bundle, dimension_report
+from .orbit import (GoodQuadruple, adjoint_multiplicity_count,
+                    adjoint_quadruple, dimension_report, normal_bundle)
 from .polymatrix import PolyMatrix
 from .scalars import I, ONE, ZERO, Scalar
 
@@ -130,8 +130,8 @@ def build_sp(two_m) -> GoodQuadruple:
 
 
 def build_adjoint(algebra_name, nilpotent_spec) -> GoodQuadruple:
-    """Adjoint quadruple through a nilpotent: the sl(2) comes from the
-    Jacobson-Morozov solver and U is its image."""
+    """Adjoint quadruple through a named or given nilpotent of a built-in
+    algebra (:func:`~qlike.orbit.adjoint_quadruple`)."""
     ma = builtin_algebra(algebra_name)
     if isinstance(nilpotent_spec, str):
         y = named_nilpotent(ma, nilpotent_spec)
@@ -139,18 +139,13 @@ def build_adjoint(algebra_name, nilpotent_spec) -> GoodQuadruple:
     else:
         y = list(nilpotent_spec)
         name = "adjoint:%s:custom" % algebra_name
-    tau = jacobson_morozov(ma.algebra, y, assume_semisimple=True)
-    sigma = ma.algebra.adjoint_representation()
-    u_basis = (tuple(tau.e), tuple(tau.h), tuple(tau.f))
-    return GoodQuadruple(ma.algebra, sigma, tau, u_basis, name=name,
-                         nilpotent=tuple(tau.f), adjoint=True)
+    return adjoint_quadruple(ma.algebra, y, name)
 
 
 def adjoint_expected(q: GoodQuadruple) -> SplittingType:
-    """(-2 + sum_j j a_j) copies of degree one, with the multiplicities
-    recomputed live from the weight decomposition."""
-    mult = sl2_decompose(q.sigma, q.tau)
-    count = -2 + sum(j * a for j, a in mult.items())
+    """(-2 + sum_j j a_j) copies of degree one, the count of
+    :func:`~qlike.orbit.adjoint_multiplicity_count`."""
+    count = adjoint_multiplicity_count(q)
     if count < 0:
         raise InternalError("adjoint multiplicity count fell below zero")
     return SplittingType.of([1] * count)

@@ -403,12 +403,6 @@ def solve_matrix(a, b):
     return [[col[c] for col in cols] for c in range(ncols)]
 
 
-def solve_affine(a, b):
-    """``(solve(a, b), kernel_basis(a))``, from one elimination."""
-    _, kernel, x = _eliminate(a, len(a[0]) if a else 0, [b], kernel=True)
-    return (None if x is None else x[0]), kernel
-
-
 def inverse(a):
     # A X = I has a solution exactly when the square matrix A is invertible
     n = len(a)

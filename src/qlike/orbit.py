@@ -59,6 +59,25 @@ class GoodQuadruple:
         return len(self.u_basis)
 
 
+def adjoint_quadruple(algebra: LieAlgebra, nilpotent, name) -> GoodQuadruple:
+    """The adjoint quadruple through a nilpotent of a semisimple algebra:
+    the sl(2) comes from the Jacobson-Morozov solver and U is its image."""
+    from .lie import jacobson_morozov
+    tau = jacobson_morozov(algebra, nilpotent, assume_semisimple=True)
+    return GoodQuadruple(algebra, algebra.adjoint_representation(), tau,
+                         (tuple(tau.e), tuple(tau.h), tuple(tau.f)),
+                         name=name, nilpotent=tuple(tau.f), adjoint=True)
+
+
+def adjoint_multiplicity_count(q: GoodQuadruple) -> int:
+    """-2 + sum_j j a_j, with the multiplicities a_j recomputed live from
+    the weight decomposition: for an adjoint quadruple, the number of
+    degree-one summands of the normal bundle."""
+    from .lie import sl2_decompose
+    mult = sl2_decompose(q.sigma, q.tau)
+    return -2 + sum(j * a for j, a in mult.items())
+
+
 def _restricted_sl2_matrices(q: GoodQuadruple):
     """Matrices of sigma(tau(E|H|F)) restricted to U, or a diagnostic."""
     n, u = q.space_dim, q.u_dim
@@ -273,9 +292,7 @@ def normal_bundle(q: GoodQuadruple, expected: SplittingType = None,
     adjoint_formula_ok = None
     if q.adjoint:
         # every adjoint run re-derives the multiplicity formula live
-        from .lie import sl2_decompose
-        mult = sl2_decompose(q.sigma, q.tau)
-        count = -2 + sum(j * a for j, a in mult.items())
+        count = adjoint_multiplicity_count(q)
         adjoint_formula_ok = (normal == SplittingType.of([1] * count))
         if not adjoint_formula_ok:
             raise InternalError(

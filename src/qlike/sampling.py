@@ -10,8 +10,8 @@ import random
 
 from .errors import InvalidInput
 from .forms import BinaryForm
-from .lie import builtin_algebra, jacobson_morozov
-from .orbit import GoodQuadruple
+from .lie import builtin_algebra
+from .orbit import GoodQuadruple, adjoint_quadruple
 from .polymatrix import PolyMatrix
 from .scalars import Scalar, ZERO
 from .structures import QLikeStructure, validate
@@ -103,11 +103,7 @@ def random_adjoint_quadruple(rng: random.Random,
                              pool=("sl(3)", "sl(4)", "so(5)")) -> GoodQuadruple:
     name = rng.choice(list(pool))
     ma, y = random_nilpotent(rng, name)
-    tau = jacobson_morozov(ma.algebra, y, assume_semisimple=True)
-    return GoodQuadruple(ma.algebra, ma.algebra.adjoint_representation(),
-                         tau, (tuple(tau.e), tuple(tau.h), tuple(tau.f)),
-                         name="random-adjoint:%s" % name,
-                         nilpotent=tuple(tau.f), adjoint=True)
+    return adjoint_quadruple(ma.algebra, y, "random-adjoint:%s" % name)
 
 
 def random_quadruples(seed, count, pool=("sl(3)", "sl(4)", "so(5)")):

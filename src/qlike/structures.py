@@ -25,7 +25,7 @@ from .embedding import _immersion_check, _injectivity_check, _reduced_pluecker
 from .errors import InternalError, InvalidInput
 from .forms import BinaryForm, antipodal_transform, format_form, parse_form
 from .linalg import (conj_matrix, identity, inverse, kernel_basis, mat_eq,
-                     mat_mul, mat_vec, rank, solve_affine, transpose, zeros)
+                     mat_mul, mat_vec, rank, transpose, zeros)
 from .polymatrix import (PolyMatrix, _apply_scalar_matrix, _equation_rows,
                          _section_layout, solve_combination)
 from .scalars import ONE, ZERO, Scalar, scalar
@@ -128,10 +128,6 @@ class ValidationReport:
     @property
     def passed(self):
         return all(c.status != "fail" for c in self.checks)
-
-    @property
-    def warnings(self):
-        return [c for c in self.checks if c.status == "warn"]
 
     def failed_names(self):
         return [c.name for c in self.checks if c.status == "fail"]
@@ -248,7 +244,12 @@ def check_morphism(S: QLikeStructure, S2: QLikeStructure, psi, T) -> bool:
     psi is a dim(S2) x dim(S) scalar matrix; T an invertible 2x2 scalar
     matrix acting on the sphere coordinates.  In real mode T must commute
     with the antipodal involution (unit-quaternion Moebius map up to scale).
+    Raises InvalidInput when either matrix has another shape.
     """
+    if len(psi) != S2.dim or any(len(row) != S.dim for row in psi):
+        raise InvalidInput("psi must be %dx%d" % (S2.dim, S.dim))
+    if len(T) != 2 or any(len(row) != 2 for row in T):
+        raise InvalidInput("T must be 2x2")
     T = [[scalar(x) for x in row] for row in T]
     det = T[0][0] * T[1][1] - T[0][1] * T[1][0]
     if det.is_zero():
@@ -394,21 +395,13 @@ def _attach_conjugations(hd: HeavenData):
     if ch and not mat_eq(mat_mul(ch, conj_matrix(ch)),
                          [[-x for x in row] for row in identity(hd.h_plus_dim)]):
         raise InternalError("conjugation on H_plus does not square to -1")
-    # E = S1 tensor H with the antipodal structure on S1 (z0 -> -z1, z1 -> z0)
-    js = [[ZERO, ONE], [Scalar(-1), ZERO]]
-    e_dim = hd.e_plus_dim
-    h_dim = hd.h_plus_dim
-    ce = zeros(e_dim, e_dim)
-    for a in range(2):
-        for b in range(2):
-            c = js[a][b]
-            if c.is_zero():
-                continue
-            for i in range(h_dim):
-                for j in range(h_dim):
-                    ce[a * h_dim + i][b * h_dim + j] = c * ch[i][j]
+    # E = S1 tensor H with the antipodal structure on S1 (z0 -> -z1,
+    # z1 -> z0): in z_a-major blocks, [[0, C_H], [-C_H, 0]]
+    pad = [ZERO] * hd.h_plus_dim
+    ce = ([pad + row for row in ch]
+          + [[-x for x in row] + pad for row in ch])
     hd.conj_e_plus = ce
-    if not mat_eq(mat_mul(ce, conj_matrix(ce)), identity(e_dim)):
+    if not mat_eq(mat_mul(ce, conj_matrix(ce)), identity(hd.e_plus_dim)):
         raise InternalError("conjugation on E_plus does not square to +1")
     # psi_plus intertwines kappa_U and the section conjugation
     lhs = mat_mul(hd.psi_plus, C)
@@ -480,6 +473,11 @@ def minus_data(hd: HeavenData) -> MinusData:
 
 @dataclass
 class FactorizationReport:
+    """Outcome of :func:`verify_factorization`.  ``solution_dim``, the
+    dimension of the identity's homogeneous solutions, is always 0: the
+    intertwiner is unique when it exists (the recurrence in
+    :func:`verify_factorization`).  It stays in the report as
+    ``solution_space_dim``."""
     solvable: bool
     solution_dim: int
     iso_found: bool
@@ -502,57 +500,45 @@ class FactorizationReport:
 
 
 def verify_factorization(hd: HeavenData, md: MinusData) -> FactorizationReport:
-    """Solve for a compatible intertwiner iota with
+    """Build the intertwiner iota with
     psi_plus . psi_minus = rho_plus . iota . rho_minus_star, and check the
     kernel/cokernel correspondences it induces.
 
-    iota is constrained to the compatible shape (canonical S1* ~ S1 twist on
-    the first factor, arbitrary on the section factor), which is exactly the
-    intertwining condition for the multiplication actions of z0, z1.
+    iota is constrained to the compatible shape Omega tensor X, with
+    Omega: (z0*, z1*) -> (-z1, z0) the canonical S1* ~ S1 twist on the first
+    factor and X: H_minus -> H_plus arbitrary on the section factor; this is
+    exactly the intertwining condition for the multiplication actions of
+    z0, z1.  rho_plus and rho_minus_star are block-diagonal by summand, so
+    the identity splits into one block per plus summand of degree a and
+    minus summand of degree e.  In their monomial coordinates it reads
 
-    The linear system for iota's hp x hp unknowns decouples: rho_plus and
-    rho_minus_star are block-diagonal by summand and preserve a monomial
-    weight, so each equation touches few unknowns (connected components of
-    at most 3 on the benchmark pool).  :func:`~qlike.linalg.solve_affine`
-    returns the particular solution and the homogeneous solutions from one
-    run of linalg's elimination driver, which eliminates each component on
-    its own.
+        L(s, t) = X(s, t-1) - X(s-1, t),   0 <= s <= a, 0 <= t <= e,
+
+    for the block L of psi_plus . psi_minus and the a x e block X of the
+    intertwiner, X being zero outside 0 <= s < a, 0 <= t < e.  The
+    equations at s < a, t >= 1 give the recurrence
+    X(s, t) = L(s, t+1) + X(s-1, t+1), which fixes X row by row from s = 0.
+
+    The intertwiner is unique when it exists: a difference D of two
+    solutions has D(s, t-1) = D(s-1, t) everywhere, so D(0, .) = D(-1, .)
+    = 0 and, by induction on s, D = 0.  The recurrence's X is therefore
+    checked against every entry of L; the identity is solvable exactly
+    when it passes, the solution space has dimension 0, and an invertible
+    iota exists exactly when rank X = hp.
+
+    >>> from qlike.catalog import build_conic_r3
+    >>> hd = heaven_data(build_conic_r3())
+    >>> report = verify_factorization(hd, minus_data(hd))
+    >>> report.solvable, report.solution_dim, report.iso_found
+    (True, 0, True)
     """
     if hd.h_plus_dim != md.h_minus_dim:
         raise InternalError("twisted section dimensions disagree "
                             "(Serre-duality dimension identity broken)")
     hp = hd.h_plus_dim
-    lhs = mat_mul(hd.psi_plus, md.psi_minus)
-    n_unknowns = hp * hp
-    rows = hd.u_plus_dim * md.u_minus_dim
-    a = zeros(rows, n_unknowns)
-    b = [ZERO] * rows
-    for i in range(hd.u_plus_dim):
-        for j in range(md.u_minus_dim):
-            b[i * md.u_minus_dim + j] = lhs[i][j]
-    # iota = Omega tensor X, Omega: (z0*, z1*) -> (-z1, z0)
-    omega = ((1, Scalar(-1)), (0, ONE))        # column a -> (row a', coeff)
-    for g in range(hp):
-        for bta in range(hp):
-            u = g * hp + bta
-            # iota columns: E_minus index (a, beta) -> row (a', g) with coeff
-            for acol in range(2):
-                arow, coeff = omega[acol]
-                col_e = acol * hp + bta
-                row_e = arow * hp + g
-                # contribution to rho_plus . iota . rho_minus_star
-                for i in range(hd.u_plus_dim):
-                    rp = hd.rho_plus[i][row_e]
-                    if rp.is_zero():
-                        continue
-                    for j in range(md.u_minus_dim):
-                        rm = md.rho_minus_star[col_e][j]
-                        if rm.is_zero():
-                            continue
-                        r = i * md.u_minus_dim + j
-                        a[r][u] = a[r][u] + coeff * rp * rm
-    x, homogeneous = solve_affine(a, b)
-    solvable = x is not None
+    X = _intertwiner(mat_mul(hd.psi_plus, md.psi_minus), hd.ann.degrees,
+                     md.dual_heaven.ann.degrees)
+    solvable = X is not None
 
     # each map's kernel is taken once; its rank is read from the kernel
     kernels = {"psi_minus": md.ker_psi_minus,
@@ -570,17 +556,38 @@ def verify_factorization(hd: HeavenData, md: MinusData) -> FactorizationReport:
             dims["coker_psi_minus"] == dims["coker_rho_plus"],
     }
 
-    iota_found = False
+    iota_found = solvable and (hp == 0 or rank(X) == hp)
     if solvable:
-        X = _find_invertible(x, homogeneous, hp)
-        if X is not None:
-            iota_found = True
-            facts["rho_minus_star_maps_ker_psi_minus_onto_iota_inv_ker_rho_plus"] = \
-                _check_fact_b(hd, md, X, omega, kernels)
-        else:
-            facts["rho_minus_star_maps_ker_psi_minus_onto_iota_inv_ker_rho_plus"] = False
-    return FactorizationReport(solvable, len(homogeneous), iota_found, dims,
-                               facts)
+        facts["rho_minus_star_maps_ker_psi_minus_onto_iota_inv_ker_rho_plus"] = \
+            iota_found and _check_fact_b(md, X, kernels)
+    return FactorizationReport(solvable, 0, iota_found, dims, facts)
+
+
+def _intertwiner(lhs, plus_degrees, minus_degrees):
+    """The section factor X of iota, built block by block by the
+    recurrence of :func:`verify_factorization`, or None when it fails the
+    identity on some entry of ``lhs``.  Rows follow rho_plus's layouts of
+    the plus degrees, columns rho_minus_star's of the minus degrees."""
+    _, row_u, _ = _section_layout(plus_degrees, 0)
+    _, row_h, hp = _section_layout(plus_degrees, -1)
+    _, col_u, _ = _section_layout(minus_degrees, 0)
+    _, col_h, hm = _section_layout(minus_degrees, -1)
+    X = zeros(hp, hm)
+    for a, ru, rh in zip(plus_degrees, row_u, row_h):
+        for e, cu, ch in zip(minus_degrees, col_u, col_h):
+            # the block with a zero row a and a zero column e appended:
+            # index -1 wraps to them, which are X's zeros at s = -1, t = -1
+            B = [[ZERO] * (e + 1) for _ in range(a + 1)]
+            for s in range(a):
+                for t in range(e):
+                    B[s][t] = lhs[ru + s][cu + t + 1] + B[s - 1][t + 1]
+            for s in range(a + 1):
+                for t in range(e + 1):
+                    if lhs[ru + s][cu + t] != B[s][t - 1] - B[s - 1][t]:
+                        return None
+            for s in range(a):
+                X[rh + s][ch:ch + e] = B[s][:e]
+    return X
 
 
 def _correspondence_dims(hd, md, kernels):
@@ -632,54 +639,17 @@ def _check_fact_c(md, kernels):
                       kernels["psi_plus"])
 
 
-def _check_fact_b(hd, md, X, omega, kernels):
-    """With iota fixed, rho_minus_star maps ker psi_minus bijectively onto
-    iota^{-1}(ker rho_plus)."""
-    hp = hd.h_plus_dim
-    e_dim = hd.e_plus_dim
-    iota = zeros(e_dim, e_dim)
-    for acol in range(2):
-        arow, coeff = omega[acol]
-        for g in range(hp):
-            for bta in range(hp):
-                iota[arow * hp + g][acol * hp + bta] = coeff * X[g][bta]
+def _check_fact_b(md, X, kernels):
+    """With iota = Omega tensor X fixed, rho_minus_star maps ker psi_minus
+    bijectively onto iota^{-1}(ker rho_plus).  iota sends (w_lo, w_hi),
+    the z0* and z1* halves of E_minus, to (X w_hi, -X w_lo)."""
+    h = md.h_minus_dim
+    images = []
+    for v in kernels["psi_minus"]:
+        w = mat_vec(md.rho_minus_star, v)
+        images.append(mat_vec(X, w[h:]) + [-y for y in mat_vec(X, w[:h])])
     # iota is invertible: _maps_onto's rank test also decides the images'
-    images = [mat_vec(md.rho_minus_star, v) for v in kernels["psi_minus"]]
-    return _maps_onto([mat_vec(iota, v) for v in images], kernels["rho_plus"])
-
-
-def _find_invertible(particular, homogeneous, hp):
-    """Search the affine solution family for an invertible hp x hp matrix."""
-    if hp == 0:
-        return []
-
-    def as_matrix(vec):
-        return [[vec[g * hp + bta] for bta in range(hp)] for g in range(hp)]
-
-    def invertible(m):
-        return rank(m) == hp
-
-    cand = as_matrix(particular)
-    if invertible(cand):
-        return cand
-    for h in homogeneous:
-        for t in range(1, 4):
-            vec = [p + Scalar(t) * q for p, q in zip(particular, h)]
-            cand = as_matrix(vec)
-            if invertible(cand):
-                return cand
-    if len(homogeneous) >= 2:
-        for i in range(len(homogeneous)):
-            for j in range(i + 1, len(homogeneous)):
-                for s in range(1, 3):
-                    for t in range(1, 3):
-                        vec = [p + Scalar(s) * u + Scalar(t) * v
-                               for p, u, v in zip(particular, homogeneous[i],
-                                                  homogeneous[j])]
-                        cand = as_matrix(vec)
-                        if invertible(cand):
-                            return cand
-    return None
+    return _maps_onto(images, kernels["rho_plus"])
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,8 @@ These deliberately take different routes than the library: determinants by
 permutation expansion, section spaces by the (r+1)-minor membership system
 rather than the annihilator kernel, twisted dimensions by the splitting
 formula, kernels and solutions by Gauss-Jordan elimination in Q(i)
-arithmetic, resultants over GF(p) by eliminating the Sylvester matrix,
+arithmetic, resultants over GF(p) by eliminating the Sylvester matrix, the
+factorization's intertwiner from its dense system in all hp^2 unknowns,
 Q(i) arithmetic on a pair of Fractions rather than a Gaussian integer over
 one denominator.
 """
@@ -13,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from qlike.forms import BinaryForm
-from qlike.linalg import kernel_basis
+from qlike.linalg import kernel_basis, mat_mul, solve
 from qlike.modp import _eliminate_modp
 from qlike.scalars import ONE, ZERO, Scalar, clear_denominators
 
@@ -370,3 +371,38 @@ def plus_side_generic_by_sections(ann, z0, z1):
              for i in range(ann.ambient)]
     spanning = vanishing + image
     return (len(rref(spanning)[1]) if spanning else 0) == u_dim
+
+
+def dense_intertwiner(hd, md):
+    """``(X, homogeneous, invertible)`` for the factorization identity
+    psi_plus . psi_minus = rho_plus . iota . rho_minus_star, from the dense
+    system in the hp x hp unknowns of X, iota = Omega tensor X with
+    Omega: (z0*, z1*) -> (-z1, z0): one particular solution X (None when
+    the system is inconsistent), the homogeneous solutions, and whether X
+    has rank hp (by Gauss-Jordan)."""
+    hp = hd.h_plus_dim
+    lhs = mat_mul(hd.psi_plus, md.psi_minus)
+    rows = hd.u_plus_dim * md.u_minus_dim
+    a = [[ZERO] * (hp * hp) for _ in range(rows)]
+    b = [lhs[i][j] for i in range(hd.u_plus_dim)
+         for j in range(md.u_minus_dim)]
+    omega = ((1, Scalar(-1)), (0, ONE))        # column a -> (row a', coeff)
+    for g in range(hp):
+        for bta in range(hp):
+            for acol in range(2):
+                arow, coeff = omega[acol]
+                for i in range(hd.u_plus_dim):
+                    rp = hd.rho_plus[i][arow * hp + g]
+                    if rp.is_zero():
+                        continue
+                    for j in range(md.u_minus_dim):
+                        rm = md.rho_minus_star[acol * hp + bta][j]
+                        if not rm.is_zero():
+                            r = i * md.u_minus_dim + j
+                            a[r][g * hp + bta] += coeff * rp * rm
+    x = solve(a, b)
+    homogeneous = kernel_basis(a)
+    if x is None:
+        return None, homogeneous, False
+    X = [x[g * hp:(g + 1) * hp] for g in range(hp)]
+    return X, homogeneous, len(rref(X)[1]) == hp

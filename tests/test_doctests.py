@@ -27,3 +27,8 @@ def test_scalar_docstring_has_examples():
 def test_forms_docstring_has_examples():
     from qlike import forms
     assert doctest.testmod(forms).attempted >= 2
+
+
+def test_structures_docstring_has_examples():
+    from qlike import structures
+    assert doctest.testmod(structures).attempted >= 2

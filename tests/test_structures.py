@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from qlike import (bundles, catalog, embedding, polymatrix, sampling,
                    structures)
 
-from oracles import plus_side_generic_by_sections
+from oracles import dense_intertwiner, plus_side_generic_by_sections
 from qlike.bundles import SAMPLE_POINTS, SplittingType
 from qlike.catalog import (build_conic_r3, build_quaternionic,
                            build_twisted_plane_c4,
                            _left_quaternion_matrices)
 from qlike.errors import InternalError, InvalidInput
 from qlike.forms import BinaryForm, Z0, Z1, parse_form
-from qlike.linalg import identity, mat_vec, rank
+from qlike.linalg import identity, mat_mul, mat_vec, rank
 from qlike.polymatrix import PolyMatrix
 from qlike.sampling import random_structures
 from qlike.scalars import ONE, Scalar, ZERO
@@ -242,6 +242,18 @@ def test_morphism_requires_equivariant_t_in_real_mode():
         check_morphism(QUAT, QUAT, identity(4), [[1, 1], [0, 1]])
 
 
+@pytest.mark.parametrize("rows, cols", [(2, 3), (3, 4), (4, 3)])
+def test_morphism_rejects_psi_of_the_wrong_shape(rows, cols):
+    psi = [[int(i == j) for j in range(cols)] for i in range(rows)]
+    with pytest.raises(InvalidInput, match="psi must be 3x3"):
+        check_morphism(CONIC, CONIC, psi, [[1, 0], [0, 1]])
+
+
+def test_morphism_rejects_t_of_the_wrong_shape():
+    with pytest.raises(InvalidInput, match="T must be 2x2"):
+        check_morphism(CONIC, CONIC, identity(3), [[1, 0, 0], [0, 1, 0]])
+
+
 def test_random_structures_all_valid_and_factorize():
     structures = random_structures(123, 6)
     for s in structures:
@@ -250,6 +262,39 @@ def test_random_structures_all_valid_and_factorize():
         fact = factorization(s)
         assert fact.solvable
         assert all(fact.facts.values()), fact.facts
+
+
+def test_intertwiner_recurrence_matches_dense_system():
+    pool = ([CONIC, QUAT, PLANE, build_quaternionic(2)]
+            + random_structures(1, 30))
+    seen = Counter()
+    for n, s in enumerate(pool):
+        hd = heaven_data(s)
+        md = minus_data(hd)
+        perturbed = replace(hd, psi_plus=[row[:] for row in hd.psi_plus])
+        perturbed.psi_plus[0][0] += ONE
+        cases = [("given", hd), ("perturbed", perturbed)]
+        if n < 4:
+            # psi_plus = 0 is solved by X = 0, which is singular
+            cases.append(("zero", replace(hd, psi_plus=[
+                [ZERO] * len(row) for row in hd.psi_plus])))
+        for kind, h in cases:
+            X, homogeneous, invertible = dense_intertwiner(h, md)
+            assert homogeneous == []
+            fact = verify_factorization(h, md)
+            assert fact.solvable == (X is not None)
+            assert fact.solution_dim == 0
+            assert fact.iso_found == invertible
+            if X is not None:
+                assert structures._intertwiner(
+                    mat_mul(h.psi_plus, md.psi_minus), h.ann.degrees,
+                    md.dual_heaven.ann.degrees) == X
+                assert fact.facts["rho_minus_star_maps_ker_psi_minus_onto_"
+                                  "iota_inv_ker_rho_plus"] == invertible
+            seen[kind, fact.solvable, fact.iso_found] += 1
+    assert seen == Counter({("given", True, True): len(pool),
+                            ("perturbed", False, False): len(pool),
+                            ("zero", True, False): 4})
 
 
 def test_sampler_redraws_bad_input_only(monkeypatch):
