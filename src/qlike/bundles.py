@@ -21,8 +21,8 @@ from .forms import (BinaryForm, _column_numerators, format_form, ip_add,
 from .linalg import identity, kernel_basis
 from .modp import PRIMES, rank_modp, reduce_modp, sqrt_minus_one
 from .polymatrix import (PolyMatrix, _decode, _equation_rows, _multiple_coeffs,
-                         _section_layout, annihilator_generators, generic_rank,
-                         graded_kernel, solve_combination)
+                         _section_layout, generic_rank, graded_kernel,
+                         solve_combination)
 
 SAMPLE_POINTS = ((1, 0), (0, 1), (1, 1))
 
@@ -137,33 +137,31 @@ def _family_of(n, gens):
         n, [list(v) for _, v in gens], [m for m, _ in gens]))
 
 
+def _annihilator_generators(columns, n, rank):
+    """(degree, covector) free generators of the functionals killing the
+    pointwise span of ``columns``, of generic rank ``rank``."""
+    return graded_kernel([list(col) for col in columns], n,
+                         expected_count=n - rank)
+
+
 def saturate(P: PolyMatrix) -> SubbundleFamily:
     """Free basis of the saturation of the image sheaf of P.
 
     Computed as annihilator-of-annihilator: the saturated module is exactly
     { v : q . v = 0 for every annihilator generator q }, and kernels of maps
-    into torsion-free modules are already saturated.  The degree cap is the
-    sum of P's column degrees + 1; failing to reach the free rank by then is
-    a bug, not bad input.
+    into torsion-free modules are already saturated.
 
     The annihilator generators built on the way are the basis of the
     result's annihilator: saturating does not change which functionals kill
     the fibers, and the graded kernel's output depends only on that module.
     So the result and that annihilator family are linked to each other, and
     :func:`annihilator` of either returns the other.  Only saturate sets
-    links; a rank-0 result has none.
+    links.
     """
     n = P.rows
     r = generic_rank(P.transpose_relations())
-    if r == 0:
-        return _family_of(n, [])
-    ann = annihilator_generators(P.columns(), P.col_degrees, n, r)
-    cap = sum(max(0, d) for d in P.col_degrees) + 1
-    gens = graded_kernel([list(q) for _, q in ann], n, expected_count=r,
-                         cap=cap, context="saturation")
-    fam = _family_of(n, gens)
-    if fam.rank != r:
-        raise InternalError("saturation did not terminate")
+    ann = _annihilator_generators(P.columns(), n, r)
+    fam = _family_of(n, _annihilator_generators([q for _, q in ann], n, n - r))
     dual = _family_of(n, ann)
     object.__setattr__(fam, "_annihilator", dual)
     object.__setattr__(dual, "_annihilator", fam)
@@ -181,11 +179,11 @@ def annihilator(A: SubbundleFamily) -> SubbundleFamily:
         return A._annihilator
     n = A.ambient
     columns = A.columns()
-    gens = annihilator_generators(columns, A.degrees, n, generic_rank(columns))
-    if len(gens) != n - A.rank:
+    r = generic_rank(columns)
+    if r != A.rank:
         raise InternalError("annihilator rank %d, expected %d"
-                            % (len(gens), n - A.rank))
-    return _family_of(n, gens)
+                            % (n - r, n - A.rank))
+    return _family_of(n, _annihilator_generators(columns, n, r))
 
 
 def h0_dimension_by_solve(F: SubbundleFamily, m: int) -> int:
@@ -392,12 +390,8 @@ def subquotient_splitting(A: SubbundleFamily, B: SubbundleFamily,
         return SplittingType.of([])
     kB = B.rank
     relations = [list(c) for c in coords]          # one relation per A-column
-    shifts = list(B.degrees)
-    cap = sum(max(0, e) for e in A.degrees) + \
-        sum(max(0, f) for f in B.degrees) + kB + 2
-    gens = graded_kernel(relations, kB, unknown_shifts=shifts,
-                         expected_count=kB - A.rank, cap=cap,
-                         context="subquotient splitting")
+    gens = graded_kernel(relations, kB, unknown_shifts=list(B.degrees),
+                         expected_count=kB - A.rank)
     summands = [m for m, _ in gens]
     expected_sum = (sum(A.degrees) - sum(B.degrees))
     if sum(summands) != expected_sum:

@@ -165,9 +165,7 @@ def veronese_curve(q: GoodQuadruple):
     if du - rk != 1:
         raise InvalidInput("kernel rank %d of the nilpotent family at a "
                            "generic point; expected 1" % (du - rk))
-    gens = graded_kernel(rows, du, expected_count=1, cap=2 * du + 4,
-                         context="kernel curve")
-    m, vec = gens[0]
+    [(m, vec)] = graded_kernel(rows, du, expected_count=1)
     if m != d:
         raise InternalError("kernel curve degree %d disagrees with the "
                             "weight decomposition degree %d" % (m, d))
@@ -224,18 +222,10 @@ def orbit_tangent_family(q: GoodQuadruple) -> TangentFamilies:
 
 
 def _constant_rank_check(raw: PolyMatrix, sat: SubbundleFamily, message):
-    rows = raw.transpose_relations()
-    r = sat.rank
-    cols = raw.cols
-    if cols == r:
-        return                    # free columns: nothing can drop
-    shifts = [-dd for dd in raw.col_degrees]
-    gens = graded_kernel(rows, cols, unknown_shifts=shifts,
-                         expected_count=cols - r,
-                         cap=sum(max(0, dd) for dd in raw.col_degrees) + cols + 2,
-                         context="constant-rank bookkeeping")
-    syz_sum = sum(m for m, _ in gens)
-    if syz_sum != sum(raw.col_degrees) - sum(sat.degrees):
+    gens = graded_kernel(raw.transpose_relations(), raw.cols,
+                         unknown_shifts=[-dd for dd in raw.col_degrees],
+                         expected_count=raw.cols - sat.rank)
+    if sum(m for m, _ in gens) != sum(raw.col_degrees) - sum(sat.degrees):
         raise InvalidInput(message)
 
 

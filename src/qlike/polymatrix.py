@@ -8,8 +8,28 @@ are the kernel vectors that :func:`~qlike.linalg.independent_rows` finds
 independent of the z-multiples of the generators already found, so the
 output degrees are minimal.  Kernels of maps into torsion-free modules are
 saturated, hence free here (two variables), and the generator count equals
-cols - generic rank; the loop stops exactly there.  Every graded system,
-exact or modulo a prime, is built in this module's section-space layout.
+cols - generic rank; the loop stops exactly there, and it never passes a
+degree bound B that it proves first.  Twist c_j by its shift s_j and split
+each relation by the degree t = deg f_ij + s_j of its terms: the system is
+a map sum_j O(s_j) -> sum_g O(t_g) of generic rank rho on the sphere, whose
+kernel is a subbundle sum_i O(-m_i) of rank c = n - rho, with a generator
+at each stage m_i (Birkhoff-Grothendieck).  The image's determinant maps
+into the rho-th exterior power of the target, so sum_i m_i = c1(image) -
+sum_j s_j <= T - sum_j s_j, for T the sum of the rho largest t_g; and each
+m_i >= -max s_j, as O(-m_i) maps into sum_j O(s_j).  So every m_i is at
+most B = T - sum_j s_j + (c - 1) max s_j.  The conic's relations
+z1 x0 - z0 x1 = z1 x1 - z0 x2 = 0 have t = (1, 1), rho = 2 and c = 1, so
+B = 2, the degree of their one generator, the conic:
+
+>>> from qlike.forms import BinaryForm, Z0, Z1
+>>> rows = [[Z1, -Z0, BinaryForm.zero(1)], [BinaryForm.zero(1), Z1, -Z0]]
+>>> _degree_bound(rows, [0, 0, 0], 1)
+2
+>>> graded_kernel(rows, 3, expected_count=1)
+[(2, (BinaryForm('z0^2'), BinaryForm('z0*z1'), BinaryForm('z1^2')))]
+
+Every graded system, exact or modulo a prime, is built in this module's
+section-space layout.
 """
 
 from __future__ import annotations
@@ -144,7 +164,7 @@ def generic_rank(rows_of_forms):
 
 
 def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None, *,
-                  expected_count, cap, context="graded kernel"):
+                  expected_count):
     """Minimal free generators of { c : sum_j M[i][j] * c_j = 0 for all i }.
 
     ``relation_rows`` is a list of rows, each a list of ``n_unknowns`` forms;
@@ -155,43 +175,54 @@ def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None, *,
     :func:`~qlike.linalg.independent_rows` finds independent of the
     z-multiples of the generators of lower degree (and of each other).
     It stops at ``expected_count`` generators (n_unknowns minus the generic
-    rank) and fails past degree ``cap`` (an internal error), or past
-    QLIKE_MAX_DEGREE if that is lower (bad input).
+    rank of the rows split by degree), and fails past the module's proven
+    bound B (internal error) or past a lower QLIKE_MAX_DEGREE (bad input).
     """
     shifts = list(unknown_shifts or [0] * n_unknowns)
     if len(shifts) != n_unknowns:
         raise ValueError("need one shift per unknown")
     if n_unknowns == 0 or expected_count == 0:
         return []
+    bound = _degree_bound(relation_rows, shifts, expected_count)
     env_cap = max_degree_cap()
-    limited = env_cap < cap
-    cap = min(cap, env_cap)
+    stop = min(bound, env_cap)
 
     rows = [[f.coeffs for f in row] for row in relation_rows]
     gens = []
+    known = []          # (degree, coefficient blocks) of each generator
     m = -max(shifts)
-    while m <= cap:
-        total = _section_layout(shifts, m)[2]
+    while m <= stop:
+        lengths, offsets, total = _section_layout(shifts, m)
         if total > 0:
             eq_rows = _equation_rows(rows, shifts, m)
             sols = kernel_basis(eq_rows) if eq_rows else identity(total)
             if sols:
-                known = [(mg, [f.coeffs for f in gvec]) for mg, gvec in gens]
-                mults = [_multiple_coeffs(gvec, shifts, m, mono1)
-                         for mg, gvec in known
+                mults = [_multiple_coeffs(blocks, shifts, m, mono1)
+                         for mg, blocks in known
                          for mono1 in range(m - mg, -1, -1)]
                 for i in independent_rows(mults + sols):
                     if i < len(mults):
                         continue
-                    vec = _decode(sols[i - len(mults)], shifts, m)
-                    gens.append((m, vec))
+                    sol = sols[i - len(mults)]
+                    gens.append((m, _decode(sol, shifts, m)))
                     if len(gens) == expected_count:
                         return gens
+                    known.append((m, [sol[off:off + length] for off, length
+                                      in zip(offsets, lengths)]))
         m += 1
-    if limited:
-        raise InvalidInput("%s did not terminate by degree %d, the "
-                           "QLIKE_MAX_DEGREE limit" % (context, cap))
-    raise InternalError("%s did not terminate by degree %d" % (context, cap))
+    if env_cap < bound:
+        raise InvalidInput("graded kernel did not terminate by degree %d, the "
+                           "QLIKE_MAX_DEGREE limit" % stop)
+    raise InternalError("graded kernel short of %d generators by degree %d, "
+                        "its proven bound" % (expected_count, bound))
+
+
+def _degree_bound(relation_rows, shifts, count):
+    """The bound B of the module docstring, for a kernel of rank count."""
+    ts = [t for row in relation_rows
+          for t in {f.degree + s for f, s in zip(row, shifts) if f}]
+    return (sum(sorted(ts, reverse=True)[:len(shifts) - count])
+            - sum(shifts) + (count - 1) * max(shifts))
 
 
 # -- the section-space layout ------------------------------------------------
@@ -275,26 +306,10 @@ def graded_kernel_basis(M: PolyMatrix) -> PolyMatrix:
         raise InvalidInput("graded_kernel_basis needs uniform column degrees;"
                            " use graded_kernel with unknown shifts")
     rows = M.transpose_relations()
-    rk = generic_rank(rows)
-    cap = sum(max(0, d) for d in M.col_degrees) + M.rows + 1
-    gens = graded_kernel(rows, M.cols, expected_count=M.cols - rk, cap=cap,
-                         context="syzygy computation")
+    gens = graded_kernel(rows, M.cols,
+                         expected_count=M.cols - generic_rank(rows))
     return PolyMatrix.from_columns(M.cols, [list(v) for _, v in gens],
                                    [m for m, _ in gens])
-
-
-def annihilator_generators(columns, col_degrees, ambient, rank):
-    """Free generators of { g in S^ambient : g . column = 0 for all columns }.
-
-    These are the functional covectors killing the pointwise span of the
-    column family; the result is automatically the saturated annihilator
-    module.  ``rank`` is the columns' generic rank.  Returns a list of
-    (degree, covector) pairs.
-    """
-    cap = sum(max(0, d) for d in col_degrees) + 2
-    return graded_kernel([list(col) for col in columns], ambient,
-                         expected_count=ambient - rank, cap=cap,
-                         context="annihilator computation")
 
 
 def solve_combination(columns, col_degrees, target, target_degree):

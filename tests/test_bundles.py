@@ -55,6 +55,16 @@ def test_saturate_constant_column():
     assert splitting_type(fam) == SplittingType.of([0])
 
 
+def test_saturate_zero_columns():
+    # rank 0: the linked annihilator is every functional, the same basis a
+    # fresh annihilator computes
+    fam = saturate(cols_matrix(3, ("0", "0", "0")))
+    assert fam.rank == 0
+    ann = annihilator(fam)
+    assert ann.degrees == (0, 0, 0) and annihilator(ann) is fam
+    assert ann.basis == annihilator(SubbundleFamily(3, fam.basis)).basis
+
+
 def test_h0_twist_examples():
     fam = saturate(cols_matrix(2, ("z0", "z1")))
     assert h0_twist(fam, 1)[0] == 1

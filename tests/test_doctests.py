@@ -32,3 +32,8 @@ def test_forms_docstring_has_examples():
 def test_structures_docstring_has_examples():
     from qlike import structures
     assert doctest.testmod(structures).attempted >= 2
+
+
+def test_polymatrix_docstring_has_examples():
+    from qlike import polymatrix
+    assert doctest.testmod(polymatrix).attempted >= 2

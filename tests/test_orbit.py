@@ -1,16 +1,17 @@
 import pytest
 
-from qlike.bundles import SplittingType, family_span_equal
+from qlike.bundles import SplittingType, family_span_equal, saturate
 from qlike.catalog import (adjoint_expected, build_adjoint, build_so,
                            build_sp, build_veronese)
 from qlike.errors import InvalidInput
 from qlike.forms import Z0, Z1, parse_form
 from qlike.lie import sl_algebra, principal_sl2_matrices, Sl2Embedding
 from qlike.linalg import mat_vec, solve_matrix
-from qlike.orbit import (GoodQuadruple, _restricted_sl2_matrices,
-                         dimension_report, normal_bundle,
-                         orbit_tangent_family, validate_good_quadruple,
-                         veronese_curve)
+from qlike.orbit import (GoodQuadruple, _constant_rank_check,
+                         _restricted_sl2_matrices, dimension_report,
+                         normal_bundle, orbit_tangent_family,
+                         validate_good_quadruple, veronese_curve)
+from qlike.polymatrix import PolyMatrix
 from qlike.scalars import ONE, Scalar, ZERO
 
 
@@ -151,3 +152,16 @@ def test_restricted_triple_matches_one_solve_per_operator(q):
         cols = [mat_vec(m, list(v)) for v in q.u_basis]
         want.append(solve_matrix(ub, [list(r) for r in zip(*cols)]))
     assert _restricted_sl2_matrices(q) == (want, "")
+
+
+def test_constant_rank_check_sees_a_cusp():
+    # the cusp (z0^3, z0 z1^2, z1^3) has independent derivative columns,
+    # but their span drops rank at [1 : 0]: the saturation has degrees
+    # (1, 2), one less in total than the raw columns' (2, 2)
+    v = [parse_form(s) for s in ("z0^3", "z0*z1^2", "z1^3")]
+    raw = PolyMatrix.from_columns(3, [[f.d_z0() for f in v],
+                                      [f.d_z1() for f in v]], [2, 2])
+    sat = saturate(raw)
+    assert sat.degrees == (1, 2)
+    with pytest.raises(InvalidInput, match="curve not immersed"):
+        _constant_rank_check(raw, sat, "curve not immersed")

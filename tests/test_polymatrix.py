@@ -1,10 +1,13 @@
 import random
 
+import pytest
 from oracles import poly_mat_vec
 
+from qlike.errors import InternalError, InvalidInput
 from qlike.forms import BinaryForm, Z0, Z1, parse_form
-from qlike.polymatrix import (PolyMatrix, generic_rank, graded_kernel,
-                              graded_kernel_basis, solve_combination)
+from qlike.polymatrix import (PolyMatrix, _degree_bound, generic_rank,
+                              graded_kernel, graded_kernel_basis,
+                              solve_combination)
 from qlike.scalars import Scalar
 
 
@@ -59,8 +62,7 @@ def test_twisted_kernel_degrees():
     # relation z0^2 g0 + z1 g1 = 0 with unknown shifts (0, 1): the minimal
     # generator is (z1, -z0^2) at stage 1
     rows = [[parse_form("z0^2"), Z1]]
-    gens = graded_kernel(rows, 2, unknown_shifts=[0, 1], expected_count=1,
-                         cap=10)
+    gens = graded_kernel(rows, 2, unknown_shifts=[0, 1], expected_count=1)
     assert len(gens) == 1
     m, vec = gens[0]
     assert m == 1
@@ -83,3 +85,71 @@ def test_solve_combination_round_trip():
     # an unreachable target
     bad = [parse_form("z0^2"), BinaryForm.zero(2), BinaryForm.zero(2)]
     assert solve_combination(cols, degs, bad, 2) is None
+
+
+def split_by_degree(rows, shifts):
+    """One row per (relation, degree deg f + shift) group: the system whose
+    generic rank fixes the kernel's rank."""
+    out = []
+    for row in rows:
+        for t in sorted({f.degree + s for f, s in zip(row, shifts) if f}):
+            out.append([f if f and f.degree + s == t else BinaryForm.zero(0)
+                        for f, s in zip(row, shifts)])
+    return out
+
+
+def test_generators_never_pass_the_proven_bound():
+    # random relation systems, rows of mixed degrees, shifts in [-2, 2]
+    rng = random.Random(18)
+    reached = 0
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        shifts = [rng.randint(-2, 2) for _ in range(n)]
+        rows = [[BinaryForm(d, [Scalar(rng.randint(-2, 2))
+                                for _ in range(d + 1)])
+                 if rng.random() < 0.7 else BinaryForm.zero(d)
+                 for d in (rng.randint(0, 2) for _ in range(n))]
+                for _ in range(rng.randint(1, n - 1))]
+        count = n - generic_rank(split_by_degree(rows, shifts))
+        bound = _degree_bound(rows, shifts, count) if count else None
+        gens = graded_kernel(rows, n, unknown_shifts=shifts,
+                             expected_count=count)
+        assert len(gens) == count
+        for m, vec in gens:
+            assert m <= bound
+            for row in rows:
+                sums = {}
+                for f, g in zip(row, vec):
+                    if f and g:
+                        p = f * g
+                        sums[p.degree] = sums[p.degree] + p \
+                            if p.degree in sums else p
+                assert all(p.is_zero() for p in sums.values())
+        reached += bool(gens) and gens[-1][0] == bound
+    assert reached > 0
+
+
+CONIC_RELATIONS = [[Z1, -Z0, BinaryForm.zero(1)],
+                   [BinaryForm.zero(1), Z1, -Z0]]
+
+
+def test_conic_reaches_the_bound():
+    gens = graded_kernel(CONIC_RELATIONS, 3, expected_count=1)
+    assert [m for m, _ in gens] == [2]
+    assert _degree_bound(CONIC_RELATIONS, [0, 0, 0], 1) == 2
+    assert list(gens[0][1]) == [Z0 * Z0, Z0 * Z1, Z1 * Z1]
+
+
+def test_max_degree_limit_at_and_below_the_needed_degree(monkeypatch):
+    monkeypatch.setenv("QLIKE_MAX_DEGREE", "2")
+    assert len(graded_kernel(CONIC_RELATIONS, 3, expected_count=1)) == 1
+    monkeypatch.setenv("QLIKE_MAX_DEGREE", "1")
+    with pytest.raises(InvalidInput, match="QLIKE_MAX_DEGREE"):
+        graded_kernel(CONIC_RELATIONS, 3, expected_count=1)
+
+
+def test_count_too_high_fails_at_the_bound():
+    bound = _degree_bound(CONIC_RELATIONS, [0, 0, 0], 2)
+    with pytest.raises(InternalError,
+                       match="by degree %d, its proven bound" % bound):
+        graded_kernel(CONIC_RELATIONS, 3, expected_count=2)

@@ -387,8 +387,7 @@ def test_saturation_hands_over_the_annihilator():
 
 
 def test_each_family_and_annihilator_is_derived_once(monkeypatch):
-    # count what bundles calls, and the graded kernel that
-    # annihilator_generators runs inside polymatrix
+    # count the graded kernels and generic ranks that bundles runs
     calls = Counter()
 
     def counting(name, fn):
@@ -397,10 +396,9 @@ def test_each_family_and_annihilator_is_derived_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("graded_kernel", "annihilator_generators", "generic_rank"):
+    for name in ("graded_kernel", "generic_rank"):
         monkeypatch.setattr(bundles, name,
                             counting(name, getattr(bundles, name)))
-    monkeypatch.setattr(polymatrix, "graded_kernel", bundles.graded_kernel)
     for s in [CONIC, QUAT, PLANE] + random_structures(123, 4):
         v = validate(s)
         calls.clear()
@@ -409,9 +407,7 @@ def test_each_family_and_annihilator_is_derived_once(monkeypatch):
         dualize(s)
         # one saturation: its rank, the annihilator generators and the
         # graded kernel over them; the annihilator is the link
-        assert calls == Counter({"generic_rank": 1,
-                                 "annihilator_generators": 1,
-                                 "graded_kernel": 2})
+        assert calls == Counter({"generic_rank": 1, "graded_kernel": 2})
 
 
 # sha256 of the canonical JSON of each minus family and of its annihilator
