@@ -2,10 +2,47 @@
 structure must be immersed and injective.
 
 The curve is read through its Pluecker coordinates, binary forms over the
-Gaussian integers.  Each check is first proven modulo a prime
-(:mod:`qlike.modp`).  The exact route decides every failure and whatever
-the certificate leaves open; only injectivity may end in sampling, which is
-reported as a warning.
+Gaussian integers, of degree d, the sum of the family's degrees.
+:func:`curve_checks` first decides both checks from the dimension of their
+span.  When the coordinates span all d + 1 forms of degree d (d >= 1,
+proven by an exact rank), the curve is a rational normal curve:
+
+* z0^d and z1^d lie in the span, so the coordinates have no common zero;
+* the coordinate vector is gamma = A nu_d, where nu_d = (z0^d, z0^(d-1)
+  z1, ..., z1^d) is the degree-d rational normal curve and row i of A holds
+  the coefficients of coordinate i.  A has rank d + 1, so it is injective,
+  and gamma is embedded when nu_d is;
+* nu_d is embedded (Harris, *Algebraic Geometry: A First Course*, Lecture
+  1): in the chart z0 = 1 it is t -> (1, t, ..., t^d), whose second
+  coordinate over its first recovers t and whose derivative (0, 1, ...) is
+  never proportional to it; the chart z1 = 1 is the mirror image, and only
+  z0 = 0 maps to a point with first coordinate 0.  So gamma is immersed
+  and injective.
+
+The twisted cubic takes this rule and runs no certificate:
+
+>>> from qlike.bundles import saturate
+>>> from qlike.forms import parse_form
+>>> from qlike.polymatrix import PolyMatrix
+>>> cubic = [parse_form(t) for t in ("z0^3", "z0^2*z1", "z0*z1^2", "z1^3")]
+>>> checks, routes = curve_checks(saturate(PolyMatrix.from_columns(4, [cubic])))
+>>> checks
+[('immersion', 'pass', ''), ('injectivity', 'pass', '')]
+>>> routes
+{'pluecker': 'exact', 'immersion': 'exact', 'injectivity': 'exact'}
+
+Otherwise (a span of dimension at most d, or d = 0, the constant map) each
+check is first proven modulo a prime (:mod:`qlike.modp`) on a basis of the
+span.  The exact route decides every failure and whatever the certificate
+leaves open; only injectivity may end in sampling, which is reported as a
+warning.  A smooth rational quartic in P^3 is one such curve:
+
+>>> quartic = [parse_form(t) for t in ("z0^4", "z0^3*z1", "z0*z1^3", "z1^4")]
+>>> checks, routes = curve_checks(saturate(PolyMatrix.from_columns(4, [quartic])))
+>>> [status for _, status, _ in checks]
+['pass', 'pass']
+>>> routes["immersion"]
+'modular:998244353'
 """
 
 from __future__ import annotations
@@ -49,10 +86,51 @@ def _pluecker_coordinates(family: SubbundleFamily):
     return [table[rows] for rows in itertools.combinations(range(n), k)]
 
 
-def _reduced_pluecker(family: SubbundleFamily):
+def curve_checks(family: SubbundleFamily):
+    """``(checks, routes)`` for the Grassmann curve of the saturated
+    ``family``: ``checks`` holds the ``(name, status, detail)`` of
+    immersion and injectivity, and ``routes`` says how "pluecker",
+    "immersion" and "injectivity" were decided (see the module docstring).
+    """
+    coords = _pluecker_forms(family)
+    d = len(coords[0]) - 1
+    if d >= 1 and linalg.rank(_scalar_rows(coords)) == d + 1:
+        # a rational normal curve: coprime, immersed and injective
+        return ([("immersion", "pass", ""), ("injectivity", "pass", "")],
+                dict.fromkeys(("pluecker", "immersion", "injectivity"),
+                              "exact"))
+    routes = {}
+    gamma, routes["pluecker"] = _reduced_pluecker(coords)
+    if len(gamma) == 1:
+        routes["immersion"] = routes["injectivity"] = "exact"
+        return ([("immersion", "fail", "constant map, not an embedding"),
+                 ("injectivity", "fail", "constant map")], routes)
+    ok, routes["immersion"] = _immersion_check(gamma)
+    status, detail, routes["injectivity"] = _injectivity_check(gamma)
+    return ([("immersion", "pass" if ok else "fail",
+              "" if ok else "critical point on the parameter sphere"),
+             ("injectivity", status, detail)], routes)
+
+
+def _pluecker_forms(family: SubbundleFamily):
+    """The nonzero Pluecker coordinates of ``family``, each padded to the
+    d + 1 coefficients of a form of degree d, the sum of its degrees."""
+    d = sum(family.degrees)
+    coords = [g + [(0, 0)] * (d + 1 - len(g))
+              for g in _pluecker_coordinates(family) if g]
+    if not coords:
+        raise InternalError("Pluecker image vanished on a rank-k family")
+    return coords
+
+
+def _scalar_rows(coords):
+    return [[Scalar(re, im) for re, im in g] for g in coords]
+
+
+def _reduced_pluecker(coords):
     """(gamma, route): a basis of the linear span of the Pluecker coordinate
-    forms, as Gaussian-integer pair lists of length d + 1 (d the sum of the
-    family's degrees), and how their gcd was proven constant.
+    forms ``coords`` (from :func:`_pluecker_forms`), and how their gcd was
+    proven constant.
 
     Injectivity and immersion of the Grassmann curve are equivalent to those
     of this reduced curve (the coordinates differ by an injective constant
@@ -62,11 +140,7 @@ def _reduced_pluecker(family: SubbundleFamily):
     inconclusive by the exact chain of :func:`~qlike.forms.form_gcd`.  A
     nonconstant gcd is an internal error.
     """
-    d = sum(family.degrees)
-    coords = [g + [(0, 0)] * (d + 1 - len(g))
-              for g in _pluecker_coordinates(family) if g]
-    if not coords:
-        raise InternalError("Pluecker image vanished on a rank-k family")
+    d = len(coords[0]) - 1
     p = coprime_forms_prime(lambda p, ip: reduce_modp(coords, p, ip))
     if p is None:
         g = _form(d, coords[0])
@@ -77,8 +151,7 @@ def _reduced_pluecker(family: SubbundleFamily):
         if g.degree > 0:
             raise InternalError("saturated family has nonreduced Pluecker "
                                 "image")
-    rows = [[Scalar(re, im) for re, im in g] for g in coords]
-    return ([coords[i] for i in independent_rows(rows)],
+    return ([coords[i] for i in independent_rows(_scalar_rows(coords))],
             "exact" if p is None else "modular:%d" % p)
 
 

@@ -200,7 +200,11 @@ def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None, *,
                 mults = [_multiple_coeffs(blocks, shifts, m, mono1)
                          for mg, blocks in known
                          for mono1 in range(m - mg, -1, -1)]
-                for i in independent_rows(mults + sols):
+                # with no generator yet, every kernel vector is new: it is
+                # 1 on its own free column and 0 on the others
+                new = (independent_rows(mults + sols) if mults
+                       else range(len(sols)))
+                for i in new:
                     if i < len(mults):
                         continue
                     sol = sols[i - len(mults)]

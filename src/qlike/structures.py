@@ -21,7 +21,7 @@ from .bundles import (SAMPLE_POINTS, QuotientBundle, SplittingType,
                       SubbundleFamily, annihilator, family_contains,
                       is_split_extension, saturate, splitting_type,
                       verify_canonical_sequences)
-from .embedding import _immersion_check, _injectivity_check, _reduced_pluecker
+from .embedding import curve_checks
 from .errors import InternalError, InvalidInput
 from .forms import BinaryForm, antipodal_transform, format_form, parse_form
 from .linalg import (conj_matrix, identity, inverse, kernel_basis, mat_eq,
@@ -119,7 +119,8 @@ class ValidationReport:
     family: SubbundleFamily = field(default=None, compare=False, repr=False)
     # how each curve check was decided, by "pluecker", "immersion" and
     # "injectivity": "modular:<p>" (a certificate modulo the prime p),
-    # "exact" or "sampled"; not serialized
+    # "exact" (which covers the rational-normal-curve rule of
+    # qlike.embedding) or "sampled"; not serialized
     routes: dict = field(default_factory=dict, compare=False, repr=False)
 
     def add(self, name, status, detail=""):
@@ -166,18 +167,9 @@ def validate(S: QLikeStructure) -> ValidationReport:
         status, detail = _reality_check(S, family)
         report.add("reality", status, detail)
 
-    routes = report.routes
-    gamma, routes["pluecker"] = _reduced_pluecker(family)
-    if len(gamma) == 1:
-        report.add("immersion", "fail", "constant map, not an embedding")
-        report.add("injectivity", "fail", "constant map")
-        routes["immersion"] = routes["injectivity"] = "exact"
-    else:
-        ok, routes["immersion"] = _immersion_check(gamma)
-        report.add("immersion", "pass" if ok else "fail",
-                   "" if ok else "critical point on the parameter sphere")
-        status, detail, routes["injectivity"] = _injectivity_check(gamma)
-        report.add("injectivity", status, detail)
+    checks, report.routes = curve_checks(family)
+    for name, status, detail in checks:
+        report.add(name, status, detail)
 
     split = is_split_extension(family)
     report.add("nonsplitting", "fail" if split else "pass",

@@ -37,3 +37,8 @@ def test_structures_docstring_has_examples():
 def test_polymatrix_docstring_has_examples():
     from qlike import polymatrix
     assert doctest.testmod(polymatrix).attempted >= 2
+
+
+def test_embedding_docstring_has_examples():
+    from qlike import embedding
+    assert doctest.testmod(embedding).attempted >= 2

@@ -8,7 +8,7 @@ from dataclasses import replace
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qlike import (bundles, catalog, embedding, polymatrix, sampling,
+from qlike import (bundles, catalog, embedding, modp, polymatrix, sampling,
                    structures)
 
 from oracles import dense_intertwiner, plus_side_generic_by_sections
@@ -63,6 +63,12 @@ def test_validate_constant_map_fails():
     s = QLikeStructure(3, 1, spanning, None, complex_mode=True)
     report = validate(s)
     assert check_status(report, "immersion") == "fail"
+    # d = 0: the one constant coordinate spans all degree-0 forms, yet the
+    # rational-normal-curve rule needs d >= 1
+    assert [(c.status, c.detail) for c in report.checks
+            if c.name in ("immersion", "injectivity")] == [
+        ("fail", "constant map, not an embedding"), ("fail", "constant map")]
+    assert report.routes["immersion"] == report.routes["injectivity"] == "exact"
 
 
 def test_validate_degenerate_codimension():
@@ -536,6 +542,69 @@ def test_routes_are_recorded_but_not_serialized():
         report.routes.clear()
         assert canonical_json(report.to_json()) == text
         assert "modular" not in text
+
+
+def column_structure(texts):
+    """The complex structure of one column of forms, k = 1."""
+    col = [parse_form(t) for t in texts]
+    return QLikeStructure(len(col), 1, PolyMatrix.from_columns(len(col), [col]),
+                          None, complex_mode=True)
+
+
+def spans_all_forms(coords):
+    """Whether the padded Pluecker forms span all forms of their degree
+    d >= 1, by an exact rank."""
+    d = len(coords[0]) - 1
+    rows = [[Scalar(re, im) for re, im in g] for g in coords]
+    return d >= 1 and rank(rows) == d + 1
+
+
+def test_rational_normal_curves_agree_with_the_certificates():
+    # every curve whose Pluecker forms span all degree-d forms skips the
+    # certificates; run them anyway, and they must pass it too
+    taken = 0
+    for s in (_fixture_structures() + random_structures(20250808, 53)
+              + random_structures(123, 8)):
+        family = saturate(s.spanning)
+        coords = embedding._pluecker_forms(family)
+        if not spans_all_forms(coords):
+            continue
+        taken += 1
+        gamma, _ = embedding._reduced_pluecker(coords)
+        assert len(gamma) == len(coords[0])
+        ok, _ = embedding._immersion_check(gamma)
+        status, detail, _ = embedding._injectivity_check(gamma)
+        checks, routes = embedding.curve_checks(family)
+        assert checks == [("immersion", "pass" if ok else "fail", ""),
+                          ("injectivity", status, detail)]
+        assert set(routes.values()) == {"exact"}
+    assert taken >= 40
+
+
+def test_twisted_cubic_runs_no_certificate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rational normal curve needs no certificate")
+    for name in ("coprime_forms_prime", "independent_rows",
+                 "_wronskians_modp"):
+        monkeypatch.setattr(embedding, name, refuse)
+    monkeypatch.setattr(modp, "resultant_gcd_is_constant", refuse)
+    report = validate(column_structure(["z0^3", "z0^2*z1", "z0*z1^2",
+                                        "z1^3"]))
+    assert report.passed, report.to_json()
+    assert report.routes == dict.fromkeys(
+        ("pluecker", "immersion", "injectivity"), "exact")
+
+
+def test_smooth_quartic_takes_the_certificates():
+    # (z0^4, z0^3 z1, z0 z1^3, z1^4) is embedded in P^3, but its forms
+    # miss z0^2 z1^2: beta = d = 4, so the modular certificates decide it
+    s = column_structure(["z0^4", "z0^3*z1", "z0*z1^3", "z1^4"])
+    assert not spans_all_forms(
+        embedding._pluecker_forms(saturate(s.spanning)))
+    report = validate(s)
+    assert report.passed, report.to_json()
+    assert report.routes["pluecker"] == "modular:%d" % PRIMES[0]
+    assert report.routes["immersion"] == "modular:%d" % PRIMES[0]
 
 
 # z1, z0 and z0 - z1 vanish at the first, second and third sample point
