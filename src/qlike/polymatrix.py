@@ -3,13 +3,13 @@
 A :class:`PolyMatrix` presents a map of sheaves on the sphere by an n x m
 matrix of binary forms, homogeneous of one degree per column.  The engine
 below computes free generators of graded solution modules
-``{ c : M(z) c(z) = 0 }`` degree by degree: at each degree the new generators
-are the kernel vectors that :func:`~qlike.linalg.independent_rows` finds
-independent of the z-multiples of the generators already found, so the
-output degrees are minimal.  Kernels of maps into torsion-free modules are
-saturated, hence free here (two variables), and the generator count equals
-cols - generic rank; the loop stops exactly there, and it never passes a
-degree bound B that it proves first.  Twist c_j by its shift s_j and split
+``{ c : M(z) c(z) = 0 }`` degree by degree: the generators of degree m are
+the stage-m kernel vectors independent of the z-multiples of the generators
+already found, so the output degrees are minimal.  Kernels of maps into
+torsion-free modules are saturated, hence free here (two variables), and
+the generator count equals cols - generic rank; the loop stops exactly
+there, and it never passes a degree bound B that it proves first.  Twist
+c_j by its shift s_j and split
 each relation by the degree t = deg f_ij + s_j of its terms: the system is
 a map sum_j O(s_j) -> sum_g O(t_g) of generic rank rho on the sphere, whose
 kernel is a subbundle sum_i O(-m_i) of rank c = n - rho, with a generator
@@ -28,6 +28,37 @@ B = 2, the degree of their one generator, the conic:
 >>> graded_kernel(rows, 3, expected_count=1)
 [(2, (BinaryForm('z0^2'), BinaryForm('z0*z1'), BinaryForm('z1^2')))]
 
+Empty stages.  At stage m the generators found so far, of degrees m_g,
+have M(m) = sum_g (m - m_g + 1) z-multiples.  Minimal generators of a free
+graded module are a basis of it, so these multiples are independent exact
+kernel vectors, and M(m) <= dim ker.  The equation rows of a relation,
+scaled by a constant, have the same kernel, so reducing each relation's
+Gaussian-integer numerators modulo p = ``modp.PRIMES[0]`` gives rows whose
+rank r_p over GF(p) is at most the exact rank ("Rank" in :mod:`qlike.modp`):
+dim ker <= total - r_p.  When total - r_p = M(m) the multiples span the
+kernel, and the stage has no new generator; only the other stages are
+eliminated exactly.  An unlucky prime merely sends a stage to the exact
+path.  The conic's stages 0 and 1 have 3 and 6 unknowns and full rank
+modulo p, so only stage 2, of rank 8 in 9 unknowns, is eliminated:
+
+>>> rows_p = _relations_modp(rows)
+>>> [rank_modp(_equation_rows(rows_p, [0, 0, 0], m, zero=0), PRIMES[0])
+...  for m in (0, 1, 2)]
+[3, 6, 8]
+
+Selection.  Each exact kernel vector sols[i] is 1 on its free column f_i,
+0 on the other free columns and nonzero only on pivots left of f_i
+(:func:`~qlike.linalg.kernel_basis`), so the map v -> (v[f_1], ..., v[f_K])
+is an isomorphism from the kernel onto K-space that sends sols[i] to e_i.
+Let A be the M x K matrix of the multiples' entries at f_1..f_K.  Then
+sols[i] depends on the multiples and sols[:i] exactly when e_i, cut to its
+coordinates i..K, lies in the row space of A[:, i:], that is when
+rank A[:, i:] = 1 + rank A[:, i+1:]: when column i is a pivot of A's
+columns scanned from right to left.  So the new generators are the
+kernel vectors whose column of A is not such a pivot, and one
+:func:`~qlike.linalg.independent_rows` on A's reversed columns, vectors of
+length M, picks them.
+
 Every graded system, exact or modulo a prime, is built in this module's
 section-space layout.
 """
@@ -37,8 +68,9 @@ from __future__ import annotations
 import os
 
 from .errors import InternalError, InvalidInput
-from .forms import BinaryForm
+from .forms import BinaryForm, _column_numerators
 from .linalg import identity, independent_rows, kernel_basis, rank, solve
+from .modp import PRIMES, rank_modp, reduce_modp, sqrt_minus_one
 from .scalars import ZERO
 
 DEFAULT_MAX_DEGREE = 64
@@ -171,12 +203,15 @@ def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None, *,
     ``unknown_shifts[j]`` twists the grading so that at stage m the unknown
     c_j runs over forms of degree m + shift_j.  Returns a list of
     ``(m, tuple_of_forms)`` pairs sorted by m (ties: discovery order).
-    The generators of degree m are the kernel vectors at stage m that
-    :func:`~qlike.linalg.independent_rows` finds independent of the
-    z-multiples of the generators of lower degree (and of each other).
-    It stops at ``expected_count`` generators (n_unknowns minus the generic
-    rank of the rows split by degree), and fails past the module's proven
-    bound B (internal error) or past a lower QLIKE_MAX_DEGREE (bad input).
+    A stage whose kernel dimension modulo p equals the count of z-multiples
+    of the generators already found has no new generator and is skipped;
+    at any other stage the generators of degree m are the exact kernel
+    vectors independent of those multiples and of the kernel vectors
+    before them, chosen on the kernel's free coordinates (see the module
+    docstring for both proofs).  It stops at ``expected_count`` generators
+    (n_unknowns minus the generic rank of the rows split by degree), and
+    fails past the module's proven bound B (internal error) or past a lower
+    QLIKE_MAX_DEGREE (bad input).
     """
     shifts = list(unknown_shifts or [0] * n_unknowns)
     if len(shifts) != n_unknowns:
@@ -188,37 +223,58 @@ def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None, *,
     stop = min(bound, env_cap)
 
     rows = [[f.coeffs for f in row] for row in relation_rows]
+    rows_p = _relations_modp(relation_rows)
     gens = []
     known = []          # (degree, coefficient blocks) of each generator
     m = -max(shifts)
     while m <= stop:
         lengths, offsets, total = _section_layout(shifts, m)
-        if total > 0:
+        n_mults = sum(m - mg + 1 for mg, _ in known)
+        r_p = rank_modp(_equation_rows(rows_p, shifts, m, zero=0), PRIMES[0])
+        if total - r_p > n_mults:
             eq_rows = _equation_rows(rows, shifts, m)
             sols = kernel_basis(eq_rows) if eq_rows else identity(total)
-            if sols:
-                mults = [_multiple_coeffs(blocks, shifts, m, mono1)
-                         for mg, blocks in known
-                         for mono1 in range(m - mg, -1, -1)]
-                # with no generator yet, every kernel vector is new: it is
-                # 1 on its own free column and 0 on the others
-                new = (independent_rows(mults + sols) if mults
-                       else range(len(sols)))
-                for i in new:
-                    if i < len(mults):
-                        continue
-                    sol = sols[i - len(mults)]
-                    gens.append((m, _decode(sol, shifts, m)))
-                    if len(gens) == expected_count:
-                        return gens
-                    known.append((m, [sol[off:off + length] for off, length
-                                      in zip(offsets, lengths)]))
+            for i in _new_kernel_vectors(sols, known, shifts, m):
+                sol = sols[i]
+                gens.append((m, _decode(sol, shifts, m)))
+                if len(gens) == expected_count:
+                    return gens
+                known.append((m, [sol[off:off + length] for off, length
+                                  in zip(offsets, lengths)]))
         m += 1
     if env_cap < bound:
         raise InvalidInput("graded kernel did not terminate by degree %d, the "
                            "QLIKE_MAX_DEGREE limit" % stop)
     raise InternalError("graded kernel short of %d generators by degree %d, "
                         "its proven bound" % (expected_count, bound))
+
+
+def _relations_modp(relation_rows):
+    """Each relation's Gaussian-integer numerators modulo ``PRIMES[0]``:
+    untrimmed coefficient lists for :func:`_equation_rows`."""
+    p = PRIMES[0]
+    ip = sqrt_minus_one(p)
+    return [reduce_modp(_column_numerators(row), p, ip)
+            for row in relation_rows]
+
+
+def _new_kernel_vectors(sols, known, shifts, m):
+    """Indices of the stage-m kernel vectors ``sols`` that are independent
+    of the z-multiples of the ``known`` generators and of the vectors
+    before them: the columns of A, the multiples' entries at the free
+    columns, that are not pivots from the right (module docstring)."""
+    if not known:
+        # with no generator yet, every kernel vector is new
+        return range(len(sols))
+    # sols[i] is 1 on its free column and 0 to the right of it
+    free = [max(j for j, x in enumerate(sol) if x) for sol in sols]
+    mults = [_multiple_coeffs(blocks, shifts, m, mono1)
+             for mg, blocks in known
+             for mono1 in range(m - mg, -1, -1)]
+    last = len(sols) - 1
+    pivots = set(independent_rows([[v[f] for v in mults]
+                                   for f in reversed(free)]))
+    return [i for i in range(len(sols)) if last - i not in pivots]
 
 
 def _degree_bound(relation_rows, shifts, count):

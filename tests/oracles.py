@@ -7,15 +7,19 @@ formula, kernels and solutions by Gauss-Jordan elimination in Q(i)
 arithmetic, resultants over GF(p) by eliminating the Sylvester matrix, the
 factorization's intertwiner from its dense system in all hp^2 unknowns,
 Q(i) arithmetic on a pair of Fractions rather than a Gaussian integer over
-one denominator.
+one denominator, graded kernels by an exact elimination at every stage and
+a selection among whole kernel vectors.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from qlike.forms import BinaryForm
-from qlike.linalg import kernel_basis, mat_mul, solve
+from qlike.linalg import (identity, independent_rows, kernel_basis, mat_mul,
+                          solve)
 from qlike.modp import _eliminate_modp
+from qlike.polymatrix import (_decode, _degree_bound, _equation_rows,
+                              _multiple_coeffs, _section_layout)
 from qlike.scalars import ONE, ZERO, Scalar, clear_denominators
 
 
@@ -406,3 +410,39 @@ def dense_intertwiner(hd, md):
         return None, homogeneous, False
     X = [x[g * hp:(g + 1) * hp] for g in range(hp)]
     return X, homogeneous, len(rref(X)[1]) == hp
+
+
+def graded_kernel_by_stages(relation_rows, n_unknowns, unknown_shifts=None, *,
+                            expected_count):
+    """``polymatrix.graded_kernel`` without its shortcuts: every stage up to
+    the proven bound is eliminated exactly, and the new generators are the
+    kernel vectors that ``independent_rows`` finds independent of the
+    z-multiples of the earlier generators, all as whole vectors."""
+    shifts = list(unknown_shifts or [0] * n_unknowns)
+    if n_unknowns == 0 or expected_count == 0:
+        return []
+    bound = _degree_bound(relation_rows, shifts, expected_count)
+    rows = [[f.coeffs for f in row] for row in relation_rows]
+    gens = []
+    known = []
+    for m in range(-max(shifts), bound + 1):
+        lengths, offsets, total = _section_layout(shifts, m)
+        if total == 0:
+            continue
+        eq_rows = _equation_rows(rows, shifts, m)
+        sols = kernel_basis(eq_rows) if eq_rows else identity(total)
+        mults = [_multiple_coeffs(blocks, shifts, m, mono1)
+                 for mg, blocks in known
+                 for mono1 in range(m - mg, -1, -1)]
+        vectors = mults + sols
+        for i in independent_rows(vectors) if vectors else ():
+            if i < len(mults):
+                continue
+            sol = vectors[i]
+            gens.append((m, _decode(sol, shifts, m)))
+            if len(gens) == expected_count:
+                return gens
+            known.append((m, [sol[off:off + length] for off, length
+                              in zip(offsets, lengths)]))
+    raise AssertionError("oracle short of %d generators by degree %d"
+                         % (expected_count, bound))

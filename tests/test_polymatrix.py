@@ -1,13 +1,20 @@
 import random
 
 import pytest
-from oracles import poly_mat_vec
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from oracles import graded_kernel_by_stages, poly_mat_vec
 
+from qlike import bundles, orbit, polymatrix
+from qlike.bundles import saturate
+from qlike.catalog import catalog_entries, fixture_structures
 from qlike.errors import InternalError, InvalidInput
 from qlike.forms import BinaryForm, Z0, Z1, parse_form
+from qlike.modp import PRIMES
 from qlike.polymatrix import (PolyMatrix, _degree_bound, generic_rank,
                               graded_kernel, graded_kernel_basis,
                               solve_combination)
+from qlike.sampling import random_structures
 from qlike.scalars import Scalar
 
 
@@ -153,3 +160,142 @@ def test_count_too_high_fails_at_the_bound():
     with pytest.raises(InternalError,
                        match="by degree %d, its proven bound" % bound):
         graded_kernel(CONIC_RELATIONS, 3, expected_count=2)
+
+
+# -- the graded kernel against its stage-by-stage oracle -----------------------
+
+def exact(gens):
+    """Generators with each form's degree and exact numerators, so that zero
+    forms of different degrees and reordered generators compare unequal."""
+    return [(m, tuple((f.degree, f.den, f.num) for f in vec))
+            for m, vec in gens]
+
+
+def record_graded_kernels(monkeypatch):
+    """Record (args, kwargs, generators) of every graded_kernel call made
+    through polymatrix, bundles or orbit."""
+    calls = []
+    real = polymatrix.graded_kernel
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    for module in (polymatrix, bundles, orbit):
+        monkeypatch.setattr(module, "graded_kernel", recording)
+    return calls
+
+
+def assert_oracle_agrees(calls):
+    assert calls
+    for args, kwargs, out in calls:
+        assert exact(out) == exact(graded_kernel_by_stages(*args, **kwargs))
+
+
+def record_eliminations(monkeypatch):
+    """The unknown counts of the systems the graded kernel eliminates
+    exactly, one per stage that reaches kernel_basis."""
+    widths = []
+    real = polymatrix.kernel_basis
+
+    def recording(rows):
+        widths.append(len(rows[0]))
+        return real(rows)
+
+    monkeypatch.setattr(polymatrix, "kernel_basis", recording)
+    return widths
+
+
+@st.composite
+def relation_systems(draw):
+    """Relation rows of mixed-degree Gaussian forms, with unknown shifts;
+    with five unknowns some stages hold several new kernel vectors after a
+    first generator, which the selection's scan order decides."""
+    n = draw(st.integers(2, 5))
+    shifts = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    coeff = st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1))
+    form = st.integers(0, 2).flatmap(
+        lambda d: st.one_of(
+            st.just(BinaryForm.zero(d)),
+            st.lists(coeff, min_size=d + 1, max_size=d + 1).map(
+                lambda cs, d=d: BinaryForm(d, cs))))
+    rows = draw(st.lists(st.lists(form, min_size=n, max_size=n),
+                         min_size=1, max_size=n - 1))
+    return rows, shifts
+
+
+@seed(20)
+@settings(max_examples=400, deadline=None)
+@given(relation_systems())
+def test_graded_kernel_equals_the_oracle_on_drawn_systems(system):
+    rows, shifts = system
+    n = len(shifts)
+    count = n - generic_rank(split_by_degree(rows, shifts))
+    gens = graded_kernel(rows, n, unknown_shifts=shifts, expected_count=count)
+    assert exact(gens) == exact(graded_kernel_by_stages(
+        rows, n, unknown_shifts=shifts, expected_count=count))
+
+
+def test_saturations_equal_the_oracle(monkeypatch):
+    structures = ([s for _, s in fixture_structures()]
+                  + random_structures(123, 8))
+    calls = record_graded_kernels(monkeypatch)
+    for s in structures:
+        saturate(s.spanning)
+    assert len(calls) == 2 * len(structures)
+    assert_oracle_agrees(calls)
+
+
+def test_twistor_catalog_graded_systems_equal_the_oracle(monkeypatch):
+    calls = record_graded_kernels(monkeypatch)
+    for entry in catalog_entries():
+        if entry.kind == "quadruple":
+            orbit.normal_bundle(entry.build())
+    assert_oracle_agrees(calls)
+
+
+def test_undercounting_rank_sends_every_stage_to_the_exact_path(monkeypatch):
+    # a modular rank one short proves no stage empty: the conic's stages
+    # 0, 1 and 2 (3, 6 and 9 unknowns) are all eliminated, as without the
+    # skip, and the generator is the oracle's
+    real = polymatrix.rank_modp
+    monkeypatch.setattr(polymatrix, "rank_modp",
+                        lambda rows, p: max(real(rows, p) - 1, 0))
+    widths = record_eliminations(monkeypatch)
+    gens = graded_kernel(CONIC_RELATIONS, 3, expected_count=1)
+    assert widths == [3, 6, 9]
+    assert exact(gens) == exact(graded_kernel_by_stages(
+        CONIC_RELATIONS, 3, expected_count=1))
+
+
+def test_coefficient_divisible_by_the_prime_falls_back(monkeypatch):
+    # p z1 x0 - z0 x1 = z1 x1 - z0 x2 = 0 loses x0 modulo p, so the empty
+    # stages 0 and 1 are eliminated exactly; the generator is
+    # (z0^2 / p, z0 z1, z1^2) at stage 2
+    p = PRIMES[0]
+    rows = [[Z1.scale(Scalar(p)), -Z0, BinaryForm.zero(1)],
+            [BinaryForm.zero(1), Z1, -Z0]]
+    widths = record_eliminations(monkeypatch)
+    gens = graded_kernel(rows, 3, expected_count=1)
+    assert widths == [3, 6, 9]
+    assert exact(gens) == exact(graded_kernel_by_stages(
+        rows, 3, expected_count=1))
+    assert list(gens[0][1]) == [(Z0 * Z0).scale(Scalar(1) / Scalar(p)),
+                                Z0 * Z1, Z1 * Z1]
+
+
+def test_saturate_eliminates_only_at_the_generator_stages(monkeypatch):
+    # the conic: no stage of the annihilator (generators at stage 1) or of
+    # the saturation (generator at stage 2) before its generators is
+    # eliminated; stage by stage it took 5 eliminations
+    conic = PolyMatrix.from_columns(
+        3, [[parse_form(t) for t in ("z0^2", "z0*z1", "z1^2")]], [2])
+    draw = random_structures(20250808, 9)[8]
+    widths = record_eliminations(monkeypatch)
+    saturate(conic)
+    assert len(widths) == 2
+    del widths[:]
+    # the slowest structure of the benchmark's draw: 10 stage by stage
+    saturate(draw.spanning)
+    assert len(widths) == 3
