@@ -5,7 +5,10 @@ rank-k subbundle of a trivial bundle, stored as a free basis of its graded
 section module) or a :class:`QuotientBundle` (trivial bundle modulo such a
 family).  Section modules of subbundles over the sphere are free, so all
 section spaces have explicit finite bases and everything reduces to exact
-linear algebra.
+linear algebra.  A family is saturated through its annihilator: the
+saturation is the graded kernel of the annihilator's relations, unless a
+degree count proves the spanning columns already a free basis of it, in
+which case its generators come from those columns (:func:`saturate`).
 
 Twist conventions: O(1) has section basis {z0, z1}; O(-1) is the tautological
 line bundle.  A free basis column of degree e presents a line summand O(-e).
@@ -22,7 +25,7 @@ from .linalg import identity, kernel_basis
 from .modp import PRIMES, rank_modp, reduce_modp, sqrt_minus_one
 from .polymatrix import (PolyMatrix, _decode, _equation_rows, _multiple_coeffs,
                          _section_layout, generic_rank, graded_kernel,
-                         solve_combination)
+                         graded_kernel_from_basis, solve_combination)
 
 SAMPLE_POINTS = ((1, 0), (0, 1), (1, 1))
 
@@ -147,9 +150,32 @@ def _annihilator_generators(columns, n, rank):
 def saturate(P: PolyMatrix) -> SubbundleFamily:
     """Free basis of the saturation of the image sheaf of P.
 
-    Computed as annihilator-of-annihilator: the saturated module is exactly
-    { v : q . v = 0 for every annihilator generator q }, and kernels of maps
-    into torsion-free modules are already saturated.
+    The saturated module Sat is exactly { v : q . v = 0 for every
+    annihilator generator q }, since kernels of maps into torsion-free
+    modules are already saturated; its basis is the graded kernel of those
+    relations.  That second graded kernel is skipped when P's columns are
+    already a free basis of Sat, which a degree count decides.  Let r be
+    P's generic rank, delta_i its column degrees and d_j the annihilator
+    generators' degrees, and suppose P.cols = r.  P's columns lie in Sat,
+    so sum_i O(-delta_i) -> Sat = sum_i O(-e_i) is an injective map between
+    bundles of rank r.  Its determinant is a nonzero section of
+    O(sum delta_i - sum e_i), and sum e_i = sum d_j by c1 additivity (the
+    annihilator is the dual of the trivial bundle modulo Sat).  When
+    sum delta_i = sum d_j that determinant is a nonzero constant, so P is
+    a free basis of Sat, and each stage of the graded kernel is spanned by
+    the z-multiples of P's columns:
+    :func:`~qlike.polymatrix.graded_kernel_from_basis` returns the very
+    generators the graded kernel would.  Otherwise the graded kernel runs.
+    The conic has r = 1 and annihilator degrees [1, 1], which sum to its
+    column degree 2:
+
+    >>> from qlike.forms import parse_form
+    >>> conic = PolyMatrix.from_columns(
+    ...     3, [[parse_form(t) for t in ("z0^2", "z0*z1", "z1^2")]])
+    >>> [m for m, _ in _annihilator_generators(conic.columns(), 3, 1)]
+    [1, 1]
+    >>> saturate(conic).columns()
+    [[BinaryForm('z0^2'), BinaryForm('z0*z1'), BinaryForm('z1^2')]]
 
     The annihilator generators built on the way are the basis of the
     result's annihilator: saturating does not change which functionals kill
@@ -161,7 +187,11 @@ def saturate(P: PolyMatrix) -> SubbundleFamily:
     n = P.rows
     r = generic_rank(P.transpose_relations())
     ann = _annihilator_generators(P.columns(), n, r)
-    fam = _family_of(n, _annihilator_generators([q for _, q in ann], n, n - r))
+    if P.cols == r and sum(P.col_degrees) == sum(m for m, _ in ann):
+        gens = graded_kernel_from_basis(P.columns(), P.col_degrees)
+    else:
+        gens = _annihilator_generators([q for _, q in ann], n, n - r)
+    fam = _family_of(n, gens)
     dual = _family_of(n, ann)
     object.__setattr__(fam, "_annihilator", dual)
     object.__setattr__(dual, "_annihilator", fam)

@@ -69,7 +69,8 @@ import os
 
 from .errors import InternalError, InvalidInput
 from .forms import BinaryForm, _column_numerators
-from .linalg import identity, independent_rows, kernel_basis, rank, solve
+from .linalg import (identity, independent_rows, kernel_basis, rank, solve,
+                     solve_matrix)
 from .modp import PRIMES, rank_modp, reduce_modp, sqrt_minus_one
 from .scalars import ZERO
 
@@ -247,6 +248,48 @@ def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None, *,
                            "QLIKE_MAX_DEGREE limit" % stop)
     raise InternalError("graded kernel short of %d generators by degree %d, "
                         "its proven bound" % (expected_count, bound))
+
+
+def graded_kernel_from_basis(columns, degrees):
+    """What :func:`graded_kernel` returns, with unknown shifts 0, for a
+    system whose solution module is free on ``columns`` (lists of forms,
+    column j homogeneous of degree ``degrees[j]``), without its relations.
+
+    Stage m's kernel is then the span W_m of the z-multiples of the
+    columns of degree at most m, and new generators fall only at the
+    columns' degrees.  Let W_m's rows be those multiples.  The kernel's free
+    coordinates F are the pivots of W_m's columns scanned from the right:
+    by matroid duality, the complement of the equation rows' pivots from
+    the left.  Row i of solve_matrix(W_m[:, F], W_m) is the kernel vector
+    that is 1 on F[i] and 0 on the rest of F, which is what
+    :func:`~qlike.linalg.kernel_basis` returns, and the new generators are
+    picked from these rows by graded_kernel's rule.  A column degree above
+    QLIKE_MAX_DEGREE is bad input, as in graded_kernel.
+    """
+    if not columns:
+        return []
+    cap = max_degree_cap()
+    if max(degrees) > cap:
+        raise InvalidInput("graded kernel did not terminate by degree %d, the "
+                           "QLIKE_MAX_DEGREE limit" % cap)
+    shifts = [0] * len(columns[0])
+    blocks = [[f.coeffs for f in col] for col in columns]
+    gens = []
+    known = []
+    for m in sorted(set(degrees)):
+        lengths, offsets, total = _section_layout(shifts, m)
+        span = [_multiple_coeffs(gvec, shifts, m, mono1)
+                for gvec, d in zip(blocks, degrees) if d <= m
+                for mono1 in range(m - d + 1)]
+        free = sorted(total - 1 - c for c in independent_rows(
+            [[v[c] for v in span] for c in reversed(range(total))]))
+        sols = solve_matrix([[v[f] for f in free] for v in span], span)
+        for i in _new_kernel_vectors(sols, known, shifts, m):
+            sol = sols[i]
+            gens.append((m, _decode(sol, shifts, m)))
+            known.append((m, [sol[off:off + length] for off, length
+                              in zip(offsets, lengths)]))
+    return gens
 
 
 def _relations_modp(relation_rows):

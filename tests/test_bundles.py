@@ -1,6 +1,10 @@
+import functools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from oracles import minor_system_h0, splitting_h0
 
 from qlike import bundles
@@ -10,10 +14,12 @@ from qlike.bundles import (QuotientBundle, SplittingType, SubbundleFamily,
                            saturate, splitting_type, subquotient_splitting,
                            verify_canonical_sequences)
 from qlike.catalog import (build_conic_r3, build_quaternionic,
-                           build_twisted_plane_c4)
+                           build_twisted_plane_c4, fixture_structures)
 from qlike.errors import InternalError, InvalidInput
 from qlike.forms import BinaryForm, Z0, Z1, parse_form
-from qlike.polymatrix import PolyMatrix
+from qlike.linalg import rank
+from qlike.polymatrix import (PolyMatrix, _apply_scalar_matrix, generic_rank,
+                              graded_kernel)
 from qlike.sampling import random_structures
 from qlike.scalars import Scalar
 
@@ -280,3 +286,98 @@ def test_nonzero_pairing_never_certifies():
     right = annihilator(fam)
     assert _certified_h0s(fam, right, window) == \
         {m: _h0_killed_by(right, m) for m in window}
+
+
+# -- saturation from the spanning columns against the two graded kernels -------
+
+@functools.lru_cache(maxsize=None)
+def spanning_pool():
+    """The fixtures' and a draw's spanning matrices; the draw's first one
+    is not a free basis of its saturation."""
+    return tuple(s.spanning for s in [s for _, s in fixture_structures()]
+                 + random_structures(123, 8))
+
+
+GAUSSIAN = st.builds(Scalar, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def mixed_spanning(draw):
+    """A pool matrix with the columns of each degree replaced by their
+    product with an invertible Gaussian-integer matrix: the same module,
+    so the same saturation."""
+    P = draw(st.sampled_from(spanning_pool()))
+    cols = P.columns()
+    for d in sorted(set(P.col_degrees)):
+        group = [j for j, e in enumerate(P.col_degrees) if e == d]
+        k = len(group)
+        mix = draw(st.lists(st.lists(GAUSSIAN, min_size=k, max_size=k),
+                            min_size=k, max_size=k)
+                   .filter(lambda M, k=k: rank(M) == k))
+        rows = [_apply_scalar_matrix(mix, [cols[j][l] for j in group], d)
+                for l in range(P.rows)]
+        for i, j in enumerate(group):
+            cols[j] = [row[i] for row in rows]
+    return PolyMatrix.from_columns(P.rows, cols, P.col_degrees)
+
+
+@st.composite
+def unsaturated_spanning(draw):
+    """A mixed pool matrix with one column times a linear form, or with a
+    column repeated, or with a zero column added: the same saturation from
+    columns that are not a free basis of it."""
+    P = draw(mixed_spanning())
+    cols, degrees = P.columns(), list(P.col_degrees)
+    j = draw(st.integers(0, P.cols - 1))
+    kind = draw(st.sampled_from(["times a linear form", "repeated", "zero"]))
+    if kind == "times a linear form":
+        a, b = draw(st.tuples(GAUSSIAN, GAUSSIAN).filter(any))
+        line = Z0.scale(a) + Z1.scale(b)
+        cols[j] = [f * line for f in cols[j]]
+        degrees[j] += 1
+    else:
+        cols.append(cols[j] if kind == "repeated"
+                    else [BinaryForm.zero(degrees[j])] * P.rows)
+        degrees.append(degrees[j])
+    return PolyMatrix.from_columns(P.rows, cols, degrees)
+
+
+def saturate_by_two_kernels(P):
+    """``saturate`` with the second graded kernel always run: (whether the
+    degree rule takes P's columns as the basis, the family's JSON, the
+    annihilator's JSON)."""
+    n = P.rows
+    r = generic_rank(P.transpose_relations())
+    ann = graded_kernel(P.columns(), n, expected_count=n - r)
+    gens = graded_kernel([list(q) for _, q in ann], n, expected_count=r)
+    rule = P.cols == r and sum(P.col_degrees) == sum(m for m, _ in ann)
+    if rule:
+        # the degree count's consequence: P's degrees are the basis's
+        assert sorted(P.col_degrees) == [m for m, _ in gens]
+    return (rule, bundles._family_of(n, gens).to_json(),
+            bundles._family_of(n, ann).to_json())
+
+
+def saturate_with_route(P):
+    """(whether the basis came from P's columns, the family's JSON, the
+    linked annihilator's JSON)."""
+    with mock.patch.object(bundles, "graded_kernel_from_basis",
+                           wraps=bundles.graded_kernel_from_basis) as spy:
+        fam = saturate(P)
+    return spy.called, fam.to_json(), annihilator(fam).to_json()
+
+
+@seed(21)
+@settings(max_examples=100, deadline=None)
+@given(mixed_spanning())
+def test_saturation_of_a_mixed_basis_equals_two_kernels(P):
+    assert saturate_with_route(P) == saturate_by_two_kernels(P)
+
+
+@seed(21)
+@settings(max_examples=100, deadline=None)
+@given(unsaturated_spanning())
+def test_saturation_of_an_unsaturated_family_equals_two_kernels(P):
+    route, fam, ann = saturate_with_route(P)
+    assert not route
+    assert (route, fam, ann) == saturate_by_two_kernels(P)

@@ -87,6 +87,18 @@ def test_max_degree_too_low_exit_two(tmp_path, capsys, monkeypatch,
     assert "QLIKE_MAX_DEGREE" in err and "Traceback" not in err
 
 
+def test_max_degree_below_the_spanning_degree_exit_two(capsys, monkeypatch):
+    # the conic's annihilator fits degree 1, its spanning column, already a
+    # free basis of the saturation, does not
+    monkeypatch.setenv("QLIKE_MAX_DEGREE", "1")
+    code, out, err = run_cli(capsys, "analyze",
+                             os.path.join(FIXTURES, "conic_r3.json"))
+    assert code == 2
+    assert ("graded kernel did not terminate by degree 1, the "
+            "QLIKE_MAX_DEGREE limit") in err
+    assert "Traceback" not in err
+
+
 def test_dual_round_trip(tmp_path, capsys):
     path = os.path.join(FIXTURES, "conic_r3.json")
     code, out, _ = run_cli(capsys, "dual", path)

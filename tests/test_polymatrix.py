@@ -238,12 +238,25 @@ def test_graded_kernel_equals_the_oracle_on_drawn_systems(system):
 
 
 def test_saturations_equal_the_oracle(monkeypatch):
+    # each saturation runs one graded kernel for its annihilator, and a
+    # second one over the annihilator's relations only when the spanning
+    # columns are not already a free basis; either way the family is the
+    # oracle's kernel of those relations
     structures = ([s for _, s in fixture_structures()]
                   + random_structures(123, 8))
     calls = record_graded_kernels(monkeypatch)
+    kernels = []
     for s in structures:
-        saturate(s.spanning)
-    assert len(calls) == 2 * len(structures)
+        start = len(calls)
+        fam = saturate(s.spanning)
+        kernels.append(len(calls) - start)
+        ann = calls[start][2]
+        n = fam.ambient
+        assert exact(zip(fam.degrees, fam.columns())) == exact(
+            graded_kernel_by_stages([list(q) for _, q in ann], n,
+                                    expected_count=n - len(ann)))
+    # the first structure of the draw is not spanned by a free basis
+    assert kernels == [1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1]
     assert_oracle_agrees(calls)
 
 
@@ -286,16 +299,17 @@ def test_coefficient_divisible_by_the_prime_falls_back(monkeypatch):
 
 
 def test_saturate_eliminates_only_at_the_generator_stages(monkeypatch):
-    # the conic: no stage of the annihilator (generators at stage 1) or of
-    # the saturation (generator at stage 2) before its generators is
-    # eliminated; stage by stage it took 5 eliminations
+    # the conic: no stage of the annihilator before its generators (at
+    # stage 1) is eliminated, and the saturation, whose spanning column is
+    # a free basis, eliminates none; stage by stage it took 5 eliminations
     conic = PolyMatrix.from_columns(
         3, [[parse_form(t) for t in ("z0^2", "z0*z1", "z1^2")]], [2])
     draw = random_structures(20250808, 9)[8]
     widths = record_eliminations(monkeypatch)
     saturate(conic)
-    assert len(widths) == 2
+    assert len(widths) == 1
     del widths[:]
-    # the slowest structure of the benchmark's draw: 10 stage by stage
+    # the slowest structure of the benchmark's draw: 10 stage by stage, 3
+    # with a second graded kernel over the annihilator's relations
     saturate(draw.spanning)
-    assert len(widths) == 3
+    assert len(widths) == 1

@@ -402,18 +402,25 @@ def test_each_family_and_annihilator_is_derived_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("graded_kernel", "generic_rank"):
+    for name in ("graded_kernel", "graded_kernel_from_basis", "generic_rank"):
         monkeypatch.setattr(bundles, name,
                             counting(name, getattr(bundles, name)))
+    from_basis = []
     for s in [CONIC, QUAT, PLANE] + random_structures(123, 4):
         v = validate(s)
         calls.clear()
         analyze(s, v)
         assert calls == Counter()
         dualize(s)
-        # one saturation: its rank, the annihilator generators and the
-        # graded kernel over them; the annihilator is the link
-        assert calls == Counter({"generic_rank": 1, "graded_kernel": 2})
+        # one saturation: its rank, the annihilator generators, and its
+        # basis from the spanning columns or, when they are not a free
+        # basis, the graded kernel over the annihilator generators; the
+        # annihilator is the link
+        from_basis.append(calls["graded_kernel_from_basis"])
+        assert calls == +Counter({"generic_rank": 1,
+                                  "graded_kernel": 2 - from_basis[-1],
+                                  "graded_kernel_from_basis": from_basis[-1]})
+    assert from_basis == [1, 1, 1, 0, 1, 1, 1]
 
 
 # sha256 of the canonical JSON of each minus family and of its annihilator
