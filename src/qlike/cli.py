@@ -223,6 +223,8 @@ def cmd_catalog_regen(args):
 
 def cmd_verify(args):
     started = time.time()
+    if args.count < 0:
+        raise InvalidInput("--count must be nonnegative, got %d" % args.count)
     if args.suite == "core":
         report = _suite_core()
     elif args.suite == "catalog":

@@ -174,6 +174,24 @@ def test_verify_random_deterministic(capsys):
     assert report["pass"] is True and report["seed"] == 3
 
 
+def test_verify_negative_count_exit_two(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "random",
+                             "--count", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--count must be nonnegative" in err and "Traceback" not in err
+
+
+def test_verify_zero_count_runs_the_two_quadruples(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "random",
+                           "--count", "0")
+    assert code == 0
+    report = json.loads(out)
+    assert report["count"] == 0
+    assert [c["name"] for c in report["cases"]] == ["quadruple-00",
+                                                    "quadruple-01"]
+
+
 def test_catalog_regen(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "catalog-regen", "--out", str(tmp_path))
     assert code == 0
