@@ -2,20 +2,22 @@
 
 A good quadruple is a Lie algebra with a representation on E, an embedded
 sl(2) and an invariant subspace U on which the sl(2) acts irreducibly and
-nontrivially.  The rational curve swept inside P(U) by the kernels of the
+nontrivially.  Its twistor sphere is the SL(2)-orbit of the highest-weight
+line of U, the rational curve swept inside P(U) by the kernels of the
 nilpotent family
 
     A(z0, z1) = [[z0 z1, -z0^2], [z1^2, -z0 z1]]        (A(z)^2 = 0)
 
-has first-order data along it: the tangent family W of the group orbit and
-the osculating family L' of the curve itself.  The normal bundle of the
+It has first-order data along it: the tangent family W of the group orbit
+and the osculating family L' of the curve itself.  The normal bundle of the
 curve in the orbit is the subquotient (W / L') twisted by the curve degree,
 and only this first-order data is ever materialized.
 
-Constant rank is proven, not recomputed.  Every curve built here is an
+What the orbit gives in closed form is written down, not solved for, and
+constant rank is proven, not recomputed.  Every curve built here is an
 SL(2)-orbit, so its first-order families have the same fibre rank at every
 point (an equivariant bundle over a transitive base; Bott, "Homogeneous
-vector bundles", Ann. of Math. 1957).  The proof uses only hypotheses that
+vector bundles", Ann. of Math. 1957).  The proofs use only hypotheses that
 :func:`validate_good_quadruple` checks:
 
 * ``sl2-embedding`` and ``representation-identity`` make sigma o tau a
@@ -28,19 +30,45 @@ vector bundles", Ann. of Math. 1957).  The proof uses only hypotheses that
 * For z != 0, A(z) = -z0^2 e + z1^2 f + z0 z1 h is a nonzero nilpotent of
   sl(2), hence conjugate to e.  On V_d it is one Jordan block, so its
   kernel is one line at every point: the nilpotent family has kernel
-  rank 1 everywhere, and the curve v(z) spanning it has no base point.
+  rank 1 everywhere.
 * A(z) is the column z times the row (z1, -z0), so k A(z) k^-1 = A(k z)
   for k in SL(2), and sigma(k) ker A(z) = ker A(k z).  So sigma(k) maps
-  sigma(g) v(z) + C v(z) onto the same space at k z, and the span of v
-  and its derivatives at z onto the same span at k z.  SL(2) is
-  transitive on P^1, so both raw column families have constant rank:
-  each saturation is the bundle its columns span, and keeps the columns'
-  own degrees where they are independent.
+  C v(z) and sigma(g) v(z) onto the same spaces at k z, and the span of
+  v's derivatives at z onto the same span at k z.  SL(2) is
+  transitive on P^1, so both raw column families have constant rank.
 
-On the conic, W is the trivial bundle and L' keeps the derivative
-columns' degrees d - 1 = 1:
+Three consequences replace solves:
 
->>> from qlike.catalog import build_veronese
+* **The curve.**  ker e on U is one line C v0, of h-weight d.  Put
+  w_k = f^k v0 / k! and v(z) = sum_k z0^(d-k) z1^k w_k.  Then h w_k =
+  (d - 2k) w_k, e w_k = (d - k + 1) w_(k-1) and f w_k = (k + 1) w_(k+1),
+  so the coefficient of z0^(d+1-j) z1^(j+1) in A(z) v(z) is
+  (-(d - j) + j + (d - 2j)) w_j = 0.  The w_k are a basis of U (nonzero,
+  of distinct weights), so v has no zero on P^1.  The kernel module of
+  A(z) on U is a saturated line bundle O(-m), and v is a nowhere-zero
+  section of it of degree d, so m = d and v generates it.  The graded
+  kernel's generator is that generator scaled to make its last nonzero
+  coordinate 1 (coordinate-major, z1-power order), which is the
+  normalization :func:`veronese_curve` applies.
+* **L'.**  At [1 : 0] the derivative columns are dv/dz0 = d v0 and
+  dv/dz1 = w_1 = f v0, independent since their weights d and d - 2
+  differ and both are nonzero.  With constant rank they have rank 2 at
+  every point, so the map O(1 - d)^2 -> E they define is a subbundle, and
+  the columns are a free basis of L' with degrees (d - 1, d - 1).
+* **W.**  h v0 = d v0 with d >= 1, so v0 lies in sigma(g) v0, and by
+  equivariance v(z) lies in sigma(g) v(z) at every point.  A covector
+  killing the tangent columns kills v too, so appending v would leave
+  every stage of their annihilator's graded kernel, and so the
+  saturation, unchanged.
+
+On the adjoint sl(2), v0 = e, f v0 = -h and f^2 v0 / 2 = -f, so
+v(z) = z0^2 e - z0 z1 h - z1^2 f, divided by its last coefficient -1; the
+curve is the nilpotent family itself.  On the conic, W is the trivial
+bundle and L' has the derivative columns' degrees d - 1 = 1:
+
+>>> from qlike.catalog import build_adjoint, build_veronese
+>>> veronese_curve(build_adjoint("sl(2)", "principal"))[1]
+[BinaryForm('-z0^2'), BinaryForm('z0*z1'), BinaryForm('z1^2')]
 >>> fams = orbit_tangent_family(build_veronese(2))
 >>> fams.w.degrees, fams.l_prime.degrees
 ((0, 0, 0), (1, 1))
@@ -53,10 +81,10 @@ from dataclasses import dataclass, field
 from .bundles import (SplittingType, SubbundleFamily, saturate,
                       subquotient_splitting)
 from .errors import InternalError, InvalidInput
-from .forms import Z0, Z1
+from .forms import BinaryForm, Z0, Z1
 from .lie import LieAlgebra, Representation, Sl2Embedding, _multiplicities_from_h
-from .linalg import kernel_basis, mat_vec, solve_matrix
-from .polymatrix import PolyMatrix, _apply_scalar_matrix, graded_kernel
+from .linalg import kernel_basis, mat_vec, rank, solve_matrix
+from .polymatrix import PolyMatrix, _apply_scalar_matrix
 from .scalars import Scalar, scalar
 
 
@@ -175,30 +203,30 @@ def _validate_quadruple(q: GoodQuadruple):
 
 
 def veronese_curve(q: GoodQuadruple):
-    """The gcd-reduced kernel curve of the nilpotent family on U.
+    """The orbit of the highest-weight line of U, written down from v0.
 
     Returns (degree d, curve in U coordinates, curve in ambient E
-    coordinates).  The kernel is one-dimensional at every point, as the
-    module docstring proves from the validated hypotheses, and the degree
-    is cross-checked against the weight decomposition of U.
+    coordinates), with v(z) = sum_k z0^(d-k) z1^k sigma(f)^k v0 / k! for v0
+    spanning ker sigma(e) on U, divided by its last nonzero coefficient
+    (coordinate-major, z1-power order).  It spans the kernel of the
+    nilpotent family at every point, as the module docstring proves from
+    the validated hypotheses.
     """
     report, restricted = _validate_quadruple(q)
     if not report["valid"]:
         raise InvalidInput("invalid quadruple: %s" % "; ".join(
             c["name"] for c in report["checks"] if c["status"] == "fail"))
     d = report["curve_degree"]
-    s_e, s_h, s_f = restricted
-    du = q.u_dim
-    # entry (i, j) is -e_ij z0^2 + f_ij z1^2 + h_ij z0 z1
-    quadrics = [Z0 * Z0, Z1 * Z1, Z0 * Z1]
-    rows = [_apply_scalar_matrix([(-s_e[i][j], s_f[i][j], s_h[i][j])
-                                  for j in range(du)], quadrics, 2)
-            for i in range(du)]
-    [(m, vec)] = graded_kernel(rows, du, expected_count=1)
-    if m != d:
-        raise InternalError("kernel curve degree %d disagrees with the "
-                            "weight decomposition degree %d" % (m, d))
-    v_u = list(vec)
+    s_e, _, s_f = restricted
+    w = kernel_basis(s_e)           # [v0], then sigma(f)^k v0 / k! appended
+    if len(w) != 1:
+        raise InternalError("highest weight space of dimension %d on an "
+                            "irreducible U" % len(w))
+    for k in range(1, d + 1):
+        w.append([c / k for c in mat_vec(s_f, w[-1])])
+    coords = range(q.u_dim)
+    last = next(wk[i] for i in reversed(coords) for wk in reversed(w) if wk[i])
+    v_u = [BinaryForm(d, [wk[i] / last for wk in w]) for i in coords]
     v_e = _apply_scalar_matrix([[v[i] for v in q.u_basis]
                                 for i in range(q.space_dim)], v_u, d)
     return d, v_u, v_e
@@ -213,21 +241,18 @@ class TangentFamilies:
 
 
 def orbit_tangent_family(q: GoodQuadruple) -> TangentFamilies:
-    """W = saturation of { sigma(x_i) v(z) } + C v(z); L' = saturation of
-    the derivative columns.
+    """W = saturation of { sigma(x_i) v(z) }; L' = the derivative columns.
 
-    Both raw column families have constant rank along the curve, by the
-    equivariance proof in the module docstring, so each saturation is the
-    bundle its columns span and no syzygy degree count re-proves it.  The
-    Euler relation, the rank of L' and the membership of v in L' are still
-    checked exactly.
+    By the module docstring, the raw tangent columns already span v(z) and
+    have constant rank along the curve, so their saturation is the bundle
+    they span; the derivative columns are a free basis of the osculating
+    bundle once their fibre at [1 : 0] has rank 2.  That rank and the Euler
+    relation are still checked exactly.
     """
     d, v_u, v_e = veronese_curve(q)
     n = q.space_dim
     raw_cols = [_apply_scalar_matrix(m, v_e, d) for m in q.sigma.matrices]
-    raw_cols.append(list(v_e))
-    raw = PolyMatrix.from_columns(n, raw_cols, [d] * len(raw_cols))
-    w = saturate(raw)
+    w = saturate(PolyMatrix.from_columns(n, raw_cols, [d] * len(raw_cols)))
 
     d0 = [f.d_z0() for f in v_e]
     d1 = [f.d_z1() for f in v_e]
@@ -236,14 +261,9 @@ def orbit_tangent_family(q: GoodQuadruple) -> TangentFamilies:
         if f.scale(Scalar(d)) != Z0 * a + Z1 * b:
             raise InternalError("Euler relation failed on the curve")
     raw_l = PolyMatrix.from_columns(n, [d0, d1], [d - 1, d - 1])
-    lp = saturate(raw_l)
-    if lp.rank != 2:
+    if rank(raw_l.evaluate(1, 0)) != 2:
         raise InvalidInput("curve not immersed")
-    # v lies in L' pointwise (Euler); make the membership explicit
-    from .polymatrix import solve_combination
-    if solve_combination(lp.columns(), list(lp.degrees), v_e, d) is None:
-        raise InternalError("curve left its own osculating family")
-    return TangentFamilies(d, v_e, w, lp)
+    return TangentFamilies(d, v_e, w, SubbundleFamily(n, raw_l))
 
 
 @dataclass

@@ -118,10 +118,12 @@ def quadruple_from_json(data) -> GoodQuadruple:
         nilpotent = tuple(tau.f)
     else:
         u_basis = [tuple(_parse_vector(v)) for v in u_spec]
+    # the adjoint formula and the orbit-dimension check assume U = tau(sl2)
     return GoodQuadruple(algebra, sigma, tau, tuple(u_basis),
                          name=data.get("name", "file-quadruple"),
                          nilpotent=nilpotent,
-                         adjoint=(rep_spec == "adjoint"))
+                         adjoint=(rep_spec == "adjoint"
+                                  and u_spec == "sl2-image"))
 
 
 def load_quadruple_file(path) -> GoodQuadruple:

@@ -148,6 +148,29 @@ def test_twistor_file_input(tmp_path, capsys):
     assert report["dimension"]["orbit_consistency"] is True
 
 
+def test_twistor_file_with_a_non_sl2_image_u_skips_the_adjoint_checks(
+        tmp_path, capsys):
+    # U = V_4 inside the adjoint sl(3) of the principal triple (F = E21 +
+    # E32): w = E13 is the weight-4 vector killed by ad(E), and the rows are
+    # w, ad(F) w, ..., ad(F)^4 w.  The adjoint formula and the orbit
+    # dimension describe U = tau(sl2) only, so neither runs here.
+    u_basis = [[0, 1, 0, 0, 0, 0, 0, 0], [-1, 0, 0, 1, 0, 0, 0, 0],
+               [0, 0, 0, 0, 0, 0, 1, -1], [0, 0, 3, 0, 0, -3, 0, 0],
+               [0, 0, 0, 0, 6, 0, 0, 0]]
+    spec = {"algebra": "sl(3)", "representation": "adjoint",
+            "sl2": {"nilpotent": "principal"}, "u_basis": u_basis,
+            "name": "adjoint-v4"}
+    path = tmp_path / "quad.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "twistor", "--file", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["normal"]["curve_degree"] == 4
+    assert report["normal"]["normal"] == [3, 3]
+    assert "adjoint_formula" not in report["normal"]["checks"]
+    assert report["dimension"] == {"dim_Z": 3, "tangent_rank": 4}
+
+
 def test_lie_jm_output(capsys):
     code, out, _ = run_cli(capsys, "lie-jm", "--algebra", "sl(3)",
                            "--nilpotent", "principal")

@@ -1,11 +1,13 @@
 import functools
+from collections import Counter
 
 import pytest
 
+from qlike import bundles, orbit, polymatrix
 from qlike.bundles import SplittingType, family_span_equal, saturate
 from qlike.catalog import (adjoint_expected, build_adjoint, build_so,
                            build_sp, build_veronese, catalog_entries)
-from qlike.forms import Z0, Z1, parse_form
+from qlike.forms import Z0, Z1, format_form, parse_form
 from qlike.lie import sl_algebra, principal_sl2_matrices, Sl2Embedding
 from qlike.linalg import mat_vec, solve_matrix
 from qlike.orbit import (GoodQuadruple, _restricted_sl2_matrices,
@@ -190,29 +192,108 @@ TWISTOR_POOL = ([(e.name, e.build) for e in catalog_entries()
                  if e.kind == "quadruple"]
                 + [("random-%d" % i, lambda i=i: _random_pool()[i])
                    for i in range(7)])
+POOL_BUILDS = dict(TWISTOR_POOL)
+pool_names = pytest.mark.parametrize("name", list(POOL_BUILDS))
 
 
-@pytest.mark.parametrize("build", [b for _, b in TWISTOR_POOL],
-                         ids=[name for name, _ in TWISTOR_POOL])
-def test_orbit_families_have_constant_rank(build):
-    # the equivariance proof in the orbit docstring, asserted: the raw
-    # tangent and derivative columns along the curve span subbundles, and
-    # the nilpotent family on U has a one-dimensional generic kernel
-    q = build()
-    fams = orbit_tangent_family(q)
-    d, v, n = fams.degree, fams.curve, q.space_dim
-    raw_cols = [_apply_scalar_matrix(m, v, d) for m in q.sigma.matrices]
-    raw = PolyMatrix.from_columns(n, raw_cols + [v], [d] * (len(raw_cols) + 1))
-    assert _has_constant_rank(raw, fams.w)
-    raw_l = PolyMatrix.from_columns(n, [[f.d_z0() for f in v],
-                                        [f.d_z1() for f in v]], [d - 1] * 2)
-    assert _has_constant_rank(raw_l, fams.l_prime)
+@functools.lru_cache(maxsize=None)
+def _pool_entry(name):
+    q = POOL_BUILDS[name]()
+    return q, orbit_tangent_family(q)
+
+
+def _nilpotent_family_rows(q):
+    """A(z) = -z0^2 e + z1^2 f + z0 z1 h on U, as rows of forms."""
     (s_e, s_h, s_f), _ = _restricted_sl2_matrices(q)
     du = q.u_dim
-    rows = [[(Z0 * Z0).scale(-s_e[i][j]) + (Z1 * Z1).scale(s_f[i][j])
+    return [[(Z0 * Z0).scale(-s_e[i][j]) + (Z1 * Z1).scale(s_f[i][j])
              + (Z0 * Z1).scale(s_h[i][j]) for j in range(du)]
             for i in range(du)]
-    assert du - generic_rank(rows) == 1
+
+
+def _derivative_columns(fams, n):
+    v = fams.curve
+    return PolyMatrix.from_columns(n, [[f.d_z0() for f in v],
+                                       [f.d_z1() for f in v]],
+                                   [fams.degree - 1] * 2)
+
+
+@pool_names
+def test_orbit_families_have_constant_rank(name):
+    # the equivariance proof in the orbit docstring, asserted: the raw
+    # tangent and derivative columns along the curve span subbundles (the
+    # latter against a saturation of its own, since L' is its columns), and
+    # the nilpotent family on U has a one-dimensional generic kernel
+    q, fams = _pool_entry(name)
+    d, v, n = fams.degree, fams.curve, q.space_dim
+    raw_cols = [_apply_scalar_matrix(m, v, d) for m in q.sigma.matrices]
+    raw = PolyMatrix.from_columns(n, raw_cols, [d] * len(raw_cols))
+    assert _has_constant_rank(raw, fams.w)
+    raw_l = _derivative_columns(fams, n)
+    assert _has_constant_rank(raw_l, saturate(raw_l))
+    assert q.u_dim - generic_rank(_nilpotent_family_rows(q)) == 1
+
+
+@pool_names
+def test_curve_equals_the_nilpotent_family_graded_kernel(name):
+    # the construction the closed-form curve replaces: the graded kernel of
+    # A(z) on U, one generator of the weight-decomposition degree, equal
+    # to the curve byte for byte
+    q, _ = _pool_entry(name)
+    d, v_u, _ = veronese_curve(q)
+    [(m, vec)] = graded_kernel(_nilpotent_family_rows(q), q.u_dim,
+                               expected_count=1)
+    assert m == d
+    assert [format_form(f) for f in vec] == [format_form(f) for f in v_u]
+
+
+@pool_names
+def test_osculating_family_is_its_own_saturation(name):
+    # the construction the derivative columns replace: their saturation
+    # spans L' with the columns' own degrees
+    q, fams = _pool_entry(name)
+    sat = saturate(_derivative_columns(fams, q.space_dim))
+    assert sat.degrees == (fams.degree - 1,) * 2
+    assert family_span_equal(sat, fams.l_prime)
+
+
+@pool_names
+def test_tangent_family_does_not_need_the_curve_column(name):
+    # the curve column the W proof shows redundant: appended to the
+    # tangent columns, it leaves their saturation the same byte for byte
+    q, fams = _pool_entry(name)
+    d, v, n = fams.degree, fams.curve, q.space_dim
+    cols = [_apply_scalar_matrix(m, v, d) for m in q.sigma.matrices] + [v]
+    with_v = saturate(PolyMatrix.from_columns(n, cols, [d] * len(cols)))
+    assert with_v.to_json() == fams.w.to_json()
+
+
+@pytest.mark.parametrize("entry", ["veronese:3", "adjoint:sl(3):minimal"])
+def test_twistor_path_solve_counts(monkeypatch, entry):
+    # one normal bundle saturates W once (its rank, the annihilator and the
+    # graded kernel over it; the tangent columns outnumber W's rank, so
+    # never the basis route), and the subquotient runs one graded kernel;
+    # the curve and L' are written down
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = ("saturate", "generic_rank", "graded_kernel",
+             "graded_kernel_from_basis")
+    for module in (orbit, bundles, polymatrix):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+    q = POOL_BUILDS[entry]()
+    calls.clear()
+    normal_bundle(q)
+    assert calls == Counter({"saturate": 1, "generic_rank": 1,
+                             "graded_kernel": 3})
 
 
 def test_dependent_u_basis_fails_irreducibility():
