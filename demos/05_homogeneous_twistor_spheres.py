@@ -2,9 +2,11 @@
 
 A good quadruple (algebra, representation, sl(2)-embedding, irreducible
 invariant subspace) sweeps a rational curve of kernel lines inside P(U);
-the orbit through it is never materialized -- only the tangent family W and
-the osculating family L' along the curve, from which the normal bundle is
-the twisted subquotient (W / L')(d).  Everything is closed-form checkable.
+the orbit through it is never materialized.  The normal bundle is the
+twisted subquotient (W / L')(d) of the orbit's tangent family W by the
+curve's osculating family L', and it is SL(2)-homogeneous, so it is read
+off its fibre at one point: the weights of h there and the ranks of the
+powers of e give every h0(N(t)).  Everything is closed-form checkable.
 """
 
 import time
@@ -47,7 +49,7 @@ for algebra, nilp in (("sl(2)", "principal"), ("sl(3)", "principal"),
     expected = catalog.adjoint_expected(q)
     report = normal_bundle(q, expected=expected)
     dims = dimension_report(q, report)
-    print("%-22s normal %-28s orbit dim %2d  dim Z %2d  live-formula "
+    print("%-22s normal %-28s orbit dim %2d  dim Z %2d  closed-form "
           "match: %s" % (q.name, str(report.normal), dims["orbit_dim"],
                          dims["dim_Z"], report.match))
 

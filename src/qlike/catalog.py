@@ -3,8 +3,10 @@
 Each entry records where its expectation comes from: "closed-form" (a stated
 formula), "cross-check" (derived through an independent identity),
 "degenerate-case", or "bookkeeping" (only rank/degree identities are
-asserted, no full splitting).  Adjoint expectations are recomputed from the
-weight decomposition at run time, never hard-coded.
+asserted, no full splitting).  Adjoint expectations are computed from the
+nilpotent orbit's dimension at run time, never hard-coded, and
+:func:`~qlike.orbit.normal_bundle` checks its answer against the weight
+decomposition, an independent count.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from .lie import (Sl2Embedding, builtin_algebra, named_nilpotent,
                   principal_sl2_matrices, sl_algebra, so_algebra, sp_algebra,
                   wedge_square_representation)
 from .linalg import identity, kernel_basis, mat_mul, solve_matrix, zeros
-from .orbit import (GoodQuadruple, adjoint_multiplicity_count,
-                    adjoint_quadruple, dimension_report, normal_bundle)
+from .orbit import (GoodQuadruple, adjoint_quadruple, dimension_report,
+                    normal_bundle)
 from .polymatrix import PolyMatrix
 from .scalars import I, ONE, ZERO, Scalar
 
@@ -143,11 +145,18 @@ def build_adjoint(algebra_name, nilpotent_spec) -> GoodQuadruple:
 
 
 def adjoint_expected(q: GoodQuadruple) -> SplittingType:
-    """(-2 + sum_j j a_j) copies of degree one, the count of
-    :func:`~qlike.orbit.adjoint_multiplicity_count`."""
-    count = adjoint_multiplicity_count(q)
+    """O(1)^(dim O - 2), for the orbit O of f and dim O = dim g - dim ker ad f.
+
+    This is the count -2 + sum_j j a_j of
+    :func:`~qlike.orbit.adjoint_multiplicity_count` without the weight
+    decomposition: each summand V_j of g has one line in ker ad f, so
+    sum_j a_j = dim ker ad f, and sum_j (j + 1) a_j = dim g.
+    """
+    centralizer = len(kernel_basis(q.algebra.ad(list(q.tau.f))))
+    count = q.algebra.dim - centralizer - 2
     if count < 0:
-        raise InternalError("adjoint multiplicity count fell below zero")
+        raise InternalError("nilpotent orbit of dimension %d, below 2"
+                            % (count + 2))
     return SplittingType.of([1] * count)
 
 
@@ -331,6 +340,9 @@ def entry_by_name(name):
 
 
 def run_quadruple_entry(entry: CatalogEntry) -> dict:
+    if entry.kind != "quadruple":
+        raise InvalidInput("catalog entry %r is a structure, not a "
+                           "quadruple" % entry.name)
     q = entry.build()
     expected = entry.expected_normal
     source = entry.expected_source

@@ -513,28 +513,37 @@ def jacobson_morozov(g: LieAlgebra, y, assume_semisimple=False) -> Sl2Embedding:
     return emb
 
 
+def _weight_spaces(h_mat, bound):
+    """{w: basis of the w-eigenspace of h_mat} for its eigenvalues w, which
+    are sought among the integers in [-bound, bound]; a shortfall means
+    invalid sl(2) data."""
+    spaces, found = {}, 0
+    for w in range(-bound, bound + 1):
+        if found == len(h_mat):
+            break
+        space = kernel_basis([[x - w if r == c else x
+                               for c, x in enumerate(row)]
+                              for r, row in enumerate(h_mat)])
+        if space:
+            spaces[w] = space
+            found += len(space)
+    if found != len(h_mat):
+        raise InternalError("rho(H) is not diagonalizable with integer "
+                            "eigenvalues; invalid sl(2) data")
+    return spaces
+
+
 def _multiplicities_from_h(h_mat):
     """Summand multiplicities a_j from the matrix of the H-action.
 
     a_j = #eigenvalues j minus #eigenvalues j+2; any irreducible inside a
     dim-N space has highest weight at most N-1, so integer eigenvalues are
-    sought in [-(N-1), N-1] and a total shortfall is an invalid-data bug.
+    sought in [-(N-1), N-1].
     """
     n = len(h_mat)
     if n == 0:
         return {}
-    mult = {}
-    found = 0
-    for j in range(-(n - 1) if n > 1 else 0, n):
-        shifted = [[h_mat[r][c] - (Scalar(j) if r == c else ZERO)
-                    for c in range(n)] for r in range(n)]
-        m = len(kernel_basis(shifted))
-        if m:
-            mult[j] = m
-            found += m
-    if found != n:
-        raise InternalError("rho(H) is not diagonalizable with integer "
-                            "eigenvalues; invalid sl(2) data")
+    mult = {j: len(s) for j, s in _weight_spaces(h_mat, n - 1).items()}
     a = {}
     for j in range(0, n):
         aj = mult.get(j, 0) - mult.get(j + 2, 0)

@@ -17,18 +17,9 @@ the right-hand-side factor) once.  Pivoting is deterministic (first nonzero
 in row-major order), and each output is the unique solution fixed by its
 free variables, so results are reproducible byte for byte.
 
-Components.  The pivot columns are the column rank profile: column c is a
-pivot exactly when it is independent of the columns before it.
-:func:`independent_rows` relies on this to pick independent vectors in
-order, and the driver to eliminate each connected component of A's nonzero
-pattern on its own.  Two unknowns are connected when a row holds both; the
-rows of a component touch only its unknowns, so a column depends on the
-columns before it exactly when it does within its component.  The pivots
-of A are therefore the union of the components' pivots, each kernel vector
-is its component's vector padded with zeros, and a particular solution is
-the union of the components' ones.  The unknowns in no row and the
-all-zero rows form one more component, where a nonzero right-hand side is
-inconsistent.  Below ``_SPLIT_CELLS`` cells a matrix is one component.
+The pivot columns are the column rank profile: column c is a pivot exactly
+when it is independent of the columns before it.  :func:`independent_rows`
+relies on this to pick independent vectors in order.
 
 Wide inputs.  When a cleared row of :func:`kernel_basis` or :func:`rank`
 has an entry wider than 30 bits (one CPython digit), Bareiss pivots can
@@ -219,50 +210,18 @@ def mat_eq(a, b):
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
-# Below this many cells finding the components costs more than eliminating
-# them apart saves (timed both ways on every call of the benchmark workloads)
-_SPLIT_CELLS = 128
-
-
-def _components(a, ncols):
-    """``(columns, row indices)`` of each connected component of A's nonzero
-    pattern, and of the unknowns in no row with the all-zero rows."""
-    parent = list(range(ncols))
-
-    def find(j):
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    # most cells of a sparse matrix are the shared ZERO: skip their truth test
-    supports = [[j for j, x in enumerate(row) if x is not ZERO and x]
-                for row in a]
-    for support in supports:
-        for j in support[1:]:
-            parent[find(j)] = find(support[0])
-    comps = {}
-    for i, support in enumerate(supports):
-        comps.setdefault(find(support[0]) if support else -1,
-                         ([], []))[1].append(i)
-    for j in range(ncols):
-        root = find(j)
-        comps.setdefault(root if root in comps else -1, ([], []))[0].append(j)
-    return list(comps.values())
-
-
-def _free_vector(rows, pivots, fc, cols, out, den=1):
-    """Set in ``out`` (column t of ``rows`` is column ``cols[t]`` of ``out``)
-    the solution of the echelon system ``rows`` that is ``1/den`` on column
-    ``fc`` and 0 on the other free columns; returns ``out``.
+def _free_vector(rows, pivots, fc, out, den=1):
+    """Set in ``out`` the solution of the echelon system ``rows`` that is
+    ``1/den`` on column ``fc`` and 0 on the other free columns; returns
+    ``out``, whose length is the number of unknowns.
 
     Only pivots left of ``fc`` can be nonzero.  Column ``fc`` is set to the
     last of their pivots ``d``, which makes every pivot value a minor
     (Cramer's rule), so each step divides exactly; the entries are divided
     by ``d * den`` once at the end.
     """
-    if fc < len(cols):
-        out[cols[fc]] = gaussian(1, 0, den)
+    if fc < len(out):
+        out[fc] = gaussian(1, 0, den)
     m = bisect_left(pivots, fc)
     if m == 0:
         return out
@@ -281,13 +240,13 @@ def _free_vector(rows, pivots, fc, cols, out, den=1):
     dr, di = d[0] * den, d[1] * den
     n = dr * dr + di * di
     for j, (xr, xi) in x[1:]:
-        out[cols[j]] = gaussian(xr * dr + xi * di, xi * dr - xr * di, n)
+        out[j] = gaussian(xr * dr + xi * di, xi * dr - xr * di, n)
     return out
 
 
 def _eliminate(a, ncols, rhs=(), kernel=False, cleared=None):
     """``(pivots, kernel, solutions)`` of ``[A | b_1 | ...]`` for the
-    right-hand sides ``b_k`` in ``rhs``, one component of A at a time.
+    right-hand sides ``b_k`` in ``rhs``.
 
     ``pivots`` are A's pivot columns; ``kernel`` (empty unless asked for)
     has one vector per free column, that variable 1 and the other free ones
@@ -296,50 +255,31 @@ def _eliminate(a, ncols, rhs=(), kernel=False, cleared=None):
     ``cleared`` may give A's rows already cleared of denominators, when
     ``rhs`` is empty.
     """
-    if len(a) * ncols < _SPLIT_CELLS:
-        comps = [(range(ncols), range(len(a)))]
+    if cleared is not None:
+        sides = ()
+        rows = [primitive_part(row) for row in cleared]
     else:
-        comps = _components(a, ncols)
-    pivots = []
-    free = {}
-    solutions = [[ZERO] * ncols for _ in rhs]
-    for cols, row_ids in comps:
-        m = len(cols)
-        whole = m == ncols
-        if cleared is not None:
-            sides = ()
-            rows = [primitive_part(cleared[i] if whole
-                                   else [cleared[i][j] for j in cols])
-                    for i in row_ids]
-        else:
-            # A x = D b for the column's common denominator D: the right
-            # sides do not scale the rows of A
-            sides = [clear_denominators([b[i] for i in row_ids]) for b in rhs]
-            rows = []
-            for t, i in enumerate(row_ids):
-                l, ints = clear_denominators(a[i] if whole
-                                             else [a[i][j] for j in cols])
-                if sides:
-                    ints += [(l * ib[t][0], l * ib[t][1]) for _, ib in sides]
-                rows.append(primitive_part(ints))
-        comp_pivots = _bareiss(rows, m + len(sides))
-        if comp_pivots and comp_pivots[-1] >= m:
-            solutions = None
-        pivots += (comp_pivots if whole and not sides
-                   else [cols[c] for c in comp_pivots if c < m])
-        if kernel:
-            pivot_set = set(comp_pivots)
-            for fc in range(m):
-                if fc not in pivot_set:
-                    free[cols[fc]] = _free_vector(rows, comp_pivots, fc, cols,
-                                                  [ZERO] * ncols)
-        if solutions is not None:
-            # x = -(kernel vector of [A | D b] that is 1 on b's column)/D
-            for k, (l, _) in enumerate(sides):
-                _free_vector(rows, comp_pivots, m + k, cols, solutions[k], -l)
-    if len(comps) > 1:
-        pivots.sort()
-    return pivots, [free[j] for j in sorted(free)], solutions
+        # A x = D b for the column's common denominator D: the right sides
+        # do not scale the rows of A
+        sides = [clear_denominators(b) for b in rhs]
+        rows = []
+        for i, row in enumerate(a):
+            l, ints = clear_denominators(row)
+            if sides:
+                ints += [(l * ib[i][0], l * ib[i][1]) for _, ib in sides]
+            rows.append(primitive_part(ints))
+    pivots = _bareiss(rows, ncols + len(sides))
+    kernel_vectors = []
+    if kernel:
+        pivot_set = set(pivots)
+        kernel_vectors = [_free_vector(rows, pivots, fc, [ZERO] * ncols)
+                          for fc in range(ncols) if fc not in pivot_set]
+    solutions = None
+    if not pivots or pivots[-1] < ncols:
+        # x = -(kernel vector of [A | D b] that is 1 on b's column)/D
+        solutions = [_free_vector(rows, pivots, ncols + k, [ZERO] * ncols,
+                                  -l) for k, (l, _) in enumerate(sides)]
+    return [c for c in pivots if c < ncols], kernel_vectors, solutions
 
 
 def rank(a):

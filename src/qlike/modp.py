@@ -380,6 +380,10 @@ def resultant_gcd_is_constant(h_list, primes=PRIMES):
     forces G constant.  Anything else is inconclusive, never a false pass.
     Each Res(h1bar, hbar) is interpolated from its values at x = 0, 1, ...,
     computed by :func:`_resultant_modp` at the formal y-degrees.
+
+    The caller's two-point minors are symmetric, H(x, y) = H(y, x), so a
+    minor of y-degree 0 is constant, and such a minor proves injectivity
+    before this is called: h1 has y-degree at least 1.
     """
     ints = [h for h in h_list if any(c != (0, 0) for row in h for c in row)]
     if len(ints) < 2:
@@ -393,18 +397,6 @@ def resultant_gcd_is_constant(h_list, primes=PRIMES):
         d1x, d1y = bideg(h1)
         if d1y != d1y_int:
             continue                       # h1 degenerated; try another prime
-        if d1y == 0:
-            # y-free constraints alone: a subset of the system, still sound
-            acc = _poly_in_x(h1, p)
-            if not acc:
-                continue
-            for h_int in ints[1:]:
-                hx = _poly_in_x(reduce_modp(h_int, p, ip), p)
-                if hx:
-                    acc = _gcd_modp(acc, hx, p)
-                    if len(acc) == 1:
-                        return p
-            continue
         lcf = _trim(row[d1y] if len(row) > d1y else 0 for row in h1)
         if not lcf:
             continue
@@ -428,15 +420,3 @@ def resultant_gcd_is_constant(h_list, primes=PRIMES):
             if len(acc) == 1:
                 return p
     return None
-
-
-def _poly_in_x(h, p):
-    """A y-free bivariate as a plain x-coefficient list (None if not y-free)."""
-    out = []
-    for row in h:
-        if len(row) > 1:
-            return None
-        out.append(row[0] if row else 0)
-    while out and not out[-1]:
-        out.pop()
-    return out

@@ -10,8 +10,12 @@ nilpotent family
 
 It has first-order data along it: the tangent family W of the group orbit
 and the osculating family L' of the curve itself.  The normal bundle of the
-curve in the orbit is the subquotient (W / L') twisted by the curve degree,
-and only this first-order data is ever materialized.
+curve in the orbit is the subquotient N = (W / L') twisted by the curve
+degree.  :func:`normal_bundle` reads N off its fibre at one point, a module
+over the Borel subalgebra, with dense linear algebra of the fibre's size;
+:func:`orbit_tangent_family` builds W and L' as polynomial families, and
+with :func:`~qlike.bundles.subquotient_splitting` it is the independent
+route that the tests compare against.
 
 What the orbit gives in closed form is written down, not solved for, and
 constant rank is proven, not recomputed.  Every curve built here is an
@@ -61,6 +65,41 @@ Three consequences replace solves:
   every stage of their annihilator's graded kernel, and so the
   saturation, unchanged.
 
+The normal bundle from one fibre.  Let B be the stabilizer of x = [1 : 0]
+in SL(2), so P^1 = SL(2)/B, and b = span(h, e) its Lie algebra.  By the
+equivariance above, L = C v, L' and W are SL(2)-stable subbundles of the
+trivial bundle E x P^1, so N = (W / L') tensor L* is an equivariant bundle,
+and an equivariant bundle is SL(2) x_B F for its fibre F at x, a
+B-module (Bott, as above).  The fibre of O(-1) at x is the line C (1, 0),
+of h-weight 1, so O(m) is the character of h-weight -m, and c1 of a bundle
+is minus the trace of h on its fibre.  Here:
+
+* W_x = sigma(g) v0, L'_x = span(v0, f v0) and L_x = C v0, so N has the
+  fibre M = (W_x / L'_x) tensor (C v0)*, and N(t) has M tensor C_(-t).
+  v0 = h v0 / d and f v0 lie in sigma(g) v0, so a basis of W_x can start
+  with them, and sigma(h), sigma(e) act on W_x because x -> sigma(x) v0
+  intertwines ad(h), ad(e) with sigma(h) - d, sigma(e).
+* The sections of SL(2) x_B F form a finite-dimensional SL(2)-module, and
+  Hom_SL(2)(V_j, sections) = Hom_B(V_j, F) (Frobenius reciprocity;
+  Jantzen, *Representations of Algebraic Groups*, I.3.4).  As a b-module
+  V_j is generated by its lowest weight vector u with the relations
+  h u = -j u and e^(j+1) u = 0, so Hom_B(V_j, F) is the space of vectors
+  of F of weight -j that e^(j+1) kills.  With complete reducibility,
+
+      h0(N(t)) = sum_j (j + 1) dim{m in M of weight t - j : e^(j+1) m = 0}.
+
+* For N = O(a_1) + ... + O(a_r), h0(N(t)) = sum_i max(a_i + t + 1, 0), so
+  the number of a_i equal to a is h0(N(-a)) - 2 h0(N(-a-1)) + h0(N(-a-2)).
+  If M's weights lie in [lo, hi], h0(N(t)) is 0 for t < lo, and linear for
+  t >= hi (e^(t-w+1) then takes weight w past hi), so a lies in
+  [-hi - 1, -lo].
+* c1(W) = -tr sigma(h) on W_x and c1(L') = -(d + d - 2), from the weights
+  of v0 and f v0.  The bookkeeping deg N = c1(W) - c1(L') + d (rank W - 2)
+  then checks the h0 count against the trace.
+
+On the conic, W_x is all of C^3, with weights 2, 0 and -2; M is the class
+of the weight -2 vector, tensored with C v0* to weight -4, so N = O(4).
+
 On the adjoint sl(2), v0 = e, f v0 = -h and f^2 v0 / 2 = -f, so
 v(z) = z0^2 e - z0 z1 h - z1^2 f, divided by its last coefficient -1; the
 curve is the nilpotent family itself.  On the conic, W is the trivial
@@ -72,18 +111,24 @@ bundle and L' has the derivative columns' degrees d - 1 = 1:
 >>> fams = orbit_tangent_family(build_veronese(2))
 >>> fams.w.degrees, fams.l_prime.degrees
 ((0, 0, 0), (1, 1))
+>>> d, h, e = _tangent_fibre(build_veronese(2))
+>>> d, [h[i][i] for i in range(3)]
+(2, [Scalar('2'), Scalar('0'), Scalar('-2')])
+>>> normal_bundle(build_veronese(2)).normal
+SplittingType(summands=(4,))
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bundles import (SplittingType, SubbundleFamily, saturate,
-                      subquotient_splitting)
+from .bundles import SplittingType, SubbundleFamily, saturate
 from .errors import InternalError, InvalidInput
 from .forms import BinaryForm, Z0, Z1
-from .lie import LieAlgebra, Representation, Sl2Embedding, _multiplicities_from_h
-from .linalg import kernel_basis, mat_vec, rank, solve_matrix
+from .lie import (LieAlgebra, Representation, Sl2Embedding,
+                  _multiplicities_from_h, _weight_spaces)
+from .linalg import (independent_rows, kernel_basis, mat_vec, rank,
+                     solve_matrix, transpose)
 from .polymatrix import PolyMatrix, _apply_scalar_matrix
 from .scalars import Scalar, scalar
 
@@ -294,22 +339,73 @@ class NormalBundleReport:
         }
 
 
+def _tangent_fibre(q: GoodQuadruple):
+    """(d, sigma(h) on W_x, sigma(e) on W_x) at x = [1 : 0], in a basis of
+    W_x = sigma(g) v0 that starts with v0 and f v0 (module docstring).
+
+    v0 and f v0 are the z0^d and z0^(d-1) z1 coefficients of
+    :func:`veronese_curve`'s curve, on one scale.
+    """
+    d, _, v_e = veronese_curve(q)
+    v0 = [f.coeffs[0] for f in v_e]
+    vectors = [v0, [f.coeffs[1] for f in v_e]]
+    vectors += [mat_vec(m, v0) for m in q.sigma.matrices]
+    rows = independent_rows(vectors)
+    if rows[:2] != [0, 1]:
+        raise InvalidInput("curve not immersed")
+    basis = [vectors[i] for i in rows]
+    images = [mat_vec(m, b) for m in (q.sigma.apply(list(q.tau.h)),
+                                      q.sigma.apply(list(q.tau.e)))
+              for b in basis]
+    coords = solve_matrix(transpose(basis), transpose(images))
+    if coords is None:
+        raise InternalError("the orbit's tangent fibre is not invariant "
+                            "under h and e")
+    r = len(basis)
+    return d, [row[:r] for row in coords], [row[r:] for row in coords]
+
+
+def _homogeneous_splitting(h, e, bound):
+    """Splitting type of the SL(2)-homogeneous bundle on P^1 whose fibre at
+    [1 : 0] is the b-module with matrices h and e, by the h0 count of the
+    module docstring; h's eigenvalues are sought in [-bound, bound]."""
+    spaces = _weight_spaces(h, bound)
+    lo, hi = min(spaces, default=0), max(spaces, default=0)
+    killed = {}     # weight w -> dims killed by e, e^2, ... until e^k = 0
+    for w, space in spaces.items():
+        image, killed[w] = space, []
+        for _ in range((hi - w) // 2 + 1):
+            image = [mat_vec(e, v) for v in image]
+            killed[w].append(len(space) - rank(image))
+
+    def h0(t):
+        return sum((t - w + 1) * dims[min(t - w, len(dims) - 1)]
+                   for w, dims in killed.items() if w <= t)
+    return SplittingType.of([a for a in range(-hi - 1, -lo + 1)
+                             for _ in range(h0(-a) - 2 * h0(-a - 1)
+                                            + h0(-a - 2))])
+
+
 def normal_bundle(q: GoodQuadruple, expected: SplittingType = None,
                   expected_source: str = "") -> NormalBundleReport:
     """Splitting type of the normal bundle of the curve in its orbit.
 
-    normal = (W / L') tensor O(d); all summands must be nonnegative, and the
+    normal = (W / L') tensor O(d), read off the b-module of its fibre at
+    [1 : 0] (module docstring); all summands must be nonnegative, and the
     first-Chern bookkeeping sum(normal) = (c1(W) - c1(L')) + d*(rank W - 2)
-    is asserted exactly.
+    is asserted exactly, with c1(W) from the trace of h on W's fibre.
     """
-    fams = orbit_tangent_family(q)
-    d = fams.degree
-    r = fams.w.rank
-    normal = subquotient_splitting(fams.l_prime, fams.w, twist=d)
+    d, h, e = _tangent_fibre(q)
+    r = len(h)
+    # W_x / L'_x: drop v0 and f v0, which span an h- and e-stable subspace
+    quotient = _homogeneous_splitting([row[2:] for row in h[2:]],
+                                      [row[2:] for row in e[2:]],
+                                      q.space_dim - 1)
+    normal = SplittingType.of([a + d for a in quotient.summands])
     if normal.rank != r - 2:
         raise InternalError("normal rank %d, tangent rank %d" % (normal.rank, r))
-    c1_w = -sum(fams.w.degrees)
-    c1_l = -sum(fams.l_prime.degrees)
+    c1_w = -sum(h[i][i] for i in range(r))
+    c1_l = 2 - 2 * d
     c1_ok = normal.degree == (c1_w - c1_l) + d * (r - 2)
     if not c1_ok:
         raise InternalError("normal bundle first-Chern bookkeeping failed")

@@ -3,9 +3,11 @@ import os
 
 import pytest
 
-from qlike import catalog
+from qlike import catalog, lie
 from qlike.bundles import SplittingType
 from qlike.linalg import span_equal
+from qlike.orbit import adjoint_multiplicity_count
+from qlike.sampling import random_quadruples
 from qlike.scalars import ONE, I
 from qlike.structures import QLikeStructure, validate
 
@@ -46,6 +48,21 @@ def test_adjoint_expected_is_recomputed_live():
     assert catalog.adjoint_expected(q) == SplittingType.of([1, 1, 1, 1])
     q2 = catalog.build_adjoint("sl(2)", "principal")
     assert catalog.adjoint_expected(q2) == SplittingType.of([])
+
+
+def test_adjoint_expected_is_the_orbit_dimension_closed_form(monkeypatch):
+    # O(1)^(dim g - dim ker ad f - 2) equals the weight count that
+    # normal_bundle checks, and is computed without the weight decomposition
+    quadruples = ([e.build() for e in catalog.catalog_entries()
+                   if e.expected_normal == "live-adjoint"]
+                  + random_quadruples(4242, 7))
+    counts = [adjoint_multiplicity_count(q) for q in quadruples]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sl2_decompose called")
+    monkeypatch.setattr(lie, "sl2_decompose", refuse)
+    assert [catalog.adjoint_expected(q) for q in quadruples] == \
+        [SplittingType.of([1] * c) for c in counts]
 
 
 def test_fixture_regeneration_round_trip(tmp_path):

@@ -135,6 +135,13 @@ def test_twistor_unknown_catalog_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("name", ["conic-r3", "quaternionic:1"])
+def test_twistor_structure_catalog_entry_exit_two(capsys, name):
+    code, out, err = run_cli(capsys, "twistor", "--catalog", name)
+    assert code == 2
+    assert "%r is a structure" % name in err and "Traceback" not in err
+
+
 def test_twistor_file_input(tmp_path, capsys):
     spec = {"algebra": "sl(3)", "representation": "adjoint",
             "sl2": {"nilpotent": "minimal"}, "u_basis": "sl2-image",

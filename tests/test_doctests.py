@@ -42,3 +42,8 @@ def test_polymatrix_docstring_has_examples():
 def test_embedding_docstring_has_examples():
     from qlike import embedding
     assert doctest.testmod(embedding).attempted >= 2
+
+
+def test_orbit_docstring_has_examples():
+    from qlike import orbit
+    assert doctest.testmod(orbit).attempted >= 3

@@ -4,7 +4,8 @@ from collections import Counter
 import pytest
 
 from qlike import bundles, orbit, polymatrix
-from qlike.bundles import SplittingType, family_span_equal, saturate
+from qlike.bundles import (SplittingType, family_span_equal, saturate,
+                           subquotient_splitting)
 from qlike.catalog import (adjoint_expected, build_adjoint, build_so,
                            build_sp, build_veronese, catalog_entries)
 from qlike.forms import Z0, Z1, format_form, parse_form
@@ -268,12 +269,24 @@ def test_tangent_family_does_not_need_the_curve_column(name):
     assert with_v.to_json() == fams.w.to_json()
 
 
+@pool_names
+def test_fibre_route_equals_the_polynomial_route(name):
+    # normal_bundle reads N off the b-module of one fibre; the oracle is the
+    # subquotient of the saturated tangent family by the derivative columns
+    q, fams = _pool_entry(name)
+    report = normal_bundle(q)
+    assert report.normal == subquotient_splitting(fams.l_prime, fams.w,
+                                                  twist=fams.degree)
+    assert report.tangent_rank == fams.w.rank
+    d, h, _ = orbit._tangent_fibre(q)
+    assert d == fams.degree
+    assert -sum(h[i][i] for i in range(len(h))) == -sum(fams.w.degrees)
+
+
 @pytest.mark.parametrize("entry", ["veronese:3", "adjoint:sl(3):minimal"])
 def test_twistor_path_solve_counts(monkeypatch, entry):
-    # one normal bundle saturates W once (its rank, the annihilator and the
-    # graded kernel over it; the tangent columns outnumber W's rank, so
-    # never the basis route), and the subquotient runs one graded kernel;
-    # the curve and L' are written down
+    # one normal bundle runs no saturation, generic rank, graded kernel or
+    # membership solve: the curve is written down and N comes from one fibre
     calls = Counter()
 
     def counting(name, fn):
@@ -283,7 +296,7 @@ def test_twistor_path_solve_counts(monkeypatch, entry):
         return wrapper
 
     names = ("saturate", "generic_rank", "graded_kernel",
-             "graded_kernel_from_basis")
+             "graded_kernel_from_basis", "solve_combination")
     for module in (orbit, bundles, polymatrix):
         for name in names:
             if hasattr(module, name):
@@ -292,8 +305,26 @@ def test_twistor_path_solve_counts(monkeypatch, entry):
     q = POOL_BUILDS[entry]()
     calls.clear()
     normal_bundle(q)
-    assert calls == Counter({"saturate": 1, "generic_rank": 1,
-                             "graded_kernel": 3})
+    assert {name: calls[name] for name in names} == dict.fromkeys(names, 0)
+
+
+@pytest.mark.parametrize("nilpotent, orbit_dim",
+                         [("principal", 20), ("minimal", 8)])
+def test_sl5_adjoint_normal_bundle_closed_form(nilpotent, orbit_dim):
+    # past the polynomial route's reach (seconds per call): in sl(n) the
+    # principal orbit has dimension n^2 - n, the minimal one 2n - 2, and
+    # the adjoint normal bundle is O(1)^(orbit dimension - 2)
+    q = build_adjoint("sl(5)", nilpotent)
+    report = normal_bundle(q)
+    assert report.normal == SplittingType.of([1] * (orbit_dim - 2))
+    assert dimension_report(q, report)["orbit_dim"] == orbit_dim
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_rational_normal_curve_closed_form(k):
+    # the degree-k rational normal curve in P^k has N = O(k + 2)^(k - 1)
+    report = normal_bundle(build_veronese(k))
+    assert report.normal == SplittingType.of([k + 2] * (k - 1))
 
 
 def test_dependent_u_basis_fails_irreducibility():

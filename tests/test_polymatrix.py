@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from oracles import graded_kernel_by_stages, poly_mat_vec
 
 from qlike import bundles, orbit, polymatrix
-from qlike.bundles import saturate
+from qlike.bundles import saturate, subquotient_splitting
 from qlike.catalog import catalog_entries, fixture_structures
 from qlike.errors import InternalError, InvalidInput
 from qlike.forms import BinaryForm, Z0, Z1, parse_form
@@ -262,10 +262,13 @@ def test_saturations_equal_the_oracle(monkeypatch):
 
 
 def test_twistor_catalog_graded_systems_equal_the_oracle(monkeypatch):
+    # normal_bundle runs no graded kernel; the polynomial route it is
+    # tested against (W's saturation and the subquotient) runs them all
     calls = record_graded_kernels(monkeypatch)
     for entry in catalog_entries():
         if entry.kind == "quadruple":
-            orbit.normal_bundle(entry.build())
+            fams = orbit.orbit_tangent_family(entry.build())
+            subquotient_splitting(fams.l_prime, fams.w, twist=fams.degree)
     assert_oracle_agrees(calls)
 
 

@@ -478,6 +478,11 @@ def test_two_point_minor_times_diagonal(case):
                 cr, ci = times.get(key, (0, 0))
                 times[key] = (cr + sign * hr, ci + sign * hi)
     assert {k: v for k, v in times.items() if v != (0, 0)} == minor
+    # H(x, y) = H(y, x): a minor of y-degree 0 is constant, which is why
+    # resultant_gcd_is_constant needs no branch for y-free minors
+    entries = {(x, y): c for x, row in enumerate(H) for y, c in enumerate(row)
+               if c != (0, 0)}
+    assert entries == {(y, x): c for (x, y), c in entries.items()}
 
 
 # sha256 of the canonical JSON of validate on the shipped fixtures and on
