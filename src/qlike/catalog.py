@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from .bundles import SplittingType
 from .errors import InternalError, InvalidInput
 from .forms import BinaryForm, parse_form
-from .lie import (Sl2Embedding, builtin_algebra, named_nilpotent,
-                  principal_sl2_matrices, sl_algebra, so_algebra, sp_algebra,
-                  wedge_square_representation)
+from .lie import (Sl2Embedding, builtin_algebra, combination,
+                  named_nilpotent, principal_sl2_matrices, sl_algebra,
+                  so_algebra, sp_algebra, wedge_square_representation)
 from .linalg import identity, kernel_basis, mat_mul, solve_matrix, zeros
 from .orbit import (GoodQuadruple, adjoint_quadruple, dimension_report,
                     normal_bundle)
@@ -55,18 +55,9 @@ def so3_triple_matrices(n):
         m[j][i] = Scalar(-1)
         return m
 
-    def lincomb(*terms):
-        out = zeros(n, n)
-        for c, m in terms:
-            for r in range(n):
-                for s in range(n):
-                    if not m[r][s].is_zero():
-                        out[r][s] = out[r][s] + c * m[r][s]
-        return out
-
-    h = lincomb((Scalar(0, -2), a(0, 1)))
-    e = lincomb((ONE, a(0, 2)), (I, a(1, 2)))
-    f = lincomb((Scalar(-1), a(0, 2)), (I, a(1, 2)))
+    h = combination([a(0, 1)], [Scalar(0, -2)])
+    e = combination([a(0, 2), a(1, 2)], [ONE, I])
+    f = combination([a(0, 2), a(1, 2)], [Scalar(-1), I])
     return e, h, f
 
 

@@ -62,7 +62,7 @@ def build_parser():
     p.add_argument("--algebra", required=True,
                    help="built-in name, e.g. sl(3)")
     p.add_argument("--nilpotent", required=True,
-                   help='named ("principal", "minimal") or a JSON vector')
+                   help='named ("principal", "minimal"; sl(n) only) or a JSON vector')
     _output_flags(p)
     p.set_defaults(func=cmd_lie_jm)
 

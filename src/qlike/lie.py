@@ -12,9 +12,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError, InvalidInput
-from .linalg import (identity, kernel_basis, mat_mul, mat_sub, mat_vec, rank,
-                     solve, zeros)
+from .linalg import (kernel_basis, mat_mul, mat_sub, mat_vec, rank, solve,
+                     zeros)
 from .scalars import ONE, ZERO, Scalar, scalar
+
+
+def combination(matrices, x):
+    """The matrix sum_i x_i M_i for coordinates x and same-shape matrices M_i
+    (a fresh list of rows)."""
+    out = [[ZERO] * len(row) for row in matrices[0]]
+    for xi, m in zip(x, matrices):
+        xi = scalar(xi)
+        if xi.is_zero():
+            continue
+        for out_row, row in zip(out, m):
+            for c, v in enumerate(row):
+                if not v.is_zero():
+                    out_row[c] = out_row[c] + xi * v
+    return out
 
 
 class LieAlgebra:
@@ -22,10 +37,11 @@ class LieAlgebra:
 
     brackets[(i, j)] is the coordinate vector of [x_i, x_j] for i < j; the
     table is completed by antisymmetry and validated lazily by
-    :func:`validate_lie`.
+    :func:`validate_lie`.  Brackets and ad are read off the matrices
+    ad(x_i), built from the table on first use and kept.
     """
 
-    __slots__ = ("dim", "brackets", "name")
+    __slots__ = ("dim", "brackets", "name", "_adjoint")
 
     def __init__(self, dim, brackets, name=""):
         if type(dim) is not int or dim < 1:
@@ -50,53 +66,32 @@ class LieAlgebra:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "brackets", table)
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_adjoint", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
 
     def bracket_basis(self, i, j):
-        if i == j:
-            return [ZERO] * self.dim
-        if i < j:
-            vec = self.brackets.get((i, j))
-            return list(vec) if vec else [ZERO] * self.dim
-        vec = self.brackets.get((j, i))
-        return [-c for c in vec] if vec else [ZERO] * self.dim
+        return [row[j] for row in self.adjoint_representation().matrices[i]]
 
     def bracket(self, x, y):
         """[x, y] for coordinate vectors x, y."""
-        x = [scalar(c) for c in x]
-        y = [scalar(c) for c in y]
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(y):
-                if yj.is_zero():
-                    continue
-                vec = self.bracket_basis(i, j)
-                coeff = xi * yj
-                for k, c in enumerate(vec):
-                    if not c.is_zero():
-                        out[k] = out[k] + coeff * c
-        return out
+        return mat_vec(self.ad(x), [scalar(c) for c in y])
 
     def ad(self, x):
         """Matrix of ad(x) on the chosen basis."""
-        cols = []
-        for j in range(self.dim):
-            e_j = [ZERO] * self.dim
-            e_j[j] = ONE
-            cols.append(self.bracket(x, e_j))
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        return combination(self.adjoint_representation().matrices, x)
 
     def adjoint_representation(self):
-        mats = []
-        for i in range(self.dim):
-            e_i = [ZERO] * self.dim
-            e_i[i] = ONE
-            mats.append(self.ad(e_i))
-        return Representation(self, mats)
+        """The matrices ad(x_i): column j of ad(x_i) is [x_i, x_j]."""
+        if self._adjoint is None:
+            mats = [zeros(self.dim, self.dim) for _ in range(self.dim)]
+            for (i, j), vec in self.brackets.items():
+                for k, c in enumerate(vec):
+                    if not c.is_zero():
+                        mats[i][k][j], mats[j][k][i] = c, -c
+            object.__setattr__(self, "_adjoint", Representation(self, mats))
+        return self._adjoint
 
     def to_json(self):
         from .scalars import format_scalar
@@ -151,30 +146,18 @@ class Representation:
 
     def apply(self, x):
         """Matrix of rho(x) for a coordinate vector x."""
-        n = self.space_dim
-        out = [[ZERO] * n for _ in range(n)]
-        for i, xi in enumerate(x):
-            xi = scalar(xi)
-            if xi.is_zero():
-                continue
-            m = self.matrices[i]
-            for r in range(n):
-                row = m[r]
-                for c in range(n):
-                    if not row[c].is_zero():
-                        out[r][c] = out[r][c] + xi * row[c]
-        return out
+        return combination(self.matrices, x)
 
     def check_identity(self):
         """rho([x_i, x_j]) == [rho(x_i), rho(x_j)] for all basis pairs."""
-        g = self.algebra
+        # brackets[(i, j)] is [x_i, x_j] for i < j: read it there, so that
+        # checking an explicit representation builds no ad table
+        g, mats = self.algebra, self.matrices
         for i in range(g.dim):
-            mi = [list(r) for r in self.matrices[i]]
             for j in range(i + 1, g.dim):
-                mj = [list(r) for r in self.matrices[j]]
-                comm = mat_sub(mat_mul(mi, mj), mat_mul(mj, mi))
-                expect = self.apply(g.bracket_basis(i, j))
-                if comm != expect:
+                comm = mat_sub(mat_mul(mats[i], mats[j]),
+                               mat_mul(mats[j], mats[i]))
+                if comm != self.apply(g.brackets.get((i, j), ())):
                     return False
         return True
 
@@ -281,18 +264,7 @@ class MatrixAlgebra:
         return vec
 
     def matrix_of(self, x):
-        n = len(self.basis_matrices[0])
-        out = zeros(n, n)
-        for i, xi in enumerate(x):
-            xi = scalar(xi)
-            if xi.is_zero():
-                continue
-            for r in range(n):
-                for c in range(n):
-                    b = self.basis_matrices[i][r][c]
-                    if not b.is_zero():
-                        out[r][c] = out[r][c] + xi * b
-        return out
+        return combination(self.basis_matrices, x)
 
 
 def sl_algebra(n) -> MatrixAlgebra:
@@ -389,6 +361,9 @@ def builtin_algebra(name) -> MatrixAlgebra:
 
 def named_nilpotent(ma: MatrixAlgebra, spec: str):
     """Named nilpotents for sl(n): "principal" (regular) and "minimal"."""
+    if not ma.algebra.name.startswith("sl("):
+        raise InvalidInput("named nilpotents are defined for sl(n); give a "
+                           "coordinate vector for so/sp")
     n = len(ma.basis_matrices[0])
     m = zeros(n, n)
     if spec == "principal":
@@ -406,26 +381,16 @@ def named_nilpotent(ma: MatrixAlgebra, spec: str):
 # --------------------------------------------------------------------------
 
 def validate_lie(g: LieAlgebra) -> dict:
-    """Jacobi identity, Killing form, semisimplicity (exact)."""
+    """Jacobi identity, Killing form, semisimplicity (exact).
+
+    The table is antisymmetric by construction, and then Jacobi holds
+    exactly when ad is a representation: [[x_i, x_j], x_k] =
+    [x_i, [x_j, x_k]] - [x_j, [x_i, x_k]] is ad([x_i, x_j]) =
+    [ad x_i, ad x_j] applied to x_k."""
     dim = g.dim
-    jacobi_ok = True
-    basis = identity(dim)
-    ads = [g.ad(basis[i]) for i in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            bij = g.bracket_basis(i, j)
-            for k in range(j + 1, dim):
-                t1 = g.bracket(bij, basis[k])
-                t2 = g.bracket(g.bracket_basis(j, k), basis[i])
-                t3 = g.bracket(g.bracket_basis(k, i), basis[j])
-                if any(not (a + b + c).is_zero()
-                       for a, b, c in zip(t1, t2, t3)):
-                    jacobi_ok = False
-                    break
-            if not jacobi_ok:
-                break
-        if not jacobi_ok:
-            break
+    adjoint = g.adjoint_representation()
+    jacobi_ok = adjoint.check_identity()
+    ads = adjoint.matrices
     killing = zeros(dim, dim)
     for i in range(dim):
         for j in range(i, dim):
@@ -477,33 +442,19 @@ def jacobson_morozov(g: LieAlgebra, y, assume_semisimple=False) -> Sl2Embedding:
         raise InvalidInput("element is not ad-nilpotent")
     dim = g.dim
     ad_y = g.ad(y)
-    # unknown w with H = ad_y(w): ad(ad_y w)(y) = -2y
-    cols = []
-    for j in range(dim):
-        e_j = [ZERO] * dim
-        e_j[j] = ONE
-        h_j = mat_vec(ad_y, e_j)
-        cols.append(g.bracket(h_j, y))
-    a = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-    target = [c * (-2) for c in y]
-    w = solve(a, target)
+    # unknown w with H = ad_y(w): [ad_y w, y] = -ad_y ad_y w = -2y
+    a = [[-c for c in row] for row in mat_mul(ad_y, ad_y)]
+    w = solve(a, [c * (-2) for c in y])
     if w is None:
         raise InternalError("no H with [H, Y] = -2Y in im(ad Y); "
                             "is the algebra semisimple?")
     h = mat_vec(ad_y, w)
-    # X: [H, X] = 2X and [X, Y] = H simultaneously
+    # X: [H, X] = 2X and [X, Y] = -ad_y(X) = H simultaneously
     ad_h = g.ad(h)
-    rows = []
-    rhs = []
-    for i in range(dim):
-        row = [ad_h[i][j] - (Scalar(2) if i == j else ZERO) for j in range(dim)]
-        rows.append(row)
-        rhs.append(ZERO)
-    # [X, Y] = -ad_y(X) ... [X, Y] = -[Y, X]
-    for i in range(dim):
-        rows.append([-ad_y[i][j] for j in range(dim)])
-        rhs.append(h[i])
-    x = solve(rows, rhs)
+    rows = [[c - 2 if i == j else c for j, c in enumerate(row)]
+            for i, row in enumerate(ad_h)]
+    rows += [[-c for c in row] for row in ad_y]
+    x = solve(rows, [ZERO] * dim + h)
     if x is None:
         raise InternalError("Jacobson-Morozov system unsolvable on "
                             "semisimple input")
@@ -591,16 +542,12 @@ def wedge_square_representation(ma: MatrixAlgebra):
     for bm in ma.basis_matrices:
         big = zeros(len(pairs), len(pairs))
         for (i, j), col in index.items():
-            # X(e_i ^ e_j) = X e_i ^ e_j + e_i ^ X e_j
-            for r in range(n):
-                c = bm[r][i]
-                if not c.is_zero() and r != j:
-                    a, b, sign = (r, j, ONE) if r < j else (j, r, Scalar(-1))
-                    big[index[(a, b)]][col] = big[index[(a, b)]][col] + sign * c
-            for r in range(n):
-                c = bm[r][j]
-                if not c.is_zero() and r != i:
-                    a, b, sign = (i, r, ONE) if i < r else (r, i, Scalar(-1))
-                    big[index[(a, b)]][col] = big[index[(a, b)]][col] + sign * c
+            # X(e_i ^ e_j) = X e_i ^ e_j - X e_j ^ e_i
+            for moved, kept, sign in ((i, j, ONE), (j, i, Scalar(-1))):
+                for r in range(n):
+                    c = bm[r][moved]
+                    if not c.is_zero() and r != kept:
+                        row = index[(min(r, kept), max(r, kept))]
+                        big[row][col] += (sign if r < kept else -sign) * c
         mats.append(big)
     return Representation(ma.algebra, mats), pairs

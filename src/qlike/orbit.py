@@ -154,6 +154,9 @@ class GoodQuadruple:
         if self.nilpotent is not None:
             object.__setattr__(self, "nilpotent",
                                tuple(scalar(c) for c in self.nilpotent))
+            if len(self.nilpotent) != self.algebra.dim:
+                raise InvalidInput("nilpotent needs %d coordinates"
+                                   % self.algebra.dim)
 
     @property
     def space_dim(self):

@@ -8,7 +8,9 @@ arithmetic, resultants over GF(p) by eliminating the Sylvester matrix, the
 factorization's intertwiner from its dense system in all hp^2 unknowns,
 Q(i) arithmetic on a pair of Fractions rather than a Gaussian integer over
 one denominator, graded kernels by an exact elimination at every stage and
-a selection among whole kernel vectors.
+a selection among whole kernel vectors, Lie brackets by walking the
+structure-constant table pair by pair and Jacobson-Morozov's H system one
+bracket per column.
 """
 
 from fractions import Fraction
@@ -16,7 +18,7 @@ from itertools import combinations, permutations
 
 from qlike.forms import BinaryForm
 from qlike.linalg import (identity, independent_rows, kernel_basis, mat_mul,
-                          solve)
+                          mat_vec, solve, transpose)
 from qlike.modp import _eliminate_modp
 from qlike.polymatrix import (_decode, _degree_bound, _equation_rows,
                               _multiple_coeffs, _section_layout)
@@ -446,3 +448,37 @@ def graded_kernel_by_stages(relation_rows, n_unknowns, unknown_shifts=None, *,
                               in zip(offsets, lengths)]))
     raise AssertionError("oracle short of %d generators by degree %d"
                          % (expected_count, bound))
+
+
+def table_bracket(g, x, y):
+    """[x, y] = sum_ij x_i y_j [x_i, x_j], each [x_i, x_j] read from
+    g.brackets, completed by antisymmetry and [x_i, x_i] = 0."""
+    out = [ZERO] * g.dim
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            vec = g.brackets.get((min(i, j), max(i, j)))
+            if i == j or vec is None or xi.is_zero() or yj.is_zero():
+                continue
+            coeff = xi * yj if i < j else -(xi * yj)
+            for k, c in enumerate(vec):
+                if not c.is_zero():
+                    out[k] = out[k] + coeff * c
+    return out
+
+
+def table_ad(g, x):
+    """ad(x), column j being table_bracket(x, e_j)."""
+    return transpose([table_bracket(g, x, e) for e in identity(g.dim)])
+
+
+def jacobson_morozov_by_brackets(g, y):
+    """(E, H, F = y): H = ad_y(w) with [ad_y w, y] = -2y, its matrix built
+    one bracket per column; then E from [H, E] = 2E and [E, y] = H."""
+    ad_y = table_ad(g, y)
+    cols = [table_bracket(g, mat_vec(ad_y, e), y) for e in identity(g.dim)]
+    h = mat_vec(ad_y, solve(transpose(cols), [c * (-2) for c in y]))
+    ad_h = table_ad(g, h)
+    rows = [[c - Scalar(2) if i == j else c for j, c in enumerate(row)]
+            for i, row in enumerate(ad_h)]
+    rows += [[-c for c in row] for row in ad_y]
+    return solve(rows, [ZERO] * g.dim + h), h, list(y)

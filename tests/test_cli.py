@@ -294,6 +294,17 @@ def test_lie_jm_bad_nilpotent_exit_two(capsys, vector):
     assert "nilpotent" in err
 
 
+@pytest.mark.parametrize("algebra", ["so(5)", "sp(4)"])
+@pytest.mark.parametrize("nilpotent", ["principal", "minimal"])
+def test_lie_jm_named_nilpotent_off_sl_exit_two(capsys, algebra, nilpotent):
+    code, out, err = run_cli(capsys, "lie-jm", "--algebra", algebra,
+                             "--nilpotent", nilpotent)
+    assert code == 2
+    assert out == ""
+    assert "named nilpotents are defined for sl(n)" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("algebra", ["sl(x)", "so()", "sp(2.5)"])
 def test_lie_jm_bad_algebra_size_exit_two(capsys, algebra):
     code, out, err = run_cli(capsys, "lie-jm", "--algebra", algebra,
@@ -324,6 +335,8 @@ _F = [0, 1, 0, 0, 0, 0, 0, 0]
      "u_basis vectors need 3 coordinates"),
     ({"algebra": {"dim": 3, "brackets": [[0, 1, [[5, "1"]]]]},
       "sl2": {"nilpotent": [0, 1, 0]}}, "not a basis index"),
+    ({"algebra": "so(5)", "sl2": {"nilpotent": "principal"}},
+     "named nilpotents are defined for sl(n)"),
 ])
 def test_malformed_quadruple_exit_two(tmp_path, capsys, spec, message):
     path = tmp_path / "quad.json"

@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+from oracles import jacobson_morozov_by_brackets, table_ad, table_bracket
 from qlike.errors import InvalidInput
 from qlike.lie import (LieAlgebra, Representation, Sl2Embedding,
-                       builtin_algebra, is_ad_nilpotent, jacobson_morozov,
+                       builtin_algebra, combination, is_ad_nilpotent,
+                       jacobson_morozov, named_nilpotent,
                        principal_sl2_matrices, sl2_decompose, sl_algebra,
                        so_algebra, sp_algebra, validate_lie,
                        wedge_square_representation)
 from qlike.linalg import identity, inverse, mat_mul, rank, solve
+from qlike.sampling import random_quadruples
 from qlike.scalars import ONE, Scalar, ZERO
 
 
@@ -26,21 +29,28 @@ def test_validate_lie_sl2():
     assert rep["jacobi"] and rep["semisimple"]
 
 
+def heisenberg():
+    return LieAlgebra(3, {(0, 1): [ZERO, ZERO, ONE]}, "heisenberg")
+
+
+def perturbed_sl2():
+    return LieAlgebra(3, {
+        (0, 1): [Scalar(-1), ZERO, ZERO],   # perturbed [e,h]
+        (0, 2): [ZERO, ONE, ZERO],
+        (1, 2): [ZERO, ZERO, Scalar(-2)],
+    }, "broken")
+
+
 def test_validate_lie_heisenberg():
     # [x, y] = z, z central: Jacobi holds, Killing form vanishes
-    heis = LieAlgebra(3, {(0, 1): [ZERO, ZERO, ONE]}, "heisenberg")
-    rep = validate_lie(heis)
+    rep = validate_lie(heisenberg())
     assert rep["jacobi"]
     assert rep["killing_rank"] == 0
     assert not rep["semisimple"]
 
 
 def test_validate_lie_perturbed_constants_fail_jacobi():
-    bad = LieAlgebra(3, {
-        (0, 1): [Scalar(-1), ZERO, ZERO],   # perturbed [e,h]
-        (0, 2): [ZERO, ONE, ZERO],
-        (1, 2): [ZERO, ZERO, Scalar(-2)],
-    }, "broken")
+    bad = perturbed_sl2()
     rep = validate_lie(bad)
     assert not rep["jacobi"]
 
@@ -170,3 +180,65 @@ def test_algebra_json_round_trip():
     assert back.dim == ma.algebra.dim
     for (i, j), vec in ma.algebra.brackets.items():
         assert tuple(back.bracket_basis(i, j)) == tuple(vec)
+
+
+ORACLE_ALGEBRAS = ["sl(2)", "sl(3)", "sl(4)", "sl(5)", "so(5)", "so(6)",
+                   "sp(4)", "sp(6)", "heisenberg", "perturbed"]
+
+
+def oracle_algebra(name):
+    if name == "heisenberg":
+        return heisenberg()
+    if name == "perturbed":
+        return perturbed_sl2()
+    return builtin_algebra(name).algebra
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_ad_table_equals_the_table_walk(name):
+    g = oracle_algebra(name)
+    basis = identity(g.dim)
+    mats = g.adjoint_representation().matrices
+    for i in range(g.dim):
+        assert [list(r) for r in mats[i]] == table_ad(g, basis[i])
+        for j in range(g.dim):
+            assert g.bracket_basis(i, j) == table_bracket(g, basis[i],
+                                                          basis[j])
+    rng = random.Random(25)
+    for _ in range(4):
+        x, y = ([Scalar(rng.randint(-2, 2), rng.randint(-1, 1))
+                 for _ in range(g.dim)] for _ in range(2))
+        assert g.bracket(x, y) == table_bracket(g, x, y)
+        assert g.ad(x) == table_ad(g, x)
+
+
+def test_ad_table_is_built_on_first_use_and_kept():
+    g = sl2_structure_constants()
+    assert g._adjoint is None
+    assert g.bracket([ONE, ZERO, ZERO], [ZERO, ZERO, ONE]) == [ZERO, ONE, ZERO]
+    assert g.adjoint_representation() is g.adjoint_representation()
+
+
+def catalog_nilpotents():
+    out = [(name, named_nilpotent(builtin_algebra(name), spec))
+           for name, spec in (("sl(2)", "principal"), ("sl(3)", "principal"),
+                              ("sl(3)", "minimal"), ("sl(4)", "principal"),
+                              ("sl(4)", "minimal"))]
+    return out + [(q.algebra.name, q.nilpotent)
+                  for q in random_quadruples(4242, 7)]
+
+
+def test_jacobson_morozov_triples_equal_the_bracket_route():
+    for name, y in catalog_nilpotents():
+        g = builtin_algebra(name).algebra
+        emb = jacobson_morozov(g, y)
+        assert (list(emb.e), list(emb.h), list(emb.f)) == \
+            jacobson_morozov_by_brackets(g, y), name
+
+
+def test_combination_is_the_weighted_sum():
+    a = [[ONE, ZERO], [Scalar(2), ONE]]
+    b = [[ZERO, Scalar(0, 1)], [ONE, ZERO]]
+    assert combination([a, b], [3, Scalar(0, 1)]) == \
+        [[Scalar(3), Scalar(-1)], [Scalar(6, 1), Scalar(3)]]
+    assert combination([a, b], [0, 0]) == [[ZERO, ZERO], [ZERO, ZERO]]

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 from collections import Counter
 
@@ -8,6 +9,7 @@ from qlike.bundles import (SplittingType, family_span_equal, saturate,
                            subquotient_splitting)
 from qlike.catalog import (adjoint_expected, build_adjoint, build_so,
                            build_sp, build_veronese, catalog_entries)
+from qlike.errors import InvalidInput
 from qlike.forms import Z0, Z1, format_form, parse_form
 from qlike.lie import sl_algebra, principal_sl2_matrices, Sl2Embedding
 from qlike.linalg import mat_vec, solve_matrix
@@ -338,3 +340,11 @@ def test_dependent_u_basis_fails_irreducibility():
     assert not report["valid"]
     assert [c["name"] for c in report["checks"] if c["status"] == "fail"] \
         == ["u-irreducible-nontrivial"]
+
+
+@pytest.mark.parametrize("length", [5, 10])
+def test_wrong_length_nilpotent_is_rejected(length):
+    q = build_adjoint("sl(3)", "minimal")
+    y = (list(q.nilpotent) + [ONE] * 2)[:length]
+    with pytest.raises(InvalidInput, match="nilpotent needs 8 coordinates"):
+        dataclasses.replace(q, nilpotent=y)

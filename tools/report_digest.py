@@ -1,0 +1,109 @@
+"""Print one sha256 per group of qlike's canonical outputs.
+
+Two checkouts that print the same digests produce the same bytes on every
+output below, so a refactor that claims byte-identical output is checked by
+running this tool on both trees and comparing.  Stdlib only; run it from the
+root of a checkout (it imports ``src/qlike`` and runs ``python -m qlike``
+from there):
+
+    python tools/report_digest.py [GROUP ...]
+
+Groups (all of them by default):
+
+* ``quadruples`` -- ``normal_bundle``, ``dimension_report`` and
+  ``validate_good_quadruple`` JSON on the 14 catalog quadruples,
+  ``random_quadruples(4242, 39)`` and ``random_quadruples(77, 6)``;
+* ``algebras`` -- ``validate_lie`` and ``to_json`` of the built-in algebras
+  sl(2..5), so(5), so(6), sp(4) and sp(6);
+* ``cli`` -- stdout, stderr and exit code of ``lie-jm`` on five named
+  nilpotents, all 14 ``twistor --catalog`` quadruples, ``verify --suite
+  core``, ``verify --suite catalog`` and ``verify --suite random --count 10
+  --seed 5``;
+* ``fixtures`` -- the same for ``analyze`` and ``dual`` on the 3 bundled
+  structure fixtures.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+
+ROOT = os.getcwd()
+SRC = os.path.join(ROOT, "src")
+FIXTURES = os.path.join("src", "qlike", "fixtures", "v1")
+ALGEBRAS = ("sl(2)", "sl(3)", "sl(4)", "sl(5)", "so(5)", "so(6)", "sp(4)",
+            "sp(6)")
+LIE_JM = (("sl(2)", "principal"), ("sl(3)", "principal"),
+          ("sl(3)", "minimal"), ("sl(4)", "principal"), ("sl(4)", "minimal"))
+
+
+def quadruples():
+    from qlike import catalog, orbit, sampling
+    qs = [e.build() for e in catalog.catalog_entries() if e.kind == "quadruple"]
+    qs += sampling.random_quadruples(4242, 39) + sampling.random_quadruples(77, 6)
+    for q in qs:
+        nb = orbit.normal_bundle(q)
+        yield {"name": q.name, "normal": nb.to_json(),
+               "dimension": orbit.dimension_report(q, nb),
+               "validation": orbit.validate_good_quadruple(q)}
+
+
+def algebras():
+    from qlike import lie
+    for name in ALGEBRAS:
+        g = lie.builtin_algebra(name).algebra
+        yield {"name": name, "validate": lie.validate_lie(g),
+               "json": g.to_json()}
+
+
+def _run(argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "qlike"] + argv, cwd=ROOT,
+                          env=env, capture_output=True, text=True)
+    return {"argv": argv, "exit": proc.returncode, "stdout": proc.stdout,
+            "stderr": proc.stderr}
+
+
+def cli():
+    from qlike import catalog
+    for algebra, nilpotent in LIE_JM:
+        yield _run(["lie-jm", "--algebra", algebra, "--nilpotent", nilpotent])
+    for e in catalog.catalog_entries():
+        if e.kind == "quadruple":
+            yield _run(["twistor", "--catalog", e.name])
+    for suite in ("core", "catalog"):
+        yield _run(["verify", "--suite", suite])
+    yield _run(["verify", "--suite", "random", "--count", "10", "--seed", "5"])
+
+
+def fixtures():
+    for name in sorted(os.listdir(FIXTURES)):
+        for command in ("analyze", "dual"):
+            yield _run([command, os.path.join(FIXTURES, name)])
+
+
+GROUPS = {"quadruples": quadruples, "algebras": algebras, "cli": cli,
+          "fixtures": fixtures}
+
+
+def group_digest(records):
+    from qlike.serialize import canonical_json
+    h = hashlib.sha256()
+    for record in records:
+        h.update(canonical_json(record).encode())
+    return h.hexdigest()
+
+
+def main(argv):
+    sys.path.insert(0, SRC)
+    names = argv[1:] or list(GROUPS)
+    unknown = [n for n in names if n not in GROUPS]
+    if unknown:
+        sys.exit("unknown group(s) %s; choose from %s"
+                 % (", ".join(unknown), ", ".join(GROUPS)))
+    for name in names:
+        print("%-11s %s" % (name, group_digest(GROUPS[name]())))
+
+
+if __name__ == "__main__":
+    main(sys.argv)
