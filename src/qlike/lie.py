@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError, InvalidInput
-from .linalg import (kernel_basis, mat_mul, mat_sub, mat_vec, rank, solve,
-                     zeros)
+from .linalg import (independent_rows, inverse, kernel_basis, mat_mul,
+                     mat_sub, mat_vec, rank, solve, zeros)
 from .scalars import ONE, ZERO, Scalar, scalar
 
 
@@ -212,39 +212,39 @@ def _matrix_unit(n, i, j):
     return m
 
 
-def _algebra_from_matrices(name, basis_matrices):
-    """Structure constants from explicit basis matrices.
-
-    All commutators are expressed in the basis through a single elimination
-    (one augmented solve with every bracket as a right-hand side)."""
-    dim = len(basis_matrices)
-    n = len(basis_matrices[0])
-    coords = [[m[r][c] for m in basis_matrices]
-              for r in range(n) for c in range(n)]
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    rhs_cols = []
-    for i, j in pairs:
-        comm = mat_sub(mat_mul(basis_matrices[i], basis_matrices[j]),
-                       mat_mul(basis_matrices[j], basis_matrices[i]))
-        rhs_cols.append([comm[r][c] for r in range(n) for c in range(n)])
-    from .linalg import solve_matrix
-    rhs = [[col[r] for col in rhs_cols] for r in range(n * n)]
-    sol = solve_matrix(coords, rhs) if pairs else []
-    if pairs and sol is None:
-        raise InternalError("commutator left the span of the basis")
-    table = {}
-    for idx, (i, j) in enumerate(pairs):
-        table[(i, j)] = [sol[r][idx] for r in range(dim)]
-    return LieAlgebra(dim, table, name)
-
-
 class MatrixAlgebra:
-    """A LieAlgebra together with its defining basis matrices."""
+    """A LieAlgebra together with its defining basis matrices.
 
-    def __init__(self, algebra, basis_matrices, basis_labels):
-        self.algebra = algebra
+    Coordinates are read off pivot cells: the first dim cells, in row-major
+    order, on which the basis matrices are independent.  The pivot block
+    (the basis matrices' entries there) is inverted once, and the
+    coordinates x of a matrix m are the inverse times m's pivot entries.
+    Coordinates in an independent basis are unique, so m lies in the
+    algebra exactly when sum_i x_i M_i == m.  The structure constants are
+    the coordinates of the basis commutators."""
+
+    def __init__(self, name, basis_matrices, basis_labels):
         self.basis_matrices = basis_matrices
         self.basis_labels = basis_labels
+        n, dim = len(basis_matrices[0]), len(basis_matrices)
+        cells = [(r, c) for r in range(n) for c in range(n)]
+        values = [[m[r][c] for m in basis_matrices] for r, c in cells]
+        pivots = independent_rows(values)
+        if len(pivots) != dim:
+            raise InternalError("basis matrices are linearly dependent")
+        inv = inverse([values[k] for k in pivots])
+        # each pivot cell with its column of the inverse, as the nonzero
+        # (row, value) entries
+        self._pivots = [(cells[k], [(i, row[a]) for i, row in enumerate(inv)
+                                    if row[a]])
+                        for a, k in enumerate(pivots)]
+        not_closed = InternalError("commutator left the span of the basis")
+        table = {(i, j): self._coordinates(
+                     mat_sub(mat_mul(basis_matrices[i], basis_matrices[j]),
+                             mat_mul(basis_matrices[j], basis_matrices[i])),
+                     not_closed)
+                 for i in range(dim) for j in range(i + 1, dim)}
+        self.algebra = LieAlgebra(dim, table, name)
 
     @property
     def dim(self):
@@ -253,15 +253,25 @@ class MatrixAlgebra:
     def defining_representation(self):
         return Representation(self.algebra, self.basis_matrices)
 
+    def _coordinates(self, m, error):
+        """The coordinates of the square matrix m; raises ``error`` when m
+        is not in the span of the basis."""
+        x = [ZERO] * len(self.basis_matrices)
+        for (r, c), column in self._pivots:
+            v = m[r][c]
+            if v:
+                for i, w in column:
+                    x[i] = x[i] + v * w
+        if combination(self.basis_matrices, x) != [list(row) for row in m]:
+            raise error
+        return x
+
     def coordinates_of_matrix(self, m):
-        n = len(m)
-        coords = [[bm[r][c] for bm in self.basis_matrices]
-                  for r in range(n) for c in range(n)]
-        flat = [m[r][c] for r in range(n) for c in range(n)]
-        vec = solve(coords, flat)
-        if vec is None:
-            raise InvalidInput("matrix is not in the algebra")
-        return vec
+        n = len(self.basis_matrices[0])
+        if len(m) != n or any(len(row) != n for row in m):
+            raise InvalidInput("matrix must be %d x %d" % (n, n))
+        return self._coordinates(m, InvalidInput("matrix is not in the "
+                                                 "algebra"))
 
     def matrix_of(self, x):
         return combination(self.basis_matrices, x)
@@ -271,8 +281,7 @@ def sl_algebra(n) -> MatrixAlgebra:
     """sl(n): basis E_ij (i != j, row-major) then H_i = E_ii - E_{i+1,i+1}."""
     if n < 2:
         raise InvalidInput("sl(n) needs n >= 2")
-    mats = []
-    labels = []
+    mats, labels = [], []
     for i in range(n):
         for j in range(n):
             if i != j:
@@ -284,15 +293,14 @@ def sl_algebra(n) -> MatrixAlgebra:
         m[i + 1][i + 1] = Scalar(-1)
         mats.append(m)
         labels.append("H%d" % (i + 1))
-    return MatrixAlgebra(_algebra_from_matrices("sl(%d)" % n, mats), mats, labels)
+    return MatrixAlgebra("sl(%d)" % n, mats, labels)
 
 
 def so_algebra(n) -> MatrixAlgebra:
     """so(n) as antisymmetric matrices: basis A_ij = E_ij - E_ji (i < j)."""
     if n < 3:
         raise InvalidInput("so(n) needs n >= 3")
-    mats = []
-    labels = []
+    mats, labels = [], []
     for i in range(n):
         for j in range(i + 1, n):
             m = zeros(n, n)
@@ -300,7 +308,7 @@ def so_algebra(n) -> MatrixAlgebra:
             m[j][i] = Scalar(-1)
             mats.append(m)
             labels.append("A%d%d" % (i + 1, j + 1))
-    return MatrixAlgebra(_algebra_from_matrices("so(%d)" % n, mats), mats, labels)
+    return MatrixAlgebra("so(%d)" % n, mats, labels)
 
 
 def sp_algebra(two_m) -> MatrixAlgebra:
@@ -310,8 +318,7 @@ def sp_algebra(two_m) -> MatrixAlgebra:
     if two_m % 2 or two_m < 2:
         raise InvalidInput("sp(2m) needs an even dimension >= 2")
     m = two_m // 2
-    mats = []
-    labels = []
+    mats, labels = [], []
     for i in range(m):
         for j in range(m):
             big = zeros(two_m, two_m)
@@ -333,8 +340,7 @@ def sp_algebra(two_m) -> MatrixAlgebra:
             big[m + j][i] = ONE
             mats.append(big)
             labels.append("C%d%d" % (i + 1, j + 1))
-    return MatrixAlgebra(_algebra_from_matrices("sp(%d)" % two_m, mats),
-                         mats, labels)
+    return MatrixAlgebra("sp(%d)" % two_m, mats, labels)
 
 
 _BUILTIN_CACHE = {}

@@ -58,21 +58,16 @@ def random_structures(seed, count):
     return [random_structure(rng) for _ in range(count)]
 
 
-_UPPER_UNITS = {
-    "sl(3)": [(0, 1), (0, 2), (1, 2)],
-    "sl(4)": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
-}
-
-
 def random_nilpotent(rng: random.Random, algebra_name):
     """A nonzero ad-nilpotent element in coordinates of the built-in basis."""
     ma = builtin_algebra(algebra_name)
     n = len(ma.basis_matrices[0])
     if algebra_name.startswith("sl"):
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
         while True:
             m = [[ZERO] * n for _ in range(n)]
             nonzero = False
-            for (i, j) in _UPPER_UNITS[algebra_name]:
+            for (i, j) in upper:
                 c = Scalar(rng.randint(-2, 2))
                 if not c.is_zero():
                     nonzero = True

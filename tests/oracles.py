@@ -9,16 +9,18 @@ factorization's intertwiner from its dense system in all hp^2 unknowns,
 Q(i) arithmetic on a pair of Fractions rather than a Gaussian integer over
 one denominator, graded kernels by an exact elimination at every stage and
 a selection among whole kernel vectors, Lie brackets by walking the
-structure-constant table pair by pair and Jacobson-Morozov's H system one
-bracket per column.
+structure-constant table pair by pair, Jacobson-Morozov's H system one
+bracket per column, and a matrix algebra's structure constants by one
+elimination with every commutator as a right-hand side.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from qlike.forms import BinaryForm
+from qlike.lie import LieAlgebra
 from qlike.linalg import (identity, independent_rows, kernel_basis, mat_mul,
-                          mat_vec, solve, transpose)
+                          mat_sub, mat_vec, solve, solve_matrix, transpose)
 from qlike.modp import _eliminate_modp
 from qlike.polymatrix import (_decode, _degree_bound, _equation_rows,
                               _multiple_coeffs, _section_layout)
@@ -482,3 +484,25 @@ def jacobson_morozov_by_brackets(g, y):
             for i, row in enumerate(ad_h)]
     rows += [[-c for c in row] for row in ad_y]
     return solve(rows, [ZERO] * g.dim + h), h, list(y)
+
+
+def algebra_by_wide_solve(name, basis_matrices):
+    """The LieAlgebra of the basis matrices, every commutator expressed in
+    the basis by one augmented solve (n^2 rows, one right-hand side per
+    pair i < j)."""
+    dim = len(basis_matrices)
+    n = len(basis_matrices[0])
+    coords = [[m[r][c] for m in basis_matrices]
+              for r in range(n) for c in range(n)]
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    rhs_cols = []
+    for i, j in pairs:
+        comm = mat_sub(mat_mul(basis_matrices[i], basis_matrices[j]),
+                       mat_mul(basis_matrices[j], basis_matrices[i]))
+        rhs_cols.append([comm[r][c] for r in range(n) for c in range(n)])
+    rhs = [[col[r] for col in rhs_cols] for r in range(n * n)]
+    sol = solve_matrix(coords, rhs) if pairs else []
+    assert sol is not None, "commutator left the span of the basis"
+    table = {(i, j): [sol[r][idx] for r in range(dim)]
+             for idx, (i, j) in enumerate(pairs)}
+    return LieAlgebra(dim, table, name)

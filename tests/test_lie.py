@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from oracles import jacobson_morozov_by_brackets, table_ad, table_bracket
-from qlike.errors import InvalidInput
-from qlike.lie import (LieAlgebra, Representation, Sl2Embedding,
-                       builtin_algebra, combination, is_ad_nilpotent,
+from oracles import (algebra_by_wide_solve, jacobson_morozov_by_brackets,
+                     table_ad, table_bracket)
+from qlike.errors import InternalError, InvalidInput
+from qlike.lie import (LieAlgebra, MatrixAlgebra, Representation,
+                       Sl2Embedding, builtin_algebra, combination,
+                       is_ad_nilpotent,
                        jacobson_morozov, named_nilpotent,
                        principal_sl2_matrices, sl2_decompose, sl_algebra,
                        so_algebra, sp_algebra, validate_lie,
@@ -242,3 +244,61 @@ def test_combination_is_the_weighted_sum():
     assert combination([a, b], [3, Scalar(0, 1)]) == \
         [[Scalar(3), Scalar(-1)], [Scalar(6, 1), Scalar(3)]]
     assert combination([a, b], [0, 0]) == [[ZERO, ZERO], [ZERO, ZERO]]
+
+
+WIDE_SOLVE_ALGEBRAS = ["sl(2)", "sl(3)", "sl(4)", "sl(5)", "sl(6)", "so(5)",
+                       "so(6)", "so(7)", "sp(4)", "sp(6)"]
+
+
+@pytest.mark.parametrize("name", WIDE_SOLVE_ALGEBRAS)
+def test_structure_constants_equal_the_wide_solve(name):
+    ma = builtin_algebra(name)
+    assert ma.algebra.to_json() == \
+        algebra_by_wide_solve(name, ma.basis_matrices).to_json()
+
+
+@pytest.mark.parametrize("name", WIDE_SOLVE_ALGEBRAS)
+def test_coordinates_of_matrix_equal_the_solve(name):
+    ma = builtin_algebra(name)
+    n = len(ma.basis_matrices[0])
+    cells = [[bm[r][c] for bm in ma.basis_matrices]
+             for r in range(n) for c in range(n)]
+    rng = random.Random(26)
+    for _ in range(3):
+        x = [Scalar(rng.randint(-3, 3), rng.randint(-1, 1))
+             for _ in range(ma.dim)]
+        m = ma.matrix_of(x)
+        flat = [m[r][c] for r in range(n) for c in range(n)]
+        assert ma.coordinates_of_matrix(m) == solve(cells, flat) == x
+
+
+@pytest.mark.parametrize("m", [[[ONE]], [[ONE, ZERO], [ZERO, ONE]],
+                               [[ZERO] * 3, [ZERO] * 3, [ZERO] * 2]])
+def test_coordinates_of_a_wrong_shape_matrix_are_rejected(m):
+    with pytest.raises(InvalidInput, match="3 x 3"):
+        sl_algebra(3).coordinates_of_matrix(m)
+
+
+def test_coordinates_of_a_matrix_outside_the_algebra_are_rejected():
+    with pytest.raises(InvalidInput, match="matrix is not in the algebra"):
+        sl_algebra(3).coordinates_of_matrix(identity(3))
+    symmetric = [[ZERO, ONE, ZERO], [ONE, ZERO, ZERO], [ZERO, ZERO, ZERO]]
+    with pytest.raises(InvalidInput, match="matrix is not in the algebra"):
+        so_algebra(3).coordinates_of_matrix(symmetric)
+
+
+def _unit(i, j):
+    m = [[ZERO] * 3 for _ in range(3)]
+    m[i][j] = ONE
+    return m
+
+
+def test_a_basis_not_closed_under_the_bracket_is_an_internal_error():
+    # [E12, E23] = E13 is not in the span of E12 and E23
+    with pytest.raises(InternalError, match="commutator left the span"):
+        MatrixAlgebra("upper", [_unit(0, 1), _unit(1, 2)], ["E12", "E23"])
+
+
+def test_a_repeated_basis_matrix_is_an_internal_error():
+    with pytest.raises(InternalError, match="linearly dependent"):
+        MatrixAlgebra("repeated", [_unit(0, 1), _unit(0, 1)], ["E12", "E12"])

@@ -322,6 +322,18 @@ def test_sl5_adjoint_normal_bundle_closed_form(nilpotent, orbit_dim):
     assert dimension_report(q, report)["orbit_dim"] == orbit_dim
 
 
+def test_random_sl5_adjoints_have_the_adjoint_normal_bundle():
+    # the nilpotent sampler covers sl(n) for every n: strictly upper
+    # triangular draws, each a valid quadruple with N = O(1)^(dim O - 2)
+    quadruples = random_quadruples(5, 4, pool=("sl(5)",))
+    assert [q.algebra.name for q in quadruples] == ["sl(5)"] * 4
+    for q in quadruples:
+        assert validate_good_quadruple(q)["valid"], q.name
+        report = normal_bundle(q, expected=adjoint_expected(q))
+        assert report.match, q.name
+        assert dimension_report(q, report)["orbit_consistency"], q.name
+
+
 @pytest.mark.parametrize("k", [6, 7])
 def test_rational_normal_curve_closed_form(k):
     # the degree-k rational normal curve in P^k has N = O(k + 2)^(k - 1)

@@ -14,7 +14,7 @@ Groups (all of them by default):
   ``validate_good_quadruple`` JSON on the 14 catalog quadruples,
   ``random_quadruples(4242, 39)`` and ``random_quadruples(77, 6)``;
 * ``algebras`` -- ``validate_lie`` and ``to_json`` of the built-in algebras
-  sl(2..5), so(5), so(6), sp(4) and sp(6);
+  sl(2..6), so(5), so(6), sp(4), sp(6) and sp(8);
 * ``cli`` -- stdout, stderr and exit code of ``lie-jm`` on five named
   nilpotents, all 14 ``twistor --catalog`` quadruples, ``verify --suite
   core``, ``verify --suite catalog`` and ``verify --suite random --count 10
@@ -31,8 +31,8 @@ import sys
 ROOT = os.getcwd()
 SRC = os.path.join(ROOT, "src")
 FIXTURES = os.path.join("src", "qlike", "fixtures", "v1")
-ALGEBRAS = ("sl(2)", "sl(3)", "sl(4)", "sl(5)", "so(5)", "so(6)", "sp(4)",
-            "sp(6)")
+ALGEBRAS = ("sl(2)", "sl(3)", "sl(4)", "sl(5)", "sl(6)", "so(5)", "so(6)",
+            "sp(4)", "sp(6)", "sp(8)")
 LIE_JM = (("sl(2)", "principal"), ("sl(3)", "principal"),
           ("sl(3)", "minimal"), ("sl(4)", "principal"), ("sl(4)", "minimal"))
 
