@@ -139,9 +139,10 @@ def adjoint_expected(q: GoodQuadruple) -> SplittingType:
     """O(1)^(dim O - 2), for the orbit O of f and dim O = dim g - dim ker ad f.
 
     This is the count -2 + sum_j j a_j of
-    :func:`~qlike.orbit.adjoint_multiplicity_count` without the weight
-    decomposition: each summand V_j of g has one line in ker ad f, so
-    sum_j a_j = dim ker ad f, and sum_j (j + 1) a_j = dim g.
+    :func:`~qlike.orbit.adjoint_multiplicity_count`, read off ker ad f in
+    place of ker ad e: each summand V_j of g has one line in each, its
+    lowest- and its highest-weight vector, so sum_j a_j = dim ker ad f, and
+    sum_j (j + 1) a_j = dim g.
     """
     centralizer = len(kernel_basis(q.algebra.ad(list(q.tau.f))))
     count = q.algebra.dim - centralizer - 2

@@ -188,7 +188,7 @@ def cmd_lie_jm(args):
         from .serialize import _parse_vector
         try:
             y = _parse_vector(json.loads(args.nilpotent))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:
             raise InvalidInput("bad nilpotent vector: %s" % exc)
     emb = jacobson_morozov(ma.algebra, y)
     mult = sl2_decompose(ma.algebra.adjoint_representation(), emb)
@@ -211,7 +211,10 @@ def cmd_catalog_regen(args):
     out = args.out
     if out is None:
         out = os.path.join(os.path.dirname(__file__), "fixtures", "v1")
-    written = catalog.regenerate_fixtures(out)
+    try:
+        written = catalog.regenerate_fixtures(out)
+    except OSError as exc:
+        raise InvalidInput("cannot write fixtures to %s: %s" % (out, exc))
     for path in written:
         print(path)
     return 0

@@ -37,8 +37,9 @@ class LieAlgebra:
 
     brackets[(i, j)] is the coordinate vector of [x_i, x_j] for i < j; the
     table is completed by antisymmetry and validated lazily by
-    :func:`validate_lie`.  Brackets and ad are read off the matrices
-    ad(x_i), built from the table on first use and kept.
+    :func:`validate_lie`.  ad is read off the matrices ad(x_i), built
+    from the table on first use and kept; one bracket is summed from the
+    table over the supports of its arguments.
     """
 
     __slots__ = ("dim", "brackets", "name", "_adjoint")
@@ -75,8 +76,20 @@ class LieAlgebra:
         return [row[j] for row in self.adjoint_representation().matrices[i]]
 
     def bracket(self, x, y):
-        """[x, y] for coordinate vectors x, y."""
-        return mat_vec(self.ad(x), [scalar(c) for c in y])
+        """[x, y] for coordinate vectors x, y: sum_ij x_i y_j [x_i, x_j]
+        over their supports, read from ``brackets`` (no ad table)."""
+        out = [ZERO] * self.dim
+        xs = [(i, a) for i, a in enumerate(map(scalar, x)) if a]
+        ys = [(j, b) for j, b in enumerate(map(scalar, y)) if b]
+        for i, a in xs:
+            for j, b in ys:
+                # the table holds i < j only, and never (i, i)
+                vec = self.brackets.get((min(i, j), max(i, j)), ())
+                c = a * b if i < j else -(a * b)
+                for k, v in enumerate(vec):
+                    if v:
+                        out[k] = out[k] + c * v
+        return out
 
     def ad(self, x):
         """Matrix of ad(x) on the chosen basis."""
@@ -490,17 +503,22 @@ def _weight_spaces(h_mat, bound):
     return spaces
 
 
-def _multiplicities_from_h(h_mat):
-    """Summand multiplicities a_j from the matrix of the H-action.
+def sl2_decompose(rep: Representation, emb: Sl2Embedding):
+    """Multiplicities a_j of the irreducible dimension-(j+1) summands of the
+    representation restricted along the embedding.
 
-    a_j = #eigenvalues j minus #eigenvalues j+2; any irreducible inside a
-    dim-N space has highest weight at most N-1, so integer eigenvalues are
-    sought in [-(N-1), N-1].
+    a_j = #eigenvalues j of rho(H) minus #eigenvalues j+2; any irreducible
+    inside a dim-N space has highest weight at most N-1, so integer
+    eigenvalues are sought in [-(N-1), N-1].
     """
-    n = len(h_mat)
+    if rep.algebra.dim != emb.algebra.dim:
+        raise InvalidInput("representation and embedding live on different "
+                           "algebras")
+    n = rep.space_dim
     if n == 0:
         return {}
-    mult = {j: len(s) for j, s in _weight_spaces(h_mat, n - 1).items()}
+    mult = {j: len(s) for j, s in
+            _weight_spaces(rep.apply(list(emb.h)), n - 1).items()}
     a = {}
     for j in range(0, n):
         aj = mult.get(j, 0) - mult.get(j + 2, 0)
@@ -511,15 +529,6 @@ def _multiplicities_from_h(h_mat):
     if sum((j + 1) * aj for j, aj in a.items()) != n:
         raise InternalError("multiplicities do not add up to the dimension")
     return a
-
-
-def sl2_decompose(rep: Representation, emb: Sl2Embedding):
-    """Multiplicities a_j of the irreducible dimension-(j+1) summands of the
-    representation restricted along the embedding."""
-    if rep.algebra.dim != emb.algebra.dim:
-        raise InvalidInput("representation and embedding live on different "
-                           "algebras")
-    return _multiplicities_from_h(rep.apply(list(emb.h)))
 
 
 def principal_sl2_matrices(n):

@@ -28,9 +28,17 @@ vector bundles", Ann. of Math. 1957).  The proofs use only hypotheses that
   representation of sl(2) on E.  It integrates to an SL(2) action on E
   with sigma(k) sigma(x) sigma(k)^-1 = sigma(Ad_k x) for x in g.
 * ``u-invariant`` and ``u-irreducible-nontrivial`` make U isomorphic to
-  V_d with d >= 1.  A linearly dependent ``u_basis`` already fails
-  ``u-irreducible-nontrivial``: the kernel of the coordinate map is a
-  trivial summand.
+  V_d with d = dim U - 1 >= 1.  A finite-dimensional sl(2)-module is a
+  direct sum of irreducibles V_j, and ker e on V_j is the line of its
+  highest-weight vector, so dim ker e is the number of summands and
+  sum_j (j + 1) a_j is the dimension (Humphreys, *Introduction to Lie
+  Algebras and Representation Theory*, 6.3 and 7.2).  So U is one
+  nontrivial irreducible exactly when ker sigma(e) on U is one line,
+  C v0, and dim U >= 2.  U is invariant under h = [e, f] once it is under
+  e and f.  A linearly dependent ``u_basis`` fails: the restricted
+  matrices are the solutions with free variables 0, a linear function of
+  the images, so every coordinate relation lies in the kernel of sigma(e)'s
+  matrix, and so does the lift of v0 (for U = 0, every coordinate vector).
 * For z != 0, A(z) = -z0^2 e + z1^2 f + z0 z1 h is a nonzero nilpotent of
   sl(2), hence conjugate to e.  On V_d it is one Jordan block, so its
   kernel is one line at every point: the nilpotent family has kernel
@@ -125,8 +133,7 @@ from dataclasses import dataclass, field
 from .bundles import SplittingType, SubbundleFamily, saturate
 from .errors import InternalError, InvalidInput
 from .forms import BinaryForm, Z0, Z1
-from .lie import (LieAlgebra, Representation, Sl2Embedding,
-                  _multiplicities_from_h, _weight_spaces)
+from .lie import LieAlgebra, Representation, Sl2Embedding, _weight_spaces
 from .linalg import (independent_rows, kernel_basis, mat_vec, rank,
                      solve_matrix, transpose)
 from .polymatrix import PolyMatrix, _apply_scalar_matrix
@@ -178,21 +185,21 @@ def adjoint_quadruple(algebra: LieAlgebra, nilpotent, name) -> GoodQuadruple:
 
 
 def adjoint_multiplicity_count(q: GoodQuadruple) -> int:
-    """-2 + sum_j j a_j, with the multiplicities a_j recomputed live from
-    the weight decomposition: for an adjoint quadruple, the number of
-    degree-one summands of the normal bundle."""
-    from .lie import sl2_decompose
-    mult = sl2_decompose(q.sigma, q.tau)
-    return -2 + sum(j * a for j, a in mult.items())
+    """-2 + sum_j j a_j for the multiplicities a_j of E's sl(2)-summands:
+    for an adjoint quadruple, the number of degree-one summands of the
+    normal bundle.  Each summand has one line in ker sigma(e), so the count
+    is dim E - dim ker sigma(e) - 2 (module docstring)."""
+    return q.space_dim - len(kernel_basis(q.sigma.apply(list(q.tau.e)))) - 2
 
 
 def _restricted_sl2_matrices(q: GoodQuadruple):
-    """Matrices of sigma(tau(E|H|F)) restricted to U, or a diagnostic."""
+    """Matrices of sigma(tau(E)) and sigma(tau(F)) restricted to U, or a
+    diagnostic; U is then invariant under H = [E, F] too."""
     n, u = q.space_dim, q.u_dim
     ub = [[q.u_basis[j][i] for j in range(u)] for i in range(n)]
-    # one solve for the E, H and F images side by side, each column apart
+    # one solve for the E and F images side by side, each column apart
     image = [[] for _ in range(n)]
-    for x in (q.tau.e, q.tau.h, q.tau.f):
+    for x in (q.tau.e, q.tau.f):
         m = q.sigma.apply(list(x))
         cols = [mat_vec(m, list(q.u_basis[j])) for j in range(u)]
         for i in range(n):
@@ -200,7 +207,7 @@ def _restricted_sl2_matrices(q: GoodQuadruple):
     coords = solve_matrix(ub, image)
     if coords is None:
         return None, "U not invariant"
-    return [[row[b * u:(b + 1) * u] for row in coords] for b in range(3)], ""
+    return [[row[b * u:(b + 1) * u] for row in coords] for b in range(2)], ""
 
 
 def validate_good_quadruple(q: GoodQuadruple) -> dict:
@@ -210,8 +217,9 @@ def validate_good_quadruple(q: GoodQuadruple) -> dict:
 
 
 def _validate_quadruple(q: GoodQuadruple):
-    """(the :func:`validate_good_quadruple` report, the restricted sl(2)
-    matrices or None)."""
+    """(the :func:`validate_good_quadruple` report, sigma(f) on U or None,
+    v0 spanning ker sigma(e) on U or None); the rule for U is the module
+    docstring's."""
     report = {"checks": []}
 
     def add(name, ok, detail=""):
@@ -225,29 +233,19 @@ def _validate_quadruple(q: GoodQuadruple):
     add("representation-identity", sigma_ok)
     restricted, diag = _restricted_sl2_matrices(q)
     add("u-invariant", restricted is not None, diag)
-    degree = None
+    degree = s_f = v0 = None
     if restricted is not None:
-        s_h = restricted[1]
-        try:
-            mult = _multiplicities_from_h(s_h)
-        except InternalError as exc:
-            mult = None
-            add("u-irreducible-nontrivial", False, str(exc))
-        if mult is not None:
-            nonzero = {j: a for j, a in mult.items() if a}
-            if nonzero == {0: 1} or all(j == 0 for j in nonzero):
-                add("u-irreducible-nontrivial", False,
-                    "representation on U trivial")
-            elif len(nonzero) == 1 and list(nonzero.values()) == [1]:
-                degree = next(iter(nonzero))
-                add("u-irreducible-nontrivial", True,
-                    "U is the irreducible of dimension %d" % (degree + 1))
-            else:
-                add("u-irreducible-nontrivial", False,
-                    "restriction is not a single irreducible: %r" % nonzero)
+        s_e, s_f = restricted
+        top = kernel_basis(s_e)
+        ok = len(top) == 1 and q.u_dim >= 2
+        if ok:
+            degree, v0 = q.u_dim - 1, top[0]
+        add("u-irreducible-nontrivial", ok,
+            "U is the irreducible of dimension %d" % q.u_dim if ok else
+            "ker sigma(e) on U has dimension %d" % len(top))
     report["valid"] = all(c["status"] == "pass" for c in report["checks"])
     report["curve_degree"] = degree
-    return report, restricted
+    return report, s_f, v0
 
 
 def veronese_curve(q: GoodQuadruple):
@@ -260,16 +258,12 @@ def veronese_curve(q: GoodQuadruple):
     nilpotent family at every point, as the module docstring proves from
     the validated hypotheses.
     """
-    report, restricted = _validate_quadruple(q)
+    report, s_f, v0 = _validate_quadruple(q)
     if not report["valid"]:
         raise InvalidInput("invalid quadruple: %s" % "; ".join(
             c["name"] for c in report["checks"] if c["status"] == "fail"))
     d = report["curve_degree"]
-    s_e, _, s_f = restricted
-    w = kernel_basis(s_e)           # [v0], then sigma(f)^k v0 / k! appended
-    if len(w) != 1:
-        raise InternalError("highest weight space of dimension %d on an "
-                            "irreducible U" % len(w))
+    w = [v0]                        # then sigma(f)^k v0 / k! appended
     for k in range(1, d + 1):
         w.append([c / k for c in mat_vec(s_f, w[-1])])
     coords = range(q.u_dim)

@@ -25,7 +25,8 @@ def _load_object(path, what):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise InvalidInput("cannot read %s file %s: %s" % (what, path, exc))
     if not isinstance(data, dict):
         raise InvalidInput("%s file %s must hold a JSON object" % (what, path))
@@ -37,7 +38,7 @@ def load_structure_file(path) -> QLikeStructure:
     data = _load_object(path, "structure")
     try:
         return QLikeStructure.from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InvalidInput("bad structure file %s: %s" % (path, exc))
 
 

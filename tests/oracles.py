@@ -10,8 +10,9 @@ Q(i) arithmetic on a pair of Fractions rather than a Gaussian integer over
 one denominator, graded kernels by an exact elimination at every stage and
 a selection among whole kernel vectors, Lie brackets by walking the
 structure-constant table pair by pair, Jacobson-Morozov's H system one
-bracket per column, and a matrix algebra's structure constants by one
-elimination with every commutator as a right-hand side.
+bracket per column, a matrix algebra's structure constants by one
+elimination with every commutator as a right-hand side, and the
+irreducibility of an sl(2)-module by its weight decomposition.
 """
 
 from fractions import Fraction
@@ -506,3 +507,27 @@ def algebra_by_wide_solve(name, basis_matrices):
     table = {(i, j): [sol[r][idx] for r in range(dim)]
              for idx, (i, j) in enumerate(pairs)}
     return LieAlgebra(dim, table, name)
+
+
+def weight_route_irreducibility(s_h):
+    """The ``u-irreducible-nontrivial`` verdict from the weight
+    decomposition of sigma(h) on U: (status, curve degree or None).
+
+    Each integer weight w in [-(N-1), N-1] gets an exact eigenspace; a_j is
+    the number of weights j minus the number of weights j + 2, and U passes
+    when exactly one a_j is nonzero, equal to 1, with j >= 1.  Eigenvalues
+    that are not such integers, a negative a_j or a dimension count that
+    does not add up fail, as invalid sl(2) data."""
+    n = len(s_h)
+    dims = {w: len(kernel_basis([[x - w if r == c else x
+                                  for c, x in enumerate(row)]
+                                 for r, row in enumerate(s_h)]))
+            for w in range(1 - n, n)}
+    mult = {j: dims[j] - dims.get(j + 2, 0) for j in range(n)}
+    mult = {j: a for j, a in mult.items() if a}
+    if (sum(dims.values()) != n or any(a < 0 for a in mult.values())
+            or sum((j + 1) * a for j, a in mult.items()) != n):
+        return "fail", None
+    if len(mult) == 1 and list(mult.values()) == [1] and 0 not in mult:
+        return "pass", next(iter(mult))
+    return "fail", None

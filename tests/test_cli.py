@@ -230,6 +230,40 @@ def test_catalog_regen(tmp_path, capsys):
         assert os.path.exists(line)
 
 
+def test_catalog_regen_unwritable_out_exit_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run_cli(capsys, "catalog-regen", "--out",
+                             str(blocker / "fixtures"))
+    assert code == 2
+    assert "cannot write fixtures" in err
+
+
+DEEP_JSON = "[" * 5000 + "]" * 5000
+MALFORMED_FILES = {
+    "not-utf8": b"\xff\xfe",
+    "nested-5000": DEEP_JSON.encode(),
+    "huge-exponent": json.dumps({
+        "mode": "complex", "dim": 3, "k": 1,
+        "spanning": [["z0^99999999999999999999", "z1", "0"]]}).encode(),
+}
+
+
+@pytest.mark.parametrize("command, content", [
+    (command, content) for content in ("not-utf8", "nested-5000")
+    for command in ("analyze", "dual", "twistor")]
+    + [("analyze", "huge-exponent"), ("dual", "huge-exponent")])
+def test_unreadable_input_file_exit_two(tmp_path, capsys, command, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(MALFORMED_FILES[content])
+    argv = (["twistor", "--file", str(path)] if command == "twistor"
+            else [command, str(path)])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error (bad input):")
+
+
 @pytest.mark.parametrize("change, message", [
     ({"k": -1}, "0 < k < dim"),
     ({"k": 3}, "0 < k < dim"),
@@ -286,7 +320,8 @@ def test_integer_conjugation_entries_accepted(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("vector", ["[1, 0]", "5", '["x"]', "[0.5]",
-                                    '["1/0", "0", "0", "0", "0", "0", "0", "0"]'])
+                                    '["1/0", "0", "0", "0", "0", "0", "0", "0"]',
+                                    pytest.param(DEEP_JSON, id="nested-5000")])
 def test_lie_jm_bad_nilpotent_exit_two(capsys, vector):
     code, out, err = run_cli(capsys, "lie-jm", "--algebra", "sl(3)",
                              "--nilpotent", vector)

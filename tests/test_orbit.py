@@ -1,22 +1,26 @@
 import dataclasses
 import functools
+import importlib.util
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from qlike import bundles, orbit, polymatrix
+from oracles import weight_route_irreducibility
+from qlike import bundles, lie, orbit, polymatrix
 from qlike.bundles import (SplittingType, family_span_equal, saturate,
                            subquotient_splitting)
 from qlike.catalog import (adjoint_expected, build_adjoint, build_so,
                            build_sp, build_veronese, catalog_entries)
 from qlike.errors import InvalidInput
 from qlike.forms import Z0, Z1, format_form, parse_form
-from qlike.lie import sl_algebra, principal_sl2_matrices, Sl2Embedding
-from qlike.linalg import mat_vec, solve_matrix
+from qlike.lie import (sl_algebra, principal_sl2_matrices, Sl2Embedding,
+                       sl2_decompose)
+from qlike.linalg import mat_mul, mat_sub, mat_vec, solve_matrix
 from qlike.orbit import (GoodQuadruple, _restricted_sl2_matrices,
-                         dimension_report, normal_bundle,
-                         orbit_tangent_family, validate_good_quadruple,
-                         veronese_curve)
+                         adjoint_multiplicity_count, dimension_report,
+                         normal_bundle, orbit_tangent_family,
+                         validate_good_quadruple, veronese_curve)
 from qlike.polymatrix import (PolyMatrix, _apply_scalar_matrix, generic_rank,
                               graded_kernel)
 from qlike.sampling import random_quadruples
@@ -151,15 +155,18 @@ def test_so5_and_sp4_agree():
 @pytest.mark.parametrize("q", [build_veronese(3), build_so(5), build_sp(4)],
                          ids=["veronese-3", "so-5", "sp-4"])
 def test_restricted_triple_matches_one_solve_per_operator(q):
-    # solving the E, H and F images side by side gives each the solution
+    # solving the E and F images side by side gives each the solution
     # with its free variables 0, the one a solve of its own returns
-    ub = [[v[i] for v in q.u_basis] for i in range(q.space_dim)]
-    want = []
-    for x in (q.tau.e, q.tau.h, q.tau.f):
-        m = q.sigma.apply(list(x))
-        cols = [mat_vec(m, list(v)) for v in q.u_basis]
-        want.append(solve_matrix(ub, [list(r) for r in zip(*cols)]))
+    want = [_restricted_by_one_solve(q, x) for x in (q.tau.e, q.tau.f)]
     assert _restricted_sl2_matrices(q) == (want, "")
+
+
+def _restricted_by_one_solve(q, x):
+    """sigma(x) on U, by a solve of its own (free variables 0)."""
+    ub = [[v[i] for v in q.u_basis] for i in range(q.space_dim)]
+    m = q.sigma.apply(list(x))
+    cols = [mat_vec(m, list(v)) for v in q.u_basis]
+    return solve_matrix(ub, [list(r) for r in zip(*cols)])
 
 
 def _has_constant_rank(raw, sat):
@@ -206,8 +213,10 @@ def _pool_entry(name):
 
 
 def _nilpotent_family_rows(q):
-    """A(z) = -z0^2 e + z1^2 f + z0 z1 h on U, as rows of forms."""
-    (s_e, s_h, s_f), _ = _restricted_sl2_matrices(q)
+    """A(z) = -z0^2 e + z1^2 f + z0 z1 h on U, as rows of forms; on an
+    independent u_basis, h = [e, f] exactly."""
+    (s_e, s_f), _ = _restricted_sl2_matrices(q)
+    s_h = mat_sub(mat_mul(s_e, s_f), mat_mul(s_f, s_e))
     du = q.u_dim
     return [[(Z0 * Z0).scale(-s_e[i][j]) + (Z1 * Z1).scale(s_f[i][j])
              + (Z0 * Z1).scale(s_h[i][j]) for j in range(du)]
@@ -343,7 +352,7 @@ def test_rational_normal_curve_closed_form(k):
 
 def test_dependent_u_basis_fails_irreducibility():
     # the proof's hypothesis U = V_d needs an independent u_basis; a
-    # dependent one leaves the coordinate map's kernel as a trivial summand
+    # dependent one puts its coordinate relations in ker sigma(e) beside v0
     q = build_adjoint("sl(2)", "principal")
     e, h, f = q.u_basis
     extra = tuple(a + b for a, b in zip(e, h))
@@ -360,3 +369,68 @@ def test_wrong_length_nilpotent_is_rejected(length):
     y = (list(q.nilpotent) + [ONE] * 2)[:length]
     with pytest.raises(InvalidInput, match="nilpotent needs 8 coordinates"):
         dataclasses.replace(q, nilpotent=y)
+
+
+DIGEST_TOOL = Path(__file__).resolve().parent.parent / "tools" / \
+    "report_digest.py"
+
+
+@functools.lru_cache(maxsize=None)
+def _invalid_quadruples():
+    """The crafted invalid quadruples that tools/report_digest.py digests."""
+    spec = importlib.util.spec_from_file_location("report_digest", DIGEST_TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return dict(tool.invalid_quadruples())
+
+
+# U is invariant in these, so only the ker-e rule decides them
+U_ONLY = ["trivial-u", "trivial-line", "dependent-u-basis", "block-sl2-on-c4",
+          "adjoint-sl3-all-of-g"]
+
+
+@pytest.mark.parametrize("name", list(POOL_BUILDS) + U_ONLY)
+def test_irreducibility_equals_the_weight_route(name):
+    q = _pool_entry(name)[0] if name in POOL_BUILDS else \
+        _invalid_quadruples()[name]
+    report = validate_good_quadruple(q)
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    assert [status.pop(k) for k in ("sl2-embedding", "representation-identity",
+                                    "u-invariant")] == ["pass"] * 3
+    assert (status["u-irreducible-nontrivial"], report["curve_degree"]) == \
+        weight_route_irreducibility(_restricted_by_one_solve(q, q.tau.h))
+    assert report["valid"] == (name in POOL_BUILDS)
+
+
+def _adjoint_quadruples():
+    return ([e.build() for e in catalog_entries()
+             if e.expected_normal == "live-adjoint"]
+            + list(_random_pool()) + random_quadruples(5, 4, pool=("sl(5)",)))
+
+
+def test_adjoint_count_equals_the_weight_decomposition():
+    for q in _adjoint_quadruples():
+        mult = sl2_decompose(q.sigma, q.tau)
+        assert adjoint_multiplicity_count(q) == \
+            -2 + sum(j * a for j, a in mult.items()), q.name
+
+
+def test_validation_and_adjoint_count_scan_no_weights(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("weight decomposition called")
+    quadruples = ([POOL_BUILDS[name]() for name in ("veronese:3", "so:5")]
+                  + list(_invalid_quadruples().values()))
+    adjoints = _adjoint_quadruples()[:3]
+    monkeypatch.setattr(lie, "sl2_decompose", refuse)
+    monkeypatch.setattr(lie, "_weight_spaces", refuse)
+    monkeypatch.setattr(orbit, "_weight_spaces", refuse)
+    for q in quadruples + adjoints:
+        validate_good_quadruple(q)
+    for q in adjoints:
+        adjoint_multiplicity_count(q)
+
+
+def test_validating_a_defining_quadruple_builds_no_ad_table():
+    q = build_veronese(5)
+    assert validate_good_quadruple(q)["valid"]
+    assert q.algebra._adjoint is None

@@ -20,7 +20,10 @@ Groups (all of them by default):
   core``, ``verify --suite catalog`` and ``verify --suite random --count 10
   --seed 5``;
 * ``fixtures`` -- the same for ``analyze`` and ``dual`` on the 3 bundled
-  structure fixtures.
+  structure fixtures;
+* ``invalid`` -- ``valid``, ``curve_degree`` and each check's name and
+  status (not its detail) from ``validate_good_quadruple`` on the crafted
+  invalid quadruples of :func:`invalid_quadruples`.
 """
 
 import hashlib
@@ -82,8 +85,55 @@ def fixtures():
             yield _run([command, os.path.join(FIXTURES, name)])
 
 
+def _block_sl4(u_basis):
+    """sl(4) on C^4, with the standard sl(2) in the top-left 2 x 2 block."""
+    from qlike import lie, orbit
+    from qlike.linalg import zeros
+    ma = lie.sl_algebra(4)
+    triple = []
+    for m in lie.principal_sl2_matrices(2):
+        big = zeros(4, 4)
+        big[0][:2], big[1][:2] = m[0], m[1]
+        triple.append(ma.coordinates_of_matrix(big))
+    return orbit.GoodQuadruple(ma.algebra, ma.defining_representation(),
+                               lie.Sl2Embedding(ma.algebra, *triple),
+                               tuple(u_basis))
+
+
+def invalid_quadruples():
+    """(name, quadruple) pairs that fail validation only on U: in all but
+    the last, sl2-embedding, representation-identity and u-invariant pass."""
+    from qlike import catalog, orbit
+    from qlike.linalg import identity
+    adj2 = catalog.build_adjoint("sl(2)", "principal")
+    e, h, f = adj2.u_basis
+    adj3 = catalog.build_adjoint("sl(3)", "principal")
+    conic = catalog.build_veronese(2)
+    return [
+        ("trivial-u", _block_sl4(identity(4)[2:])),
+        ("trivial-line", _block_sl4(identity(4)[3:])),
+        ("dependent-u-basis", orbit.GoodQuadruple(
+            adj2.algebra, adj2.sigma, adj2.tau,
+            (e, h, f, tuple(a + b for a, b in zip(e, h))))),
+        ("block-sl2-on-c4", _block_sl4(identity(4))),
+        ("adjoint-sl3-all-of-g", orbit.GoodQuadruple(
+            adj3.algebra, adj3.sigma, adj3.tau, tuple(identity(8)))),
+        ("u-not-invariant", orbit.GoodQuadruple(
+            conic.algebra, conic.sigma, conic.tau, tuple(identity(3)[:1]))),
+    ]
+
+
+def invalid():
+    from qlike import orbit
+    for name, q in invalid_quadruples():
+        report = orbit.validate_good_quadruple(q)
+        yield {"name": name, "valid": report["valid"],
+               "curve_degree": report["curve_degree"],
+               "checks": [[c["name"], c["status"]] for c in report["checks"]]}
+
+
 GROUPS = {"quadruples": quadruples, "algebras": algebras, "cli": cli,
-          "fixtures": fixtures}
+          "fixtures": fixtures, "invalid": invalid}
 
 
 def group_digest(records):
