@@ -20,8 +20,8 @@ from .lie import (Sl2Embedding, builtin_algebra, combination,
                   named_nilpotent, principal_sl2_matrices, sl_algebra,
                   so_algebra, sp_algebra, wedge_square_representation)
 from .linalg import identity, kernel_basis, mat_mul, solve_matrix, zeros
-from .orbit import (GoodQuadruple, adjoint_quadruple, dimension_report,
-                    normal_bundle)
+from .orbit import (GoodQuadruple, _centralizer_dim, _dimension_report,
+                    adjoint_quadruple, dimension_report, normal_bundle)
 from .polymatrix import PolyMatrix
 from .scalars import I, ONE, ZERO, Scalar
 
@@ -144,8 +144,13 @@ def adjoint_expected(q: GoodQuadruple) -> SplittingType:
     lowest- and its highest-weight vector, so sum_j a_j = dim ker ad f, and
     sum_j (j + 1) a_j = dim g.
     """
-    centralizer = len(kernel_basis(q.algebra.ad(list(q.tau.f))))
-    count = q.algebra.dim - centralizer - 2
+    return _orbit_expected(q.algebra.dim,
+                           _centralizer_dim(q.algebra, q.tau.f))
+
+
+def _orbit_expected(algebra_dim, centralizer):
+    """:func:`adjoint_expected` from ``centralizer`` = dim ker ad f."""
+    count = algebra_dim - centralizer - 2
     if count < 0:
         raise InternalError("nilpotent orbit of dimension %d, below 2"
                             % (count + 2))
@@ -338,10 +343,16 @@ def run_quadruple_entry(entry: CatalogEntry) -> dict:
     q = entry.build()
     expected = entry.expected_normal
     source = entry.expected_source
+    centralizer = None
     if expected == "live-adjoint":
-        expected = adjoint_expected(q)
+        centralizer = _centralizer_dim(q.algebra, q.tau.f)
+        expected = _orbit_expected(q.algebra.dim, centralizer)
     report = normal_bundle(q, expected=expected, expected_source=source)
-    dims = dimension_report(q, report)
+    # adjoint_quadruple's nilpotent is tau.f, so ker ad f serves both
+    if centralizer is not None and q.adjoint and q.nilpotent == q.tau.f:
+        dims = _dimension_report(report, q.algebra.dim, centralizer)
+    else:
+        dims = dimension_report(q, report)
     result = {
         "name": entry.name,
         "normal": report.to_json(),

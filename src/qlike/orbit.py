@@ -443,11 +443,24 @@ def dimension_report(q: GoodQuadruple, report: NormalBundleReport = None) -> dic
     """dim Z = rank W - 1; adjoint quadruples also cross-check against the
     nilpotent orbit dimension (algebra dim minus centralizer dim)."""
     report = report or normal_bundle(q)
-    out = {"dim_Z": report.dim_z, "tangent_rank": report.tangent_rank}
+    centralizer = None
     if q.adjoint and q.nilpotent is not None:
-        ad_y = q.algebra.ad(list(q.nilpotent))
-        centralizer = len(kernel_basis(ad_y))
-        orbit_dim = q.algebra.dim - centralizer
+        centralizer = _centralizer_dim(q.algebra, q.nilpotent)
+    return _dimension_report(report, q.algebra.dim, centralizer)
+
+
+def _centralizer_dim(algebra, y):
+    """dim ker ad y, the centralizer of y in the algebra."""
+    return len(kernel_basis(algebra.ad(list(y))))
+
+
+def _dimension_report(report, algebra_dim, centralizer):
+    """:func:`dimension_report` from the normal-bundle ``report`` and, for
+    an adjoint quadruple, its nilpotent's ``centralizer`` dimension (None
+    otherwise)."""
+    out = {"dim_Z": report.dim_z, "tangent_rank": report.tangent_rank}
+    if centralizer is not None:
+        orbit_dim = algebra_dim - centralizer
         out["centralizer_dim"] = centralizer
         out["orbit_dim"] = orbit_dim
         out["orbit_consistency"] = (report.dim_z == orbit_dim - 1)

@@ -25,10 +25,11 @@ from .embedding import curve_checks
 from .errors import InternalError, InvalidInput
 from .forms import BinaryForm, antipodal_transform, format_form, parse_form
 from .linalg import (conj_matrix, identity, inverse, kernel_basis, mat_eq,
-                     mat_mul, mat_vec, rank, transpose, zeros)
+                     mat_mul, rank, transpose, zeros)
 from .polymatrix import (PolyMatrix, _apply_scalar_matrix, _equation_rows,
                          _section_layout, solve_combination)
-from .scalars import ONE, ZERO, Scalar, scalar
+from .scalars import (ONE, ZERO, Scalar, clear_denominators, gaussian,
+                      scalar)
 
 
 class QLikeStructure:
@@ -518,6 +519,11 @@ def verify_factorization(hd: HeavenData, md: MinusData) -> FactorizationReport:
     when it passes, the solution space has dimension 0, and an invertible
     iota exists exactly when rank X = hp.
 
+    No product here is taken in Scalars: L and the images of facts b and c
+    are Gaussian-integer products (:func:`_gaussian_product`), with one
+    common denominator per block of L (:func:`_intertwiner`) and per row
+    elsewhere.
+
     >>> from qlike.catalog import build_conic_r3
     >>> hd = heaven_data(build_conic_r3())
     >>> report = verify_factorization(hd, minus_data(hd))
@@ -528,7 +534,7 @@ def verify_factorization(hd: HeavenData, md: MinusData) -> FactorizationReport:
         raise InternalError("twisted section dimensions disagree "
                             "(Serre-duality dimension identity broken)")
     hp = hd.h_plus_dim
-    X = _intertwiner(mat_mul(hd.psi_plus, md.psi_minus), hd.ann.degrees,
+    X = _intertwiner(hd.psi_plus, md.psi_minus, hd.ann.degrees,
                      md.dual_heaven.ann.degrees)
     solvable = X is not None
 
@@ -555,31 +561,110 @@ def verify_factorization(hd: HeavenData, md: MinusData) -> FactorizationReport:
     return FactorizationReport(solvable, 0, iota_found, dims, facts)
 
 
-def _intertwiner(lhs, plus_degrees, minus_degrees):
+def _intertwiner(psi_plus, psi_minus, plus_degrees, minus_degrees):
     """The section factor X of iota, built block by block by the
-    recurrence of :func:`verify_factorization`, or None when it fails the
-    identity on some entry of ``lhs``.  Rows follow rho_plus's layouts of
-    the plus degrees, columns rho_minus_star's of the minus degrees."""
-    _, row_u, _ = _section_layout(plus_degrees, 0)
+    recurrence of :func:`verify_factorization` from L = psi_plus .
+    psi_minus, or None when it fails the identity on some entry of L.
+    Rows follow rho_plus's layouts of the plus degrees, columns
+    rho_minus_star's of the minus degrees.
+
+    L is never formed in Scalars.  Block (j, l) of L is the product of
+    psi_plus's rows of plus block j (a_j + 1 of them) and psi_minus's
+    columns of minus block l (e_l + 1); with D_j the lcm of the
+    denominators in those rows and E_l the lcm in those columns, the block
+    of D_j E_l L is a Gaussian-integer matrix, computed in ints.  The
+    recurrence and the identity are linear in the block, and the whole
+    block is scaled by the one constant D_j E_l, so they run unchanged on
+    the scaled block: its recurrence gives D_j E_l X, and each entry is
+    divided once.  One factor per row would not do: the recurrence adds
+    row s - 1 of X to row s of L, and the identity compares rows s and
+    s - 1, so rows scaled differently would no longer add up."""
+    row_len, row_u, _ = _section_layout(plus_degrees, 0)
     _, row_h, hp = _section_layout(plus_degrees, -1)
-    _, col_u, _ = _section_layout(minus_degrees, 0)
+    col_len, col_u, _ = _section_layout(minus_degrees, 0)
     _, col_h, hm = _section_layout(minus_degrees, -1)
+    lhs, dp, dm = _gaussian_product(psi_plus, transpose(psi_minus),
+                                    row_len, col_len)
     X = zeros(hp, hm)
     for a, ru, rh in zip(plus_degrees, row_u, row_h):
         for e, cu, ch in zip(minus_degrees, col_u, col_h):
-            # the block with a zero row a and a zero column e appended:
-            # index -1 wraps to them, which are X's zeros at s = -1, t = -1
-            B = [[ZERO] * (e + 1) for _ in range(a + 1)]
+            den = dp[ru] * dm[cu]
+            # the scaled block with a zero row a and a zero column e
+            # appended: index -1 wraps to them, X's zeros at s, t = -1
+            L = [row[cu:cu + e + 1] for row in lhs[ru:ru + a + 1]]
+            B = [[(0, 0)] * (e + 1) for _ in range(a + 1)]
             for s in range(a):
+                ls, bs, prev = L[s], B[s], B[s - 1]
                 for t in range(e):
-                    B[s][t] = lhs[ru + s][cu + t + 1] + B[s - 1][t + 1]
+                    (lr, li), (pr, pi) = ls[t + 1], prev[t + 1]
+                    bs[t] = (lr + pr, li + pi)
             for s in range(a + 1):
+                ls, bs, prev = L[s], B[s], B[s - 1]
                 for t in range(e + 1):
-                    if lhs[ru + s][cu + t] != B[s][t - 1] - B[s - 1][t]:
+                    (lr, li), (xr, xi), (yr, yi) = ls[t], bs[t - 1], prev[t]
+                    if lr != xr - yr or li != xi - yi:
                         return None
             for s in range(a):
-                X[rh + s][ch:ch + e] = B[s][:e]
+                X[rh + s][ch:ch + e] = [gaussian(re, im, den) if re or im
+                                        else ZERO for re, im in B[s][:e]]
     return X
+
+
+def _gaussian_product(a, b, a_sizes=None, b_sizes=None):
+    """``(p, da, db)`` with a_i . b_j = p[i][j] / (da[i] db[j]) for the
+    rows a_i of ``a`` and b_j of ``b``, computed in Gaussian integers:
+    ``p`` holds (re, im) int pairs, ``da`` and ``db`` one int per row.
+
+    Each run of ``a_sizes`` consecutive rows of ``a`` (one row per run by
+    default) is cleared over the lcm of its denominators, so the rows of a
+    run share their ``da``; likewise ``b`` with ``b_sizes``.  No Scalar
+    arithmetic is done."""
+    a_dens, a_ints = _cleared(a, a_sizes)
+    b_dens, b_ints = _cleared(b, b_sizes)
+    # b's nonzero entries by coordinate, so that only products of two
+    # nonzero entries are taken
+    by_coordinate = [[] for _ in range(len(b_ints[0]) if b_ints else 0)]
+    for j, row in enumerate(b_ints):
+        for t, (yr, yi) in enumerate(row):
+            if yr or yi:
+                by_coordinate[t].append((j, yr, yi))
+    product = []
+    for row in a_ints:
+        sr, si = [0] * len(b_ints), [0] * len(b_ints)
+        for (xr, xi), entries in zip(row, by_coordinate):
+            if xr or xi:
+                for j, yr, yi in entries:
+                    sr[j] += xr * yr - xi * yi
+                    si[j] += xr * yi + xi * yr
+        product.append(list(zip(sr, si)))
+    return product, a_dens, b_dens
+
+
+def _cleared(rows, sizes):
+    """``(dens, ints)``: each run of ``sizes`` rows (one row per run when
+    None) times the lcm of the run's denominators, as (re, im) int pairs,
+    and that lcm once for each row."""
+    dens, ints = [], []
+    start = 0
+    for size in sizes or [1] * len(rows):
+        run = rows[start:start + size]
+        start += size
+        d, pairs = clear_denominators([x for row in run for x in row])
+        width = len(run[0]) if run else 0
+        dens += [d] * size
+        ints += [pairs[k * width:(k + 1) * width] for k in range(size)]
+    return dens, ints
+
+
+def _images(vectors, a):
+    """The images a v of the ``vectors`` v, as Scalar rows, from one
+    Gaussian-integer product and one reduction per nonzero entry."""
+    if not vectors:
+        return []
+    product, dv, da = _gaussian_product(vectors, a)
+    return [[gaussian(re, im, d * e) if re or im else ZERO
+             for (re, im), e in zip(row, da)]
+            for row, d in zip(product, dv)]
 
 
 def _correspondence_dims(hd, md, kernels):
@@ -626,8 +711,7 @@ def _maps_onto(images, basis):
 def _check_fact_c(md, kernels):
     """psi_minus restricted to ker rho_minus_star is a bijection onto
     ker psi_plus."""
-    return _maps_onto([mat_vec(md.psi_minus, v)
-                       for v in kernels["rho_minus_star"]],
+    return _maps_onto(_images(kernels["rho_minus_star"], md.psi_minus),
                       kernels["psi_plus"])
 
 
@@ -636,10 +720,10 @@ def _check_fact_b(md, X, kernels):
     bijectively onto iota^{-1}(ker rho_plus).  iota sends (w_lo, w_hi),
     the z0* and z1* halves of E_minus, to (X w_hi, -X w_lo)."""
     h = md.h_minus_dim
-    images = []
-    for v in kernels["psi_minus"]:
-        w = mat_vec(md.rho_minus_star, v)
-        images.append(mat_vec(X, w[h:]) + [-y for y in mat_vec(X, w[:h])])
+    ws = _images(kernels["psi_minus"], md.rho_minus_star)
+    halves = _images([w[h:] for w in ws] + [w[:h] for w in ws], X)
+    images = [hi + [-y for y in lo]
+              for hi, lo in zip(halves, halves[len(ws):])]
     # iota is invertible: _maps_onto's rank test also decides the images'
     return _maps_onto(images, kernels["rho_plus"])
 

@@ -5,7 +5,8 @@ permutation expansion, section spaces by the (r+1)-minor membership system
 rather than the annihilator kernel, twisted dimensions by the splitting
 formula, kernels and solutions by Gauss-Jordan elimination in Q(i)
 arithmetic, resultants over GF(p) by eliminating the Sylvester matrix, the
-factorization's intertwiner from its dense system in all hp^2 unknowns,
+factorization's intertwiner from its dense system in all hp^2 unknowns
+and from its recurrence on the Scalar product psi_plus . psi_minus,
 Q(i) arithmetic on a pair of Fractions rather than a Gaussian integer over
 one denominator, graded kernels by an exact elimination at every stage and
 a selection among whole kernel vectors, Lie brackets by walking the
@@ -415,6 +416,70 @@ def dense_intertwiner(hd, md):
         return None, homogeneous, False
     X = [x[g * hp:(g + 1) * hp] for g in range(hp)]
     return X, homogeneous, len(rref(X)[1]) == hp
+
+
+def scalar_intertwiner(lhs, plus_degrees, minus_degrees):
+    """The section factor X of iota from the Scalar matrix ``lhs`` =
+    psi_plus . psi_minus, by the recurrence X(s, t) = L(s, t+1) +
+    X(s-1, t+1) of ``structures.verify_factorization`` run on L's Scalar
+    blocks, or None when some entry of L fails the identity."""
+    _, row_u, _ = _section_layout(plus_degrees, 0)
+    _, row_h, hp = _section_layout(plus_degrees, -1)
+    _, col_u, _ = _section_layout(minus_degrees, 0)
+    _, col_h, hm = _section_layout(minus_degrees, -1)
+    X = [[ZERO] * hm for _ in range(hp)]
+    for a, ru, rh in zip(plus_degrees, row_u, row_h):
+        for e, cu, ch in zip(minus_degrees, col_u, col_h):
+            B = [[ZERO] * (e + 1) for _ in range(a + 1)]
+            for s in range(a):
+                for t in range(e):
+                    B[s][t] = lhs[ru + s][cu + t + 1] + B[s - 1][t + 1]
+            for s in range(a + 1):
+                for t in range(e + 1):
+                    if lhs[ru + s][cu + t] != B[s][t - 1] - B[s - 1][t]:
+                        return None
+            for s in range(a):
+                X[rh + s][ch:ch + e] = B[s][:e]
+    return X
+
+
+def scalar_factorization(hd, md):
+    """``(X, solvable, iso_found, facts)`` of the factorization check by
+    its Scalar route: L = psi_plus . psi_minus by ``mat_mul``, X by
+    :func:`scalar_intertwiner`, and the images of facts b and c one
+    ``mat_vec`` per kernel vector.  The kernels, the dimensions and the
+    rank tests are the library's."""
+    from qlike.structures import _correspondence_dims, _maps_onto
+    X = scalar_intertwiner(mat_mul(hd.psi_plus, md.psi_minus),
+                           hd.ann.degrees, md.dual_heaven.ann.degrees)
+    solvable = X is not None
+    kernels = {"psi_minus": kernel_basis(md.psi_minus),
+               "rho_plus": kernel_basis(hd.rho_plus),
+               "rho_minus_star": kernel_basis(md.rho_minus_star),
+               "psi_plus": kernel_basis(hd.psi_plus)}
+    dims = _correspondence_dims(hd, md, kernels)
+    fact_c = _maps_onto([mat_vec(md.psi_minus, v)
+                         for v in kernels["rho_minus_star"]],
+                        kernels["psi_plus"])
+    facts = {
+        "kernel_dims_match": dims["ker_psi_minus"] == dims["ker_rho_plus"],
+        "psi_minus_maps_ker_rho_minus_star_onto_ker_psi_plus": fact_c,
+        "cokernel_dims_match_d":
+            dims["coker_rho_minus_star"] == dims["coker_psi_plus"],
+        "cokernel_dims_match_e":
+            dims["coker_psi_minus"] == dims["coker_rho_plus"],
+    }
+    hp, h = hd.h_plus_dim, md.h_minus_dim
+    iso_found = solvable and (hp == 0 or len(rref(X)[1]) == hp)
+    if solvable:
+        images = []
+        for v in kernels["psi_minus"]:
+            w = mat_vec(md.rho_minus_star, v)
+            images.append(mat_vec(X, w[h:])
+                          + [-y for y in mat_vec(X, w[:h])])
+        facts["rho_minus_star_maps_ker_psi_minus_onto_iota_inv_ker_rho_plus"]\
+            = iso_found and _maps_onto(images, kernels["rho_plus"])
+    return X, solvable, iso_found, facts
 
 
 def graded_kernel_by_stages(relation_rows, n_unknowns, unknown_shifts=None, *,

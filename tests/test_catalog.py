@@ -1,9 +1,10 @@
 import json
 import os
+import sys
 
 import pytest
 
-from qlike import catalog, lie
+from qlike import catalog, lie, linalg
 from qlike.bundles import SplittingType
 from qlike.linalg import span_equal
 from qlike.orbit import adjoint_multiplicity_count
@@ -63,6 +64,28 @@ def test_adjoint_expected_is_the_orbit_dimension_closed_form(monkeypatch):
     monkeypatch.setattr(lie, "sl2_decompose", refuse)
     assert [catalog.adjoint_expected(q) for q in quadruples] == \
         [SplittingType.of([1] * c) for c in counts]
+
+
+def test_live_adjoint_entry_takes_ker_ad_f_once(monkeypatch):
+    # adjoint_expected's ker ad f is dimension_report's centralizer: 24
+    # kernels in all (21 fibre weights, ker ad f, ker sigma(e) for the
+    # adjoint count, the validation's ker s_e), one fewer than taking
+    # ker ad f a second time
+    calls = []
+    kernel_basis = linalg.kernel_basis
+
+    def counting(a):
+        calls.append((len(a), len(a[0]) if a else 0))
+        return kernel_basis(a)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("qlike.")
+                and getattr(module, "kernel_basis", None) is kernel_basis):
+            monkeypatch.setattr(module, "kernel_basis", counting)
+    result = catalog.run_quadruple_entry(
+        catalog.entry_by_name("adjoint:sl(4):principal"))
+    assert result["ok"] and result["dimension"]["centralizer_dim"] == 3
+    assert len(calls) == 24
+    assert calls.count((15, 15)) == 2
 
 
 def test_fixture_regeneration_round_trip(tmp_path):

@@ -4,24 +4,26 @@ from collections import Counter
 
 import pytest
 from dataclasses import replace
+from math import lcm
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qlike import (bundles, catalog, embedding, modp, polymatrix, sampling,
-                   structures)
+from qlike import (bundles, catalog, embedding, linalg, modp, polymatrix,
+                   sampling, structures)
 
-from oracles import dense_intertwiner, plus_side_generic_by_sections
+from oracles import (dense_intertwiner, plus_side_generic_by_sections,
+                     scalar_factorization)
 from qlike.bundles import SAMPLE_POINTS, SplittingType
 from qlike.catalog import (build_conic_r3, build_quaternionic,
                            build_twisted_plane_c4,
                            _left_quaternion_matrices)
 from qlike.errors import InternalError, InvalidInput
 from qlike.forms import BinaryForm, Z0, Z1, parse_form
-from qlike.linalg import identity, mat_mul, mat_vec, rank
+from qlike.linalg import identity, rank
 from qlike.polymatrix import PolyMatrix
 from qlike.sampling import random_structures
-from qlike.scalars import ONE, Scalar, ZERO
+from qlike.scalars import I, ONE, Scalar, ZERO, gaussian
 from qlike.embedding import _bivariate_two_point
 from qlike.structures import (QLikeStructure, analyze, check_morphism, dualize,
                               heaven_data, minus_data, minus_family, validate,
@@ -293,7 +295,7 @@ def test_intertwiner_recurrence_matches_dense_system():
             assert fact.iso_found == invertible
             if X is not None:
                 assert structures._intertwiner(
-                    mat_mul(h.psi_plus, md.psi_minus), h.ann.degrees,
+                    h.psi_plus, md.psi_minus, h.ann.degrees,
                     md.dual_heaven.ann.degrees) == X
                 assert fact.facts["rho_minus_star_maps_ker_psi_minus_onto_"
                                   "iota_inv_ker_rho_plus"] == invertible
@@ -301,6 +303,65 @@ def test_intertwiner_recurrence_matches_dense_system():
     assert seen == Counter({("given", True, True): len(pool),
                             ("perturbed", False, False): len(pool),
                             ("zero", True, False): 4})
+
+
+def _perturbed(hd, row, column, delta):
+    psi = [r[:] for r in hd.psi_plus]
+    psi[row][column] += delta
+    return replace(hd, psi_plus=psi)
+
+
+def test_integer_route_matches_the_scalar_route():
+    # the Gaussian-integer products and per-block denominators give the
+    # same X, verdicts and facts as mat_mul, the Scalar recurrence and one
+    # mat_vec per kernel vector
+    pool = ([CONIC, QUAT, PLANE, build_quaternionic(2)]
+            + random_structures(1, 30))
+    seen = Counter()
+    for s in pool:
+        hd = heaven_data(s)
+        md = minus_data(hd)
+        # a change to column c of psi_plus reaches L = psi_plus . psi_minus
+        # exactly when row c of psi_minus is nonzero; it then breaks an
+        # antidiagonal sum of a block, which every solvable L has zero
+        c = next(c for c, row in enumerate(md.psi_minus) if any(row))
+        last = len(hd.psi_plus) - 1
+        den = _perturbed(hd, 0, c, gaussian(1, 1, 1000003))
+        assert (lcm(*[x.d for x in den.psi_plus[0]])
+                != lcm(*[x.d for x in hd.psi_plus[0]]))
+        # i, not 1: where psi_minus is real only imaginary parts move
+        cases = [("given", hd), ("last-plus-block",
+                                 _perturbed(hd, last, c, I)),
+                 ("row-denominator", den)]
+        for kind, h in cases:
+            X, solvable, iso_found, facts = scalar_factorization(h, md)
+            fact = verify_factorization(h, md)
+            assert structures._intertwiner(
+                h.psi_plus, md.psi_minus, h.ann.degrees,
+                md.dual_heaven.ann.degrees) == X
+            assert (fact.solvable, fact.iso_found, fact.facts) == \
+                (solvable, iso_found, facts)
+            seen[kind, solvable] += 1
+    assert seen == Counter({("given", True): len(pool),
+                            ("last-plus-block", False): len(pool),
+                            ("row-denominator", False): len(pool)})
+
+
+def test_factorization_builds_no_scalar_product(monkeypatch):
+    # verify_factorization forms every product in Gaussian integers
+    pairs = []
+    for s in _fixture_structures() + random_structures(20250808, 9):
+        hd = heaven_data(s)
+        pairs.append((hd, minus_data(hd)))
+
+    def refuse(*args):
+        raise AssertionError("Scalar product in verify_factorization")
+    assert not hasattr(structures, "mat_vec")
+    monkeypatch.setattr(structures, "mat_mul", refuse)
+    monkeypatch.setattr(linalg, "mat_mul", refuse)
+    monkeypatch.setattr(linalg, "mat_vec", refuse)
+    for hd, md in pairs:
+        assert verify_factorization(hd, md).passed
 
 
 def test_sampler_redraws_bad_input_only(monkeypatch):

@@ -21,6 +21,8 @@ Groups (all of them by default):
   --seed 5``;
 * ``fixtures`` -- the same for ``analyze`` and ``dual`` on the 3 bundled
   structure fixtures;
+* ``structures`` -- ``analyze`` JSON, in process, on
+  ``random_structures(20250808, 53)`` and ``random_structures(123, 8)``;
 * ``invalid`` -- ``valid``, ``curve_degree`` and each check's name and
   status (not its detail) from ``validate_good_quadruple`` on the crafted
   invalid quadruples of :func:`invalid_quadruples`.
@@ -85,6 +87,14 @@ def fixtures():
             yield _run([command, os.path.join(FIXTURES, name)])
 
 
+def structures():
+    from qlike import sampling
+    from qlike.structures import analyze
+    for S in (sampling.random_structures(20250808, 53)
+              + sampling.random_structures(123, 8)):
+        yield analyze(S).to_json()
+
+
 def _block_sl4(u_basis):
     """sl(4) on C^4, with the standard sl(2) in the top-left 2 x 2 block."""
     from qlike import lie, orbit
@@ -133,7 +143,7 @@ def invalid():
 
 
 GROUPS = {"quadruples": quadruples, "algebras": algebras, "cli": cli,
-          "fixtures": fixtures, "invalid": invalid}
+          "fixtures": fixtures, "structures": structures, "invalid": invalid}
 
 
 def group_digest(records):
