@@ -440,7 +440,6 @@ class MinusData:
     e_minus_dim: int
     psi_minus: list          # U_minus -> U
     rho_minus_star: list     # U_minus -> E_minus
-    ker_psi_minus: list = None   # kernel_basis(psi_minus); not serialized
 
 
 def minus_data(hd: HeavenData) -> MinusData:
@@ -454,10 +453,9 @@ def minus_data(hd: HeavenData) -> MinusData:
     so the intersection is (V'_z + im dual.psi_plus)^perp."""
     S = hd.structure
     dual = heaven_data(_dual_structure(S, hd.ann), hd.ann)
-    psi_minus = transpose(dual.psi_plus)
     return MinusData(S, dual, dual.u_plus_dim, dual.h_plus_dim,
-                     dual.e_plus_dim, psi_minus, transpose(dual.rho_plus),
-                     kernel_basis(psi_minus))
+                     dual.e_plus_dim, transpose(dual.psi_plus),
+                     transpose(dual.rho_plus))
 
 
 # --------------------------------------------------------------------------
@@ -519,10 +517,34 @@ def verify_factorization(hd: HeavenData, md: MinusData) -> FactorizationReport:
     when it passes, the solution space has dimension 0, and an invertible
     iota exists exactly when rank X = hp.
 
-    No product here is taken in Scalars: L and the images of facts b and c
-    are Gaussian-integer products (:func:`_gaussian_product`), with one
-    common denominator per block of L (:func:`_intertwiner`) and per row
-    elsewhere.
+    Only psi_plus and psi_minus are eliminated; everything about rho is
+    read off the annihilator degrees, a_j on the plus side and e_l on the
+    minus side.
+
+    - Block j of rho_plus, S1 tensor S_(a_j - 1) -> S_(a_j), is onto when
+      a_j >= 1: z0 and z1 times the monomials of degree a_j - 1 reach
+      every monomial of degree a_j.  When a_j = 0 the block has no
+      columns, and its one row is hit by nothing.  So rank rho_plus is
+      u_plus - #{j : a_j = 0}.
+    - The columns of rho_minus_star are the rows of the dual's rho_plus.
+      Each column of that rho_plus holds a single 1, so those rows have
+      disjoint supports, and only the rows at Z are zero, Z being the S_0
+      coordinate of each degree-0 minus summand.  So ker rho_minus_star is
+      spanned by the unit vectors at Z, its rank is u_minus - |Z|, and
+      psi_minus sends that basis to its own columns at Z: fact c is a rank
+      test of those columns against ker psi_plus.
+    - Fact b says that rho_minus_star maps ker psi_minus bijectively onto
+      iota^-1(ker rho_plus).  When the identity holds, take w in
+      ker psi_minus; then rho_plus iota (rho_minus_star w) = psi_plus
+      psi_minus w = 0.  So rho_minus_star always maps ker psi_minus into
+      iota^-1(ker rho_plus).  With iota invertible that subspace has
+      dimension dim ker rho_plus, and "bijectively onto" then means two
+      things: dim ker psi_minus = dim ker rho_plus, and ker psi_minus meets
+      span(Z) = ker rho_minus_star only in 0, that is, psi_minus's columns
+      at Z are independent.
+
+    L is the one product taken, in Gaussian integers with one common
+    denominator per block (:func:`_intertwiner`).
 
     >>> from qlike.catalog import build_conic_r3
     >>> hd = heaven_data(build_conic_r3())
@@ -533,21 +555,40 @@ def verify_factorization(hd: HeavenData, md: MinusData) -> FactorizationReport:
     if hd.h_plus_dim != md.h_minus_dim:
         raise InternalError("twisted section dimensions disagree "
                             "(Serre-duality dimension identity broken)")
-    hp = hd.h_plus_dim
-    X = _intertwiner(hd.psi_plus, md.psi_minus, hd.ann.degrees,
-                     md.dual_heaven.ann.degrees)
+    n, hp = hd.structure.dim, hd.h_plus_dim
+    up, um = hd.u_plus_dim, md.u_minus_dim
+    plus_degrees = hd.ann.degrees
+    minus_degrees = md.dual_heaven.ann.degrees
+    X = _intertwiner(hd.psi_plus, md.psi_minus, plus_degrees, minus_degrees)
     solvable = X is not None
 
-    # each map's kernel is taken once; its rank is read from the kernel
-    kernels = {"psi_minus": md.ker_psi_minus,
-               "rho_plus": kernel_basis(hd.rho_plus),
-               "rho_minus_star": kernel_basis(md.rho_minus_star),
-               "psi_plus": kernel_basis(hd.psi_plus)}
-    dims = _correspondence_dims(hd, md, kernels)
+    # psi_minus's columns at Z, the images of ker rho_minus_star's basis
+    _, offsets, _ = _section_layout(minus_degrees, 0)
+    at_z = [[row[o] for row in md.psi_minus]
+            for o, e in zip(offsets, minus_degrees) if e == 0]
+    ker_psi_plus = kernel_basis(hd.psi_plus)
+    rk_psi_minus = rank(md.psi_minus)
+    rk_rho_plus = up - plus_degrees.count(0)
+    dims = {
+        "U": n,
+        "U_plus": up,
+        "U_minus": um,
+        "E": hd.e_plus_dim,
+        "H_plus": hp,
+        "H_minus": md.h_minus_dim,
+        "ker_psi_minus": um - rk_psi_minus,
+        "ker_rho_plus": hd.e_plus_dim - rk_rho_plus,
+        "ker_rho_minus_star": len(at_z),
+        "ker_psi_plus": len(ker_psi_plus),
+        "coker_rho_minus_star": md.e_minus_dim - (um - len(at_z)),
+        "coker_psi_plus": up - (n - len(ker_psi_plus)),
+        "coker_psi_minus": n - rk_psi_minus,
+        "coker_rho_plus": up - rk_rho_plus,
+    }
     facts = {
         "kernel_dims_match": dims["ker_psi_minus"] == dims["ker_rho_plus"],
         "psi_minus_maps_ker_rho_minus_star_onto_ker_psi_plus":
-            _check_fact_c(md, kernels),
+            _maps_onto(at_z, ker_psi_plus),
         "cokernel_dims_match_d":
             dims["coker_rho_minus_star"] == dims["coker_psi_plus"],
         "cokernel_dims_match_e":
@@ -557,7 +598,8 @@ def verify_factorization(hd: HeavenData, md: MinusData) -> FactorizationReport:
     iota_found = solvable and (hp == 0 or rank(X) == hp)
     if solvable:
         facts["rho_minus_star_maps_ker_psi_minus_onto_iota_inv_ker_rho_plus"] = \
-            iota_found and _check_fact_b(md, X, kernels)
+            (iota_found and facts["kernel_dims_match"]
+             and rank(at_z) == len(at_z))
     return FactorizationReport(solvable, 0, iota_found, dims, facts)
 
 
@@ -610,15 +652,14 @@ def _intertwiner(psi_plus, psi_minus, plus_degrees, minus_degrees):
     return X
 
 
-def _gaussian_product(a, b, a_sizes=None, b_sizes=None):
+def _gaussian_product(a, b, a_sizes, b_sizes):
     """``(p, da, db)`` with a_i . b_j = p[i][j] / (da[i] db[j]) for the
     rows a_i of ``a`` and b_j of ``b``, computed in Gaussian integers:
     ``p`` holds (re, im) int pairs, ``da`` and ``db`` one int per row.
 
-    Each run of ``a_sizes`` consecutive rows of ``a`` (one row per run by
-    default) is cleared over the lcm of its denominators, so the rows of a
-    run share their ``da``; likewise ``b`` with ``b_sizes``.  No Scalar
-    arithmetic is done."""
+    Each run of ``a_sizes`` consecutive rows of ``a`` is cleared over the
+    lcm of its denominators, so the rows of a run share their ``da``;
+    likewise ``b`` with ``b_sizes``.  No Scalar arithmetic is done."""
     a_dens, a_ints = _cleared(a, a_sizes)
     b_dens, b_ints = _cleared(b, b_sizes)
     # b's nonzero entries by coordinate, so that only products of two
@@ -641,12 +682,12 @@ def _gaussian_product(a, b, a_sizes=None, b_sizes=None):
 
 
 def _cleared(rows, sizes):
-    """``(dens, ints)``: each run of ``sizes`` rows (one row per run when
-    None) times the lcm of the run's denominators, as (re, im) int pairs,
-    and that lcm once for each row."""
+    """``(dens, ints)``: each run of ``sizes`` rows times the lcm of the
+    run's denominators, as (re, im) int pairs, and that lcm once for each
+    row."""
     dens, ints = [], []
     start = 0
-    for size in sizes or [1] * len(rows):
+    for size in sizes:
         run = rows[start:start + size]
         start += size
         d, pairs = clear_denominators([x for row in run for x in row])
@@ -654,46 +695,6 @@ def _cleared(rows, sizes):
         dens += [d] * size
         ints += [pairs[k * width:(k + 1) * width] for k in range(size)]
     return dens, ints
-
-
-def _images(vectors, a):
-    """The images a v of the ``vectors`` v, as Scalar rows, from one
-    Gaussian-integer product and one reduction per nonzero entry."""
-    if not vectors:
-        return []
-    product, dv, da = _gaussian_product(vectors, a)
-    return [[gaussian(re, im, d * e) if re or im else ZERO
-             for (re, im), e in zip(row, da)]
-            for row, d in zip(product, dv)]
-
-
-def _correspondence_dims(hd, md, kernels):
-    """Kernel and cokernel dimensions, with each rank read from the
-    ``kernels`` (kernel_basis of each map, by name): a matrix with rows has
-    rank ncols - len(kernel), and one without rows has rank 0."""
-    def rk(name, matrix):
-        return len(matrix[0]) - len(kernels[name]) if matrix else 0
-
-    rk_psi_minus = rk("psi_minus", md.psi_minus)
-    rk_rho_plus = rk("rho_plus", hd.rho_plus)
-    rk_rho_minus = rk("rho_minus_star", md.rho_minus_star)
-    rk_psi_plus = rk("psi_plus", hd.psi_plus)
-    return {
-        "U": hd.structure.dim,
-        "U_plus": hd.u_plus_dim,
-        "U_minus": md.u_minus_dim,
-        "E": hd.e_plus_dim,
-        "H_plus": hd.h_plus_dim,
-        "H_minus": md.h_minus_dim,
-        "ker_psi_minus": md.u_minus_dim - rk_psi_minus,
-        "ker_rho_plus": hd.e_plus_dim - rk_rho_plus,
-        "ker_rho_minus_star": md.u_minus_dim - rk_rho_minus,
-        "ker_psi_plus": hd.structure.dim - rk_psi_plus,
-        "coker_rho_minus_star": md.e_minus_dim - rk_rho_minus,
-        "coker_psi_plus": hd.u_plus_dim - rk_psi_plus,
-        "coker_psi_minus": hd.structure.dim - rk_psi_minus,
-        "coker_rho_plus": hd.u_plus_dim - rk_rho_plus,
-    }
 
 
 def _maps_onto(images, basis):
@@ -706,26 +707,6 @@ def _maps_onto(images, basis):
     if rank(images) != len(images):
         return False
     return rank(images + basis) == len(basis)
-
-
-def _check_fact_c(md, kernels):
-    """psi_minus restricted to ker rho_minus_star is a bijection onto
-    ker psi_plus."""
-    return _maps_onto(_images(kernels["rho_minus_star"], md.psi_minus),
-                      kernels["psi_plus"])
-
-
-def _check_fact_b(md, X, kernels):
-    """With iota = Omega tensor X fixed, rho_minus_star maps ker psi_minus
-    bijectively onto iota^{-1}(ker rho_plus).  iota sends (w_lo, w_hi),
-    the z0* and z1* halves of E_minus, to (X w_hi, -X w_lo)."""
-    h = md.h_minus_dim
-    ws = _images(kernels["psi_minus"], md.rho_minus_star)
-    halves = _images([w[h:] for w in ws] + [w[:h] for w in ws], X)
-    images = [hi + [-y for y in lo]
-              for hi, lo in zip(halves, halves[len(ws):])]
-    # iota is invertible: _maps_onto's rank test also decides the images'
-    return _maps_onto(images, kernels["rho_plus"])
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,9 @@ rather than the annihilator kernel, twisted dimensions by the splitting
 formula, kernels and solutions by Gauss-Jordan elimination in Q(i)
 arithmetic, resultants over GF(p) by eliminating the Sylvester matrix, the
 factorization's intertwiner from its dense system in all hp^2 unknowns
-and from its recurrence on the Scalar product psi_plus . psi_minus,
+and from its recurrence on the Scalar product psi_plus . psi_minus, its
+ranks from the kernels of all four maps rather than the annihilator
+degrees, and its facts b and c from the images of those kernels,
 Q(i) arithmetic on a pair of Fractions rather than a Gaussian integer over
 one denominator, graded kernels by an exact elimination at every stage and
 a selection among whole kernel vectors, Lie brackets by walking the
@@ -444,20 +446,40 @@ def scalar_intertwiner(lhs, plus_degrees, minus_degrees):
 
 
 def scalar_factorization(hd, md):
-    """``(X, solvable, iso_found, facts)`` of the factorization check by
-    its Scalar route: L = psi_plus . psi_minus by ``mat_mul``, X by
-    :func:`scalar_intertwiner`, and the images of facts b and c one
-    ``mat_vec`` per kernel vector.  The kernels, the dimensions and the
-    rank tests are the library's."""
-    from qlike.structures import _correspondence_dims, _maps_onto
+    """``(X, solvable, iso_found, dims, facts)`` of the factorization check
+    by its Scalar route: L = psi_plus . psi_minus by ``mat_mul``, X by
+    :func:`scalar_intertwiner`, every rank from one ``kernel_basis`` of
+    each of the four maps, fact c from the images of ker rho_minus_star
+    under psi_minus, and fact b from the images of ker psi_minus under
+    iota . rho_minus_star (X on both halves), one ``mat_vec`` per kernel
+    vector.  Nothing is read off the annihilator degrees."""
+    from qlike.structures import _maps_onto
     X = scalar_intertwiner(mat_mul(hd.psi_plus, md.psi_minus),
                            hd.ann.degrees, md.dual_heaven.ann.degrees)
     solvable = X is not None
-    kernels = {"psi_minus": kernel_basis(md.psi_minus),
-               "rho_plus": kernel_basis(hd.rho_plus),
-               "rho_minus_star": kernel_basis(md.rho_minus_star),
-               "psi_plus": kernel_basis(hd.psi_plus)}
-    dims = _correspondence_dims(hd, md, kernels)
+    maps = {"psi_minus": md.psi_minus, "rho_plus": hd.rho_plus,
+            "rho_minus_star": md.rho_minus_star, "psi_plus": hd.psi_plus}
+    kernels = {name: kernel_basis(m) for name, m in maps.items()}
+    n, up, um = hd.structure.dim, hd.u_plus_dim, md.u_minus_dim
+    # rank is ncols - dim ker for a matrix with rows, and 0 without rows
+    rk = {name: len(m[0]) - len(kernels[name]) if m else 0
+          for name, m in maps.items()}
+    dims = {
+        "U": n,
+        "U_plus": up,
+        "U_minus": um,
+        "E": hd.e_plus_dim,
+        "H_plus": hd.h_plus_dim,
+        "H_minus": md.h_minus_dim,
+        "ker_psi_minus": um - rk["psi_minus"],
+        "ker_rho_plus": hd.e_plus_dim - rk["rho_plus"],
+        "ker_rho_minus_star": um - rk["rho_minus_star"],
+        "ker_psi_plus": n - rk["psi_plus"],
+        "coker_rho_minus_star": md.e_minus_dim - rk["rho_minus_star"],
+        "coker_psi_plus": up - rk["psi_plus"],
+        "coker_psi_minus": n - rk["psi_minus"],
+        "coker_rho_plus": up - rk["rho_plus"],
+    }
     fact_c = _maps_onto([mat_vec(md.psi_minus, v)
                          for v in kernels["rho_minus_star"]],
                         kernels["psi_plus"])
@@ -479,7 +501,7 @@ def scalar_factorization(hd, md):
                           + [-y for y in mat_vec(X, w[:h])])
         facts["rho_minus_star_maps_ker_psi_minus_onto_iota_inv_ker_rho_plus"]\
             = iso_found and _maps_onto(images, kernels["rho_plus"])
-    return X, solvable, iso_found, facts
+    return X, solvable, iso_found, dims, facts
 
 
 def graded_kernel_by_stages(relation_rows, n_unknowns, unknown_shifts=None, *,

@@ -1,6 +1,8 @@
+import importlib.util
 import os
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from dataclasses import replace
@@ -21,7 +23,7 @@ from qlike.catalog import (build_conic_r3, build_quaternionic,
 from qlike.errors import InternalError, InvalidInput
 from qlike.forms import BinaryForm, Z0, Z1, parse_form
 from qlike.linalg import identity, rank
-from qlike.polymatrix import PolyMatrix
+from qlike.polymatrix import PolyMatrix, _section_layout
 from qlike.sampling import random_structures
 from qlike.scalars import I, ONE, Scalar, ZERO, gaussian
 from qlike.embedding import _bivariate_two_point
@@ -312,9 +314,10 @@ def _perturbed(hd, row, column, delta):
 
 
 def test_integer_route_matches_the_scalar_route():
-    # the Gaussian-integer products and per-block denominators give the
-    # same X, verdicts and facts as mat_mul, the Scalar recurrence and one
-    # mat_vec per kernel vector
+    # the Gaussian-integer product with per-block denominators and the
+    # ranks read off the annihilator degrees give the same X, verdicts,
+    # dims and facts as mat_mul, the Scalar recurrence, the four kernels
+    # and one mat_vec per kernel vector
     pool = ([CONIC, QUAT, PLANE, build_quaternionic(2)]
             + random_structures(1, 30))
     seen = Counter()
@@ -334,17 +337,87 @@ def test_integer_route_matches_the_scalar_route():
                                  _perturbed(hd, last, c, I)),
                  ("row-denominator", den)]
         for kind, h in cases:
-            X, solvable, iso_found, facts = scalar_factorization(h, md)
+            X, solvable, iso_found, dims, facts = scalar_factorization(h, md)
             fact = verify_factorization(h, md)
             assert structures._intertwiner(
                 h.psi_plus, md.psi_minus, h.ann.degrees,
                 md.dual_heaven.ann.degrees) == X
-            assert (fact.solvable, fact.iso_found, fact.facts) == \
-                (solvable, iso_found, facts)
+            assert (fact.solvable, fact.iso_found, fact.dims, fact.facts) == \
+                (solvable, iso_found, dims, facts)
             seen[kind, solvable] += 1
     assert seen == Counter({("given", True): len(pool),
                             ("last-plus-block", False): len(pool),
                             ("row-denominator", False): len(pool)})
+
+
+DIGEST_TOOL = Path(__file__).resolve().parent.parent / "tools" / \
+    "report_digest.py"
+
+
+def _constant_generator_structures():
+    """The structures with degree-0 minus summands that
+    tools/report_digest.py digests."""
+    spec = importlib.util.spec_from_file_location("report_digest", DIGEST_TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool.constant_generator_structures()
+
+
+def _psi_minus_edited(md, edit):
+    psi = [row[:] for row in md.psi_minus]
+    for row in psi:
+        edit(row)
+    return replace(md, psi_minus=psi)
+
+
+def test_degree_zero_minus_summands_match_the_scalar_route():
+    # a degree-0 minus summand puts its S_0 coordinate z in ker
+    # rho_minus_star, which none of the suite's random draws reaches.  psi_minus's column z
+    # lies in ker psi_plus, so L = psi_plus . psi_minus, and with it the
+    # identity, keeps its solutions when that column is zeroed, copied
+    # onto a second degree-0 column, or moved (added to the next column
+    # and zeroed).  Copied onto a column of positive degree, it breaks the
+    # identity.  Moved on the dual plane, whose ker psi_minus is not zero,
+    # only the independence of the columns at Z fails fact b.
+    fact_b = "rho_minus_star_maps_ker_psi_minus_onto_iota_inv_ker_rho_plus"
+    fact_c = "psi_minus_maps_ker_rho_minus_star_onto_ker_psi_plus"
+    seen = Counter()
+    for name, s in _constant_generator_structures():
+        hd = heaven_data(s)
+        md = minus_data(hd)
+        degrees = md.dual_heaven.ann.degrees
+        _, offsets, _ = _section_layout(degrees, 0)
+        zs = [o for o, e in zip(offsets, degrees) if e == 0]
+        z = zs[0]
+        target = zs[1] if len(zs) > 1 else z + 1
+
+        def zero(row):
+            row[z] = ZERO
+
+        def copy(row):
+            row[target] = row[z]
+
+        def move(row):
+            row[z + 1], row[z] = row[z + 1] + row[z], ZERO
+
+        cases = [("given", md), ("zeroed", _psi_minus_edited(md, zero)),
+                 ("copied", _psi_minus_edited(md, copy)),
+                 ("moved", _psi_minus_edited(md, move))]
+        for kind, m in cases:
+            X, solvable, iso_found, dims, facts = scalar_factorization(hd, m)
+            fact = verify_factorization(hd, m)
+            assert (fact.solvable, fact.iso_found, fact.dims, fact.facts) == \
+                (solvable, iso_found, dims, facts), (name, kind)
+            assert dims["ker_rho_minus_star"] == len(zs)
+            seen[kind, solvable, facts["kernel_dims_match"],
+                 facts.get(fact_b), facts[fact_c]] += 1
+    assert seen == Counter({("given", True, True, True, True): 4,
+                            ("zeroed", True, False, False, False): 4,
+                            ("copied", True, False, False, False): 1,
+                            ("copied", False, True, None, True): 1,
+                            ("copied", False, False, None, True): 2,
+                            ("moved", True, True, False, False): 1,
+                            ("moved", True, False, False, False): 3})
 
 
 def test_factorization_builds_no_scalar_product(monkeypatch):
@@ -768,9 +841,10 @@ def test_rank_dropping_annihilator_fails_plus_side_genericity(s):
 
 
 def test_analyze_checks_genericity_once(monkeypatch):
-    # of structures' kernels, only minus_data's ker psi_minus and the three
-    # kernels verify_factorization reads are left; no section values are
-    # evaluated, the canonical-sequence check included
+    # of structures' kernels, only verify_factorization's ker psi_plus is
+    # left: rho's kernels are read off the annihilator degrees and psi_minus
+    # is only ranked; no section values are evaluated, the
+    # canonical-sequence check included
     kernels = Counter()
 
     def counting_kernel(a):
@@ -785,7 +859,7 @@ def test_analyze_checks_genericity_once(monkeypatch):
         v = validate(s)
         kernels.clear()
         analyze(s, v)
-        assert kernels == Counter({"kernel_basis": 4})
+        assert kernels == Counter({"kernel_basis": 1})
 
 
 def test_analysis_verdict_reads_the_canonical_sequences(monkeypatch):

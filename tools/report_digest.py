@@ -25,7 +25,10 @@ Groups (all of them by default):
   ``random_structures(20250808, 53)`` and ``random_structures(123, 8)``;
 * ``invalid`` -- ``valid``, ``curve_degree`` and each check's name and
   status (not its detail) from ``validate_good_quadruple`` on the crafted
-  invalid quadruples of :func:`invalid_quadruples`.
+  invalid quadruples of :func:`invalid_quadruples`;
+* ``constant-generators`` -- ``analyze`` JSON on the complex structures
+  of :func:`constant_generator_structures`, whose minus sides have
+  degree-0 summands.
 """
 
 import hashlib
@@ -142,8 +145,44 @@ def invalid():
                "checks": [[c["name"], c["status"]] for c in report["checks"]]}
 
 
+def constant_generator_structures():
+    """(name, structure) pairs of complex structures with a constant
+    column, so that their minus sides have degree-0 summands and
+    ker rho_minus_star is not zero; the random draws never have one."""
+    from qlike.catalog import build_twisted_plane_c4
+    from qlike.forms import BinaryForm
+    from qlike.polymatrix import PolyMatrix
+    from qlike.structures import QLikeStructure, dualize
+
+    def structure(n, d, units):
+        # the rational normal curve of degree d in the first d + 1
+        # coordinates, plus the unit vectors at the indices ``units``
+        curve = [BinaryForm.monomial(d, t) if t <= d else BinaryForm.zero(d)
+                 for t in range(n)]
+        columns = [curve] + [[BinaryForm.monomial(0, 0) if r == u
+                              else BinaryForm.zero(0) for r in range(n)]
+                             for u in units]
+        spanning = PolyMatrix.from_columns(n, columns, [d] + [0] * len(units))
+        return QLikeStructure(n, len(columns), spanning, None,
+                              complex_mode=True)
+
+    return [
+        ("dual-twisted-plane-c4", dualize(build_twisted_plane_c4())),
+        ("conic-c4-plus-e4", structure(4, 2, [3])),
+        ("line-c5-plus-e4", structure(5, 1, [3])),
+        ("twisted-cubic-c6-plus-e5-e6", structure(6, 3, [4, 5])),
+    ]
+
+
+def constant_generators():
+    from qlike.structures import analyze
+    for _, S in constant_generator_structures():
+        yield analyze(S).to_json()
+
+
 GROUPS = {"quadruples": quadruples, "algebras": algebras, "cli": cli,
-          "fixtures": fixtures, "structures": structures, "invalid": invalid}
+          "fixtures": fixtures, "structures": structures, "invalid": invalid,
+          "constant-generators": constant_generators}
 
 
 def group_digest(records):
