@@ -335,7 +335,9 @@ def splitting_type(F) -> SplittingType:
     For a SubbundleFamily the summands are the negated free-basis degrees;
     the result is cross-checked against the second differences of the
     twisted section dimensions h(m) = dim { v in S_m^n : <q, v> = 0 for
-    every annihilator column q }.  Each h(m) is proven modulo a prime
+    every annihilator column q }, at the twists lo - 2 .. hi that the
+    second differences at lo .. hi read (lo, hi the least and largest
+    degree of F).  Each h(m) is proven modulo a prime
     p = 1 mod 4: the rank of the pairing equations modulo p is at most
     their rank, and the z-multiples of F's basis at degree m, which pair to
     zero with the annihilator (checked exactly), bound the kernel from
@@ -354,7 +356,7 @@ def splitting_type(F) -> SplittingType:
         ann = annihilator(F)
         lo = min(F.degrees)
         hi = max(F.degrees)
-        h = _certified_h0s(F, ann, range(lo - 2, hi + 2))
+        h = _certified_h0s(F, ann, range(lo - 2, hi + 1))
         for m, v in h.items():
             if v is None:
                 h[m] = _h0_killed_by(ann, m)

@@ -23,8 +23,8 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd as _igcd, lcm as _lcm
 
-from .scalars import (ONE, ZERO, Scalar, format_scalar, gaussian,
-                      parse_scalar, primitive_part, scalar)
+from .scalars import (ONE, ZERO, Scalar, clear_denominators, format_scalar,
+                      gaussian, parse_scalar, primitive_part, scalar)
 
 
 class BinaryForm:
@@ -54,11 +54,10 @@ class BinaryForm:
                              % (degree, degree + 1, len(coeffs)))
         # each coefficient is in normal form, so over the lcm of their
         # denominators the numerators have no factor in common with it
-        den = _lcm(*[c.d for c in coeffs])
+        den, num = clear_denominators(coeffs)
         _set_degree(self, degree)
         _set_den(self, den)
-        _set_num(self, tuple((c.a * (den // c.d), c.b * (den // c.d))
-                             for c in coeffs))
+        _set_num(self, tuple(num))
 
     def __setattr__(self, name, value):
         raise AttributeError("BinaryForm is immutable")

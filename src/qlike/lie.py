@@ -72,9 +72,6 @@ class LieAlgebra:
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
 
-    def bracket_basis(self, i, j):
-        return [row[j] for row in self.adjoint_representation().matrices[i]]
-
     def bracket(self, x, y):
         """[x, y] for coordinate vectors x, y: sum_ij x_i y_j [x_i, x_j]
         over their supports, read from ``brackets`` (no ad table)."""

@@ -72,9 +72,6 @@ class Scalar:
     def is_one(self):
         return self.a == 1 and self.d == 1 and not self.b
 
-    def is_real(self):
-        return not self.b
-
     def __bool__(self):
         return bool(self.a or self.b)
 

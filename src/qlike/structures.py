@@ -292,9 +292,11 @@ class HeavenData:
     """Section-space presentation of the quotient side.
 
     U_plus is H^0 of the quotient bundle with its pairing-tuple basis;
-    E_plus = H^0(O(1)) tensor H^0(quotient(-1)); rho_plus multiplies a
-    twisted section tuple by a linear form; psi_plus pairs a vector of U
-    against the annihilator generators.
+    E_plus = H^0(O(1)) tensor H^0(quotient(-1)); psi_plus pairs a vector
+    of U against the annihilator generators.  rho_plus, which multiplies a
+    twisted section tuple by a linear form, is not stored: everything the
+    analysis uses of it is read off the annihilator degrees
+    (:func:`verify_factorization`).
     """
     structure: QLikeStructure
     family: SubbundleFamily
@@ -303,10 +305,8 @@ class HeavenData:
     h_plus_dim: int
     e_plus_dim: int
     psi_plus: list
-    rho_plus: list
     conj_u_plus: list = None
     conj_h_plus: list = None
-    conj_e_plus: list = None
 
 
 def heaven_data(S: QLikeStructure, family: SubbundleFamily = None) -> HeavenData:
@@ -321,26 +321,14 @@ def heaven_data(S: QLikeStructure, family: SubbundleFamily = None) -> HeavenData
     ann = annihilator(family)
     degs = list(ann.degrees)
     n = S.dim
-    _, off0, u_dim = _section_layout(degs, 0)
-    lenm1, offm1, h_dim = _section_layout(degs, -1)
-    e_dim = 2 * h_dim
+    u_dim = _section_layout(degs, 0)[2]
+    h_dim = _section_layout(degs, -1)[2]
 
     # psi_plus: u in U maps to the tuple of pairings <q_j(.), u>, the
     # equations of the constant vectors u that every q_j kills
     psi = _equation_rows([[f.coeffs for f in col] for col in ann.columns()],
                          [0] * n, 0)
-
-    # rho_plus: (z_a tensor h) maps to z_a * h, E basis is z_a-major
-    rho = zeros(u_dim, e_dim)
-    for a in range(2):
-        for j, length in enumerate(lenm1):
-            for t in range(length):
-                col = a * h_dim + offm1[j] + t
-                # z0 * monomial(e-1, t) = monomial(e, t); z1 * ... = monomial(e, t+1)
-                w = t + a
-                rho[off0[j] + w][col] = ONE
-
-    hd = HeavenData(S, family, ann, u_dim, h_dim, e_dim, psi, rho)
+    hd = HeavenData(S, family, ann, u_dim, h_dim, 2 * h_dim, psi)
 
     # genericity: the sections V_z vanishing at z and im psi_plus span
     # U_plus.  Annihilator degrees are >= 0 (graded_kernel starts at stage
@@ -359,10 +347,17 @@ def heaven_data(S: QLikeStructure, family: SubbundleFamily = None) -> HeavenData
 
 
 def _attach_conjugations(hd: HeavenData):
-    """Real mode: induced antilinear involutions on U_plus, H_plus, E_plus.
+    """Real mode: induced antilinear involutions on U_plus and H_plus.
 
     kappa(f)_j = (-1)^{e_j} * antipodal(sum_l G_lj f_l) where G expresses the
     conjugated-antipodal annihilator generators in the annihilator basis.
+
+    E_plus = S1 tensor H_plus carries no check of its own.  With the
+    antipodal structure on S1 (z0 -> -z1, z1 -> z0), its conjugation in
+    z_a-major blocks is ce = [[0, C_H], [-C_H, 0]], so ce conj(ce) =
+    diag(-C_H conj(C_H), -C_H conj(C_H)): it is +1 exactly when
+    C_H conj(C_H) = -1, which is checked here, and trivially when
+    H_plus = 0.
     """
     S = hd.structure
     ann = hd.ann
@@ -388,14 +383,6 @@ def _attach_conjugations(hd: HeavenData):
     if ch and not mat_eq(mat_mul(ch, conj_matrix(ch)),
                          [[-x for x in row] for row in identity(hd.h_plus_dim)]):
         raise InternalError("conjugation on H_plus does not square to -1")
-    # E = S1 tensor H with the antipodal structure on S1 (z0 -> -z1,
-    # z1 -> z0): in z_a-major blocks, [[0, C_H], [-C_H, 0]]
-    pad = [ZERO] * hd.h_plus_dim
-    ce = ([pad + row for row in ch]
-          + [[-x for x in row] + pad for row in ch])
-    hd.conj_e_plus = ce
-    if not mat_eq(mat_mul(ce, conj_matrix(ce)), identity(hd.e_plus_dim)):
-        raise InternalError("conjugation on E_plus does not square to +1")
     # psi_plus intertwines kappa_U and the section conjugation
     lhs = mat_mul(hd.psi_plus, C)
     rhs = mat_mul(cu, conj_matrix(hd.psi_plus))
@@ -432,14 +419,14 @@ def _conj_matrix_on_sections(degs, G, twist):
 @dataclass
 class MinusData:
     """Dual-side presentation, obtained from the heaven data of the dual
-    structure by transposition."""
-    structure: QLikeStructure
+    structure by transposition.  Like rho_plus, rho_minus_star (the
+    transpose of the dual's rho_plus) is not stored; it too is read off
+    the annihilator degrees."""
     dual_heaven: HeavenData
     u_minus_dim: int
     h_minus_dim: int
     e_minus_dim: int
     psi_minus: list          # U_minus -> U
-    rho_minus_star: list     # U_minus -> E_minus
 
 
 def minus_data(hd: HeavenData) -> MinusData:
@@ -451,11 +438,9 @@ def minus_data(hd: HeavenData) -> MinusData:
     dual's plus-side check, which heaven_data(dual) runs at the same points:
     ker psi_minus = (im dual.psi_plus)^perp, as psi_minus = dual.psi_plus^T,
     so the intersection is (V'_z + im dual.psi_plus)^perp."""
-    S = hd.structure
-    dual = heaven_data(_dual_structure(S, hd.ann), hd.ann)
-    return MinusData(S, dual, dual.u_plus_dim, dual.h_plus_dim,
-                     dual.e_plus_dim, transpose(dual.psi_plus),
-                     transpose(dual.rho_plus))
+    dual = heaven_data(_dual_structure(hd.structure, hd.ann), hd.ann)
+    return MinusData(dual, dual.u_plus_dim, dual.h_plus_dim,
+                     dual.e_plus_dim, transpose(dual.psi_plus))
 
 
 # --------------------------------------------------------------------------

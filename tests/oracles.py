@@ -7,10 +7,11 @@ formula, kernels and solutions by Gauss-Jordan elimination in Q(i)
 arithmetic, resultants over GF(p) by eliminating the Sylvester matrix, the
 factorization's intertwiner from its dense system in all hp^2 unknowns
 and from its recurrence on the Scalar product psi_plus . psi_minus, its
-ranks from the kernels of all four maps rather than the annihilator
-degrees, and its facts b and c from the images of those kernels,
-Q(i) arithmetic on a pair of Fractions rather than a Gaussian integer over
-one denominator, graded kernels by an exact elimination at every stage and
+ranks from the kernels of all four maps (rho_plus and rho_minus_star
+built as dense 0/1 matrices) rather than the annihilator degrees, and its
+facts b and c from the images of those kernels, Q(i) arithmetic on a
+pair of Fractions rather than a Gaussian integer over one denominator,
+graded kernels by an exact elimination at every stage and
 a selection among whole kernel vectors, Lie brackets by walking the
 structure-constant table pair by pair, Jacobson-Morozov's H system one
 bracket per column, a matrix algebra's structure constants by one
@@ -385,6 +386,23 @@ def plus_side_generic_by_sections(ann, z0, z1):
     return (len(rref(spanning)[1]) if spanning else 0) == u_dim
 
 
+def dense_rho(degrees):
+    """The dense 0/1 matrix of rho_plus for the annihilator degrees
+    ``degrees``: z_a tensor h in E_plus = S1 tensor H_plus, whose basis is
+    z_a-major, maps to z_a * h in U_plus.  rho_minus_star is the transpose
+    of this matrix for the dual's degrees."""
+    degrees = list(degrees)
+    lenm1, offm1, h_dim = _section_layout(degrees, -1)
+    _, off0, u_dim = _section_layout(degrees, 0)
+    rho = [[ZERO] * (2 * h_dim) for _ in range(u_dim)]
+    for a in range(2):
+        for j, length in enumerate(lenm1):
+            for t in range(length):
+                # z0 * monomial(e-1, t) = monomial(e, t); z1 * ... = monomial(e, t+1)
+                rho[off0[j] + t + a][a * h_dim + offm1[j] + t] = ONE
+    return rho
+
+
 def dense_intertwiner(hd, md):
     """``(X, homogeneous, invertible)`` for the factorization identity
     psi_plus . psi_minus = rho_plus . iota . rho_minus_star, from the dense
@@ -393,6 +411,8 @@ def dense_intertwiner(hd, md):
     the system is inconsistent), the homogeneous solutions, and whether X
     has rank hp (by Gauss-Jordan)."""
     hp = hd.h_plus_dim
+    rho_plus = dense_rho(hd.ann.degrees)
+    rho_minus_star = transpose(dense_rho(md.dual_heaven.ann.degrees))
     lhs = mat_mul(hd.psi_plus, md.psi_minus)
     rows = hd.u_plus_dim * md.u_minus_dim
     a = [[ZERO] * (hp * hp) for _ in range(rows)]
@@ -404,11 +424,11 @@ def dense_intertwiner(hd, md):
             for acol in range(2):
                 arow, coeff = omega[acol]
                 for i in range(hd.u_plus_dim):
-                    rp = hd.rho_plus[i][arow * hp + g]
+                    rp = rho_plus[i][arow * hp + g]
                     if rp.is_zero():
                         continue
                     for j in range(md.u_minus_dim):
-                        rm = md.rho_minus_star[acol * hp + bta][j]
+                        rm = rho_minus_star[acol * hp + bta][j]
                         if not rm.is_zero():
                             r = i * md.u_minus_dim + j
                             a[r][g * hp + bta] += coeff * rp * rm
@@ -457,8 +477,10 @@ def scalar_factorization(hd, md):
     X = scalar_intertwiner(mat_mul(hd.psi_plus, md.psi_minus),
                            hd.ann.degrees, md.dual_heaven.ann.degrees)
     solvable = X is not None
-    maps = {"psi_minus": md.psi_minus, "rho_plus": hd.rho_plus,
-            "rho_minus_star": md.rho_minus_star, "psi_plus": hd.psi_plus}
+    rho_plus = dense_rho(hd.ann.degrees)
+    rho_minus_star = transpose(dense_rho(md.dual_heaven.ann.degrees))
+    maps = {"psi_minus": md.psi_minus, "rho_plus": rho_plus,
+            "rho_minus_star": rho_minus_star, "psi_plus": hd.psi_plus}
     kernels = {name: kernel_basis(m) for name, m in maps.items()}
     n, up, um = hd.structure.dim, hd.u_plus_dim, md.u_minus_dim
     # rank is ncols - dim ker for a matrix with rows, and 0 without rows
@@ -496,7 +518,7 @@ def scalar_factorization(hd, md):
     if solvable:
         images = []
         for v in kernels["psi_minus"]:
-            w = mat_vec(md.rho_minus_star, v)
+            w = mat_vec(rho_minus_star, v)
             images.append(mat_vec(X, w[h:])
                           + [-y for y in mat_vec(X, w[:h])])
         facts["rho_minus_star_maps_ker_psi_minus_onto_iota_inv_ker_rho_plus"]\

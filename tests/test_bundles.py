@@ -242,8 +242,9 @@ def _twist_window(fam):
 
 
 def test_certified_h0_equals_exact_solve():
-    # the splitting cross-check's window, on both sides of each structure:
-    # every twist certifies, with the exact kernel dimension
+    # the splitting cross-check's window and the twist above it, on both
+    # sides of each structure: every twist certifies, with the exact kernel
+    # dimension
     structures = [build_conic_r3(), build_quaternionic(1),
                   build_twisted_plane_c4()] + random_structures(123, 4)
     for s in structures:
@@ -256,6 +257,27 @@ def test_certified_h0_equals_exact_solve():
             for m, h in certified.items():
                 assert h is not None
                 assert h == _h0_killed_by(a, m)
+
+
+def test_splitting_certifies_only_the_twists_it_reads(monkeypatch):
+    # the second differences at lo .. hi read h at lo - 2 .. hi and nowhere
+    # else, on a family and on a quotient bundle alike
+    asked = []
+
+    def recording(F, ann, twists):
+        asked.append((F.degrees, list(twists)))
+        return _certified_h0s(F, ann, twists)
+
+    monkeypatch.setattr(bundles, "_certified_h0s", recording)
+    structures = ([s for _, s in fixture_structures()]
+                  + random_structures(20250808, 9))
+    for s in structures:
+        fam = saturate(s.spanning)
+        splitting_type(fam)
+        splitting_type(QuotientBundle(s.dim, fam))
+    assert len(asked) == 2 * len(structures)
+    for degrees, twists in asked:
+        assert twists == list(range(min(degrees) - 2, max(degrees) + 1))
 
 
 def test_unsaturated_family_fails_through_exact_fallback(monkeypatch):

@@ -117,7 +117,7 @@ def _check(s, o):
     assert (s.re, s.im) == (o.re, o.im)
     assert s.is_zero() == o.is_zero() == (not s)
     assert s.is_one() == o.is_one()
-    assert s.is_real() == o.is_real()
+    assert (not s.b) == o.is_real()
     text = format_scalar(s)
     assert text == format_pair(o)
     assert parse_scalar(text) == s

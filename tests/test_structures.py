@@ -206,12 +206,23 @@ def test_dual_conjugation_is_inverse_transpose():
 
 
 def test_real_mode_conjugation_squares():
-    hd = heaven_data(QUAT)
-    assert hd.conj_u_plus is not None
-    assert hd.conj_h_plus is not None
-    assert hd.conj_e_plus is not None
-    hd_c = heaven_data(CONIC)
-    assert hd_c.conj_e_plus is not None
+    # C_U conj(C_U) = 1 and C_H conj(C_H) = -1; E_plus = S1 tensor H_plus
+    # then has ce = [[0, C_H], [-C_H, 0]] with ce conj(ce) = 1, which
+    # heaven_data does not check on its own
+    for s in (QUAT, CONIC, build_quaternionic(2)):
+        hd = heaven_data(s)
+        cu, ch = hd.conj_u_plus, hd.conj_h_plus
+        hp = hd.h_plus_dim
+        assert linalg.mat_mul(cu, linalg.conj_matrix(cu)) == \
+            identity(hd.u_plus_dim)
+        assert linalg.mat_mul(ch, linalg.conj_matrix(ch)) == \
+            [[-x for x in row] for row in identity(hp)]
+        pad = [ZERO] * hp
+        ce = [pad + row for row in ch] + [[-x for x in row] + pad
+                                          for row in ch]
+        assert len(ce) == hd.e_plus_dim
+        assert linalg.mat_mul(ce, linalg.conj_matrix(ce)) == \
+            identity(hd.e_plus_dim)
 
 
 def test_morphism_identity():
@@ -262,6 +273,45 @@ def test_morphism_rejects_psi_of_the_wrong_shape(rows, cols):
 def test_morphism_rejects_t_of_the_wrong_shape():
     with pytest.raises(InvalidInput, match="T must be 2x2"):
         check_morphism(CONIC, CONIC, identity(3), [[1, 0, 0], [0, 1, 0]])
+
+
+def _unit_triangular(rng, n, lower):
+    """A unitriangular matrix with entries in {-1, 0, 1} + {-1, 0, 1} i."""
+    return [[ONE if i == j else
+             Scalar(rng.randint(-1, 1), rng.randint(-1, 1))
+             if (i > j) == lower else ZERO for j in range(n)]
+            for i in range(n)]
+
+
+def _moved_structure(S, g, T):
+    """S' whose spanning columns are g . c(T z), c the columns of S."""
+    degrees = S.spanning.col_degrees
+    cols = [polymatrix._apply_scalar_matrix(
+                g, [f.substitute(*T) for f in col], d)
+            for col, d in zip(S.spanning.columns(), degrees)]
+    spanning = PolyMatrix.from_columns(S.dim, cols, degrees)
+    return QLikeStructure(S.dim, S.k, spanning, complex_mode=True)
+
+
+def _invariants(report):
+    data = report.to_json()
+    checks = [(c["name"], c["status"]) for c in data.pop("validation")["checks"]]
+    return checks, data
+
+
+def test_analysis_is_invariant_under_a_change_of_coordinates():
+    # S' = g . S o T is isomorphic to S, so every invariant analyze reports
+    # agrees, and (g, T^-1) is a morphism S -> S' where (g, T) is not
+    rng = random.Random(10)
+    for step, s in enumerate(random_structures(20250808, 10)):
+        T = ((1, 1, 0, 1), (2, 1, 1, 1))[step % 2]
+        g = linalg.mat_mul(_unit_triangular(rng, s.dim, False),
+                           _unit_triangular(rng, s.dim, True))
+        moved = _moved_structure(s, g, T)
+        assert _invariants(analyze(moved)) == _invariants(analyze(s))
+        t = [[Scalar(T[0]), Scalar(T[1])], [Scalar(T[2]), Scalar(T[3])]]
+        assert check_morphism(s, moved, g, linalg.inverse(t))
+        assert not check_morphism(s, moved, g, t)
 
 
 def test_random_structures_all_valid_and_factorize():
