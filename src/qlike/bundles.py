@@ -27,8 +27,6 @@ from .polymatrix import (PolyMatrix, _decode, _equation_rows, _multiple_coeffs,
                          _section_layout, generic_rank, graded_kernel,
                          graded_kernel_from_basis, solve_combination)
 
-SAMPLE_POINTS = ((1, 0), (0, 1), (1, 1))
-
 
 @dataclass(frozen=True)
 class SplittingType:
@@ -435,27 +433,19 @@ def subquotient_splitting(A: SubbundleFamily, B: SubbundleFamily,
 
 def is_split_extension(A: SubbundleFamily) -> bool:
     """Does the inclusion of A into the trivial bundle admit a holomorphic
-    retraction R with R(z) basis(z) = identity?
+    retraction R with R(z) basis(z) = identity?  Exactly when every degree
+    of A is 0.
 
-    R's row i lives in Hom(O^n, O(-e_i)), i.e. forms of degree -e_i; the
-    system is solved exactly (rows with e_i > 0 have no unknowns, so any
-    required identity entry there already decides the answer).
+    R's row i lives in Hom(O^n, O(-e_i)).  If some e_i > 0 that space is 0,
+    so row i of R . basis is zero and cannot be a row of the identity.  If
+    every e_i is 0 the basis is a constant n x k matrix, and its k x k
+    minors, the Pluecker coordinates, are constants with no common zero:
+    :func:`~qlike.structures.validate` proves that of its family, and any
+    free basis of a saturated family evaluates to a basis of every fibre.
+    So some minor is nonzero, the columns are independent, and a left
+    inverse of them is R.
     """
-    k = A.rank
-    if k == 0:
-        return True
-    n = A.ambient
-    for i, e in enumerate(A.degrees):
-        if e > 0:
-            # row i of R is forced to zero; R.basis cannot hit the identity
-            return False
-    # all generator degrees zero: constant basis matrix, solve R B = I
-    from .linalg import solve_matrix
-    bmat = [[A.basis.entries[l][j].coeffs[0] for j in range(k)]
-            for l in range(n)]
-    # R B = I transposes to B^T R^T = I with R^T the n x k unknown
-    bt = [list(row) for row in zip(*bmat)]
-    return solve_matrix(bt, identity(k)) is not None
+    return all(e == 0 for e in A.degrees)
 
 
 def verify_canonical_sequences(Q: QuotientBundle) -> dict:

@@ -21,7 +21,7 @@ from .lie import (Sl2Embedding, builtin_algebra, combination,
                   so_algebra, sp_algebra, wedge_square_representation)
 from .linalg import identity, kernel_basis, mat_mul, solve_matrix, zeros
 from .orbit import (GoodQuadruple, _centralizer_dim, _dimension_report,
-                    adjoint_quadruple, dimension_report, normal_bundle)
+                    adjoint_quadruple, normal_bundle)
 from .polymatrix import PolyMatrix
 from .scalars import I, ONE, ZERO, Scalar
 
@@ -348,15 +348,12 @@ def run_quadruple_entry(entry: CatalogEntry) -> dict:
         centralizer = _centralizer_dim(q.algebra, q.tau.f)
         expected = _orbit_expected(q.algebra.dim, centralizer)
     report = normal_bundle(q, expected=expected, expected_source=source)
-    # adjoint_quadruple's nilpotent is tau.f, so ker ad f serves both
-    if centralizer is not None and q.adjoint and q.nilpotent == q.tau.f:
-        dims = _dimension_report(report, q.algebra.dim, centralizer)
-    else:
-        dims = dimension_report(q, report)
     result = {
         "name": entry.name,
         "normal": report.to_json(),
-        "dimension": dims,
+        # live-adjoint entries are adjoint_quadruple's, whose nilpotent is
+        # tau.f, so ker ad f serves both; the others are not adjoint
+        "dimension": _dimension_report(report, q.algebra.dim, centralizer),
         "ok": (report.match is not False) and report.nonnegative,
     }
     if entry.expected_dim_z is not None:

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bundles import (SAMPLE_POINTS, QuotientBundle, SplittingType,
-                      SubbundleFamily, annihilator, family_contains,
-                      is_split_extension, saturate, splitting_type,
-                      verify_canonical_sequences)
+from .bundles import (QuotientBundle, SplittingType, SubbundleFamily,
+                      annihilator, family_contains, is_split_extension,
+                      saturate, splitting_type, verify_canonical_sequences)
 from .embedding import curve_checks
 from .errors import InternalError, InvalidInput
 from .forms import BinaryForm, antipodal_transform, format_form, parse_form
@@ -314,8 +313,25 @@ def heaven_data(S: QLikeStructure, family: SubbundleFamily = None) -> HeavenData
     caller has it (validate's); otherwise it is saturated here.  Either
     way its annihilator is the saturation's link, so analyze reads the
     splittings, canonical sequences and minus side without re-deriving.
-    Plus-side genericity is checked here; run on the dual structure, as
-    :func:`minus_data` does, the same check is the minus side's."""
+
+    Plus-side genericity, V_z + im psi_plus = U_plus at every z (V_z: the
+    sections vanishing at z), is proven here, not checked.  Annihilator
+    degrees a_j are >= 0 (graded_kernel starts at stage 0), so evaluation
+    ev_z: U_plus -> C^(n-k) is onto with kernel V_z, and ev_z(psi_plus(u))
+    = (q_j(z) . u)_j = B(z)^T u for the annihilator basis B; so
+    dim(V_z + im psi_plus) = u_dim - (n - k) + rank B(z), and genericity
+    is rank B(z) = n - k.  Let F be the family's basis, of degrees e_i.
+    B^T F = 0 and B has generic rank n - k, so B's (n-k)-minor at the rows
+    I^c is lambda eps(I) times F's k-minor at I, for one rational function
+    lambda, eps(I) being the sign of the permutation (I, I^c): these are
+    the Pluecker coordinates of an orthogonal complement (Griffiths and
+    Harris, *Principles of Algebraic Geometry*, 1.5).  F's minors have no
+    common zero, as validate proves of its family (:func:`minus_data`) and
+    as holds for any saturated one, so lambda is a polynomial, of degree
+    sum a_j - sum e_i, which analyze's first-Chern check asserts is 0.  So
+    lambda is a nonzero constant, B's minors have no common zero either,
+    and rank B(z) = n - k at every z.  Run on the dual structure, as
+    :func:`minus_data` does, the same statement is the minus side's."""
     if family is None:
         family = saturate(S.spanning)
     ann = annihilator(family)
@@ -329,18 +345,6 @@ def heaven_data(S: QLikeStructure, family: SubbundleFamily = None) -> HeavenData
     psi = _equation_rows([[f.coeffs for f in col] for col in ann.columns()],
                          [0] * n, 0)
     hd = HeavenData(S, family, ann, u_dim, h_dim, 2 * h_dim, psi)
-
-    # genericity: the sections V_z vanishing at z and im psi_plus span
-    # U_plus.  Annihilator degrees are >= 0 (graded_kernel starts at stage
-    # 0), so evaluation ev_z: U_plus -> C^(n-k) is onto with kernel V_z, and
-    # ev_z(psi_plus(u)) = (q_j(z) . u)_j = A(z)^T u for the fibre A(z); so
-    # dim(V_z + im psi_plus) = u_dim - (n - k) + rank A(z), u_dim iff full.
-    for z0, z1 in SAMPLE_POINTS:
-        if rank(ann.fiber_at(z0, z1)) != ann.rank:
-            raise InternalError(
-                "plus-side genericity failed at a sample point; "
-                "this contradicts a validated structure")
-
     if not S.complex_mode:
         _attach_conjugations(hd)
     return hd
@@ -434,10 +438,17 @@ def minus_data(hd: HeavenData) -> MinusData:
     plus side; the dual's family is hd.ann, whose annihilator is hd.family.
 
     Minus-side genericity, (V'_z)^perp meeting ker psi_minus trivially at
-    each sample point z (V'_z: the dual's sections vanishing at z), is the
-    dual's plus-side check, which heaven_data(dual) runs at the same points:
-    ker psi_minus = (im dual.psi_plus)^perp, as psi_minus = dual.psi_plus^T,
-    so the intersection is (V'_z + im dual.psi_plus)^perp."""
+    every z (V'_z: the dual's sections vanishing at z), is the dual's
+    plus-side genericity: ker psi_minus = (im dual.psi_plus)^perp, as
+    psi_minus = dual.psi_plus^T, so the intersection is
+    (V'_z + im dual.psi_plus)^perp.  By :func:`heaven_data` that is
+    rank F(z) = k at every z for hd.family's basis F, which is validate's
+    family.  validate proved that the Pluecker coordinates of F, the k x k
+    minors of this very basis, have no common zero: by
+    :mod:`qlike.embedding`'s rational-normal-curve rule (z0^d and z1^d lie
+    in their span), or by the modular certificate or exact gcd of its
+    ``_reduced_pluecker``, which raises InternalError otherwise.  So it
+    holds at every z, with no check."""
     dual = heaven_data(_dual_structure(hd.structure, hd.ann), hd.ann)
     return MinusData(dual, dual.u_plus_dim, dual.h_plus_dim,
                      dual.e_plus_dim, transpose(dual.psi_plus))

@@ -386,6 +386,21 @@ def plus_side_generic_by_sections(ann, z0, z1):
     return (len(rref(spanning)[1]) if spanning else 0) == u_dim
 
 
+def split_by_solve(A):
+    """Whether A's inclusion has a retraction R with R . basis = identity,
+    by solving for it: R's row i lives in Hom(O^n, O(-e_i)), which is 0
+    when e_i > 0, and when every degree is 0 the basis is a constant matrix
+    B, and B^T R^T = I is solved exactly."""
+    k = A.rank
+    if k == 0:
+        return True
+    if any(e > 0 for e in A.degrees):
+        return False
+    bmat = [[A.basis.entries[l][j].coeffs[0] for j in range(k)]
+            for l in range(A.ambient)]
+    return solve_matrix(transpose(bmat), identity(k)) is not None
+
+
 def dense_rho(degrees):
     """The dense 0/1 matrix of rho_plus for the annihilator degrees
     ``degrees``: z_a tensor h in E_plus = S1 tensor H_plus, whose basis is

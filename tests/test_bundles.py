@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from oracles import minor_system_h0, splitting_h0
+from oracles import minor_system_h0, split_by_solve, splitting_h0
 
 from qlike import bundles
 from qlike.bundles import (QuotientBundle, SplittingType, SubbundleFamily,
@@ -199,6 +199,18 @@ def test_split_extension():
     assert is_split_extension(saturate(cols_matrix(2, ("1", "0"))))
     assert not is_split_extension(saturate(cols_matrix(2, ("z0", "z1"))))
     assert not is_split_extension(saturate(QUAT_FAMILY))
+    # read off the degrees, it agrees with solving for the retraction
+    spans = [s.spanning for _, s in fixture_structures()]
+    spans += [s.spanning for s in random_structures(20250808, 9)]
+    spans += [cols_matrix(2, ("1", "0")),
+              cols_matrix(4, ("1", "0", "i", "0"), ("0", "2", "0", "1-i")),
+              cols_matrix(3, ("1", "0", "0"), ("0", "z0", "z1"))]
+    families = [saturate(p) for p in spans]
+    assert [f.degrees for f in families[-3:]] == [(0,), (0, 0), (0, 1)]
+    assert [is_split_extension(f) for f in families] == \
+        [split_by_solve(f) for f in families]
+    assert [is_split_extension(f) for f in families[-3:]] == \
+        [True, True, False]
 
 
 def test_canonical_sequences_quaternionic_quotient():

@@ -8,6 +8,7 @@ import pytest
 from qlike import catalog
 from qlike.bundles import SplittingType
 from qlike.cli import main
+from test_loader_fuzz import QUADRUPLE
 
 
 FIXTURES = os.path.join(os.path.dirname(catalog.__file__), "fixtures", "v1")
@@ -372,6 +373,13 @@ _F = [0, 1, 0, 0, 0, 0, 0, 0]
       "sl2": {"nilpotent": [0, 1, 0]}}, "not a basis index"),
     ({"algebra": "so(5)", "sl2": {"nilpotent": "principal"}},
      "named nilpotents are defined for sl(n)"),
+    # sl(2) with H sent to the identity: tau holds, sigma is no representation
+    (dict(QUADRUPLE, representation={"matrices": [
+        [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, 1]]]}),
+     "representation-identity"),
+    # the Heisenberg algebra behind a nilpotent
+    ({"algebra": {"dim": 3, "brackets": [[0, 1, [[2, "1"]]]]},
+      "sl2": {"nilpotent": [0, 0, 1]}}, "not semisimple"),
 ])
 def test_malformed_quadruple_exit_two(tmp_path, capsys, spec, message):
     path = tmp_path / "quad.json"

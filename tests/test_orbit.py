@@ -25,6 +25,8 @@ from qlike.polymatrix import (PolyMatrix, _apply_scalar_matrix, generic_rank,
                               graded_kernel)
 from qlike.sampling import random_quadruples
 from qlike.scalars import ONE, Scalar, ZERO
+from qlike.serialize import quadruple_from_json
+from test_loader_fuzz import QUADRUPLE
 
 
 def test_nilpotent_family_squares_to_zero():
@@ -361,6 +363,18 @@ def test_dependent_u_basis_fails_irreducibility():
     assert not report["valid"]
     assert [c["name"] for c in report["checks"] if c["status"] == "fail"] \
         == ["u-irreducible-nontrivial"]
+
+
+def test_representation_breaking_the_identity_is_invalid():
+    # H sent to the identity: the sl(2) table and its embedding are intact,
+    # but [sigma(E), sigma(F)] = diag(1, -1) is not sigma(H)
+    q = quadruple_from_json(dict(QUADRUPLE, representation={"matrices": [
+        [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, 1]]]}))
+    report = validate_good_quadruple(q)
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    assert status["representation-identity"] == "fail"
+    assert status["sl2-embedding"] == "pass"
+    assert report["valid"] is False
 
 
 @pytest.mark.parametrize("length", [5, 10])

@@ -2,6 +2,7 @@ import importlib.util
 import os
 import random
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -16,12 +17,13 @@ from qlike import (bundles, catalog, embedding, linalg, modp, polymatrix,
 
 from oracles import (dense_intertwiner, plus_side_generic_by_sections,
                      scalar_factorization)
-from qlike.bundles import SAMPLE_POINTS, SplittingType
+from qlike.bundles import SplittingType
 from qlike.catalog import (build_conic_r3, build_quaternionic,
                            build_twisted_plane_c4,
                            _left_quaternion_matrices)
 from qlike.errors import InternalError, InvalidInput
-from qlike.forms import BinaryForm, Z0, Z1, parse_form
+from qlike.forms import (BinaryForm, Z0, Z1, ip_mul, ip_scale, ip_sub,
+                         parse_form)
 from qlike.linalg import identity, rank
 from qlike.polymatrix import PolyMatrix, _section_layout
 from qlike.sampling import random_structures
@@ -803,6 +805,7 @@ def test_smooth_quartic_takes_the_certificates():
     assert report.routes["immersion"] == "modular:%d" % PRIMES[0]
 
 
+SAMPLE_POINTS = ((1, 0), (0, 1), (1, 1))
 # z1, z0 and z0 - z1 vanish at the first, second and third sample point
 MULTIPLIERS = (Z1, Z0, Z0 - Z1)
 
@@ -822,11 +825,11 @@ def fibre_full_rank(family, z):
 
 
 def test_plus_side_genericity_is_the_fibre_rank():
-    # heaven_data decides genericity on the annihilator's fibre; the
-    # section-space statement it replaces must agree in both directions,
-    # on saturated families (the plus sides of a structure and of its
-    # dual) and on the same families with one generator multiplied by a
-    # linear form, whose fibre drops rank at exactly one sample point
+    # heaven_data proves genericity as the annihilator's full fibre rank;
+    # the section-space statement that stands for must agree in both
+    # directions, on saturated families (the plus sides of a structure and
+    # of its dual) and on the same families with one generator multiplied
+    # by a linear form, whose fibre drops rank at exactly one sample point
     for s in [CONIC, QUAT, PLANE] + random_structures(123, 4):
         fam = saturate(s.spanning)
         for side in (annihilator(fam), fam):
@@ -842,6 +845,45 @@ def test_plus_side_genericity_is_the_fibre_rank():
                     assert got == [fibre_full_rank(bent, z)
                                    for z in SAMPLE_POINTS]
                     assert got == [z != point for z in SAMPLE_POINTS]
+
+
+def complement_sign(rows, n):
+    """The sign of the permutation (I, I^c) of range(n), I = ``rows``."""
+    return (-1) ** sum(1 for i in rows for j in range(i) if j not in rows)
+
+
+def test_annihilator_minors_are_a_constant_multiple():
+    # heaven_data's proof: B^T F = 0 makes B's minor at I^c a constant
+    # times eps(I) times F's minor at I, the degree sums being equal, so
+    # B has full fibre rank wherever F has, and F has it everywhere
+    draw = random.Random(32)
+    points = list(SAMPLE_POINTS) + [
+        tuple(Scalar(draw.randint(-9, 9), draw.randint(-9, 9))
+              for _ in range(2)) for _ in range(4)]
+    for s in (_fixture_structures() + random_structures(20250808, 53)
+              + random_structures(123, 8)):
+        family = validate(s).family
+        ann = annihilator(family)
+        n, k = family.ambient, family.rank
+        assert sum(ann.degrees) == sum(family.degrees)
+        f = dict(zip(combinations(range(n), k),
+                     embedding._pluecker_coordinates(family)))
+        b = dict(zip(combinations(range(n), n - k),
+                     embedding._pluecker_coordinates(ann)))
+        # B's minor at the complement of each row set of F
+        b = {rows: b[tuple(j for j in range(n) if j not in rows)]
+             for rows in f}
+        i0 = next(rows for rows, minor in f.items() if minor)
+        assert b[i0]
+        for rows, minor in f.items():
+            lhs = ip_mul(b[rows], f[i0])
+            rhs = ip_mul(minor, b[i0])
+            assert not ip_sub(
+                ip_scale(lhs, (complement_sign(i0, n), 0)),
+                ip_scale(rhs, (complement_sign(rows, n), 0)))
+        for z in points:
+            assert rank(family.fiber_at(*z)) == k
+            assert rank(ann.fiber_at(*z)) == n - k
 
 
 @settings(max_examples=60, deadline=None)
@@ -868,29 +910,7 @@ def test_section_space_genericity_matches_fibre_rank(data):
             fibre_full_rank(fam, z)
 
 
-def linked(family, ann):
-    """A copy of ``family`` whose annihilator link is ``ann``, as saturate
-    sets it."""
-    copy = unlinked(family)
-    object.__setattr__(copy, "_annihilator", ann)
-    return copy
-
-
-@pytest.mark.parametrize("s", [CONIC, QUAT, PLANE])
-def test_rank_dropping_annihilator_fails_plus_side_genericity(s):
-    fam = saturate(s.spanning)
-    bad = times(annihilator(fam), 0, Z0 - Z1)
-    with pytest.raises(InternalError, match="plus-side genericity failed"):
-        heaven_data(s, linked(fam, bad))
-    # the minus side is the dual's plus side: a rank-dropping family behind
-    # the annihilator fails there, with the same check
-    hd = heaven_data(s, fam)
-    bad_family = times(fam, 0, Z1)
-    with pytest.raises(InternalError, match="plus-side genericity failed"):
-        minus_data(replace(hd, ann=linked(hd.ann, bad_family)))
-
-
-def test_analyze_checks_genericity_once(monkeypatch):
+def test_analyze_takes_ker_psi_plus_only(monkeypatch):
     # of structures' kernels, only verify_factorization's ker psi_plus is
     # left: rho's kernels are read off the annihilator degrees and psi_minus
     # is only ranked; no section values are evaluated, the
