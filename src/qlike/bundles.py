@@ -16,8 +16,6 @@ line bundle.  A free basis column of degree e presents a line summand O(-e).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalError, InvalidInput
 from .forms import (BinaryForm, _column_numerators, format_form, ip_add,
                     ip_mul, parse_form)
@@ -28,11 +26,25 @@ from .polymatrix import (PolyMatrix, _decode, _equation_rows, _multiple_coeffs,
                          graded_kernel_from_basis, solve_combination)
 
 
-@dataclass(frozen=True)
 class SplittingType:
     """Multiset of line-bundle Chern numbers, sorted descending."""
 
-    summands: tuple
+    def __init__(self, summands):
+        object.__setattr__(self, "summands", summands)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SplittingType is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not SplittingType:
+            return NotImplemented
+        return self.summands == other.summands
+
+    def __hash__(self):
+        return hash(self.summands)
+
+    def __repr__(self):
+        return "SplittingType(summands=%r)" % (self.summands,)
 
     @staticmethod
     def of(values):
@@ -120,12 +132,15 @@ class SubbundleFamily:
             self.ambient, list(self.degrees))
 
 
-@dataclass(frozen=True)
 class QuotientBundle:
     """(trivial rank-n bundle) / denominator."""
 
-    ambient: int
-    denominator: SubbundleFamily
+    def __init__(self, ambient, denominator: SubbundleFamily):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "denominator", denominator)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuotientBundle is immutable")
 
     @property
     def rank(self):

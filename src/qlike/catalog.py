@@ -11,8 +11,6 @@ decomposition, an independent count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .bundles import SplittingType
 from .errors import InternalError, InvalidInput
 from .forms import BinaryForm, parse_form
@@ -255,17 +253,20 @@ def build_twisted_plane_c4() -> QLikeStructure:
 # the catalog
 # --------------------------------------------------------------------------
 
-@dataclass
 class CatalogEntry:
-    name: str
-    kind: str                     # "quadruple" | "structure"
-    build: object                 # thunk
-    expected_normal: object = None        # SplittingType | "live-adjoint" | None
-    expected_source: str = ""
-    expected_dim_z: int = None
-    expected_label: str = None
-    expected_minus: SplittingType = None
-    derived_checks: dict = field(default_factory=dict)
+    def __init__(self, name, kind, build, expected_normal=None,
+                 expected_source="", expected_dim_z=None, expected_label=None,
+                 expected_minus: SplittingType = None, derived_checks=None):
+        self.name = name
+        self.kind = kind                    # "quadruple" | "structure"
+        self.build = build                  # thunk
+        # SplittingType | "live-adjoint" | None
+        self.expected_normal = expected_normal
+        self.expected_source = expected_source
+        self.expected_dim_z = expected_dim_z
+        self.expected_label = expected_label
+        self.expected_minus = expected_minus
+        self.derived_checks = {} if derived_checks is None else derived_checks
 
 
 def catalog_entries():

@@ -5,11 +5,47 @@ built-in constructors cover sl(n), so(n) (antisymmetric matrices) and sp(2m)
 in documented standard bases.  The main operations: exact Jacobi/Killing
 validation, a Cartan-free Jacobson-Morozov solver, and multiplicity
 extraction for representations restricted along an sl(2)-embedding.
+
+A representation decides its identity rho([x_i, x_j]) = [rho(x_i), rho(x_j)]
+once, in :meth:`Representation.check_identity`, and keeps the verdict.
+Three builders return representations whose identity holds by
+construction; their ``identity_route`` reads "construction" and no check
+runs.  Any other source (``Representation(...)`` called directly, explicit
+matrices from a file, the adjoint of a table read from JSON) reads "exact"
+and is checked entry by entry.  The three proofs:
+
+* **The defining representation** of a :class:`MatrixAlgebra`,
+  rho(x_i) = M_i.  The constructor accepts the structure constants c_ij^k
+  only when ``combination`` rebuilds each commutator exactly:
+  sum_k c_ij^k M_k == [M_i, M_j].  That is the identity on the pair
+  (i, j), which is all the check would compare.
+* **The adjoint of a table that a MatrixAlgebra built.**  The map
+  phi(x) = sum_k x_k M_k is injective (the M_k are independent, a pivot
+  block of full rank) and takes the table's bracket to the commutator:
+  phi([x_i, x_j]) = [M_i, M_j] by the above, for i < j, and by
+  antisymmetry of both sides for the other pairs.  The commutator of
+  gl(n) satisfies Jacobi, so the images of the Jacobi sums vanish and, by
+  injectivity, so do the sums.  For an antisymmetric table Jacobi is the
+  identity of ad (:func:`validate_lie`).
+* **The wedge square** of a MatrixAlgebra's defining space.
+  :func:`wedge_square_representation` forms the derivation
+  D(X)(e_i ^ e_j) = X e_i ^ e_j + e_i ^ X e_j: its loop adds
+  X_ri e_r ^ e_j and, as e_i ^ e_r = -e_r ^ e_i, -X_rj e_r ^ e_i, each
+  e_r ^ e_s written as +e_(r, s) for r < s, -e_(s, r) for r > s, and 0
+  for r = s.  D is linear in X, and D(X) D(Y) - D(Y) D(X) = D([X, Y]),
+  since the cross terms Y v ^ X w and X v ^ Y w cancel.  So
+  rho([x_i, x_j]) = D(sum_k c_ij^k M_k) = D([M_i, M_j]) =
+  [D(M_i), D(M_j)].
+
+The proofs cover the matrices the constructor checked: a MatrixAlgebra
+freezes its ``basis_matrices`` into tuples, and a builder proves nothing
+once they have been replaced.  The table of a :class:`LieAlgebra` is a
+read-only mapping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import InternalError, InvalidInput
 from .linalg import (independent_rows, inverse, kernel_basis, mat_mul,
@@ -22,7 +58,8 @@ def combination(matrices, x):
     (a fresh list of rows)."""
     out = [[ZERO] * len(row) for row in matrices[0]]
     for xi, m in zip(x, matrices):
-        xi = scalar(xi)
+        if type(xi) is not Scalar:
+            xi = scalar(xi)
         if xi.is_zero():
             continue
         for out_row, row in zip(out, m):
@@ -35,14 +72,14 @@ def combination(matrices, x):
 class LieAlgebra:
     """Finite-dimensional Lie algebra with exact structure constants.
 
-    brackets[(i, j)] is the coordinate vector of [x_i, x_j] for i < j; the
-    table is completed by antisymmetry and validated lazily by
-    :func:`validate_lie`.  ad is read off the matrices ad(x_i), built
-    from the table on first use and kept; one bracket is summed from the
-    table over the supports of its arguments.
+    brackets[(i, j)] is the coordinate vector of [x_i, x_j] for i < j, in
+    a read-only mapping; the table is completed by antisymmetry and
+    validated lazily by :func:`validate_lie`.  ad is read off the matrices
+    ad(x_i), built from the table on first use and kept; one bracket is
+    summed from the table over the supports of its arguments.
     """
 
-    __slots__ = ("dim", "brackets", "name", "_adjoint")
+    __slots__ = ("dim", "brackets", "name", "_adjoint", "_commutators")
 
     def __init__(self, dim, brackets, name=""):
         if type(dim) is not int or dim < 1:
@@ -52,7 +89,7 @@ class LieAlgebra:
             if not all(type(x) is int and 0 <= x < dim for x in (i, j)):
                 raise InvalidInput("bracket [%r, %r] needs basis indices below %d"
                                    % (i, j, dim))
-            vec = tuple(scalar(c) for c in vec)
+            vec = tuple(c if type(c) is Scalar else scalar(c) for c in vec)
             if len(vec) != dim:
                 raise InvalidInput("bracket [%d,%d] has wrong length" % (i, j))
             if i == j:
@@ -65,9 +102,11 @@ class LieAlgebra:
                 raise InvalidInput("conflicting brackets for (%d, %d)" % (i, j))
             table[(i, j)] = vec
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "brackets", table)
+        object.__setattr__(self, "brackets", MappingProxyType(table))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_adjoint", None)
+        # set by MatrixAlgebra, whose table holds commutators' coordinates
+        object.__setattr__(self, "_commutators", False)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -93,14 +132,18 @@ class LieAlgebra:
         return combination(self.adjoint_representation().matrices, x)
 
     def adjoint_representation(self):
-        """The matrices ad(x_i): column j of ad(x_i) is [x_i, x_j]."""
+        """The matrices ad(x_i): column j of ad(x_i) is [x_i, x_j]; proven
+        by construction for a MatrixAlgebra's table (module docstring)."""
         if self._adjoint is None:
             mats = [zeros(self.dim, self.dim) for _ in range(self.dim)]
             for (i, j), vec in self.brackets.items():
                 for k, c in enumerate(vec):
                     if not c.is_zero():
                         mats[i][k][j], mats[j][k][i] = c, -c
-            object.__setattr__(self, "_adjoint", Representation(self, mats))
+            rep = Representation(self, mats)
+            if self._commutators:
+                rep._by_construction()
+            object.__setattr__(self, "_adjoint", rep)
         return self._adjoint
 
     def to_json(self):
@@ -132,15 +175,17 @@ class LieAlgebra:
         return "LieAlgebra(%s, dim=%d)" % (self.name or "?", self.dim)
 
 
-@dataclass(frozen=True)
 class Representation:
-    """Matrices rho(x_i) acting on a space of dimension N."""
+    """Matrices rho(x_i) acting on a space of dimension N.
 
-    algebra: LieAlgebra
-    matrices: tuple
+    ``identity_route`` says how :meth:`check_identity` decides: by
+    "construction" (no check; module docstring) or by an "exact" check,
+    run once and kept.
+    """
 
     def __init__(self, algebra, matrices):
-        mats = tuple(tuple(tuple(scalar(x) for x in row) for row in m)
+        mats = tuple(tuple(tuple(x if type(x) is Scalar else scalar(x)
+                                 for x in row) for row in m)
                      for m in matrices)
         if len(mats) != algebra.dim:
             raise InvalidInput("need one matrix per basis element")
@@ -149,6 +194,17 @@ class Representation:
             raise InvalidInput("representation matrices must all be %d x %d" % (n, n))
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "identity_route", "exact")
+        object.__setattr__(self, "_identity", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Representation is immutable")
+
+    def _by_construction(self):
+        """Mark the identity proven by this object's builder."""
+        object.__setattr__(self, "identity_route", "construction")
+        object.__setattr__(self, "_identity", True)
+        return self
 
     @property
     def space_dim(self):
@@ -159,20 +215,20 @@ class Representation:
         return combination(self.matrices, x)
 
     def check_identity(self):
-        """rho([x_i, x_j]) == [rho(x_i), rho(x_j)] for all basis pairs."""
+        """rho([x_i, x_j]) == [rho(x_i), rho(x_j)] for all basis pairs,
+        decided once per object."""
+        if self._identity is not None:
+            return self._identity
         # brackets[(i, j)] is [x_i, x_j] for i < j: read it there, so that
         # checking an explicit representation builds no ad table
         g, mats = self.algebra, self.matrices
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                comm = mat_sub(mat_mul(mats[i], mats[j]),
-                               mat_mul(mats[j], mats[i]))
-                if comm != self.apply(g.brackets.get((i, j), ())):
-                    return False
-        return True
+        ok = all(mat_sub(mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i]))
+                 == self.apply(g.brackets.get((i, j), ()))
+                 for i in range(g.dim) for j in range(i + 1, g.dim))
+        object.__setattr__(self, "_identity", ok)
+        return ok
 
 
-@dataclass(frozen=True)
 class Sl2Embedding:
     """Images (E, H, F) of the standard sl(2) triple inside an algebra.
 
@@ -180,19 +236,18 @@ class Sl2Embedding:
     is three-dimensional.
     """
 
-    algebra: LieAlgebra
-    e: tuple
-    h: tuple
-    f: tuple
-
     def __init__(self, algebra, e, h, f):
-        e, h, f = (tuple(scalar(c) for c in v) for v in (e, h, f))
+        e, h, f = (tuple(c if type(c) is Scalar else scalar(c) for c in v)
+                   for v in (e, h, f))
         if any(len(v) != algebra.dim for v in (e, h, f)):
             raise InvalidInput("E, H and F need %d coordinates each" % algebra.dim)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "f", f)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Sl2Embedding is immutable")
 
     def check(self):
         g = self.algebra
@@ -225,16 +280,20 @@ def _matrix_unit(n, i, j):
 class MatrixAlgebra:
     """A LieAlgebra together with its defining basis matrices.
 
-    Coordinates are read off pivot cells: the first dim cells, in row-major
-    order, on which the basis matrices are independent.  The pivot block
-    (the basis matrices' entries there) is inverted once, and the
-    coordinates x of a matrix m are the inverse times m's pivot entries.
+    The basis matrices are frozen into tuples.  Coordinates are read off
+    pivot cells: the first dim cells, in row-major order, on which the
+    basis matrices are independent.  The pivot block (the basis matrices'
+    entries there) is inverted once, and the coordinates x of a matrix m
+    are the inverse times m's pivot entries.
     Coordinates in an independent basis are unique, so m lies in the
     algebra exactly when sum_i x_i M_i == m.  The structure constants are
     the coordinates of the basis commutators."""
 
     def __init__(self, name, basis_matrices, basis_labels):
-        self.basis_matrices = basis_matrices
+        basis_matrices = tuple(tuple(tuple(row) for row in m)
+                               for m in basis_matrices)
+        # the builders' proofs hold while basis_matrices is this object
+        self.basis_matrices = self._checked = basis_matrices
         self.basis_labels = basis_labels
         n, dim = len(basis_matrices[0]), len(basis_matrices)
         cells = [(r, c) for r in range(n) for c in range(n)]
@@ -255,13 +314,21 @@ class MatrixAlgebra:
                      not_closed)
                  for i in range(dim) for j in range(i + 1, dim)}
         self.algebra = LieAlgebra(dim, table, name)
+        object.__setattr__(self.algebra, "_commutators", True)
 
     @property
     def dim(self):
         return self.algebra.dim
 
     def defining_representation(self):
-        return Representation(self.algebra, self.basis_matrices)
+        """rho(x_i) = M_i, proven by construction (module docstring)."""
+        return self._proven(Representation(self.algebra, self.basis_matrices))
+
+    def _proven(self, rep):
+        """rep, marked proven by construction unless basis_matrices were
+        replaced after the constructor checked them."""
+        return rep._by_construction() \
+            if self.basis_matrices is self._checked else rep
 
     def _coordinates(self, m, error):
         """The coordinates of the square matrix m; raises ``error`` when m
@@ -445,6 +512,8 @@ def jacobson_morozov(g: LieAlgebra, y, assume_semisimple=False) -> Sl2Embedding:
     """
     if not assume_semisimple:
         info = validate_lie(g)
+        if not info["jacobi"]:
+            raise InvalidInput("the bracket table fails the Jacobi identity")
         if not info["semisimple"]:
             raise InvalidInput("algebra is not semisimple (Killing rank %d "
                                "of %d)" % (info["killing_rank"], g.dim))
@@ -546,7 +615,7 @@ def principal_sl2_matrices(n):
 
 def wedge_square_representation(ma: MatrixAlgebra):
     """Induced action on wedge^2 of the defining space, basis e_i ^ e_j
-    (i < j, lexicographic)."""
+    (i < j, lexicographic); proven by construction (module docstring)."""
     n = len(ma.basis_matrices[0])
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     index = {p: a for a, p in enumerate(pairs)}
@@ -562,4 +631,4 @@ def wedge_square_representation(ma: MatrixAlgebra):
                         row = index[(min(r, kept), max(r, kept))]
                         big[row][col] += (sign if r < kept else -sign) * c
         mats.append(big)
-    return Representation(ma.algebra, mats), pairs
+    return ma._proven(Representation(ma.algebra, mats)), pairs

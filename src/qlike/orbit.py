@@ -128,8 +128,6 @@ SplittingType(summands=(4,))
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .bundles import SplittingType, SubbundleFamily, saturate
 from .errors import InternalError, InvalidInput
 from .forms import BinaryForm, Z0, Z1
@@ -140,30 +138,34 @@ from .polymatrix import PolyMatrix, _apply_scalar_matrix
 from .scalars import Scalar, scalar
 
 
-@dataclass(frozen=True)
 class GoodQuadruple:
-    """(algebra, representation, sl(2)-embedding, invariant subspace)."""
+    """(algebra, representation, sl(2)-embedding, invariant subspace).
 
-    algebra: LieAlgebra
-    sigma: Representation
-    tau: Sl2Embedding
-    u_basis: tuple                 # coordinate vectors spanning U inside E
-    name: str = ""
-    nilpotent: tuple = None        # the generating nilpotent, when known
-    adjoint: bool = False
+    u_basis holds coordinate vectors spanning U inside E; nilpotent is the
+    generating nilpotent, when known."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "u_basis",
-                           tuple(tuple(scalar(c) for c in v)
-                                 for v in self.u_basis))
-        if any(len(v) != self.space_dim for v in self.u_basis):
-            raise InvalidInput("u_basis vectors need %d coordinates" % self.space_dim)
-        if self.nilpotent is not None:
-            object.__setattr__(self, "nilpotent",
-                               tuple(scalar(c) for c in self.nilpotent))
-            if len(self.nilpotent) != self.algebra.dim:
+    def __init__(self, algebra: LieAlgebra, sigma: Representation,
+                 tau: Sl2Embedding, u_basis, name="", nilpotent=None,
+                 adjoint=False):
+        u_basis = tuple(tuple(scalar(c) for c in v) for v in u_basis)
+        if any(len(v) != sigma.space_dim for v in u_basis):
+            raise InvalidInput("u_basis vectors need %d coordinates"
+                               % sigma.space_dim)
+        if nilpotent is not None:
+            nilpotent = tuple(scalar(c) for c in nilpotent)
+            if len(nilpotent) != algebra.dim:
                 raise InvalidInput("nilpotent needs %d coordinates"
-                                   % self.algebra.dim)
+                                   % algebra.dim)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "u_basis", u_basis)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "nilpotent", nilpotent)
+        object.__setattr__(self, "adjoint", adjoint)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GoodQuadruple is immutable")
 
     @property
     def space_dim(self):
@@ -274,12 +276,16 @@ def veronese_curve(q: GoodQuadruple):
     return d, v_u, v_e
 
 
-@dataclass
 class TangentFamilies:
-    degree: int
-    curve: list                   # ambient coordinates of the curve
-    w: SubbundleFamily            # orbit tangent family (saturated)
-    l_prime: SubbundleFamily      # osculating family of the curve
+    """The curve's degree, its ambient coordinates, the saturated orbit
+    tangent family w and the osculating family l_prime."""
+
+    def __init__(self, degree, curve, w: SubbundleFamily,
+                 l_prime: SubbundleFamily):
+        self.degree = degree
+        self.curve = curve
+        self.w = w
+        self.l_prime = l_prime
 
 
 def orbit_tangent_family(q: GoodQuadruple) -> TangentFamilies:
@@ -308,18 +314,21 @@ def orbit_tangent_family(q: GoodQuadruple) -> TangentFamilies:
     return TangentFamilies(d, v_e, w, SubbundleFamily(n, raw_l))
 
 
-@dataclass
 class NormalBundleReport:
-    name: str
-    curve_degree: int
-    tangent_rank: int
-    dim_z: int
-    normal: SplittingType
-    nonnegative: bool
-    expected: SplittingType = None
-    expected_source: str = ""
-    match: bool = None
-    checks: dict = field(default_factory=dict)
+    def __init__(self, name, curve_degree, tangent_rank, dim_z,
+                 normal: SplittingType, nonnegative,
+                 expected: SplittingType = None, expected_source="",
+                 match=None, checks=None):
+        self.name = name
+        self.curve_degree = curve_degree
+        self.tangent_rank = tangent_rank
+        self.dim_z = dim_z
+        self.normal = normal
+        self.nonnegative = nonnegative
+        self.expected = expected
+        self.expected_source = expected_source
+        self.match = match
+        self.checks = {} if checks is None else checks
 
     def to_json(self):
         return {

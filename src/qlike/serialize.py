@@ -6,7 +6,6 @@ produce byte-identical reports; digests are sha256 of the canonical text.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 from .errors import InvalidInput
@@ -18,6 +17,7 @@ def canonical_json(obj) -> str:
 
 
 def digest(obj) -> str:
+    import hashlib          # only the commands that take a digest load it
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 

@@ -15,8 +15,6 @@ together with its kernel/cokernel bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .bundles import (QuotientBundle, SplittingType, SubbundleFamily,
                       annihilator, family_contains, is_split_extension,
                       saturate, splitting_type, verify_canonical_sequences)
@@ -104,24 +102,25 @@ class QLikeStructure:
 # validation
 # --------------------------------------------------------------------------
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str            # "pass" | "fail" | "warn"
-    detail: str = ""
+    def __init__(self, name, status, detail=""):
+        self.name = name
+        self.status = status            # "pass" | "fail" | "warn"
+        self.detail = detail
 
 
-@dataclass
 class ValidationReport:
-    checks: list = field(default_factory=list)
-    # the saturated family the checks ran on, for analyze (its annihilator
-    # comes with it); not serialized
-    family: SubbundleFamily = field(default=None, compare=False, repr=False)
-    # how each curve check was decided, by "pluecker", "immersion" and
-    # "injectivity": "modular:<p>" (a certificate modulo the prime p),
-    # "exact" (which covers the rational-normal-curve rule of
-    # qlike.embedding) or "sampled"; not serialized
-    routes: dict = field(default_factory=dict, compare=False, repr=False)
+    def __init__(self, checks=None, family: SubbundleFamily = None,
+                 routes=None):
+        self.checks = [] if checks is None else checks
+        # the saturated family the checks ran on, for analyze (its
+        # annihilator comes with it); not serialized
+        self.family = family
+        # how each curve check was decided, by "pluecker", "immersion" and
+        # "injectivity": "modular:<p>" (a certificate modulo the prime p),
+        # "exact" (which covers the rational-normal-curve rule of
+        # qlike.embedding) or "sampled"; not serialized
+        self.routes = {} if routes is None else routes
 
     def add(self, name, status, detail=""):
         self.checks.append(CheckResult(name, status, detail))
@@ -286,7 +285,6 @@ def _antipodal_equivariant(T):
 # heaven-side and minus-side presentations
 # --------------------------------------------------------------------------
 
-@dataclass
 class HeavenData:
     """Section-space presentation of the quotient side.
 
@@ -297,15 +295,19 @@ class HeavenData:
     analysis uses of it is read off the annihilator degrees
     (:func:`verify_factorization`).
     """
-    structure: QLikeStructure
-    family: SubbundleFamily
-    ann: SubbundleFamily
-    u_plus_dim: int
-    h_plus_dim: int
-    e_plus_dim: int
-    psi_plus: list
-    conj_u_plus: list = None
-    conj_h_plus: list = None
+
+    def __init__(self, structure: QLikeStructure, family: SubbundleFamily,
+                 ann: SubbundleFamily, u_plus_dim, h_plus_dim, e_plus_dim,
+                 psi_plus, conj_u_plus=None, conj_h_plus=None):
+        self.structure = structure
+        self.family = family
+        self.ann = ann
+        self.u_plus_dim = u_plus_dim
+        self.h_plus_dim = h_plus_dim
+        self.e_plus_dim = e_plus_dim
+        self.psi_plus = psi_plus
+        self.conj_u_plus = conj_u_plus
+        self.conj_h_plus = conj_h_plus
 
 
 def heaven_data(S: QLikeStructure, family: SubbundleFamily = None) -> HeavenData:
@@ -420,17 +422,19 @@ def _conj_matrix_on_sections(degs, G, twist):
     return A
 
 
-@dataclass
 class MinusData:
     """Dual-side presentation, obtained from the heaven data of the dual
     structure by transposition.  Like rho_plus, rho_minus_star (the
     transpose of the dual's rho_plus) is not stored; it too is read off
     the annihilator degrees."""
-    dual_heaven: HeavenData
-    u_minus_dim: int
-    h_minus_dim: int
-    e_minus_dim: int
-    psi_minus: list          # U_minus -> U
+
+    def __init__(self, dual_heaven: HeavenData, u_minus_dim, h_minus_dim,
+                 e_minus_dim, psi_minus):
+        self.dual_heaven = dual_heaven
+        self.u_minus_dim = u_minus_dim
+        self.h_minus_dim = h_minus_dim
+        self.e_minus_dim = e_minus_dim
+        self.psi_minus = psi_minus          # U_minus -> U
 
 
 def minus_data(hd: HeavenData) -> MinusData:
@@ -458,18 +462,19 @@ def minus_data(hd: HeavenData) -> MinusData:
 # the factorization identity and its kernel/cokernel bookkeeping
 # --------------------------------------------------------------------------
 
-@dataclass
 class FactorizationReport:
     """Outcome of :func:`verify_factorization`.  ``solution_dim``, the
     dimension of the identity's homogeneous solutions, is always 0: the
     intertwiner is unique when it exists (the recurrence in
     :func:`verify_factorization`).  It stays in the report as
     ``solution_space_dim``."""
-    solvable: bool
-    solution_dim: int
-    iso_found: bool
-    dims: dict
-    facts: dict
+
+    def __init__(self, solvable, solution_dim, iso_found, dims, facts):
+        self.solvable = solvable
+        self.solution_dim = solution_dim
+        self.iso_found = iso_found
+        self.dims = dims
+        self.facts = facts
 
     @property
     def passed(self):
@@ -709,17 +714,20 @@ def _maps_onto(images, basis):
 # analysis / classification
 # --------------------------------------------------------------------------
 
-@dataclass
 class AnalysisReport:
-    validation: ValidationReport
-    u_minus: SplittingType
-    u_plus: SplittingType
-    label: str
-    flags: dict
-    dims: dict
-    factorization: FactorizationReport
-    canonical_sequences: dict
-    serre_identity: bool
+    def __init__(self, validation: ValidationReport, u_minus: SplittingType,
+                 u_plus: SplittingType, label, flags, dims,
+                 factorization: FactorizationReport, canonical_sequences,
+                 serre_identity):
+        self.validation = validation
+        self.u_minus = u_minus
+        self.u_plus = u_plus
+        self.label = label
+        self.flags = flags
+        self.dims = dims
+        self.factorization = factorization
+        self.canonical_sequences = canonical_sequences
+        self.serre_identity = serre_identity
 
     @property
     def passed(self):

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from qlike.forms import BinaryForm
-from qlike.lie import LieAlgebra
+from qlike.lie import LieAlgebra, combination
 from qlike.linalg import (identity, independent_rows, kernel_basis, mat_mul,
                           mat_sub, mat_vec, solve, solve_matrix, transpose)
 from qlike.modp import _eliminate_modp
@@ -609,6 +609,19 @@ def jacobson_morozov_by_brackets(g, y):
             for i, row in enumerate(ad_h)]
     rows += [[-c for c in row] for row in ad_y]
     return solve(rows, [ZERO] * g.dim + h), h, list(y)
+
+
+def identity_by_all_pairs(rep):
+    """rho([x_i, x_j]) == [rho(x_i), rho(x_j)] for every basis pair i < j,
+    by dense matrix products, whatever built the representation."""
+    g, mats = rep.algebra, rep.matrices
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            comm = mat_sub(mat_mul(mats[i], mats[j]),
+                           mat_mul(mats[j], mats[i]))
+            if comm != combination(mats, g.brackets.get((i, j), ())):
+                return False
+    return True
 
 
 def algebra_by_wide_solve(name, basis_matrices):

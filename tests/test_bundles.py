@@ -1,4 +1,6 @@
+import copy
 import functools
+import pickle
 import random
 from unittest import mock
 
@@ -415,3 +417,15 @@ def test_saturation_of_an_unsaturated_family_equals_two_kernels(P):
     route, fam, ann = saturate_with_route(P)
     assert not route
     assert (route, fam, ann) == saturate_by_two_kernels(P)
+
+
+@pytest.mark.parametrize("round_trip", [
+    copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))])
+def test_splitting_type_is_an_immutable_value(round_trip):
+    st = SplittingType.of([1, 3, 1])
+    got = round_trip(st)
+    assert got == st and hash(got) == hash(st) and got != SplittingType.of([1])
+    assert {st: 0}[got] == 0
+    assert repr(got) == "SplittingType(summands=(3, 1, 1))"
+    with pytest.raises(AttributeError):
+        got.summands = ()

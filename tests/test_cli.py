@@ -380,6 +380,10 @@ _F = [0, 1, 0, 0, 0, 0, 0, 0]
     # the Heisenberg algebra behind a nilpotent
     ({"algebra": {"dim": 3, "brackets": [[0, 1, [[2, "1"]]]]},
       "sl2": {"nilpotent": [0, 0, 1]}}, "not semisimple"),
+    # a table breaking Jacobi: [[x0, x1], x2] + cyclic = x0
+    ({"algebra": {"dim": 3, "brackets": [[0, 1, [[1, "1"]]],
+                                         [1, 2, [[0, "1"]]]]},
+      "sl2": {"nilpotent": ["1", "0", "0"]}}, "fails the Jacobi identity"),
 ])
 def test_malformed_quadruple_exit_two(tmp_path, capsys, spec, message):
     path = tmp_path / "quad.json"

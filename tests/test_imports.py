@@ -6,6 +6,8 @@ module on first access.  The command checks run in a fresh interpreter,
 since this test process has long since loaded every module.
 """
 
+import ast
+import functools
 import json
 import os
 import subprocess
@@ -19,28 +21,56 @@ import qlike
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURE = SRC / "qlike" / "fixtures" / "v1" / "conic_r3.json"
 
-# runs the command as ``python -m qlike`` does, then lists the qlike.*
-# modules it loaded on the last line of stderr
+# runs the command as ``python -m qlike`` does, then lists every module it
+# loaded on the last line of stderr
 CHILD = """
 import json, sys
 from qlike.cli import main
 code = main(sys.argv[1:])
 sys.stdout.flush()
-print(json.dumps(sorted(m[len("qlike."):] for m in sys.modules
-                        if m.startswith("qlike."))), file=sys.stderr)
+print(json.dumps(sorted(sys.modules)), file=sys.stderr)
 sys.exit(code)
 """
 
+# the modules of an interpreter that has imported only what CHILD imports
+# before qlike; ``site`` preloads more on some installs
+BARE = "import json, sys; print(json.dumps(sorted(sys.modules)))"
 
-def loaded_modules(*argv):
+
+def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", CHILD, *map(str, argv)],
-                          capture_output=True, text=True, env=env,
+    return env
+
+
+@functools.lru_cache(maxsize=None)
+def all_loaded_modules(*argv):
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv],
+                          capture_output=True, text=True, env=child_env(),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stderr.splitlines()[-1]))
+    return frozenset(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def loaded_modules(*argv):
+    return {m[len("qlike."):] for m in all_loaded_modules(*map(str, argv))
+            if m.startswith("qlike.")}
+
+
+@functools.lru_cache(maxsize=None)
+def bare_modules():
+    out = subprocess.run([sys.executable, "-c", BARE], capture_output=True,
+                         text=True, env=child_env(), timeout=60,
+                         check=True).stdout
+    return frozenset(json.loads(out))
+
+
+def other_modules(*argv):
+    """The modules outside qlike that the command loaded beyond a bare
+    interpreter's."""
+    return {m for m in all_loaded_modules(*map(str, argv)) - bare_modules()
+            if m != "qlike" and not m.startswith("qlike.")}
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +105,36 @@ def test_lie_jm_loads_only_the_lie_stack():
     assert loaded_modules("lie-jm", "--algebra", "sl(3)", "--nilpotent",
                           "minimal") == {"cli", "errors", "serialize",
                                          "scalars", "linalg", "modp", "lie"}
+
+
+@pytest.mark.parametrize("argv, takes_digest", [
+    (["analyze", FIXTURE], True),
+    (["dual", FIXTURE], False),
+    (["twistor", "--catalog", "veronese:2"], True),
+    (["verify", "--suite", "core"], False),
+    (["lie-jm", "--algebra", "sl(3)", "--nilpotent", "minimal"], False),
+])
+def test_commands_load_no_dataclasses_and_hashlib_only_to_digest(
+        argv, takes_digest):
+    loaded = other_modules(*argv)
+    assert "dataclasses" not in loaded
+    if not takes_digest:
+        assert "hashlib" not in loaded
+
+
+def test_twistor_file_loads_no_dataclasses(quadruple_file):
+    assert "dataclasses" not in other_modules("twistor", "--file",
+                                              quadruple_file)
+
+
+def test_no_qlike_module_imports_dataclasses():
+    for path in sorted((SRC / "qlike").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)}
+        assert "dataclasses" not in imported, path.name
 
 
 def test_import_loads_no_submodule_and_dir_lists_the_api():

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from oracles import (algebra_by_wide_solve, jacobson_morozov_by_brackets,
-                     table_ad, table_bracket)
+from oracles import (algebra_by_wide_solve, identity_by_all_pairs,
+                     jacobson_morozov_by_brackets, table_ad, table_bracket)
+from qlike import lie
 from qlike.errors import InternalError, InvalidInput
 from qlike.lie import (LieAlgebra, MatrixAlgebra, Representation,
                        Sl2Embedding, builtin_algebra, combination,
@@ -300,3 +301,101 @@ def test_a_basis_not_closed_under_the_bracket_is_an_internal_error():
 def test_a_repeated_basis_matrix_is_an_internal_error():
     with pytest.raises(InternalError, match="linearly dependent"):
         MatrixAlgebra("repeated", [_unit(0, 1), _unit(0, 1)], ["E12", "E12"])
+
+
+# --------------------------------------------------------------------------
+# the representation identity: by construction for the builders, exactly
+# (and once) for every other source
+# --------------------------------------------------------------------------
+
+def builder_representations():
+    """Every builder's output on sl(2..6), so(5..7), sp(4) and sp(6), and
+    the representations of random_quadruples(4242, 25) and of sl(5)
+    draws, each object once."""
+    reps = []
+    for name in (["sl(%d)" % n for n in range(2, 7)]
+                 + ["so(5)", "so(6)", "so(7)", "sp(4)", "sp(6)"]):
+        ma = builtin_algebra(name)
+        reps += [ma.defining_representation(),
+                 ma.algebra.adjoint_representation(),
+                 wedge_square_representation(ma)[0]]
+    draws = (random_quadruples(4242, 25)
+             + random_quadruples(5, 3, pool=("sl(5)",)))
+    reps += [q.sigma for q in draws]
+    return list({id(rep): rep for rep in reps}.values())
+
+
+def test_builders_prove_the_identity_by_construction():
+    for rep in builder_representations():
+        assert rep.identity_route == "construction"
+        assert rep.check_identity()
+        assert identity_by_all_pairs(rep), rep.algebra.name
+
+
+def one_entry_perturbed(mats):
+    """The matrices as lists, with 1 added to the first entry of the first."""
+    out = [[list(row) for row in m] for m in mats]
+    out[0][0][0] += ONE
+    return out
+
+
+@pytest.mark.parametrize("name", ["sl(3)", "so(5)", "sp(4)"])
+def test_representations_built_directly_are_checked_exactly(name):
+    ma = builtin_algebra(name)
+    for proven in (ma.defining_representation(),
+                   ma.algebra.adjoint_representation(),
+                   wedge_square_representation(ma)[0]):
+        same = Representation(proven.algebra, proven.matrices)
+        assert same.identity_route == "exact"
+        assert same.check_identity() and identity_by_all_pairs(same)
+        bad = Representation(proven.algebra,
+                             one_entry_perturbed(proven.matrices))
+        assert bad.identity_route == "exact"
+        assert not identity_by_all_pairs(bad)
+        assert not bad.check_identity()
+
+
+def test_a_matrix_algebra_proves_only_the_matrices_it_checked():
+    ma = sl_algebra(3)
+    with pytest.raises(TypeError):
+        ma.basis_matrices[0][0][0] = ONE
+    with pytest.raises(TypeError):
+        ma.algebra.brackets[(0, 1)] = [ONE] * ma.dim
+    ma.basis_matrices = tuple(one_entry_perturbed(ma.basis_matrices))
+    for rep in (ma.defining_representation(),
+                wedge_square_representation(ma)[0]):
+        assert rep.identity_route == "exact"
+        assert not identity_by_all_pairs(rep)
+        assert not rep.check_identity()
+    # the table was read off the matrices the constructor checked
+    adjoint = ma.algebra.adjoint_representation()
+    assert adjoint.identity_route == "construction"
+    assert identity_by_all_pairs(adjoint)
+
+
+def test_tables_read_from_json_are_checked_exactly():
+    back = LieAlgebra.from_json(sl_algebra(3).algebra.to_json())
+    assert back.adjoint_representation().identity_route == "exact"
+    assert back.adjoint_representation().check_identity()
+    broken = perturbed_sl2().adjoint_representation()
+    assert broken.identity_route == "exact"
+    assert not identity_by_all_pairs(broken)
+    assert not broken.check_identity()
+
+
+def test_scalars_are_not_coerced_again(monkeypatch):
+    calls = []
+    coerce = lie.scalar
+    monkeypatch.setattr(lie, "scalar",
+                        lambda *args: calls.append(args) or coerce(*args))
+    ma = sl_algebra(5)
+    ma.defining_representation()
+    ma.algebra.adjoint_representation()
+    e, h, f = (ma.coordinates_of_matrix(m) for m in principal_sl2_matrices(5))
+    Sl2Embedding(ma.algebra, e, h, f)
+    combination(ma.basis_matrices, e)
+    assert calls == []
+    # anything that is not yet a Scalar still is coerced
+    LieAlgebra(2, {(0, 1): [0, 1]})
+    Representation(LieAlgebra(1, {}), [[[2]]])
+    assert calls == [(0,), (1,), (2,)]

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import importlib.util
 from collections import Counter
@@ -6,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import weight_route_irreducibility
+from oracles import identity_by_all_pairs, weight_route_irreducibility
 from qlike import bundles, lie, orbit, polymatrix
 from qlike.bundles import (SplittingType, family_span_equal, saturate,
                            subquotient_splitting)
@@ -382,7 +381,8 @@ def test_wrong_length_nilpotent_is_rejected(length):
     q = build_adjoint("sl(3)", "minimal")
     y = (list(q.nilpotent) + [ONE] * 2)[:length]
     with pytest.raises(InvalidInput, match="nilpotent needs 8 coordinates"):
-        dataclasses.replace(q, nilpotent=y)
+        GoodQuadruple(q.algebra, q.sigma, q.tau, q.u_basis, q.name,
+                      nilpotent=y, adjoint=q.adjoint)
 
 
 DIGEST_TOOL = Path(__file__).resolve().parent.parent / "tools" / \
@@ -448,3 +448,36 @@ def test_validating_a_defining_quadruple_builds_no_ad_table():
     q = build_veronese(5)
     assert validate_good_quadruple(q)["valid"]
     assert q.algebra._adjoint is None
+
+
+def test_the_identity_is_checked_once_per_representation(monkeypatch):
+    # explicit matrices take the exact route; the sl(2) table's three pairs
+    # take two products each, on the first normal_bundle call only
+    q = quadruple_from_json(QUADRUPLE)
+    built = build_veronese(3)
+    products = Counter()
+    multiply = lie.mat_mul
+
+    def counting(a, b):
+        products["mat_mul"] += 1
+        return multiply(a, b)
+    monkeypatch.setattr(lie, "mat_mul", counting)
+    assert q.sigma.identity_route == "exact"
+    first = normal_bundle(q)
+    assert products["mat_mul"] == 6
+    assert normal_bundle(q).normal == first.normal
+    assert products["mat_mul"] == 6
+    # a builder's representation runs no check at all
+    assert built.sigma.identity_route == "construction"
+    normal_bundle(built)
+    assert products["mat_mul"] == 6
+
+
+def test_a_representation_breaking_the_identity_is_checked_exactly():
+    # H sent to the identity, as in
+    # test_representation_breaking_the_identity_is_invalid
+    q = quadruple_from_json(dict(QUADRUPLE, representation={"matrices": [
+        [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, 1]]]}))
+    assert q.sigma.identity_route == "exact"
+    assert not identity_by_all_pairs(q.sigma)
+    assert not q.sigma.check_identity()

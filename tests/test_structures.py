@@ -6,7 +6,6 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from dataclasses import replace
 from math import lcm
 
 from hypothesis import assume, given, settings
@@ -333,12 +332,12 @@ def test_intertwiner_recurrence_matches_dense_system():
     for n, s in enumerate(pool):
         hd = heaven_data(s)
         md = minus_data(hd)
-        perturbed = replace(hd, psi_plus=[row[:] for row in hd.psi_plus])
+        perturbed = _with_psi_plus(hd, [row[:] for row in hd.psi_plus])
         perturbed.psi_plus[0][0] += ONE
         cases = [("given", hd), ("perturbed", perturbed)]
         if n < 4:
             # psi_plus = 0 is solved by X = 0, which is singular
-            cases.append(("zero", replace(hd, psi_plus=[
+            cases.append(("zero", _with_psi_plus(hd, [
                 [ZERO] * len(row) for row in hd.psi_plus])))
         for kind, h in cases:
             X, homogeneous, invertible = dense_intertwiner(h, md)
@@ -359,10 +358,17 @@ def test_intertwiner_recurrence_matches_dense_system():
                             ("zero", True, False): 4})
 
 
+def _with_psi_plus(hd, psi):
+    """A copy of the heaven data hd with psi_plus replaced by psi."""
+    return structures.HeavenData(hd.structure, hd.family, hd.ann,
+                                 hd.u_plus_dim, hd.h_plus_dim, hd.e_plus_dim,
+                                 psi, hd.conj_u_plus, hd.conj_h_plus)
+
+
 def _perturbed(hd, row, column, delta):
     psi = [r[:] for r in hd.psi_plus]
     psi[row][column] += delta
-    return replace(hd, psi_plus=psi)
+    return _with_psi_plus(hd, psi)
 
 
 def test_integer_route_matches_the_scalar_route():
@@ -419,7 +425,8 @@ def _psi_minus_edited(md, edit):
     psi = [row[:] for row in md.psi_minus]
     for row in psi:
         edit(row)
-    return replace(md, psi_minus=psi)
+    return structures.MinusData(md.dual_heaven, md.u_minus_dim,
+                                md.h_minus_dim, md.e_minus_dim, psi)
 
 
 def test_degree_zero_minus_summands_match_the_scalar_route():
@@ -936,7 +943,10 @@ def test_analysis_verdict_reads_the_canonical_sequences(monkeypatch):
     report = analyze(CONIC)
     assert report.passed
     failed = dict(report.canonical_sequences, ok=False)
-    assert not replace(report, canonical_sequences=failed).passed
+    assert not structures.AnalysisReport(
+        report.validation, report.u_minus, report.u_plus, report.label,
+        report.flags, report.dims, report.factorization, failed,
+        report.serre_identity).passed
     # the catalog's verdict reads it too
     entry = next(e for e in catalog.catalog_entries()
                  if e.kind != "quadruple")
