@@ -33,7 +33,7 @@ def nil(entries):
 
 for name, y in (("regular (two lowering units)", nil([(1, 0), (2, 1)])),
                 ("corner (single long root)", nil([(2, 0)]))):
-    emb = jacobson_morozov(ma.algebra, y, assume_semisimple=True)
+    emb = jacobson_morozov(ma.algebra, y)
     h = ma.matrix_of(list(emb.h))
     diag = [str(h[i][i]) for i in range(3)]
     mult = sl2_decompose(ma.algebra.adjoint_representation(), emb)
@@ -45,7 +45,6 @@ print()
 print("=" * 70)
 print("Weight decomposition is basis independent")
 print("=" * 70)
-emb = jacobson_morozov(ma.algebra, nil([(1, 0), (2, 1)]),
-                       assume_semisimple=True)
+emb = jacobson_morozov(ma.algebra, nil([(1, 0), (2, 1)]))
 print("defining representation of sl(3) restricted to the triple:",
       sl2_decompose(ma.defining_representation(), emb))

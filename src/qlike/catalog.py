@@ -5,8 +5,9 @@ formula), "cross-check" (derived through an independent identity),
 "degenerate-case", or "bookkeeping" (only rank/degree identities are
 asserted, no full splitting).  Adjoint expectations are computed from the
 nilpotent orbit's dimension at run time, never hard-coded, and
-:func:`~qlike.orbit.normal_bundle` checks its answer against the weight
-decomposition, an independent count.
+:func:`~qlike.orbit.normal_bundle` checks its answer against an independent
+count, the dimension of ker sigma(e)
+(:func:`~qlike.orbit.adjoint_multiplicity_count`).
 """
 
 from __future__ import annotations

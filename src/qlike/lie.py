@@ -41,6 +41,36 @@ The proofs cover the matrices the constructor checked: a MatrixAlgebra
 freezes its ``basis_matrices`` into tuples, and a builder proves nothing
 once they have been replaced.  The table of a :class:`LieAlgebra` is a
 read-only mapping.
+
+The three built-in algebras are semisimple by construction:
+:func:`sl_algebra`, :func:`so_algebra` and :func:`sp_algebra` mark the
+LieAlgebra they build, and :func:`validate_lie` answers for a marked
+table without forming its Killing form.  By the second proof, phi is an
+isomorphism of the table's algebra onto the span L of the builder's
+matrices, so the table satisfies Jacobi and it is enough that L is
+semisimple.  L acts irreducibly on C^n.  Let W be a nonzero subspace that
+L maps into itself, w in W with w_j != 0, E_ij the matrix units and e_i
+the standard basis:
+
+* **sl(n), n >= 2.**  E_ij w = w_j e_i, so e_i lies in W for each
+  i != j, and then e_j = E_ji e_i.
+* **so(n), n >= 3**, with A_ij = E_ij - E_ji.  For i != j pick k outside
+  {i, j}: A_ik A_kj w = A_ik (w_j e_k - w_k e_j) = w_j e_i, so e_i lies
+  in W for each i != j, and then e_j = A_ji e_i.
+* **sp(2m), m >= 1**, indices 0..m-1 for the e's and m..2m-1 for the
+  f's, with B_ii = E_(i, m+i), C_ii = E_(m+i, i) and A_ri = E_ri -
+  E_(m+i, m+r).  If j = m + i, B_ii w = w_j e_i; if j = i, C_ii w =
+  w_i e_(m+i) and B_ii e_(m+i) = e_i.  Either way e_i lies in W, then
+  e_r = A_ri e_i for each r < m, and e_(m+r) = C_rr e_r.
+
+Each L is also traceless: the E_ij (i != j) and H_i of sl(n), the
+zero-diagonal A_ij of so(n), and the blocks [[A, B], [C, -A^T]] of
+sp(2m).  A Lie algebra of traceless matrices acting irreducibly is
+semisimple (Humphreys, *Introduction to Lie Algebras and Representation
+Theory*, section 19.1), so by Cartan's criterion its Killing form has rank
+dim, over C and so over Q(i), where the table's entries lie.  The mark
+sits on the read-only table, so it holds even after ``basis_matrices``
+has been replaced.
 """
 
 from __future__ import annotations
@@ -79,7 +109,8 @@ class LieAlgebra:
     summed from the table over the supports of its arguments.
     """
 
-    __slots__ = ("dim", "brackets", "name", "_adjoint", "_commutators")
+    __slots__ = ("dim", "brackets", "name", "_adjoint", "_commutators",
+                 "_semisimple")
 
     def __init__(self, dim, brackets, name=""):
         if type(dim) is not int or dim < 1:
@@ -107,6 +138,8 @@ class LieAlgebra:
         object.__setattr__(self, "_adjoint", None)
         # set by MatrixAlgebra, whose table holds commutators' coordinates
         object.__setattr__(self, "_commutators", False)
+        # set by sl_algebra, so_algebra and sp_algebra (module docstring)
+        object.__setattr__(self, "_semisimple", False)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -354,6 +387,13 @@ class MatrixAlgebra:
         return combination(self.basis_matrices, x)
 
 
+def _semisimple(ma):
+    """ma, its algebra marked semisimple by construction (module
+    docstring)."""
+    object.__setattr__(ma.algebra, "_semisimple", True)
+    return ma
+
+
 def sl_algebra(n) -> MatrixAlgebra:
     """sl(n): basis E_ij (i != j, row-major) then H_i = E_ii - E_{i+1,i+1}."""
     if n < 2:
@@ -370,7 +410,7 @@ def sl_algebra(n) -> MatrixAlgebra:
         m[i + 1][i + 1] = Scalar(-1)
         mats.append(m)
         labels.append("H%d" % (i + 1))
-    return MatrixAlgebra("sl(%d)" % n, mats, labels)
+    return _semisimple(MatrixAlgebra("sl(%d)" % n, mats, labels))
 
 
 def so_algebra(n) -> MatrixAlgebra:
@@ -385,7 +425,7 @@ def so_algebra(n) -> MatrixAlgebra:
             m[j][i] = Scalar(-1)
             mats.append(m)
             labels.append("A%d%d" % (i + 1, j + 1))
-    return MatrixAlgebra("so(%d)" % n, mats, labels)
+    return _semisimple(MatrixAlgebra("so(%d)" % n, mats, labels))
 
 
 def sp_algebra(two_m) -> MatrixAlgebra:
@@ -417,7 +457,7 @@ def sp_algebra(two_m) -> MatrixAlgebra:
             big[m + j][i] = ONE
             mats.append(big)
             labels.append("C%d%d" % (i + 1, j + 1))
-    return MatrixAlgebra("sp(%d)" % two_m, mats, labels)
+    return _semisimple(MatrixAlgebra("sp(%d)" % two_m, mats, labels))
 
 
 _BUILTIN_CACHE = {}
@@ -469,8 +509,12 @@ def validate_lie(g: LieAlgebra) -> dict:
     The table is antisymmetric by construction, and then Jacobi holds
     exactly when ad is a representation: [[x_i, x_j], x_k] =
     [x_i, [x_j, x_k]] - [x_j, [x_i, x_k]] is ad([x_i, x_j]) =
-    [ad x_i, ad x_j] applied to x_k."""
+    [ad x_i, ad x_j] applied to x_k.  An algebra that sl_algebra,
+    so_algebra or sp_algebra built is semisimple by construction (module
+    docstring), and its answer is given without a Killing form."""
     dim = g.dim
+    if g._semisimple:
+        return {"jacobi": True, "killing_rank": dim, "semisimple": True}
     adjoint = g.adjoint_representation()
     jacobi_ok = adjoint.check_identity()
     ads = adjoint.matrices
@@ -502,21 +546,22 @@ def is_ad_nilpotent(g: LieAlgebra, y) -> bool:
     return all(x.is_zero() for row in power for x in row)
 
 
-def jacobson_morozov(g: LieAlgebra, y, assume_semisimple=False) -> Sl2Embedding:
+def jacobson_morozov(g: LieAlgebra, y) -> Sl2Embedding:
     """An sl(2)-triple (E, H, F=Y) through the nilpotent Y.
 
     Route: solve [H, Y] = -2Y with H in the image of ad(Y) (always possible
     in a semisimple algebra), then solve [H, X] = 2X, [X, Y] = H for X = E.
     Deterministic pivoting fixes the output; the bracket relations are
-    verified exactly on the result.
+    verified exactly on the result.  The algebra is validated first
+    (:func:`validate_lie`, free for a built-in): a table that fails Jacobi
+    or is not semisimple is bad input.
     """
-    if not assume_semisimple:
-        info = validate_lie(g)
-        if not info["jacobi"]:
-            raise InvalidInput("the bracket table fails the Jacobi identity")
-        if not info["semisimple"]:
-            raise InvalidInput("algebra is not semisimple (Killing rank %d "
-                               "of %d)" % (info["killing_rank"], g.dim))
+    info = validate_lie(g)
+    if not info["jacobi"]:
+        raise InvalidInput("the bracket table fails the Jacobi identity")
+    if not info["semisimple"]:
+        raise InvalidInput("algebra is not semisimple (Killing rank %d "
+                           "of %d)" % (info["killing_rank"], g.dim))
     y = [scalar(c) for c in y]
     if len(y) != g.dim:
         raise InvalidInput("nilpotent has %d coordinates, the algebra has "

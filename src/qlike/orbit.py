@@ -178,9 +178,12 @@ class GoodQuadruple:
 
 def adjoint_quadruple(algebra: LieAlgebra, nilpotent, name) -> GoodQuadruple:
     """The adjoint quadruple through a nilpotent of a semisimple algebra:
-    the sl(2) comes from the Jacobson-Morozov solver and U is its image."""
+    the sl(2) comes from the Jacobson-Morozov solver and U is its image.
+    A table that fails Jacobi or is not semisimple raises InvalidInput
+    before the solver runs (free for a built-in algebra, which is
+    semisimple by construction)."""
     from .lie import jacobson_morozov
-    tau = jacobson_morozov(algebra, nilpotent, assume_semisimple=True)
+    tau = jacobson_morozov(algebra, nilpotent)
     return GoodQuadruple(algebra, algebra.adjoint_representation(), tau,
                          (tuple(tau.e), tuple(tau.h), tuple(tau.f)),
                          name=name, nilpotent=tuple(tau.f), adjoint=True)

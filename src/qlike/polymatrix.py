@@ -8,13 +8,14 @@ the stage-m kernel vectors independent of the z-multiples of the generators
 already found, so the output degrees are minimal.  Kernels of maps into
 torsion-free modules are saturated, hence free here (two variables), and
 the generator count equals cols - generic rank; the loop stops exactly
-there, and it never passes a degree bound B that it proves first.  Twist
-c_j by its shift s_j and split
-each relation by the degree t = deg f_ij + s_j of its terms: the system is
-a map sum_j O(s_j) -> sum_g O(t_g) of generic rank rho on the sphere, whose
-kernel is a subbundle sum_i O(-m_i) of rank c = n - rho, with a generator
-at each stage m_i (Birkhoff-Grothendieck).  The image's determinant maps
-into the rho-th exterior power of the target, so sum_i m_i = c1(image) -
+there, and it never passes a degree bound B that it proves first from its
+input, so it takes no degree limit from its caller.  Twist c_j by its
+shift s_j and split each relation by the degree t = deg f_ij + s_j of its
+terms: the system is a map sum_j O(s_j) -> sum_g O(t_g) of generic rank
+rho on the sphere, whose kernel is a subbundle sum_i O(-m_i) of rank
+c = n - rho, with a generator at each stage m_i (Birkhoff-Grothendieck).
+The image's determinant maps into the rho-th exterior power of the
+target, so sum_i m_i = c1(image) -
 sum_j s_j <= T - sum_j s_j, for T the sum of the rho largest t_g; and each
 m_i >= -max s_j, as O(-m_i) maps into sum_j O(s_j).  So every m_i is at
 most B = T - sum_j s_j + (c - 1) max s_j.  The conic's relations
@@ -65,33 +66,12 @@ section-space layout.
 
 from __future__ import annotations
 
-import os
-
 from .errors import InternalError, InvalidInput
 from .forms import BinaryForm, _column_numerators
 from .linalg import (identity, independent_rows, kernel_basis, rank, solve,
                      solve_matrix)
 from .modp import PRIMES, rank_modp, reduce_modp, sqrt_minus_one
 from .scalars import ZERO
-
-DEFAULT_MAX_DEGREE = 64
-
-
-def max_degree_cap():
-    """The QLIKE_MAX_DEGREE cap on graded solves; a value that is not a
-    nonnegative integer is bad input."""
-    value = os.environ.get("QLIKE_MAX_DEGREE", "")
-    if not value:
-        return DEFAULT_MAX_DEGREE
-    try:
-        cap = int(value)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise InvalidInput("QLIKE_MAX_DEGREE must be a nonnegative integer, "
-                           "got %r" % value)
-    return cap
-
 
 class PolyMatrix:
     """Immutable matrix of binary forms, column j homogeneous of degree d_j."""
@@ -211,8 +191,7 @@ def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None, *,
     before them, chosen on the kernel's free coordinates (see the module
     docstring for both proofs).  It stops at ``expected_count`` generators
     (n_unknowns minus the generic rank of the rows split by degree), and
-    fails past the module's proven bound B (internal error) or past a lower
-    QLIKE_MAX_DEGREE (bad input).
+    fails past the module's proven bound B (internal error).
     """
     shifts = list(unknown_shifts or [0] * n_unknowns)
     if len(shifts) != n_unknowns:
@@ -220,15 +199,13 @@ def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None, *,
     if n_unknowns == 0 or expected_count == 0:
         return []
     bound = _degree_bound(relation_rows, shifts, expected_count)
-    env_cap = max_degree_cap()
-    stop = min(bound, env_cap)
 
     rows = [[f.coeffs for f in row] for row in relation_rows]
     rows_p = _relations_modp(relation_rows)
     gens = []
     known = []          # (degree, coefficient blocks) of each generator
     m = -max(shifts)
-    while m <= stop:
+    while m <= bound:
         lengths, offsets, total = _section_layout(shifts, m)
         n_mults = sum(m - mg + 1 for mg, _ in known)
         r_p = rank_modp(_equation_rows(rows_p, shifts, m, zero=0), PRIMES[0])
@@ -243,9 +220,6 @@ def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None, *,
                 known.append((m, [sol[off:off + length] for off, length
                                   in zip(offsets, lengths)]))
         m += 1
-    if env_cap < bound:
-        raise InvalidInput("graded kernel did not terminate by degree %d, the "
-                           "QLIKE_MAX_DEGREE limit" % stop)
     raise InternalError("graded kernel short of %d generators by degree %d, "
                         "its proven bound" % (expected_count, bound))
 
@@ -263,15 +237,11 @@ def graded_kernel_from_basis(columns, degrees):
     the left.  Row i of solve_matrix(W_m[:, F], W_m) is the kernel vector
     that is 1 on F[i] and 0 on the rest of F, which is what
     :func:`~qlike.linalg.kernel_basis` returns, and the new generators are
-    picked from these rows by graded_kernel's rule.  A column degree above
-    QLIKE_MAX_DEGREE is bad input, as in graded_kernel.
+    picked from these rows by graded_kernel's rule.  It runs no stage above
+    the largest column degree, so it needs no bound of its own.
     """
     if not columns:
         return []
-    cap = max_degree_cap()
-    if max(degrees) > cap:
-        raise InvalidInput("graded kernel did not terminate by degree %d, the "
-                           "QLIKE_MAX_DEGREE limit" % cap)
     shifts = [0] * len(columns[0])
     blocks = [[f.coeffs for f in col] for col in columns]
     gens = []

@@ -46,58 +46,25 @@ def test_analyze_malformed_file_exit_two(tmp_path, capsys):
     assert code == 2
 
 
-def test_analyze_invalid_structure_exit_two(tmp_path, capsys):
-    constant = {"mode": "complex", "dim": 3, "k": 1,
-                "spanning": [["1", "0", "0"]]}
-    path = tmp_path / "constant.json"
-    path.write_text(json.dumps(constant))
-    code, out, _ = run_cli(capsys, "analyze", str(path))
-    assert code == 2
-    report = json.loads(out)
-    assert report["verdict"] == "invalid"
-
-
-@pytest.mark.parametrize("value", ["abc", "1.5", "-1"])
-def test_bad_max_degree_exit_two(capsys, monkeypatch, value):
-    monkeypatch.setenv("QLIKE_MAX_DEGREE", value)
-    path = os.path.join(FIXTURES, "conic_r3.json")
-    code, out, err = run_cli(capsys, "analyze", path)
-    assert code == 2
-    assert "QLIKE_MAX_DEGREE" in err
-
-
-# a rank-1 structure with k=2 saturates before its rank check fails
+# a rank-1 structure with k=2 fails its rank check
 RANK_ONE = {"mode": "complex", "dim": 4, "k": 2,
             "spanning": [["z0", "z1", "0", "0"], ["2*z0", "2*z1", "0", "0"]]}
 
 
-@pytest.mark.parametrize("structure", ["conic_r3.json", RANK_ONE],
-                         ids=["conic_r3", "rank_one"])
-def test_max_degree_too_low_exit_two(tmp_path, capsys, monkeypatch,
-                                     structure):
-    # the saturation outgrows the user's degree limit: bad input, not an
-    # internal error
-    if isinstance(structure, dict):
-        path = tmp_path / "rank_one.json"
+def test_analyze_invalid_structure_exit_two(tmp_path, capsys):
+    constant = {"mode": "complex", "dim": 3, "k": 1,
+                "spanning": [["1", "0", "0"]]}
+    for structure, failing in ((constant, "immersion"),
+                               (RANK_ONE, "generic-rank")):
+        path = tmp_path / "invalid.json"
         path.write_text(json.dumps(structure))
-    else:
-        path = os.path.join(FIXTURES, structure)
-    monkeypatch.setenv("QLIKE_MAX_DEGREE", "0")
-    code, out, err = run_cli(capsys, "analyze", str(path))
-    assert code == 2
-    assert "QLIKE_MAX_DEGREE" in err and "Traceback" not in err
-
-
-def test_max_degree_below_the_spanning_degree_exit_two(capsys, monkeypatch):
-    # the conic's annihilator fits degree 1, its spanning column, already a
-    # free basis of the saturation, does not
-    monkeypatch.setenv("QLIKE_MAX_DEGREE", "1")
-    code, out, err = run_cli(capsys, "analyze",
-                             os.path.join(FIXTURES, "conic_r3.json"))
-    assert code == 2
-    assert ("graded kernel did not terminate by degree 1, the "
-            "QLIKE_MAX_DEGREE limit") in err
-    assert "Traceback" not in err
+        code, out, _ = run_cli(capsys, "analyze", str(path))
+        assert code == 2
+        report = json.loads(out)
+        assert report["verdict"] == "invalid"
+        status = {c["name"]: c["status"]
+                  for c in report["validation"]["checks"]}
+        assert status[failing] == "fail"
 
 
 def test_dual_round_trip(tmp_path, capsys):

@@ -137,6 +137,23 @@ def test_no_qlike_module_imports_dataclasses():
         assert "dataclasses" not in imported, path.name
 
 
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_qlike_module_reads_the_environment():
+    # the engine decides every limit from its input: no module has a knob
+    # in the environment
+    for path in sorted((SRC / "qlike").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads = [node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+                 and isinstance(node.value, ast.Name) and node.value.id == "os"]
+        reads += [alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "os"
+                  for alias in node.names if alias.name in ENVIRONMENT]
+        assert not reads, (path.name, reads)
+
+
 def test_import_loads_no_submodule_and_dir_lists_the_api():
     code = ("import sys, qlike\n"
             "print([m for m in sys.modules if m.startswith('qlike.')])\n"

@@ -14,6 +14,7 @@ from qlike.lie import (LieAlgebra, MatrixAlgebra, Representation,
                        so_algebra, sp_algebra, validate_lie,
                        wedge_square_representation)
 from qlike.linalg import identity, inverse, mat_mul, rank, solve
+from qlike.orbit import adjoint_quadruple
 from qlike.sampling import random_quadruples
 from qlike.scalars import ONE, Scalar, ZERO
 
@@ -58,11 +59,22 @@ def test_validate_lie_perturbed_constants_fail_jacobi():
     assert not rep["jacobi"]
 
 
-def test_builtin_algebras_are_semisimple():
-    for name in ("sl(2)", "sl(3)", "so(5)", "sp(4)"):
-        ma = builtin_algebra(name)
-        rep = validate_lie(ma.algebra)
-        assert rep["jacobi"] and rep["semisimple"], name
+def test_builtin_algebras_are_semisimple(monkeypatch):
+    # a builder's table answers by construction (module docstring): the
+    # dict an unmarked copy computes, with no rank taken
+    ranks = []
+    monkeypatch.setattr(lie, "rank", lambda m: ranks.append(m) or rank(m))
+    for ma in ([sl_algebra(n) for n in range(2, 6)]
+               + [so_algebra(n) for n in range(3, 7)]
+               + [sp_algebra(n) for n in (2, 4, 6)]):
+        g = ma.algebra
+        marked = validate_lie(g)
+        assert not ranks, g.name
+        copy = LieAlgebra(g.dim, dict(g.brackets), g.name)
+        assert validate_lie(copy) == marked == {
+            "jacobi": True, "killing_rank": g.dim, "semisimple": True}
+        assert len(ranks) == 1, g.name
+        ranks.clear()
 
 
 def test_defining_representations_satisfy_identity():
@@ -74,7 +86,7 @@ def test_defining_representations_satisfy_identity():
 def test_jacobson_morozov_sl2_standard():
     ma = sl_algebra(2)
     y = ma.coordinates_of_matrix([[ZERO, ZERO], [ONE, ZERO]])
-    emb = jacobson_morozov(ma.algebra, y, assume_semisimple=True)
+    emb = jacobson_morozov(ma.algebra, y)
     assert emb.check()
     assert list(emb.f) == list(y)
     h_mat = ma.matrix_of(list(emb.h))
@@ -92,8 +104,7 @@ def test_jacobson_morozov_sl3_principal():
     m = [[ZERO] * 3 for _ in range(3)]
     m[1][0] = ONE
     m[2][1] = ONE
-    emb = jacobson_morozov(ma.algebra, ma.coordinates_of_matrix(m),
-                           assume_semisimple=True)
+    emb = jacobson_morozov(ma.algebra, ma.coordinates_of_matrix(m))
     assert emb.check()
     assert diagonal_of_h(ma, emb) == [2, 0, -2]
 
@@ -102,8 +113,7 @@ def test_jacobson_morozov_sl3_minimal():
     ma = sl_algebra(3)
     m = [[ZERO] * 3 for _ in range(3)]
     m[2][0] = ONE
-    emb = jacobson_morozov(ma.algebra, ma.coordinates_of_matrix(m),
-                           assume_semisimple=True)
+    emb = jacobson_morozov(ma.algebra, ma.coordinates_of_matrix(m))
     assert emb.check()
     assert diagonal_of_h(ma, emb) == [1, 0, -1]
 
@@ -112,7 +122,13 @@ def test_jacobson_morozov_rejects_nonnilpotent():
     ma = sl_algebra(2)
     h = ma.coordinates_of_matrix([[ONE, ZERO], [ZERO, Scalar(-1)]])
     with pytest.raises(InvalidInput):
-        jacobson_morozov(ma.algebra, h, assume_semisimple=True)
+        jacobson_morozov(ma.algebra, h)
+
+
+def test_adjoint_quadruple_rejects_a_non_semisimple_table():
+    # x is ad-nilpotent in the Heisenberg algebra, which has no sl(2)
+    with pytest.raises(InvalidInput, match="not semisimple"):
+        adjoint_quadruple(heisenberg(), [ONE, ZERO, ZERO], "heisenberg")
 
 
 def test_sl2_decompose_adjoint_of_sl2():
@@ -130,14 +146,12 @@ def test_sl2_decompose_adjoint_sl3():
     m = [[ZERO] * 3 for _ in range(3)]
     m[1][0] = ONE
     m[2][1] = ONE
-    emb = jacobson_morozov(ma.algebra, ma.coordinates_of_matrix(m),
-                           assume_semisimple=True)
+    emb = jacobson_morozov(ma.algebra, ma.coordinates_of_matrix(m))
     assert sl2_decompose(ma.algebra.adjoint_representation(), emb) == \
         {2: 1, 4: 1}
     m2 = [[ZERO] * 3 for _ in range(3)]
     m2[2][0] = ONE
-    emb2 = jacobson_morozov(ma.algebra, ma.coordinates_of_matrix(m2),
-                            assume_semisimple=True)
+    emb2 = jacobson_morozov(ma.algebra, ma.coordinates_of_matrix(m2))
     assert sl2_decompose(ma.algebra.adjoint_representation(), emb2) == \
         {0: 1, 1: 2, 2: 1}
 

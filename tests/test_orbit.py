@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -10,12 +11,13 @@ from qlike import bundles, lie, orbit, polymatrix
 from qlike.bundles import (SplittingType, family_span_equal, saturate,
                            subquotient_splitting)
 from qlike.catalog import (adjoint_expected, build_adjoint, build_so,
-                           build_sp, build_veronese, catalog_entries)
+                           build_sp, build_veronese, catalog_entries,
+                           entry_by_name)
 from qlike.errors import InvalidInput
 from qlike.forms import Z0, Z1, format_form, parse_form
-from qlike.lie import (sl_algebra, principal_sl2_matrices, Sl2Embedding,
-                       sl2_decompose)
-from qlike.linalg import mat_mul, mat_sub, mat_vec, solve_matrix
+from qlike.lie import (Representation, sl_algebra, principal_sl2_matrices,
+                       Sl2Embedding, sl2_decompose)
+from qlike.linalg import inverse, mat_mul, mat_sub, mat_vec, solve_matrix
 from qlike.orbit import (GoodQuadruple, _restricted_sl2_matrices,
                          adjoint_multiplicity_count, dimension_report,
                          normal_bundle, orbit_tangent_family,
@@ -26,6 +28,7 @@ from qlike.sampling import random_quadruples
 from qlike.scalars import ONE, Scalar, ZERO
 from qlike.serialize import quadruple_from_json
 from test_loader_fuzz import QUADRUPLE
+from test_structures import _unit_triangular
 
 
 def test_nilpotent_family_squares_to_zero():
@@ -481,3 +484,33 @@ def test_a_representation_breaking_the_identity_is_checked_exactly():
     assert q.sigma.identity_route == "exact"
     assert not identity_by_all_pairs(q.sigma)
     assert not q.sigma.check_identity()
+
+
+def test_normal_bundle_is_invariant_under_a_change_of_basis_of_e():
+    # sigma'(x) = P sigma(x) P^-1 and U' = P U present the same orbit, for
+    # P = L U with L, U unitriangular Gaussian-integer matrices; sigma' is a
+    # representation the identity check decides.  One sl(4) adjoint is
+    # kept: each takes about a second.
+    rng = random.Random(3)
+    quadruples = ([entry_by_name(name).build() for name in (
+                      "veronese:2", "veronese:3", "so:5", "sp:4",
+                      "adjoint:sl(3):principal", "adjoint:sl(3):minimal",
+                      "adjoint:sl(4):minimal")]
+                  + [q for q in random_quadruples(4242, 3)
+                     if q.name != "random-adjoint:sl(4)"])
+    for q in quadruples:
+        n = q.space_dim
+        P = mat_mul(_unit_triangular(rng, n, True),
+                    _unit_triangular(rng, n, False))
+        P_inv = inverse(P)
+        sigma = Representation(q.algebra, [mat_mul(mat_mul(P, m), P_inv)
+                                           for m in q.sigma.matrices])
+        moved = GoodQuadruple(q.algebra, sigma, q.tau,
+                              [mat_vec(P, list(u)) for u in q.u_basis],
+                              name=q.name, nilpotent=q.nilpotent,
+                              adjoint=q.adjoint)
+        report, moved_report = normal_bundle(q), normal_bundle(moved)
+        assert moved_report.to_json() == report.to_json(), q.name
+        assert dimension_report(moved, moved_report) == \
+            dimension_report(q, report), q.name
+        assert sigma.identity_route == "exact"

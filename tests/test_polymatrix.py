@@ -8,7 +8,7 @@ from oracles import graded_kernel_by_stages, poly_mat_vec
 from qlike import bundles, orbit, polymatrix
 from qlike.bundles import saturate, subquotient_splitting
 from qlike.catalog import catalog_entries, fixture_structures
-from qlike.errors import InternalError, InvalidInput
+from qlike.errors import InternalError
 from qlike.forms import BinaryForm, Z0, Z1, parse_form
 from qlike.modp import PRIMES
 from qlike.polymatrix import (PolyMatrix, _degree_bound, generic_rank,
@@ -145,14 +145,6 @@ def test_conic_reaches_the_bound():
     assert [m for m, _ in gens] == [2]
     assert _degree_bound(CONIC_RELATIONS, [0, 0, 0], 1) == 2
     assert list(gens[0][1]) == [Z0 * Z0, Z0 * Z1, Z1 * Z1]
-
-
-def test_max_degree_limit_at_and_below_the_needed_degree(monkeypatch):
-    monkeypatch.setenv("QLIKE_MAX_DEGREE", "2")
-    assert len(graded_kernel(CONIC_RELATIONS, 3, expected_count=1)) == 1
-    monkeypatch.setenv("QLIKE_MAX_DEGREE", "1")
-    with pytest.raises(InvalidInput, match="QLIKE_MAX_DEGREE"):
-        graded_kernel(CONIC_RELATIONS, 3, expected_count=1)
 
 
 def test_count_too_high_fails_at_the_bound():

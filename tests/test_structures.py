@@ -285,13 +285,18 @@ def _unit_triangular(rng, n, lower):
 
 
 def _moved_structure(S, g, T):
-    """S' whose spanning columns are g . c(T z), c the columns of S."""
+    """S' whose spanning columns are g . c(T z), c the columns of S, and
+    whose conjugation, in real mode, is g C conj(g)^-1."""
     degrees = S.spanning.col_degrees
     cols = [polymatrix._apply_scalar_matrix(
-                g, [f.substitute(*T) for f in col], d)
+                g, [f.substitute(*T[0], *T[1]) for f in col], d)
             for col, d in zip(S.spanning.columns(), degrees)]
     spanning = PolyMatrix.from_columns(S.dim, cols, degrees)
-    return QLikeStructure(S.dim, S.k, spanning, complex_mode=True)
+    C = None if S.complex_mode else linalg.mat_mul(
+        linalg.mat_mul(g, S.conjugation_matrix()),
+        linalg.inverse(linalg.conj_matrix(g)))
+    return QLikeStructure(S.dim, S.k, spanning, C,
+                          complex_mode=S.complex_mode)
 
 
 def _invariants(report):
@@ -300,19 +305,43 @@ def _invariants(report):
     return checks, data
 
 
+def _assert_coordinate_change_is_invisible(s, g, T):
+    """S' = g . S o T is isomorphic to S, so every invariant analyze reports
+    agrees, and (g, T^-1) is a morphism S -> S' where (g, T) is not."""
+    moved = _moved_structure(s, g, T)
+    assert _invariants(analyze(moved)) == _invariants(analyze(s))
+    assert check_morphism(s, moved, g, linalg.inverse(T))
+    assert not check_morphism(s, moved, g, T)
+    return moved
+
+
+def _coordinate_change(rng, n):
+    return linalg.mat_mul(_unit_triangular(rng, n, False),
+                          _unit_triangular(rng, n, True))
+
+
 def test_analysis_is_invariant_under_a_change_of_coordinates():
-    # S' = g . S o T is isomorphic to S, so every invariant analyze reports
-    # agrees, and (g, T^-1) is a morphism S -> S' where (g, T) is not
     rng = random.Random(10)
     for step, s in enumerate(random_structures(20250808, 10)):
         T = ((1, 1, 0, 1), (2, 1, 1, 1))[step % 2]
-        g = linalg.mat_mul(_unit_triangular(rng, s.dim, False),
-                           _unit_triangular(rng, s.dim, True))
-        moved = _moved_structure(s, g, T)
-        assert _invariants(analyze(moved)) == _invariants(analyze(s))
-        t = [[Scalar(T[0]), Scalar(T[1])], [Scalar(T[2]), Scalar(T[3])]]
-        assert check_morphism(s, moved, g, linalg.inverse(t))
-        assert not check_morphism(s, moved, g, t)
+        T = [[Scalar(T[0]), Scalar(T[1])], [Scalar(T[2]), Scalar(T[3])]]
+        _assert_coordinate_change_is_invisible(
+            s, _coordinate_change(rng, s.dim), T)
+
+
+@pytest.mark.parametrize("a, b", [(ONE, ONE), (ONE + I, Scalar(2) - I)],
+                         ids=["1,1", "1+i,2-i"])
+def test_real_analysis_is_invariant_under_a_change_of_coordinates(a, b):
+    # T = [[a, -conj(b)], [b, conj(a)]] commutes with the antipodal map, and
+    # the moved structure is real for C' = g C conj(g)^-1, not for C
+    rng = random.Random(10)
+    T = [[a, -b.conjugate()], [b, a.conjugate()]]
+    for s in (QUAT, CONIC, build_quaternionic(2)):
+        g = _coordinate_change(rng, s.dim)
+        moved = _assert_coordinate_change_is_invisible(s, g, T)
+        assert validate(moved).passed
+        old_c = QLikeStructure(s.dim, s.k, moved.spanning, s.conjugation)
+        assert check_status(validate(old_c), "reality") == "fail"
 
 
 def test_random_structures_all_valid_and_factorize():
