@@ -8,6 +8,34 @@ nilpotent orbit's dimension at run time, never hard-coded, and
 :func:`~qlike.orbit.normal_bundle` checks its answer against an independent
 count, the dimension of ker sigma(e)
 (:func:`~qlike.orbit.adjoint_multiplicity_count`).
+
+The quaternionic structure on H^k is written down, not solved for.  On
+the real basis (1, i, j, k) of one quaternionic coordinate, left
+multiplication by i, j and k acts by
+
+    L_i = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+    L_j = [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+    L_k = [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+
+and :func:`build_quaternionic` takes two degree-1 columns per coordinate,
+zero off its block:
+
+    c = (-i z0, z0, z1, -i z1),   c' = (-z1, i z1, -i z0, z0).
+
+At [1:0] they are (-i, 1, 0, 0) and (0, 0, -i, 1), and L_i maps them to
+(-1, -i, 0, 0) and (0, 0, -1, -i), -i times themselves: the fibre is the
+-i eigenspace of L_i.  In the same way the fibre at [0:1], spanned by
+(0, 0, 1, -i) and (-1, i, 0, 0), is that of -L_i; at [1:1], spanned by
+(-i, 1, 1, -i) and (-1, i, -i, 1), that of L_j; and at [1:i], spanned by
+(-i, 1, i, 1) and (-i, -1, -i, 1), that of L_k.  In general the fibre at
+z is the -i eigenspace of the complex structure
+
+    J_z = ((|z0|^2 - |z1|^2) L_i + 2 Re(conj(z0) z1) L_j
+           + 2 Im(conj(z0) z1) L_k) / (|z0|^2 + |z1|^2),
+
+so the family runs once over the sphere of compatible complex
+structures.  Each fibre has dimension 2k, half of 4k, so it is the whole
+eigenspace.
 """
 
 from __future__ import annotations
@@ -18,7 +46,7 @@ from .forms import BinaryForm, parse_form
 from .lie import (Sl2Embedding, builtin_algebra, combination,
                   named_nilpotent, principal_sl2_matrices, sl_algebra,
                   so_algebra, sp_algebra, wedge_square_representation)
-from .linalg import identity, kernel_basis, mat_mul, solve_matrix, zeros
+from .linalg import identity, zeros
 from .orbit import (GoodQuadruple, _centralizer_dim, _dimension_report,
                     adjoint_quadruple, normal_bundle)
 from .polymatrix import PolyMatrix
@@ -160,75 +188,23 @@ def _orbit_expected(algebra_dim, centralizer):
 # structure fixtures
 # --------------------------------------------------------------------------
 
-def _left_quaternion_matrices(k):
-    """Left multiplication by i, j, k on H^k in the real basis
-    (1, i, j, k) per quaternionic coordinate."""
-    blk_i = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-    blk_j = [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
-    blk_k = [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
-
-    def blow(blk):
-        n = 4 * k
-        out = zeros(n, n)
-        for b in range(k):
-            for r in range(4):
-                for c in range(4):
-                    if blk[r][c]:
-                        out[4 * b + r][4 * b + c] = Scalar(blk[r][c])
-        return out
-
-    return blow(blk_i), blow(blk_j), blow(blk_k)
-
-
-def _eigenspace_minus_i(m):
-    """Kernel of (m + i), i.e. the -i eigenspace of a complex structure."""
-    n = len(m)
-    shifted = [[m[r][c] + (I if r == c else ZERO) for c in range(n)]
-               for r in range(n)]
-    return kernel_basis(shifted)
-
-
 def build_quaternionic(k) -> QLikeStructure:
-    """The classical structure on H^k: spheres of -i eigenspaces of the
-    compatible complex structures, interpolated exactly from three sample
-    points of the sphere ([1:0] -> I, [0:1] -> -I, [1:1] -> J)."""
+    """The classical structure on H^k, written down (module docstring):
+    per quaternionic coordinate, the columns (-i z0, z0, z1, -i z1) and
+    (-z1, i z1, -i z0, z0) on its real basis (1, i, j, k)."""
     from .structures import QLikeStructure
     if k < 1:
         raise InvalidInput("quaternionic builder needs k >= 1")
     n = 4 * k
-    mi, mj, mk = _left_quaternion_matrices(k)
-    p0 = _eigenspace_minus_i(mi)                       # columns for z = [1:0]
-    neg_i = [[-x for x in row] for row in mi]
-    p1 = _eigenspace_minus_i(neg_i)                    # columns for z = [0:1]
-    if len(p0) != 2 * k or len(p1) != 2 * k:
-        raise InternalError("eigenspace interpolation: wrong eigenspace rank")
-    # middle condition: (J + i)(P0 + P1 M) = 0 determines M uniquely
-    ji = [[mj[r][c] + (I if r == c else ZERO) for c in range(n)]
-          for r in range(n)]
-    a = mat_mul(ji, [list(col) for col in zip(*p1)])
-    b = mat_mul(ji, [list(col) for col in zip(*p0)])
-    m_sol = solve_matrix(a, [[-x for x in row] for row in b])
-    if m_sol is None:
-        raise InternalError("eigenspace interpolation inconsistent")
-    p1m = mat_mul([list(col) for col in zip(*p1)], m_sol)
     cols = []
-    for a_idx in range(2 * k):
-        col = []
-        for r in range(n):
-            col.append(BinaryForm(1, (p0[a_idx][r], p1m[r][a_idx])))
-        cols.append(col)
+    for b in range(k):
+        for block in (("-i*z0", "z0", "z1", "-i*z1"),
+                      ("-z1", "i*z1", "-i*z0", "z0")):
+            texts = ["0"] * (4 * b) + list(block) + ["0"] * (n - 4 * b - 4)
+            cols.append([parse_form(t, 1) for t in texts])
     spanning = PolyMatrix.from_columns(n, cols, [1] * (2 * k))
-    S = QLikeStructure(n, 2 * k, spanning, conjugation=None,
-                       complex_mode=False)
-    # the K sample point must come out right or the interpolation is broken
-    zk = spanning.evaluate(ONE, I)
-    ek = _eigenspace_minus_i(mk)
-    from .linalg import span_equal
-    fiber = [[zk[r][c] for r in range(n)] for c in range(2 * k)]
-    if not span_equal(fiber, ek):
-        raise InternalError("eigenspace interpolation missed the third "
-                            "complex structure")
-    return S
+    return QLikeStructure(n, 2 * k, spanning, conjugation=None,
+                          complex_mode=False)
 
 
 def build_conic_r3() -> QLikeStructure:

@@ -71,6 +71,48 @@ Theory*, section 19.1), so by Cartan's criterion its Killing form has rank
 dim, over C and so over Q(i), where the table's entries lie.  The mark
 sits on the read-only table, so it holds even after ``basis_matrices``
 has been replaced.
+
+:func:`jacobson_morozov` decides nilpotency with its own H solve and
+forms no powers of ad Y.  It seeks H = [Y, w] with [H, Y] = -2Y, that is
+(ad Y)^2 w = 2Y, and on a semisimple algebra g this has a solution
+exactly when Y is nilpotent:
+
+* **Solvability over Q(i).**  The system is linear with coefficients in
+  Q(i).  It has a solution over Q(i) exactly when it has one over C:
+  both say rank (ad Y)^2 = rank [(ad Y)^2 | 2Y], and rank does not
+  change with the field.
+* **Nilpotent => solvable.**  A nilpotent Y != 0 lies in a triple
+  (Y, H', F') (Jacobson-Morozov; Collingwood and McGovern, *Nilpotent
+  Orbits in Semisimple Lie Algebras*, Thm 3.3.1), and then (E, H, Y) =
+  (F', -H', Y) is a triple too.  (ad Y)^2 E = [Y, -H] = [H, Y] = -2Y, so
+  w = -E solves the system: Y lies in (ad Y)^2(g).
+* **Solvable => nilpotent.**  Over C, write Y = S + N (Jordan
+  decomposition: ad S semisimple, ad N nilpotent, [S, N] = 0).  ad Y
+  keeps each eigenspace g_c of ad S and acts there as c + ad N, which is
+  invertible for c != 0.  On g_0 = ker ad S, which contains Y, S and N,
+  it is ad N.  So the g_0 part w_0 of a solution gives
+  2Y = (ad N)^2 w_0, and Y lies in [g_0, g_0].  g_0, the centralizer of
+  a semisimple element, is reductive, g_0 = z + [g_0, g_0], with a
+  centre z of semisimple elements that contains S.  N lies in
+  [g_0, g_0]: write N = Z + D with Z in z and D = D_s + D_n in the
+  semisimple [g_0, g_0], whose Jordan decomposition is g's; then
+  (Z + D_s) + D_n is a Jordan decomposition of N, so Z = -D_s lies in
+  z and in [g_0, g_0], and is 0.  Then S = Y - N lies in z and in
+  [g_0, g_0] too, so S = 0 and Y = N is nilpotent.
+
+So a failed H solve is bad input, "element is not ad-nilpotent".  Given
+H, Morozov's lemma, for the nilpotent Y and -H = [Y, -w] in the image of
+ad Y with [-H, Y] = 2Y, gives X with [-H, X] = -2X and [Y, X] = -H: the
+X that the second solve seeks.  So a failed X solve, or a result that
+fails :meth:`Sl2Embedding.check`, is a broken invariant.
+
+:meth:`Sl2Embedding.check` reads the three-dimensional span of E, H and
+F off H != 0.  Once [H, E] = 2E, [H, F] = -2F and [E, F] = H hold,
+phi(a e + b h + c f) = a E + b H + c F is a homomorphism from sl(2): both
+brackets are bilinear and antisymmetric, so the three basis pairs are all
+there is to check.  Its kernel is an ideal of sl(2), which is simple, so
+phi is injective or zero; and H = 0 forces E = [H, E] / 2 = 0 and
+F = -[H, F] / 2 = 0.  So the span has dimension 3 exactly when H != 0.
 """
 
 from __future__ import annotations
@@ -266,7 +308,8 @@ class Sl2Embedding:
     """Images (E, H, F) of the standard sl(2) triple inside an algebra.
 
     Invariants: [H,E] = 2E, [H,F] = -2F, [E,F] = H, and the span of E, H, F
-    is three-dimensional.
+    is three-dimensional, which given the first three is H != 0 (module
+    docstring).
     """
 
     def __init__(self, algebra, e, h, f):
@@ -290,8 +333,8 @@ class Sl2Embedding:
         ok = (he == [c * 2 for c in self.e]
               and hf == [c * (-2) for c in self.f]
               and ef == list(self.h))
-        three_dim = rank([list(self.e), list(self.h), list(self.f)]) == 3
-        return ok and three_dim
+        # the span is three-dimensional once H != 0 (module docstring)
+        return ok and any(self.h)
 
     def to_json(self):
         from .scalars import format_scalar
@@ -322,12 +365,11 @@ class MatrixAlgebra:
     algebra exactly when sum_i x_i M_i == m.  The structure constants are
     the coordinates of the basis commutators."""
 
-    def __init__(self, name, basis_matrices, basis_labels):
+    def __init__(self, name, basis_matrices):
         basis_matrices = tuple(tuple(tuple(row) for row in m)
                                for m in basis_matrices)
         # the builders' proofs hold while basis_matrices is this object
         self.basis_matrices = self._checked = basis_matrices
-        self.basis_labels = basis_labels
         n, dim = len(basis_matrices[0]), len(basis_matrices)
         cells = [(r, c) for r in range(n) for c in range(n)]
         values = [[m[r][c] for m in basis_matrices] for r, c in cells]
@@ -398,34 +440,28 @@ def sl_algebra(n) -> MatrixAlgebra:
     """sl(n): basis E_ij (i != j, row-major) then H_i = E_ii - E_{i+1,i+1}."""
     if n < 2:
         raise InvalidInput("sl(n) needs n >= 2")
-    mats, labels = [], []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                mats.append(_matrix_unit(n, i, j))
-                labels.append("E%d%d" % (i + 1, j + 1))
+    mats = [_matrix_unit(n, i, j) for i in range(n) for j in range(n)
+            if i != j]
     for i in range(n - 1):
         m = zeros(n, n)
         m[i][i] = ONE
         m[i + 1][i + 1] = Scalar(-1)
         mats.append(m)
-        labels.append("H%d" % (i + 1))
-    return _semisimple(MatrixAlgebra("sl(%d)" % n, mats, labels))
+    return _semisimple(MatrixAlgebra("sl(%d)" % n, mats))
 
 
 def so_algebra(n) -> MatrixAlgebra:
     """so(n) as antisymmetric matrices: basis A_ij = E_ij - E_ji (i < j)."""
     if n < 3:
         raise InvalidInput("so(n) needs n >= 3")
-    mats, labels = [], []
+    mats = []
     for i in range(n):
         for j in range(i + 1, n):
             m = zeros(n, n)
             m[i][j] = ONE
             m[j][i] = Scalar(-1)
             mats.append(m)
-            labels.append("A%d%d" % (i + 1, j + 1))
-    return _semisimple(MatrixAlgebra("so(%d)" % n, mats, labels))
+    return _semisimple(MatrixAlgebra("so(%d)" % n, mats))
 
 
 def sp_algebra(two_m) -> MatrixAlgebra:
@@ -435,29 +471,26 @@ def sp_algebra(two_m) -> MatrixAlgebra:
     if two_m % 2 or two_m < 2:
         raise InvalidInput("sp(2m) needs an even dimension >= 2")
     m = two_m // 2
-    mats, labels = [], []
+    mats = []
     for i in range(m):
         for j in range(m):
             big = zeros(two_m, two_m)
             big[i][j] = ONE
             big[m + j][m + i] = Scalar(-1)
             mats.append(big)
-            labels.append("A%d%d" % (i + 1, j + 1))
     for i in range(m):
         for j in range(i, m):
             big = zeros(two_m, two_m)
             big[i][m + j] = ONE
             big[j][m + i] = ONE
             mats.append(big)
-            labels.append("B%d%d" % (i + 1, j + 1))
     for i in range(m):
         for j in range(i, m):
             big = zeros(two_m, two_m)
             big[m + i][j] = ONE
             big[m + j][i] = ONE
             mats.append(big)
-            labels.append("C%d%d" % (i + 1, j + 1))
-    return _semisimple(MatrixAlgebra("sp(%d)" % two_m, mats, labels))
+    return _semisimple(MatrixAlgebra("sp(%d)" % two_m, mats))
 
 
 _BUILTIN_CACHE = {}
@@ -536,25 +569,16 @@ def validate_lie(g: LieAlgebra) -> dict:
             "semisimple": jacobi_ok and killing_rank == dim}
 
 
-def is_ad_nilpotent(g: LieAlgebra, y) -> bool:
-    ad_y = g.ad([scalar(c) for c in y])
-    power = ad_y
-    for _ in range(g.dim):
-        if all(x.is_zero() for row in power for x in row):
-            return True
-        power = mat_mul(power, ad_y)
-    return all(x.is_zero() for row in power for x in row)
-
-
 def jacobson_morozov(g: LieAlgebra, y) -> Sl2Embedding:
     """An sl(2)-triple (E, H, F=Y) through the nilpotent Y.
 
-    Route: solve [H, Y] = -2Y with H in the image of ad(Y) (always possible
-    in a semisimple algebra), then solve [H, X] = 2X, [X, Y] = H for X = E.
-    Deterministic pivoting fixes the output; the bracket relations are
-    verified exactly on the result.  The algebra is validated first
-    (:func:`validate_lie`, free for a built-in): a table that fails Jacobi
-    or is not semisimple is bad input.
+    Route: solve [H, Y] = -2Y with H in the image of ad(Y), which succeeds
+    exactly when Y is nilpotent (module docstring), so a failure is bad
+    input; then solve [H, X] = 2X, [X, Y] = H for X = E.  Deterministic
+    pivoting fixes the output; the bracket relations are verified exactly
+    on the result.  The algebra is validated first (:func:`validate_lie`,
+    free for a built-in): a table that fails Jacobi or is not semisimple
+    is bad input.
     """
     info = validate_lie(g)
     if not info["jacobi"]:
@@ -568,16 +592,14 @@ def jacobson_morozov(g: LieAlgebra, y) -> Sl2Embedding:
                            "dimension %d" % (len(y), g.dim))
     if all(c.is_zero() for c in y):
         raise InvalidInput("the zero element is not a usable nilpotent")
-    if not is_ad_nilpotent(g, y):
-        raise InvalidInput("element is not ad-nilpotent")
     dim = g.dim
     ad_y = g.ad(y)
     # unknown w with H = ad_y(w): [ad_y w, y] = -ad_y ad_y w = -2y
     a = [[-c for c in row] for row in mat_mul(ad_y, ad_y)]
     w = solve(a, [c * (-2) for c in y])
     if w is None:
-        raise InternalError("no H with [H, Y] = -2Y in im(ad Y); "
-                            "is the algebra semisimple?")
+        # solvable exactly when y is nilpotent (module docstring)
+        raise InvalidInput("element is not ad-nilpotent")
     h = mat_vec(ad_y, w)
     # X: [H, X] = 2X and [X, Y] = -ad_y(X) = H simultaneously
     ad_h = g.ad(h)
@@ -586,6 +608,7 @@ def jacobson_morozov(g: LieAlgebra, y) -> Sl2Embedding:
     rows += [[-c for c in row] for row in ad_y]
     x = solve(rows, [ZERO] * dim + h)
     if x is None:
+        # Morozov's lemma guarantees X (module docstring)
         raise InternalError("Jacobson-Morozov system unsolvable on "
                             "semisimple input")
     emb = Sl2Embedding(g, x, h, y)

@@ -15,8 +15,11 @@ graded kernels by an exact elimination at every stage and
 a selection among whole kernel vectors, Lie brackets by walking the
 structure-constant table pair by pair, Jacobson-Morozov's H system one
 bracket per column, a matrix algebra's structure constants by one
-elimination with every commutator as a right-hand side, and the
-irreducibility of an sl(2)-module by its weight decomposition.
+elimination with every commutator as a right-hand side, the
+irreducibility of an sl(2)-module by its weight decomposition,
+nilpotency by the powers of ad y, the span of an sl(2)-triple by its
+rank, and the quaternionic structure on H^k interpolated through three
+eigenspace fibres.
 """
 
 from fractions import Fraction
@@ -25,11 +28,13 @@ from itertools import combinations, permutations
 from qlike.forms import BinaryForm
 from qlike.lie import LieAlgebra, combination
 from qlike.linalg import (identity, independent_rows, kernel_basis, mat_mul,
-                          mat_sub, mat_vec, solve, solve_matrix, transpose)
+                          mat_sub, mat_vec, rank, solve, solve_matrix,
+                          transpose, zeros)
 from qlike.modp import _eliminate_modp
-from qlike.polymatrix import (_decode, _degree_bound, _equation_rows,
-                              _multiple_coeffs, _section_layout)
-from qlike.scalars import ONE, ZERO, Scalar, clear_denominators
+from qlike.polymatrix import (PolyMatrix, _decode, _degree_bound,
+                              _equation_rows, _multiple_coeffs,
+                              _section_layout)
+from qlike.scalars import I, ONE, ZERO, Scalar, clear_denominators, scalar
 
 
 def naive_det(m):
@@ -668,3 +673,75 @@ def weight_route_irreducibility(s_h):
     if len(mult) == 1 and list(mult.values()) == [1] and 0 not in mult:
         return "pass", next(iter(mult))
     return "fail", None
+
+
+def is_ad_nilpotent(g, y):
+    """Whether ad y is nilpotent, by its powers up to the dim g-th."""
+    ad_y = g.ad([scalar(c) for c in y])
+    power = ad_y
+    for _ in range(g.dim):
+        if all(x.is_zero() for row in power for x in row):
+            return True
+        power = mat_mul(power, ad_y)
+    return all(x.is_zero() for row in power for x in row)
+
+
+def sl2_check_by_rank(emb):
+    """The triple's bracket relations, and rank(E, H, F) == 3."""
+    g = emb.algebra
+    e, h, f = list(emb.e), list(emb.h), list(emb.f)
+    ok = (g.bracket(h, e) == [c * 2 for c in e]
+          and g.bracket(h, f) == [c * (-2) for c in f]
+          and g.bracket(e, f) == h)
+    return ok and rank([e, h, f]) == 3
+
+
+def left_quaternion_matrices(k):
+    """Left multiplication by i, j, k on H^k in the real basis
+    (1, i, j, k) per quaternionic coordinate."""
+    blk_i = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    blk_j = [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
+    blk_k = [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
+
+    def blow(blk):
+        n = 4 * k
+        out = zeros(n, n)
+        for b in range(k):
+            for r in range(4):
+                for c in range(4):
+                    if blk[r][c]:
+                        out[4 * b + r][4 * b + c] = Scalar(blk[r][c])
+        return out
+
+    return blow(blk_i), blow(blk_j), blow(blk_k)
+
+
+def eigenspace_minus_i(m):
+    """Kernel of (m + i), i.e. the -i eigenspace of a complex structure."""
+    n = len(m)
+    shifted = [[m[r][c] + (I if r == c else ZERO) for c in range(n)]
+               for r in range(n)]
+    return kernel_basis(shifted)
+
+
+def quaternionic_by_interpolation(k):
+    """The spanning matrix of the structure on H^k, interpolated exactly
+    from three sample points of the sphere ([1:0] -> L_i, [0:1] -> -L_i,
+    [1:1] -> L_j): columns P0 z0 + P1 M z1, P0 and P1 the -i eigenspaces
+    at the first two points, and M the unique solution of
+    (L_j + i)(P0 + P1 M) = 0."""
+    n = 4 * k
+    mi, mj, _ = left_quaternion_matrices(k)
+    p0 = eigenspace_minus_i(mi)
+    p1 = eigenspace_minus_i([[-x for x in row] for row in mi])
+    assert len(p0) == len(p1) == 2 * k
+    ji = [[mj[r][c] + (I if r == c else ZERO) for c in range(n)]
+          for r in range(n)]
+    a = mat_mul(ji, transpose(p1))
+    b = mat_mul(ji, transpose(p0))
+    m_sol = solve_matrix(a, [[-x for x in row] for row in b])
+    assert m_sol is not None, "eigenspace interpolation inconsistent"
+    p1m = mat_mul(transpose(p1), m_sol)
+    cols = [[BinaryForm(1, (p0[a_idx][r], p1m[r][a_idx])) for r in range(n)]
+            for a_idx in range(2 * k)]
+    return PolyMatrix.from_columns(n, cols, [1] * (2 * k))

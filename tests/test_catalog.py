@@ -4,12 +4,15 @@ import sys
 
 import pytest
 
+from oracles import (eigenspace_minus_i, left_quaternion_matrices,
+                     quaternionic_by_interpolation)
 from qlike import catalog, lie, linalg
 from qlike.bundles import SplittingType
 from qlike.linalg import span_equal
 from qlike.orbit import adjoint_multiplicity_count
 from qlike.sampling import random_quadruples
-from qlike.scalars import ONE, I
+from qlike.scalars import ONE, I, Scalar
+from qlike.serialize import canonical_json
 from qlike.structures import QLikeStructure, validate
 
 
@@ -34,14 +37,32 @@ def test_structure_entries_match(name):
 
 
 def test_quaternionic_builder_hits_all_three_structures():
-    S = catalog.build_quaternionic(1)
-    mi, mj, mk = catalog._left_quaternion_matrices(1)
-    points = [((1, 0), mi), ((1, 1), mj), ((1, I), mk)]
-    for (z0, z1), m in points:
-        fiber_cols = S.spanning.evaluate(z0, z1)
-        fiber = [[fiber_cols[r][c] for r in range(4)] for c in range(2)]
-        eig = catalog._eigenspace_minus_i(m)
-        assert span_equal(fiber, eig)
+    # the fibres at [1:0], [0:1], [1:1] and [1:i] are the -i eigenspaces of
+    # L_i, -L_i, L_j and L_k; at [1:1+i], of (-L_i + 2 L_j + 2 L_k) / 3,
+    # the catalog docstring's J_z there
+    for k in range(1, 4):
+        S = catalog.build_quaternionic(k)
+        mi, mj, mk = left_quaternion_matrices(k)
+        neg_i = [[-x for x in row] for row in mi]
+        j_z = [[(b * 2 + c * 2 - a) / Scalar(3) for a, b, c in zip(*rows)]
+               for rows in zip(mi, mj, mk)]
+        points = [((1, 0), mi), ((0, 1), neg_i), ((1, 1), mj), ((1, I), mk),
+                  ((1, Scalar(1, 1)), j_z)]
+        for (z0, z1), m in points:
+            fiber_cols = S.spanning.evaluate(z0, z1)
+            fiber = [[fiber_cols[r][c] for r in range(4 * k)]
+                     for c in range(2 * k)]
+            assert span_equal(fiber, eigenspace_minus_i(m)), (k, z0, z1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_quaternionic_builder_equals_the_interpolation(k):
+    S = catalog.build_quaternionic(k)
+    interpolated = quaternionic_by_interpolation(k)
+    assert S.spanning == interpolated
+    rebuilt = QLikeStructure(4 * k, 2 * k, interpolated, conjugation=None,
+                             complex_mode=False)
+    assert canonical_json(S.to_json()) == canonical_json(rebuilt.to_json())
 
 
 def test_adjoint_expected_is_recomputed_live():

@@ -297,6 +297,20 @@ def test_lie_jm_bad_nilpotent_exit_two(capsys, vector):
     assert "nilpotent" in err
 
 
+# diag(1, 1, -2) + E12 in sl(3): a nonzero semisimple part commuting with a
+# nilpotent one, in the basis E12, E13, E21, E23, E31, E32, H1, H2
+MIXED_SL3 = [1, 0, 0, 0, 0, 0, 1, 2]
+
+
+def test_lie_jm_non_nilpotent_exit_two(capsys):
+    code, out, err = run_cli(capsys, "lie-jm", "--algebra", "sl(3)",
+                             "--nilpotent", json.dumps(MIXED_SL3))
+    assert code == 2
+    assert out == ""
+    assert "element is not ad-nilpotent" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("algebra", ["so(5)", "sp(4)"])
 @pytest.mark.parametrize("nilpotent", ["principal", "minimal"])
 def test_lie_jm_named_nilpotent_off_sl_exit_two(capsys, algebra, nilpotent):
@@ -351,6 +365,8 @@ _F = [0, 1, 0, 0, 0, 0, 0, 0]
     ({"algebra": {"dim": 3, "brackets": [[0, 1, [[1, "1"]]],
                                          [1, 2, [[0, "1"]]]]},
       "sl2": {"nilpotent": ["1", "0", "0"]}}, "fails the Jacobi identity"),
+    ({"algebra": "sl(3)", "sl2": {"nilpotent": MIXED_SL3}},
+     "element is not ad-nilpotent"),
 ])
 def test_malformed_quadruple_exit_two(tmp_path, capsys, spec, message):
     path = tmp_path / "quad.json"

@@ -127,8 +127,16 @@ def test_twistor_file_loads_no_dataclasses(quadruple_file):
                                               quadruple_file)
 
 
+def qlike_sources():
+    """The package's modules; never empty, so the AST guards below cannot
+    pass by finding nothing to read."""
+    paths = sorted((SRC / "qlike").glob("*.py"))
+    assert paths, "no modules under %s" % (SRC / "qlike")
+    return paths
+
+
 def test_no_qlike_module_imports_dataclasses():
-    for path in sorted((SRC / "qlike").glob("*.py")):
+    for path in qlike_sources():
         tree = ast.parse(path.read_text())
         imported = {alias.name for node in ast.walk(tree)
                     if isinstance(node, ast.Import) for alias in node.names}
@@ -143,7 +151,7 @@ ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 def test_no_qlike_module_reads_the_environment():
     # the engine decides every limit from its input: no module has a knob
     # in the environment
-    for path in sorted((SRC / "qlike").glob("*.py")):
+    for path in qlike_sources():
         tree = ast.parse(path.read_text())
         reads = [node.attr for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT

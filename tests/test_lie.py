@@ -3,19 +3,19 @@ import random
 import pytest
 
 from oracles import (algebra_by_wide_solve, identity_by_all_pairs,
-                     jacobson_morozov_by_brackets, table_ad, table_bracket)
-from qlike import lie
+                     is_ad_nilpotent, jacobson_morozov_by_brackets,
+                     sl2_check_by_rank, table_ad, table_bracket)
+from qlike import catalog, lie
 from qlike.errors import InternalError, InvalidInput
 from qlike.lie import (LieAlgebra, MatrixAlgebra, Representation,
                        Sl2Embedding, builtin_algebra, combination,
-                       is_ad_nilpotent,
                        jacobson_morozov, named_nilpotent,
                        principal_sl2_matrices, sl2_decompose, sl_algebra,
                        so_algebra, sp_algebra, validate_lie,
                        wedge_square_representation)
 from qlike.linalg import identity, inverse, mat_mul, rank, solve
 from qlike.orbit import adjoint_quadruple
-from qlike.sampling import random_quadruples
+from qlike.sampling import random_nilpotent, random_quadruples
 from qlike.scalars import ONE, Scalar, ZERO
 
 
@@ -123,6 +123,107 @@ def test_jacobson_morozov_rejects_nonnilpotent():
     h = ma.coordinates_of_matrix([[ONE, ZERO], [ZERO, Scalar(-1)]])
     with pytest.raises(InvalidInput):
         jacobson_morozov(ma.algebra, h)
+
+
+def _sp4_nilpotent(rng):
+    # [[A, B], [0, -A^T]] with A strictly upper triangular and B symmetric
+    # is strictly upper triangular in the order (e1, e2, f2, f1)
+    while True:
+        a, b11, b12, b22 = (Scalar(rng.randint(-2, 2)) for _ in range(4))
+        m = [[ZERO, a, b11, b12], [ZERO, ZERO, b12, b22],
+             [ZERO, ZERO, ZERO, ZERO], [ZERO, ZERO, -a, ZERO]]
+        if any(x for row in m for x in row):
+            return builtin_algebra("sp(4)").coordinates_of_matrix(m)
+
+
+def _nilpotency_draws(name, rng):
+    """Sparse and dense random integer elements, most of them not
+    nilpotent, and random nilpotent ones."""
+    dim = builtin_algebra(name).dim
+    draws = []
+    for weights in ((0, 0, 0, 1, -1), (0, 1, -1, 2, -2)):
+        for _ in range(6):
+            y = [Scalar(rng.choice(weights)) for _ in range(dim)]
+            if any(y):
+                draws.append(y)
+    for _ in range(3):
+        draws.append(_sp4_nilpotent(rng) if name == "sp(4)"
+                     else random_nilpotent(rng, name)[1])
+    return draws
+
+
+@pytest.mark.parametrize("name", ["sl(2)", "sl(3)", "sl(4)", "so(5)",
+                                  "sp(4)"])
+def test_jacobson_morozov_rejects_exactly_the_non_nilpotent(name):
+    # the H solve decides nilpotency (lie docstring): it fails exactly
+    # where the powers of ad y do not reach zero
+    g = builtin_algebra(name).algebra
+    verdicts = set()
+    for y in _nilpotency_draws(name, random.Random(name)):
+        nilpotent = is_ad_nilpotent(g, y)
+        verdicts.add(nilpotent)
+        if nilpotent:
+            assert list(jacobson_morozov(g, y).f) == y
+        else:
+            with pytest.raises(InvalidInput,
+                               match="element is not ad-nilpotent"):
+                jacobson_morozov(g, y)
+    assert verdicts == {True, False}
+
+
+MIXED_ELEMENTS = [((1, 1, -2), [(0, 1)]),
+                  ((1, 1, -1, -1), [(0, 1), (2, 3)]),
+                  ((2, 2, 2, -3, -3), [(0, 1), (1, 2), (3, 4)])]
+
+
+@pytest.mark.parametrize("diagonal, units", MIXED_ELEMENTS)
+def test_a_semisimple_plus_a_commuting_nilpotent_has_no_h(diagonal, units):
+    # y = s + n with [s, n] = 0 and s, n != 0: in the proof's terms,
+    # (ad y)^2 w = 2y has no solution, since s != 0
+    n = len(diagonal)
+    ma = sl_algebra(n)
+    s = [[Scalar(d) if r == c else ZERO for c in range(n)]
+         for r, d in enumerate(diagonal)]
+    nil = [[ZERO] * n for _ in range(n)]
+    for r, c in units:
+        nil[r][c] = ONE
+    assert mat_mul(s, nil) == mat_mul(nil, s)
+    y = ma.coordinates_of_matrix([[a + b for a, b in zip(*rows)]
+                                  for rows in zip(s, nil)])
+    assert not is_ad_nilpotent(ma.algebra, y)
+    with pytest.raises(InvalidInput, match="element is not ad-nilpotent"):
+        jacobson_morozov(ma.algebra, y)
+
+
+def _perturbed(emb, which, index):
+    vectors = [list(emb.e), list(emb.h), list(emb.f)]
+    vectors[which][index] = vectors[which][index] + ONE
+    return Sl2Embedding(emb.algebra, *vectors)
+
+
+def test_the_span_rule_gives_the_rank_rule_verdict():
+    # once the bracket relations hold, H != 0 is rank(E, H, F) == 3 (lie
+    # docstring): on valid triples, one-entry perturbations and zero
+    triples = [jacobson_morozov(builtin_algebra(name).algebra, y)
+               for name, y in catalog_nilpotents()]
+    triples += [q.tau for q in (catalog.build_so(5), catalog.build_sp(4),
+                                catalog.build_veronese(3))]
+    verdicts = []
+    for emb in triples:
+        assert emb.check() and sl2_check_by_rank(emb)
+        for which in range(3):
+            for index in range(emb.algebra.dim):
+                moved = _perturbed(emb, which, index)
+                verdicts.append(moved.check())
+                assert verdicts[-1] == sl2_check_by_rank(moved)
+        scaled = Sl2Embedding(emb.algebra, [c * 2 for c in emb.e], emb.h,
+                              [c / 2 for c in emb.f])
+        assert scaled.check() and sl2_check_by_rank(scaled)
+    assert not any(verdicts)
+    for name in ("sl(2)", "sl(3)", "so(5)", "sp(4)"):
+        g = builtin_algebra(name).algebra
+        zero = Sl2Embedding(g, [ZERO] * g.dim, [ZERO] * g.dim, [ZERO] * g.dim)
+        assert not zero.check() and not sl2_check_by_rank(zero)
 
 
 def test_adjoint_quadruple_rejects_a_non_semisimple_table():
@@ -309,12 +410,12 @@ def _unit(i, j):
 def test_a_basis_not_closed_under_the_bracket_is_an_internal_error():
     # [E12, E23] = E13 is not in the span of E12 and E23
     with pytest.raises(InternalError, match="commutator left the span"):
-        MatrixAlgebra("upper", [_unit(0, 1), _unit(1, 2)], ["E12", "E23"])
+        MatrixAlgebra("upper", [_unit(0, 1), _unit(1, 2)])
 
 
 def test_a_repeated_basis_matrix_is_an_internal_error():
     with pytest.raises(InternalError, match="linearly dependent"):
-        MatrixAlgebra("repeated", [_unit(0, 1), _unit(0, 1)], ["E12", "E12"])
+        MatrixAlgebra("repeated", [_unit(0, 1), _unit(0, 1)])
 
 
 # --------------------------------------------------------------------------

@@ -14,12 +14,11 @@ from hypothesis import strategies as st
 from qlike import (bundles, catalog, embedding, linalg, modp, polymatrix,
                    sampling, structures)
 
-from oracles import (dense_intertwiner, plus_side_generic_by_sections,
-                     scalar_factorization)
+from oracles import (dense_intertwiner, left_quaternion_matrices,
+                     plus_side_generic_by_sections, scalar_factorization)
 from qlike.bundles import SplittingType
 from qlike.catalog import (build_conic_r3, build_quaternionic,
-                           build_twisted_plane_c4,
-                           _left_quaternion_matrices)
+                           build_twisted_plane_c4)
 from qlike.errors import InternalError, InvalidInput
 from qlike.forms import (BinaryForm, Z0, Z1, ip_mul, ip_scale, ip_sub,
                          parse_form)
@@ -249,7 +248,7 @@ def test_morphism_to_section_structure():
 
 
 def test_morphism_quaternion_examples():
-    mi, mj, mk = _left_quaternion_matrices(1)
+    mi, mj, mk = left_quaternion_matrices(1)
     ident = identity(4)
     # right multiplication by j commutes with the left structure maps
     rj = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
