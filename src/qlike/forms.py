@@ -401,7 +401,6 @@ _FORM_TOKEN = _re.compile(
     r"""\s*(?:
         (?P<var>z[01])(?:\^(?P<pow>\d+))?
       | (?P<star>\*)
-      | (?P<minus>-)
       | (?P<scal>\d+(?:/\d+)?)
       | (?P<ichr>i)
     )""",
@@ -447,7 +446,8 @@ def parse_form(text: str, degree=None) -> BinaryForm:
 
 
 def _split_terms(s):
-    """Split on top-level +/- into (sign, term-text) pairs."""
+    """Split on top-level +/- into (sign, term-text) pairs.  Signs may lead
+    and repeat ("- -z0", "z0 + -z1"), but a term must follow them."""
     terms = []
     depth = 0
     cur = []
@@ -472,17 +472,22 @@ def _split_terms(s):
     if depth != 0:
         raise ValueError("unbalanced parentheses in %r" % s)
     chunk = "".join(cur).strip()
-    if chunk:
-        terms.append((pending, chunk))
+    if not chunk:
+        # s is not blank, so it ends in a sign
+        raise ValueError("sign without a term at the end of %r" % s)
+    terms.append((pending, chunk))
     return terms
 
 
 def _parse_term(term):
-    """One product term -> (Scalar coefficient, z0 power, z1 power)."""
+    """One product term -> (Scalar coefficient, z0 power, z1 power).
+    Factors multiply side by side ("2 z0") or joined by one "*", which
+    needs a factor on each side."""
     coeff = ONE
     p0 = p1 = 0
     pos = 0
     n = len(term)
+    after_factor = False
     while pos < n:
         if term[pos].isspace():
             pos += 1
@@ -500,10 +505,15 @@ def _parse_term(term):
                 raise ValueError("unbalanced parentheses in term %r" % term)
             coeff = coeff * parse_scalar(term[pos + 1:j - 1])
             pos = j
+            after_factor = True
             continue
         m = _FORM_TOKEN.match(term, pos)
         if not m or m.end() == pos:
             raise ValueError("bad form term %r at offset %d" % (term, pos))
+        star = m.group("star")
+        if star and not after_factor:
+            raise ValueError("'*' must join two factors in %r" % term)
+        after_factor = not star
         if m.group("var"):
             p = int(m.group("pow") or 1)
             if m.group("var") == "z0":
@@ -514,9 +524,9 @@ def _parse_term(term):
             coeff = coeff * parse_scalar(m.group("scal"))
         elif m.group("ichr"):
             coeff = coeff * Scalar(0, 1)
-        elif m.group("minus"):
-            coeff = -coeff
         pos = m.end()
+    if not after_factor:
+        raise ValueError("'*' must join two factors in %r" % term)
     return coeff, p0, p1
 
 

@@ -20,7 +20,7 @@ from .bundles import (QuotientBundle, SplittingType, SubbundleFamily,
                       saturate, splitting_type, verify_canonical_sequences)
 from .embedding import curve_checks
 from .errors import InternalError, InvalidInput
-from .forms import BinaryForm, antipodal_transform, format_form, parse_form
+from .forms import antipodal_transform, format_form, parse_form
 from .linalg import (conj_matrix, identity, inverse, kernel_basis, mat_eq,
                      mat_mul, rank, transpose, zeros)
 from .polymatrix import (PolyMatrix, _apply_scalar_matrix, _equation_rows,
@@ -293,12 +293,15 @@ class HeavenData:
     of U against the annihilator generators.  rho_plus, which multiplies a
     twisted section tuple by a linear form, is not stored: everything the
     analysis uses of it is read off the annihilator degrees
-    (:func:`verify_factorization`).
+    (:func:`verify_factorization`).  Nor are the conjugations that real
+    mode induces on U_plus and H_plus: once validate's reality check has
+    passed, they square to +1 and -1 and psi_plus is equivariant, as
+    :func:`heaven_data` proves.
     """
 
     def __init__(self, structure: QLikeStructure, family: SubbundleFamily,
                  ann: SubbundleFamily, u_plus_dim, h_plus_dim, e_plus_dim,
-                 psi_plus, conj_u_plus=None, conj_h_plus=None):
+                 psi_plus):
         self.structure = structure
         self.family = family
         self.ann = ann
@@ -306,8 +309,6 @@ class HeavenData:
         self.h_plus_dim = h_plus_dim
         self.e_plus_dim = e_plus_dim
         self.psi_plus = psi_plus
-        self.conj_u_plus = conj_u_plus
-        self.conj_h_plus = conj_h_plus
 
 
 def heaven_data(S: QLikeStructure, family: SubbundleFamily = None) -> HeavenData:
@@ -333,7 +334,47 @@ def heaven_data(S: QLikeStructure, family: SubbundleFamily = None) -> HeavenData
     sum a_j - sum e_i, which analyze's first-Chern check asserts is 0.  So
     lambda is a nonzero constant, B's minors have no common zero either,
     and rank B(z) = n - k at every z.  Run on the dual structure, as
-    :func:`minus_data` does, the same statement is the minus side's."""
+    :func:`minus_data` does, the same statement is the minus side's.
+
+    In real mode the induced conjugations on U_plus = H^0(Q) and H_plus =
+    H^0(Q(-1)) are proven, not built.  Write a(p)(z) = conj(p(s z)) for
+    the antipodal transform of a form, s(z0, z1) = (-conj z1, conj z0),
+    and apply it entrywise to columns.  a is antilinear, a(g h) = a(g)
+    a(h), and a(a(p)) = (-1)^(deg p) p, since s(s z) = -z.  Assume validate's
+    reality check passed: C conj(C) = 1, and C a(f) lies in the family for
+    each basis column f.  Let D = (C^T)^-1, q_j the annihilator basis, of
+    degrees a_j.
+
+    1. D a preserves the annihilator.  C a(g f) = a(g) C a(f), so C a maps
+       the family's sections into themselves, and onto them, since
+       (C a)^2 f = C conj(C) a(a(f)) = +-f.  For q killing the family and
+       any family section f, (D a(q))^T (C a(f)) = a(q)^T a(f), as
+       D^T C = 1, and that is conj((q^T f)(s z)) = 0.  So D a(q) kills
+       every section of the family, and the annihilator, which holds every
+       covector that does, contains it: D a(q_j) = sum_l G_jl q_l for
+       forms G_jl of degree a_j - a_l, which always exist.
+    2. The squares are fixed.  On the twist-m tuples, m = 0 for U_plus
+       and m = -1 for H_plus, the induced map is kappa(f)_j =
+       (-1)^(a_j) a(sum_l G_jl f_l).  D conj(D) = 1, as C conj(C) = 1, so
+       D a(D a(q_j)) = (-1)^(a_j) q_j; expanding the left side by part 1
+       gives sum_l a(G_jl) G_li = (-1)^(a_j) delta_ji, q being a free
+       basis.  Then kappa(kappa(f))_j = (-1)^(a_j) sum_l (-1)^(a_l)
+       a(G_jl) a(a(sum_i G_li f_i)), and a(a(.)) at degree a_l + m gives
+       (-1)^(a_l + m), so kappa^2 = (-1)^m: +1 on U_plus, -1 on H_plus,
+       the quaternionic lift of the antipodal map to O(1).  E_plus = S1
+       tensor H_plus, with the antipodal structure z0 -> -z1, z1 -> z0 on
+       S1, has the conjugation [[0, C_H], [-C_H, 0]] in z_a-major blocks,
+       whose square is diag(-C_H conj(C_H), -C_H conj(C_H)) = +1.
+    3. psi_plus is equivariant: psi_plus C = C_U conj(psi_plus).  With
+       psi_plus(u)_j = q_j^T u, sum_l G_jl q_l^T u = (D a(q_j))^T u =
+       a(q_j)^T C^-1 u, so kappa(psi_plus(u))_j = (-1)^(a_j)
+       a(a(q_j))^T conj(C)^-1 conj(u) = q_j^T C conj(u), as conj(C)^-1 =
+       C: the pairing commutes with the two conjugations.
+
+    The dual structure's conjugation D is real (D conj(D) = 1), and part 1
+    is its reality check, so the same holds on the minus side.
+    ``tests/oracles.py:plus_conjugations`` builds C_U and C_H, and the
+    tests check all three parts on it."""
     if family is None:
         family = saturate(S.spanning)
     ann = annihilator(family)
@@ -346,80 +387,7 @@ def heaven_data(S: QLikeStructure, family: SubbundleFamily = None) -> HeavenData
     # equations of the constant vectors u that every q_j kills
     psi = _equation_rows([[f.coeffs for f in col] for col in ann.columns()],
                          [0] * n, 0)
-    hd = HeavenData(S, family, ann, u_dim, h_dim, 2 * h_dim, psi)
-    if not S.complex_mode:
-        _attach_conjugations(hd)
-    return hd
-
-
-def _attach_conjugations(hd: HeavenData):
-    """Real mode: induced antilinear involutions on U_plus and H_plus.
-
-    kappa(f)_j = (-1)^{e_j} * antipodal(sum_l G_lj f_l) where G expresses the
-    conjugated-antipodal annihilator generators in the annihilator basis.
-
-    E_plus = S1 tensor H_plus carries no check of its own.  With the
-    antipodal structure on S1 (z0 -> -z1, z1 -> z0), its conjugation in
-    z_a-major blocks is ce = [[0, C_H], [-C_H, 0]], so ce conj(ce) =
-    diag(-C_H conj(C_H), -C_H conj(C_H)): it is +1 exactly when
-    C_H conj(C_H) = -1, which is checked here, and trivially when
-    H_plus = 0.
-    """
-    S = hd.structure
-    ann = hd.ann
-    degs = list(ann.degrees)
-    C = S.conjugation_matrix()
-    D = transpose(inverse(C))
-    cols = ann.columns()
-    G = []
-    for j, e in enumerate(degs):
-        moved = [antipodal_transform(f) for f in cols[j]]
-        moved = _apply_scalar_matrix(D, moved)
-        sol = solve_combination(cols, degs, moved, e)
-        if sol is None:
-            raise InternalError("dual conjugation does not preserve the "
-                                "annihilator family")
-        G.append(sol)          # G[j][l]: coefficient of q_l, degree e_j - e_l
-
-    hd.conj_u_plus = _conj_matrix_on_sections(degs, G, 0)
-    hd.conj_h_plus = _conj_matrix_on_sections(degs, G, -1)
-    cu, ch = hd.conj_u_plus, hd.conj_h_plus
-    if not mat_eq(mat_mul(cu, conj_matrix(cu)), identity(hd.u_plus_dim)):
-        raise InternalError("conjugation on U_plus does not square to +1")
-    if ch and not mat_eq(mat_mul(ch, conj_matrix(ch)),
-                         [[-x for x in row] for row in identity(hd.h_plus_dim)]):
-        raise InternalError("conjugation on H_plus does not square to -1")
-    # psi_plus intertwines kappa_U and the section conjugation
-    lhs = mat_mul(hd.psi_plus, C)
-    rhs = mat_mul(cu, conj_matrix(hd.psi_plus))
-    if not mat_eq(lhs, rhs):
-        raise InternalError("psi_plus is not conjugation equivariant")
-
-
-def _conj_matrix_on_sections(degs, G, twist):
-    """Antilinear action on the tuple coordinates at the given twist,
-    represented by the matrix A with kappa(x) = A conj(x)."""
-    lengths, offsets, total = _section_layout(degs, twist)
-    if total == 0:
-        return []
-    A = zeros(total, total)
-    for j, ej in enumerate(degs):
-        sign = -1 if ej % 2 else 1
-        for l, el in enumerate(degs):
-            g = G[j][l]
-            if g.is_zero():
-                continue
-            # basis monomial (l, t) contributes antipodal(G[j][l] * mono)
-            for t in range(lengths[l]):
-                mono = BinaryForm.monomial(el + twist, t)
-                prod = antipodal_transform(g * mono)
-                if sign < 0:
-                    prod = -prod
-                for w, c in enumerate(prod.coeffs):
-                    if not c.is_zero():
-                        A[offsets[j] + w][offsets[l] + t] = \
-                            A[offsets[j] + w][offsets[l] + t] + c
-    return A
+    return HeavenData(S, family, ann, u_dim, h_dim, 2 * h_dim, psi)
 
 
 class MinusData:

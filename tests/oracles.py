@@ -18,22 +18,25 @@ bracket per column, a matrix algebra's structure constants by one
 elimination with every commutator as a right-hand side, the
 irreducibility of an sl(2)-module by its weight decomposition,
 nilpotency by the powers of ad y, the span of an sl(2)-triple by its
-rank, and the quaternionic structure on H^k interpolated through three
-eigenspace fibres.
+rank, the quaternionic structure on H^k interpolated through three
+eigenspace fibres, and the conjugations a real structure induces on U_plus
+and H_plus, which the library proves and never builds, by solving for
+the conjugated annihilator in its own basis.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from qlike.forms import BinaryForm
+from qlike.forms import BinaryForm, antipodal_transform
 from qlike.lie import LieAlgebra, combination
-from qlike.linalg import (identity, independent_rows, kernel_basis, mat_mul,
-                          mat_sub, mat_vec, rank, solve, solve_matrix,
-                          transpose, zeros)
+from qlike.linalg import (identity, independent_rows, inverse, kernel_basis,
+                          mat_mul, mat_sub, mat_vec, rank, solve,
+                          solve_matrix, transpose, zeros)
 from qlike.modp import _eliminate_modp
-from qlike.polymatrix import (PolyMatrix, _decode, _degree_bound,
-                              _equation_rows, _multiple_coeffs,
-                              _section_layout)
+from qlike.polymatrix import (PolyMatrix, _apply_scalar_matrix, _decode,
+                              _degree_bound, _equation_rows,
+                              _multiple_coeffs, _section_layout,
+                              solve_combination)
 from qlike.scalars import I, ONE, ZERO, Scalar, clear_denominators, scalar
 
 
@@ -421,6 +424,44 @@ def dense_rho(degrees):
                 # z0 * monomial(e-1, t) = monomial(e, t); z1 * ... = monomial(e, t+1)
                 rho[off0[j] + t + a][a * h_dim + offm1[j] + t] = ONE
     return rho
+
+
+def plus_conjugations(hd):
+    """``(C_U, C_H)``: the antilinear maps that a real structure induces on
+    U_plus and H_plus, kappa(x) = C conj(x) on their tuple coordinates.
+    Each conjugated antipodal generator D a(q_j), D = (C^T)^-1, is solved
+    in the annihilator basis, D a(q_j) = sum_l G_jl q_l, and
+    kappa(f)_j = (-1)^(a_j) a(sum_l G_jl f_l) is written out monomial by
+    monomial.  The library builds neither map: :func:`heaven_data` proves
+    what they satisfy."""
+    ann = hd.ann
+    degs = list(ann.degrees)
+    D = transpose(inverse(hd.structure.conjugation_matrix()))
+    cols = ann.columns()
+    G = []
+    for j, e in enumerate(degs):
+        moved = _apply_scalar_matrix(D, [antipodal_transform(f)
+                                         for f in cols[j]])
+        sol = solve_combination(cols, degs, moved, e)
+        assert sol is not None, "D a(q_%d) is not in the annihilator" % j
+        G.append(sol)          # G[j][l]: coefficient of q_l, degree e_j - e_l
+
+    def on_sections(twist):
+        lengths, offsets, total = _section_layout(degs, twist)
+        A = zeros(total, total)
+        for j, ej in enumerate(degs):
+            for l, el in enumerate(degs):
+                if G[j][l].is_zero():
+                    continue
+                for t in range(lengths[l]):
+                    image = antipodal_transform(
+                        G[j][l] * BinaryForm.monomial(el + twist, t))
+                    for w, c in enumerate(image.coeffs):
+                        A[offsets[j] + w][offsets[l] + t] += \
+                            -c if ej % 2 else c
+        return A
+
+    return on_sections(0), on_sections(-1)
 
 
 def dense_intertwiner(hd, md):

@@ -261,6 +261,8 @@ def test_dual_invalid_structure_exit_two(tmp_path, capsys, change, message):
     ({"spanning": [["1/0*z0^2", "z0*z1", "z1^2"]]}, "zero denominator"),
     ({"conjugation": [[False, False, True], [False, True, False],
                       [True, False, False]]}, "boolean"),
+    # "^" is the power, and "*" must join two factors: no "**"
+    ({"spanning": [["z0**2", "z0*z1", "z1**2"]]}, "must join two factors"),
 ])
 def test_malformed_structure_exit_two(tmp_path, capsys, change, message):
     with open(os.path.join(FIXTURES, "conic_r3.json")) as fh:

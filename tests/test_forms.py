@@ -119,6 +119,33 @@ def test_parse_rejects_inhomogeneous():
         parse_form("z0^2 + z1")
 
 
+@pytest.mark.parametrize("text", ["z0**2", "z0 +", "z0 -", "*z0", "z0*",
+                                  "z0 * * z1", "-", "+", "- -", "2*",
+                                  "(1/2)* - z1", "z0 + * z1"])
+def test_parse_rejects_dangling_operators(text):
+    # "*" joins two factors and a sign needs a term after it, so "z0**2"
+    # is not 2*z0, nor "-" the zero form
+    with pytest.raises(ValueError):
+        parse_form(text)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("- - z0", "z0"),
+    ("z0 + -z1", "z0 - z1"),
+    ("+z0", "z0"),
+    ("2 z0", "2*z0"),
+    ("2*z0*z1", "2*z0*z1"),
+    ("(1/2)*z0^2 - z0*z1 + (0+1*i)*z1^2", "(1/2)*z0^2 - z0*z1 + (1*i)*z1^2"),
+    ("(1+2*i)*z0 - (3/4)*z1", "(1+2*i)*z0 + (-3/4)*z1"),
+    ("3*i*z0^2", "(3*i)*z0^2"),
+    ("i z1", "(1*i)*z1"),
+    ("(2) z0", "2*z0"),
+])
+def test_parse_accepts_signs_juxtaposition_and_parentheses(text, expected):
+    assert format_form(parse_form(text)) == expected
+    assert parse_form(expected) == parse_form(text)
+
+
 def test_divmod_exact():
     rng = random.Random(21)
     for _ in range(40):

@@ -17,7 +17,8 @@ from qlike.errors import InvalidInput
 from qlike.forms import Z0, Z1, format_form, parse_form
 from qlike.lie import (Representation, sl_algebra, principal_sl2_matrices,
                        Sl2Embedding, sl2_decompose)
-from qlike.linalg import inverse, mat_mul, mat_sub, mat_vec, solve_matrix
+from qlike.linalg import (inverse, mat_mul, mat_sub, mat_vec, rank,
+                          solve_matrix)
 from qlike.orbit import (GoodQuadruple, _restricted_sl2_matrices,
                          adjoint_multiplicity_count, dimension_report,
                          normal_bundle, orbit_tangent_family,
@@ -514,3 +515,33 @@ def test_normal_bundle_is_invariant_under_a_change_of_basis_of_e():
         assert dimension_report(moved, moved_report) == \
             dimension_report(q, report), q.name
         assert sigma.identity_route == "exact"
+
+
+def _invertible_integer_matrix(rng, n):
+    while True:
+        k = [[Scalar(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        if rank(k) == n:
+            return k
+
+
+@pytest.mark.parametrize("algebra", ["sl(3)", "sl(4)"])
+@pytest.mark.parametrize("nilpotent", ["principal", "minimal"])
+def test_normal_bundle_is_invariant_under_conjugation_of_the_nilpotent(
+        algebra, nilpotent):
+    # y' = k y k^-1 lies in the orbit of y, and Jacobson-Morozov solves a
+    # new triple through it, so the adjoint quadruple through y' has the
+    # named entry's normal bundle and dimension report
+    rng = random.Random(algebra + nilpotent)
+    ma = lie.builtin_algebra(algebra)
+    q = build_adjoint(algebra, nilpotent)
+    report = normal_bundle(q)
+    expected = (dict(report.to_json(), name=None), dimension_report(q, report))
+    y = ma.matrix_of(lie.named_nilpotent(ma, nilpotent))
+    for _ in range(2):
+        k = _invertible_integer_matrix(rng, len(y))
+        moved = build_adjoint(algebra, ma.coordinates_of_matrix(
+            mat_mul(mat_mul(k, y), inverse(k))))
+        assert list(moved.nilpotent) != list(q.nilpotent)
+        moved_report = normal_bundle(moved)
+        assert (dict(moved_report.to_json(), name=None),
+                dimension_report(moved, moved_report)) == expected

@@ -15,7 +15,8 @@ from qlike import (bundles, catalog, embedding, linalg, modp, polymatrix,
                    sampling, structures)
 
 from oracles import (dense_intertwiner, left_quaternion_matrices,
-                     plus_side_generic_by_sections, scalar_factorization)
+                     plus_conjugations, plus_side_generic_by_sections,
+                     scalar_factorization)
 from qlike.bundles import SplittingType
 from qlike.catalog import (build_conic_r3, build_quaternionic,
                            build_twisted_plane_c4)
@@ -206,12 +207,16 @@ def test_dual_conjugation_is_inverse_transpose():
 
 
 def test_real_mode_conjugation_squares():
-    # C_U conj(C_U) = 1 and C_H conj(C_H) = -1; E_plus = S1 tensor H_plus
-    # then has ce = [[0, C_H], [-C_H, 0]] with ce conj(ce) = 1, which
-    # heaven_data does not check on its own
-    for s in (QUAT, CONIC, build_quaternionic(2)):
+    # the three parts of heaven_data's real-mode proof, on the oracle's
+    # C_U and C_H: C_U conj(C_U) = 1, C_H conj(C_H) = -1, E_plus = S1 tensor
+    # H_plus with ce = [[0, C_H], [-C_H, 0]] and ce conj(ce) = 1, and
+    # psi_plus C = C_U conj(psi_plus); on the real structures the digest
+    # tool digests and on every coordinate change of the invariance test
+    moved = [_moved_structure(s, g, T) for a, b in REAL_MOVES
+             for s, g, T in _antipodal_moves(a, b)]
+    for s in [s for _, s in _real_structures()] + moved:
         hd = heaven_data(s)
-        cu, ch = hd.conj_u_plus, hd.conj_h_plus
+        cu, ch = plus_conjugations(hd)
         hp = hd.h_plus_dim
         assert linalg.mat_mul(cu, linalg.conj_matrix(cu)) == \
             identity(hd.u_plus_dim)
@@ -223,6 +228,26 @@ def test_real_mode_conjugation_squares():
         assert len(ce) == hd.e_plus_dim
         assert linalg.mat_mul(ce, linalg.conj_matrix(ce)) == \
             identity(hd.e_plus_dim)
+        assert linalg.mat_mul(hd.psi_plus, s.conjugation_matrix()) == \
+            linalg.mat_mul(cu, linalg.conj_matrix(hd.psi_plus))
+
+
+def test_real_analysis_solves_for_no_conjugation(monkeypatch):
+    # heaven_data proves the induced conjugations, so analyze solves for no
+    # conjugated annihilator generator on either side
+    real = [s for _, s in _real_structures()]
+    validations = [validate(s) for s in real]
+    calls = []
+    solve = structures.solve_combination
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(structures, "solve_combination", counting)
+    for s, report in zip(real, validations):
+        assert analyze(s, report).passed
+    assert calls == []
 
 
 def test_morphism_identity():
@@ -328,15 +353,22 @@ def test_analysis_is_invariant_under_a_change_of_coordinates():
             s, _coordinate_change(rng, s.dim), T)
 
 
-@pytest.mark.parametrize("a, b", [(ONE, ONE), (ONE + I, Scalar(2) - I)],
-                         ids=["1,1", "1+i,2-i"])
-def test_real_analysis_is_invariant_under_a_change_of_coordinates(a, b):
-    # T = [[a, -conj(b)], [b, conj(a)]] commutes with the antipodal map, and
-    # the moved structure is real for C' = g C conj(g)^-1, not for C
+REAL_MOVES = [(ONE, ONE), (ONE + I, Scalar(2) - I)]
+
+
+def _antipodal_moves(a, b):
+    """(s, g, T) for the real fixtures: T = [[a, -conj(b)], [b, conj(a)]]
+    commutes with the antipodal map, and g is a seeded coordinate change."""
     rng = random.Random(10)
     T = [[a, -b.conjugate()], [b, a.conjugate()]]
-    for s in (QUAT, CONIC, build_quaternionic(2)):
-        g = _coordinate_change(rng, s.dim)
+    return [(s, _coordinate_change(rng, s.dim), T)
+            for s in (QUAT, CONIC, build_quaternionic(2))]
+
+
+@pytest.mark.parametrize("a, b", REAL_MOVES, ids=["1,1", "1+i,2-i"])
+def test_real_analysis_is_invariant_under_a_change_of_coordinates(a, b):
+    # the moved structure is real for C' = g C conj(g)^-1, not for C
+    for s, g, T in _antipodal_moves(a, b):
         moved = _assert_coordinate_change_is_invisible(s, g, T)
         assert validate(moved).passed
         old_c = QLikeStructure(s.dim, s.k, moved.spanning, s.conjugation)
@@ -390,7 +422,7 @@ def _with_psi_plus(hd, psi):
     """A copy of the heaven data hd with psi_plus replaced by psi."""
     return structures.HeavenData(hd.structure, hd.family, hd.ann,
                                  hd.u_plus_dim, hd.h_plus_dim, hd.e_plus_dim,
-                                 psi, hd.conj_u_plus, hd.conj_h_plus)
+                                 psi)
 
 
 def _perturbed(hd, row, column, delta):
@@ -440,13 +472,22 @@ DIGEST_TOOL = Path(__file__).resolve().parent.parent / "tools" / \
     "report_digest.py"
 
 
-def _constant_generator_structures():
-    """The structures with degree-0 minus summands that
-    tools/report_digest.py digests."""
+def _digest_tool():
     spec = importlib.util.spec_from_file_location("report_digest", DIGEST_TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    return tool.constant_generator_structures()
+    return tool
+
+
+def _constant_generator_structures():
+    """The structures with degree-0 minus summands that
+    tools/report_digest.py digests."""
+    return _digest_tool().constant_generator_structures()
+
+
+def _real_structures():
+    """The real-mode structures that tools/report_digest.py digests."""
+    return _digest_tool().real_structures()
 
 
 def _psi_minus_edited(md, edit):

@@ -28,7 +28,9 @@ Groups (all of them by default):
   invalid quadruples of :func:`invalid_quadruples`;
 * ``constant-generators`` -- ``analyze`` JSON on the complex structures
   of :func:`constant_generator_structures`, whose minus sides have
-  degree-0 summands.
+  degree-0 summands;
+* ``real`` -- ``analyze`` and ``dualize`` JSON, in process, on the real
+  structures of :func:`real_structures`.
 """
 
 import hashlib
@@ -180,9 +182,26 @@ def constant_generators():
         yield analyze(S).to_json()
 
 
+def real_structures():
+    """(name, structure) pairs of real-mode structures: quaternionic:1-3,
+    conic-r3 and the dual of each.  The random draws are complex only."""
+    from qlike.catalog import build_conic_r3, build_quaternionic
+    from qlike.structures import dualize
+    pairs = [("quaternionic:%d" % k, build_quaternionic(k)) for k in (1, 2, 3)]
+    pairs.append(("conic-r3", build_conic_r3()))
+    return pairs + [("dual-" + name, dualize(S)) for name, S in pairs]
+
+
+def real():
+    from qlike.structures import analyze, dualize
+    for name, S in real_structures():
+        yield {"name": name, "analyze": analyze(S).to_json(),
+               "dualize": dualize(S).to_json()}
+
+
 GROUPS = {"quadruples": quadruples, "algebras": algebras, "cli": cli,
           "fixtures": fixtures, "structures": structures, "invalid": invalid,
-          "constant-generators": constant_generators}
+          "constant-generators": constant_generators, "real": real}
 
 
 def group_digest(records):
