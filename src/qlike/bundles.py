@@ -17,13 +17,11 @@ line bundle.  A free basis column of degree e presents a line summand O(-e).
 from __future__ import annotations
 
 from .errors import InternalError, InvalidInput
-from .forms import (BinaryForm, _column_numerators, format_form, ip_add,
-                    ip_mul, parse_form)
+from .forms import BinaryForm, format_form, parse_form
 from .linalg import identity, kernel_basis
-from .modp import PRIMES, rank_modp, reduce_modp, sqrt_minus_one
-from .polymatrix import (PolyMatrix, _decode, _equation_rows, _multiple_coeffs,
-                         _section_layout, generic_rank, graded_kernel,
-                         graded_kernel_from_basis, solve_combination)
+from .polymatrix import (PolyMatrix, _decode, _equation_rows, _section_layout,
+                         generic_rank, graded_kernel, graded_kernel_from_basis,
+                         solve_combination)
 
 
 class SplittingType:
@@ -230,88 +228,20 @@ def annihilator(A: SubbundleFamily) -> SubbundleFamily:
 
 
 def h0_dimension_by_solve(F: SubbundleFamily, m: int) -> int:
-    """dim H^0(F(m)) by a direct degree-m solve against the annihilator.
+    """dim H^0(F(m)) = dim { v in S_m^n : <q, v> = 0 for every column q of
+    F's annihilator }, by one direct degree-m kernel solve.
 
-    Independent of the basis degrees and of any modular reduction; the
-    splitting cross-check runs the same solve wherever its certificate is
-    inconclusive.
+    Independent of the basis degrees, so it is the oracle against which
+    :func:`splitting_type`'s degree count is tested.
     """
     if m < 0:
         return 0
-    return _h0_killed_by(annihilator(F), m)
-
-
-def _h0_killed_by(ann: SubbundleFamily, m: int) -> int:
-    """dim { v in S_m^n : <q, v> = 0 for every column q of ann }, via one
-    kernel solve."""
-    if m < 0:
-        return 0
-    shifts = [0] * ann.ambient
-    relations = [[f.coeffs for f in col] for col in ann.columns()]
+    shifts = [0] * F.ambient
+    relations = [[f.coeffs for f in col] for col in annihilator(F).columns()]
     eq = _equation_rows(relations, shifts, m)
     if not eq:
         return _section_layout(shifts, m)[2]
     return len(kernel_basis(eq))
-
-
-def _certified_h0s(F: SubbundleFamily, ann: SubbundleFamily, twists):
-    """{m: dim { v in S_m^n : <q, v> = 0 for every column q of ann }} for
-    the twists, each proven by a modular rank certificate, or None where no
-    prime certifies it.
-
-    Lower bound: the rank modulo p of the equation matrix, whose rows are
-    the pairings with ann's columns, each column cleared of denominators.
-    Upper bound: the z-multiples of F's basis columns at degree m lie in
-    its kernel once every column of ann pairs to zero with every column of
-    F, which is checked exactly, as Gaussian-integer polynomial products.
-    See :mod:`qlike.modp` for why meeting bounds prove the rank.  Both
-    matrices are built by :mod:`qlike.polymatrix`'s layout functions, as
-    the exact solve's rows are, from reduced coefficient lists.
-    """
-    n = F.ambient
-    fam = [_column_numerators(col) for col in F.columns()]
-    rels = [_column_numerators(col) for col in ann.columns()]
-    paired = all(not _pairing(q, f) for q in rels for f in fam)
-    out = {}
-    for m in twists:
-        if m < 0:
-            out[m] = 0                  # no sections in negative degree
-        elif paired:
-            out[m] = _certified_h0(rels, fam, F.degrees, n, m)
-        else:
-            out[m] = None
-    return out
-
-
-def _pairing(q, f):
-    """<q, f> of two columns of Gaussian-integer polynomials."""
-    acc = []
-    for a, b in zip(q, f):
-        acc = ip_add(acc, ip_mul(a, b))
-    return acc
-
-
-def _certified_h0(rels, fam, degrees, n, m):
-    """The kernel dimension at twist m from the first prime whose two rank
-    bounds meet; None if none does.  ``rels`` and ``fam`` hold untrimmed
-    coefficient lists: the equation rows are grouped by each form's degree,
-    which a trimmed list would understate."""
-    shifts = [0] * n
-    ncols = _section_layout(shifts, m)[2]
-    # F's basis column of degree e has one z-multiple per section of O(m - e)
-    multiples = _section_layout([-e for e in degrees], m)[0]
-    for p in PRIMES:
-        ip = sqrt_minus_one(p)
-        relsp = [reduce_modp(q, p, ip) for q in rels]
-        famp = [reduce_modp(col, p, ip) for col in fam]
-        eq = _equation_rows(relsp, shifts, m, zero=0)
-        witnesses = [_multiple_coeffs(col, shifts, m, t, zero=0)
-                     for col, count in zip(famp, multiples)
-                     for t in range(count)]
-        r_eq = rank_modp(eq, p)
-        if r_eq + rank_modp(witnesses, p) == ncols:
-            return ncols - r_eq
-    return None
 
 
 def h0_twist(F, m: int):
@@ -345,44 +275,42 @@ def h0_twist(F, m: int):
 def splitting_type(F) -> SplittingType:
     """Birkhoff-Grothendieck splitting type.
 
-    For a SubbundleFamily the summands are the negated free-basis degrees;
-    the result is cross-checked against the second differences of the
-    twisted section dimensions h(m) = dim { v in S_m^n : <q, v> = 0 for
-    every annihilator column q }, at the twists lo - 2 .. hi that the
-    second differences at lo .. hi read (lo, hi the least and largest
-    degree of F).  Each h(m) is proven modulo a prime
-    p = 1 mod 4: the rank of the pairing equations modulo p is at most
-    their rank, and the z-multiples of F's basis at degree m, which pair to
-    zero with the annihilator (checked exactly), bound the kernel from
-    below.  When the two bounds meet h(m) is exact; otherwise the next
-    prime is tried, and then the exact solve.  A family that is not
-    saturated has too few z-multiples to certify, so it reaches the exact
-    solve and fails the cross-check as before.
+    A SubbundleFamily whose columns are a free basis of degrees delta_i
+    splits as the sum of the O(-delta_i).  That they are a free basis is
+    :func:`saturate`'s degree count.  Let d_j be the annihilator's column
+    degrees.  The saturation Sat = { v : q . v = 0 for every annihilator
+    column q } is a sum of O(-e_i), and 0 -> Sat -> O^n -> A* -> 0, A the
+    annihilator, so sum e_i = sum d_j.  F's columns lie in Sat and have
+    generic rank k: :func:`annihilator` checks that of an unlinked family,
+    and :func:`saturate` builds its families so.  So sum_i O(-delta_i) ->
+    Sat is injective, and its determinant is a nonzero section of
+    O(sum delta_i - sum d_j).  Hence sum delta_i = sum d_j exactly when F
+    is a free basis of Sat, and its splitting is then (-delta_i); any other
+    family has sum delta_i > sum d_j and raises InternalError.  For the
+    families :func:`saturate` links the annihilator is the link, so the
+    check is one integer comparison.
+
+    >>> from qlike.forms import parse_form
+    >>> def family(*cols):
+    ...     return SubbundleFamily(2, PolyMatrix.from_columns(
+    ...         2, [[parse_form(t) for t in col] for col in cols]))
+    >>> splitting_type(family(("z0", "z1")))
+    SplittingType(summands=(-1,))
+    >>> splitting_type(family(("z0^2", "z0*z1")))
+    Traceback (most recent call last):
+    ...
+    qlike.errors.InternalError: not a free basis: degrees sum to 2, annihilator's to 1
     """
     if isinstance(F, QuotientBundle):
         ann = annihilator(F.denominator)
         return splitting_type(ann).negate()
     if not isinstance(F, SubbundleFamily):
         raise TypeError("splitting_type expects a bundle value")
-    st = SplittingType.of([-e for e in F.degrees])
-    if F.rank:
-        ann = annihilator(F)
-        lo = min(F.degrees)
-        hi = max(F.degrees)
-        h = _certified_h0s(F, ann, range(lo - 2, hi + 1))
-        for m, v in h.items():
-            if v is None:
-                h[m] = _h0_killed_by(ann, m)
-        for m in range(lo, hi + 1):
-            g_m = h[m] - h[m - 1]
-            g_m1 = h[m - 1] - h[m - 2]
-            mult = sum(1 for a in st.summands if a == -m)
-            if mult != g_m - g_m1:
-                raise InternalError(
-                    "splitting cross-check failed at twist %d: "
-                    "degree multiplicity %d vs second difference %d"
-                    % (m, mult, g_m - g_m1))
-    return st
+    delta, d = sum(F.degrees), sum(annihilator(F).degrees)
+    if delta != d:
+        raise InternalError("not a free basis: degrees sum to %d, "
+                            "annihilator's to %d" % (delta, d))
+    return SplittingType.of([-e for e in F.degrees])
 
 
 def family_contains(B: SubbundleFamily, column, degree) -> bool:

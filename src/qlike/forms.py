@@ -10,10 +10,9 @@ zero form keeps an explicit degree, so that matrix columns stay honestly
 graded; the zero forms of every degree are equal.
 
 Arithmetic runs on the numerators, through one set of integer polynomial
-helpers (``ip_*``) that also carry the gcd chain, the Pluecker coordinates
-of :mod:`qlike.embedding` and the splitting certificate of
-:mod:`qlike.bundles`.  ``coeffs`` is the view as Scalars, for text I/O and
-for the matrices handed to :mod:`qlike.linalg`.
+helpers (``ip_*``) that also carry the gcd chain and the Pluecker
+coordinates of :mod:`qlike.embedding`.  ``coeffs`` is the view as Scalars,
+for text I/O and for the matrices handed to :mod:`qlike.linalg`.
 """
 
 from __future__ import annotations

@@ -353,11 +353,3 @@ def inverse(a):
     if x is None:
         raise ValueError("matrix is not invertible")
     return x
-
-
-def span_equal(u, v):
-    ru = rank(u) if u else 0
-    rv = rank(v) if v else 0
-    if ru != rv:
-        return False
-    return rank(u + v) == ru if (u or v) else True

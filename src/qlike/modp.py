@@ -9,12 +9,7 @@ then decides exactly.
 
 Rank.  A minor of a Gaussian-integer matrix reduces to the same minor of
 the reduced matrix, so the rank over GF(p) is at most the rank over Q(i).
-Suppose W is a set of Gaussian-integer vectors proven (exactly) to lie in
-the kernel of a matrix A with ncols columns.  Then rank(A) <= ncols -
-rank(W) <= ncols - rank(W mod p), and rank(A mod p) <= rank(A).  When
-rank(A mod p) + rank(W mod p) = ncols the two bounds meet, which proves
-rank(A) = rank(A mod p) exactly.  A sum below ncols is merely
-inconclusive.  :func:`rank_modp` computes the reduced ranks.
+:func:`rank_modp` computes the reduced ranks.
 
 Kernels.  :func:`kernel_candidates` proposes the kernel basis of a
 Gaussian-integer matrix from its reduced row echelon forms over GF(p),

@@ -141,27 +141,20 @@ from .scalars import Scalar, scalar
 class GoodQuadruple:
     """(algebra, representation, sl(2)-embedding, invariant subspace).
 
-    u_basis holds coordinate vectors spanning U inside E; nilpotent is the
-    generating nilpotent, when known."""
+    u_basis holds coordinate vectors spanning U inside E; adjoint marks the
+    adjoint representation with U = tau(sl2)."""
 
     def __init__(self, algebra: LieAlgebra, sigma: Representation,
-                 tau: Sl2Embedding, u_basis, name="", nilpotent=None,
-                 adjoint=False):
+                 tau: Sl2Embedding, u_basis, name="", adjoint=False):
         u_basis = tuple(tuple(scalar(c) for c in v) for v in u_basis)
         if any(len(v) != sigma.space_dim for v in u_basis):
             raise InvalidInput("u_basis vectors need %d coordinates"
                                % sigma.space_dim)
-        if nilpotent is not None:
-            nilpotent = tuple(scalar(c) for c in nilpotent)
-            if len(nilpotent) != algebra.dim:
-                raise InvalidInput("nilpotent needs %d coordinates"
-                                   % algebra.dim)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "u_basis", u_basis)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "nilpotent", nilpotent)
         object.__setattr__(self, "adjoint", adjoint)
 
     def __setattr__(self, name, value):
@@ -175,6 +168,12 @@ class GoodQuadruple:
     def u_dim(self):
         return len(self.u_basis)
 
+    @property
+    def nilpotent(self):
+        """The generating nilpotent tau.f of an adjoint quadruple, else
+        None."""
+        return self.tau.f if self.adjoint else None
+
 
 def adjoint_quadruple(algebra: LieAlgebra, nilpotent, name) -> GoodQuadruple:
     """The adjoint quadruple through a nilpotent of a semisimple algebra:
@@ -186,7 +185,7 @@ def adjoint_quadruple(algebra: LieAlgebra, nilpotent, name) -> GoodQuadruple:
     tau = jacobson_morozov(algebra, nilpotent)
     return GoodQuadruple(algebra, algebra.adjoint_representation(), tau,
                          (tuple(tau.e), tuple(tau.h), tuple(tau.f)),
-                         name=name, nilpotent=tuple(tau.f), adjoint=True)
+                         name=name, adjoint=True)
 
 
 def adjoint_multiplicity_count(q: GoodQuadruple) -> int:
@@ -456,8 +455,8 @@ def dimension_report(q: GoodQuadruple, report: NormalBundleReport = None) -> dic
     nilpotent orbit dimension (algebra dim minus centralizer dim)."""
     report = report or normal_bundle(q)
     centralizer = None
-    if q.adjoint and q.nilpotent is not None:
-        centralizer = _centralizer_dim(q.algebra, q.nilpotent)
+    if q.adjoint:
+        centralizer = _centralizer_dim(q.algebra, q.tau.f)
     return _dimension_report(report, q.algebra.dim, centralizer)
 
 

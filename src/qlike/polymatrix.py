@@ -343,11 +343,11 @@ def _equation_rows(relation_rows, shifts, m, zero=ZERO):
     return out
 
 
-def _multiple_coeffs(gvec, shifts, m, mono1, zero=ZERO):
+def _multiple_coeffs(gvec, shifts, m, mono1):
     """Stage-m coordinates of z0^a z1^mono1 times the generator whose forms
     have the coefficients ``gvec`` (the stage degree fixes a)."""
     lengths, offsets, total = _section_layout(shifts, m)
-    out = [zero] * total
+    out = [ZERO] * total
     for j, f in enumerate(gvec):
         if lengths[j]:
             # multiplying by z0^a z1^mono1 shifts the z1-power index by mono1

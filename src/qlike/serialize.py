@@ -88,7 +88,6 @@ def quadruple_from_json(data) -> GoodQuadruple:
         raise InvalidInput("bad representation spec %r" % (rep_spec,))
 
     sl2 = data.get("sl2")
-    nilpotent = None
     if isinstance(sl2, dict) and "nilpotent" in sl2:
         spec = sl2["nilpotent"]
         if isinstance(spec, str):
@@ -98,7 +97,6 @@ def quadruple_from_json(data) -> GoodQuadruple:
         else:
             y = _parse_vector(spec)
         tau = jacobson_morozov(algebra, y)
-        nilpotent = tuple(tau.f)
     elif isinstance(sl2, dict):
         missing = [key for key in "EHF" if key not in sl2]
         if missing:
@@ -116,13 +114,11 @@ def quadruple_from_json(data) -> GoodQuadruple:
                    for j in range(n)]
     elif u_spec == "sl2-image":
         u_basis = [tuple(tau.e), tuple(tau.h), tuple(tau.f)]
-        nilpotent = tuple(tau.f)
     else:
         u_basis = [tuple(_parse_vector(v)) for v in u_spec]
     # the adjoint formula and the orbit-dimension check assume U = tau(sl2)
     return GoodQuadruple(algebra, sigma, tau, tuple(u_basis),
                          name=data.get("name", "file-quadruple"),
-                         nilpotent=nilpotent,
                          adjoint=(rep_spec == "adjoint"
                                   and u_spec == "sl2-image"))
 

@@ -727,8 +727,6 @@ def analyze(S: QLikeStructure, validation: ValidationReport = None) -> AnalysisR
     hd = heaven_data(S, validation.family)
     st_minus = splitting_type(hd.family)
     st_plus = SplittingType.of(hd.ann.degrees)
-    if st_minus.degree + st_plus.degree != 0:
-        raise InternalError("first Chern additivity failed")
 
     md = minus_data(hd)
     fact = verify_factorization(hd, md)

@@ -765,6 +765,15 @@ def eigenspace_minus_i(m):
     return kernel_basis(shifted)
 
 
+def span_equal(u, v):
+    """Do the row lists u and v span the same space?  By ranks."""
+    ru = rank(u) if u else 0
+    rv = rank(v) if v else 0
+    if ru != rv:
+        return False
+    return rank(u + v) == ru if (u or v) else True
+
+
 def quaternionic_by_interpolation(k):
     """The spanning matrix of the structure on H^k, interpolated exactly
     from three sample points of the sphere ([1:0] -> L_i, [0:1] -> -L_i,

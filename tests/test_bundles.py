@@ -11,10 +11,9 @@ from oracles import minor_system_h0, split_by_solve, splitting_h0
 
 from qlike import bundles
 from qlike.bundles import (QuotientBundle, SplittingType, SubbundleFamily,
-                           _certified_h0s, _h0_killed_by, annihilator,
-                           family_span_equal, h0_twist, is_split_extension,
-                           saturate, splitting_type, subquotient_splitting,
-                           verify_canonical_sequences)
+                           annihilator, family_span_equal, h0_twist,
+                           is_split_extension, saturate, splitting_type,
+                           subquotient_splitting, verify_canonical_sequences)
 from qlike.catalog import (build_conic_r3, build_quaternionic,
                            build_twisted_plane_c4, fixture_structures)
 from qlike.errors import InternalError, InvalidInput
@@ -251,77 +250,73 @@ def test_serialization_round_trip():
     assert family_span_equal(back, fam)
 
 
-def _twist_window(fam):
-    return range(min(fam.degrees) - 2, max(fam.degrees) + 2)
+def _unlinked(fam):
+    """A copy of ``fam`` that :func:`saturate` has not linked to its
+    annihilator."""
+    return SubbundleFamily(fam.ambient, fam.basis)
 
 
-def test_certified_h0_equals_exact_solve():
-    # the splitting cross-check's window and the twist above it, on both
-    # sides of each structure: every twist certifies, with the exact kernel
-    # dimension
-    structures = [build_conic_r3(), build_quaternionic(1),
-                  build_twisted_plane_c4()] + random_structures(123, 4)
-    for s in structures:
-        fam = saturate(s.spanning)
-        ann = annihilator(fam)
-        for f, a in ((fam, ann), (ann, fam)):
-            window = _twist_window(f)
-            certified = _certified_h0s(f, a, window)
-            assert list(certified) == list(window)
-            for m, h in certified.items():
-                assert h is not None
-                assert h == _h0_killed_by(a, m)
+def _times_z0_plus_z1_last(fam):
+    """``fam`` with its last column multiplied by z0 + z1: the same generic
+    rank and annihilator, but not a free basis of the saturation."""
+    cols = fam.columns()
+    cols[-1] = [c * (Z0 + Z1) for c in cols[-1]]
+    degrees = list(fam.degrees[:-1]) + [fam.degrees[-1] + 1]
+    return SubbundleFamily(fam.ambient, PolyMatrix.from_columns(
+        fam.ambient, cols, degrees))
 
 
-def test_splitting_certifies_only_the_twists_it_reads(monkeypatch):
-    # the second differences at lo .. hi read h at lo - 2 .. hi and nowhere
-    # else, on a family and on a quotient bundle alike
-    asked = []
-
-    def recording(F, ann, twists):
-        asked.append((F.degrees, list(twists)))
-        return _certified_h0s(F, ann, twists)
-
-    monkeypatch.setattr(bundles, "_certified_h0s", recording)
+def test_splitting_matches_exact_h0_second_differences():
+    # on both sides of each structure, linked or not, the degree count gives
+    # the splitting whose multiplicities are the second differences of the
+    # exact h0 at lo .. hi; multiplying a column by z0 + z1 is rejected
     structures = ([s for _, s in fixture_structures()]
-                  + random_structures(20250808, 9))
+                  + random_structures(20250808, 20) + random_structures(123, 8))
     for s in structures:
         fam = saturate(s.spanning)
-        splitting_type(fam)
-        splitting_type(QuotientBundle(s.dim, fam))
-    assert len(asked) == 2 * len(structures)
-    for degrees, twists in asked:
-        assert twists == list(range(min(degrees) - 2, max(degrees) + 1))
+        for side in (fam, annihilator(fam)):
+            st = splitting_type(side)
+            assert splitting_type(_unlinked(side)) == st
+            lo, hi = min(side.degrees), max(side.degrees)
+            h = {m: bundles.h0_dimension_by_solve(side, m)
+                 for m in range(lo - 2, hi + 1)}
+            for m in range(lo, hi + 1):
+                assert st.summands.count(-m) == \
+                    h[m] - 2 * h[m - 1] + h[m - 2], (side, m)
+            with pytest.raises(InternalError, match="not a free basis"):
+                splitting_type(_times_z0_plus_z1_last(side))
 
 
-def test_unsaturated_family_fails_through_exact_fallback(monkeypatch):
-    # z0 times a basis column: the z-multiples span too little to certify,
-    # so the exact solve decides, and the cross-check rejects the degrees
+def test_unsaturated_family_is_rejected():
+    # z0 times a basis column: its degrees sum to 3, its annihilator's to 2
     unsaturated = SubbundleFamily(4, cols_matrix(
         4, ("z0^2", "z0*z1", "0", "0"), ("0", "0", "z0", "z1")))
-    exact = []
-
-    def counting(ann, m):
-        exact.append(m)
-        return _h0_killed_by(ann, m)
-
-    monkeypatch.setattr(bundles, "_h0_killed_by", counting)
-    with pytest.raises(InternalError):
+    with pytest.raises(InternalError, match="sum to 3, annihilator's to 2"):
         splitting_type(unsaturated)
-    assert exact
 
 
-def test_nonzero_pairing_never_certifies():
-    # (z1, z0) does not kill the fiber (z0, z1), yet at every twist the rank
-    # of its equations plus the rank of the z-multiples is the column count;
-    # only the exact pairing check stops a false certificate
-    fam = saturate(cols_matrix(2, ("z0", "z1")))
-    wrong = SubbundleFamily(2, cols_matrix(2, ("z1", "z0")))
-    window = range(0, 5)
-    assert all(h is None for h in _certified_h0s(fam, wrong, window).values())
-    right = annihilator(fam)
-    assert _certified_h0s(fam, right, window) == \
-        {m: _h0_killed_by(right, m) for m in window}
+def test_splitting_of_a_linked_family_runs_no_elimination(monkeypatch):
+    # the degree count reads the linked annihilator: no exact and no
+    # modular elimination, on a family and on its quotient alike
+    from qlike import linalg, modp
+    structures = [s for _, s in fixture_structures()] + \
+        random_structures(20250808, 4)
+    families = [saturate(s.spanning) for s in structures]
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((linalg, "_eliminate"), (modp, "_eliminate_modp")):
+        monkeypatch.setattr(module, name,
+                            counting(name, getattr(module, name)))
+    for fam in families:
+        splitting_type(fam)
+        splitting_type(QuotientBundle(fam.ambient, fam))
+    assert calls == []
 
 
 # -- saturation from the spanning columns against the two graded kernels -------

@@ -5,10 +5,9 @@ import sys
 import pytest
 
 from oracles import (eigenspace_minus_i, left_quaternion_matrices,
-                     quaternionic_by_interpolation)
+                     quaternionic_by_interpolation, span_equal)
 from qlike import catalog, lie, linalg
 from qlike.bundles import SplittingType
-from qlike.linalg import span_equal
 from qlike.orbit import adjoint_multiplicity_count
 from qlike.sampling import random_quadruples
 from qlike.scalars import ONE, I, Scalar

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import qlike
+from test_tracer_targets import tracer_targets
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURE = SRC / "qlike" / "fixtures" / "v1" / "conic_r3.json"
@@ -160,6 +161,44 @@ def test_no_qlike_module_reads_the_environment():
                   if isinstance(node, ast.ImportFrom) and node.module == "os"
                   for alias in node.names if alias.name in ENVIRONMENT]
         assert not reads, (path.name, reads)
+
+
+def loaded_names(node):
+    """The names ``node`` reads, as a bare name or as an attribute."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            or isinstance(sub, ast.Attribute)}
+
+
+def unreached_public_definitions():
+    """``(module, name)`` of each public top-level function or class that
+    no other top-level statement of the package reads, that ``qlike``
+    does not export (by name, or as a module exported whole, such as
+    ``qlike.catalog``) and that the benchmark tracer does not wrap."""
+    statements = [(path.stem, node) for path in qlike_sources()
+                  for node in ast.parse(path.read_text()).body]
+    kept = {(module, name) for module, names in qlike._EXPORTS.items()
+            for name in names}
+    kept |= {(module, qualname.split(".")[0])
+             for module, qualname, _ in tracer_targets()}
+    whole = set(qlike.__all__)
+    unreached = []
+    for module, node in statements:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
+                node.name.startswith("_") or module in whole or \
+                (module, node.name) in kept:
+            continue
+        if not any(node.name in loaded_names(other)
+                   for _, other in statements if other is not node):
+            unreached.append((module, node.name))
+    return unreached
+
+
+def test_every_public_definition_is_reached():
+    # a public function that nothing in the package calls, exports or
+    # traces is code the system does not need
+    assert unreached_public_definitions() == []
 
 
 def test_import_loads_no_submodule_and_dir_lists_the_api():

@@ -340,7 +340,7 @@ def catalog_nilpotents():
            for name, spec in (("sl(2)", "principal"), ("sl(3)", "principal"),
                               ("sl(3)", "minimal"), ("sl(4)", "principal"),
                               ("sl(4)", "minimal"))]
-    return out + [(q.algebra.name, q.nilpotent)
+    return out + [(q.algebra.name, q.tau.f)
                   for q in random_quadruples(4242, 7)]
 
 

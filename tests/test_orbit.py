@@ -380,13 +380,10 @@ def test_representation_breaking_the_identity_is_invalid():
     assert report["valid"] is False
 
 
-@pytest.mark.parametrize("length", [5, 10])
-def test_wrong_length_nilpotent_is_rejected(length):
-    q = build_adjoint("sl(3)", "minimal")
-    y = (list(q.nilpotent) + [ONE] * 2)[:length]
-    with pytest.raises(InvalidInput, match="nilpotent needs 8 coordinates"):
-        GoodQuadruple(q.algebra, q.sigma, q.tau, q.u_basis, q.name,
-                      nilpotent=y, adjoint=q.adjoint)
+def test_nilpotent_is_tau_f_of_an_adjoint_quadruple_only():
+    adjoint = build_adjoint("sl(3)", "minimal")
+    assert adjoint.nilpotent == adjoint.tau.f
+    assert quadruple_from_json(QUADRUPLE).nilpotent is None
 
 
 DIGEST_TOOL = Path(__file__).resolve().parent.parent / "tools" / \
@@ -508,8 +505,7 @@ def test_normal_bundle_is_invariant_under_a_change_of_basis_of_e():
                                            for m in q.sigma.matrices])
         moved = GoodQuadruple(q.algebra, sigma, q.tau,
                               [mat_vec(P, list(u)) for u in q.u_basis],
-                              name=q.name, nilpotent=q.nilpotent,
-                              adjoint=q.adjoint)
+                              name=q.name, adjoint=q.adjoint)
         report, moved_report = normal_bundle(q), normal_bundle(moved)
         assert moved_report.to_json() == report.to_json(), q.name
         assert dimension_report(moved, moved_report) == \
@@ -541,7 +537,7 @@ def test_normal_bundle_is_invariant_under_conjugation_of_the_nilpotent(
         k = _invertible_integer_matrix(rng, len(y))
         moved = build_adjoint(algebra, ma.coordinates_of_matrix(
             mat_mul(mat_mul(k, y), inverse(k))))
-        assert list(moved.nilpotent) != list(q.nilpotent)
+        assert moved.tau.f != q.tau.f
         moved_report = normal_bundle(moved)
         assert (dict(moved_report.to_json(), name=None),
                 dimension_report(moved, moved_report)) == expected
