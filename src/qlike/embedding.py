@@ -4,8 +4,14 @@ structure must be immersed and injective.
 The curve is read through its Pluecker coordinates, binary forms over the
 Gaussian integers, of degree d, the sum of the family's degrees.
 :func:`curve_checks` first decides both checks from the dimension of their
-span.  When the coordinates span all d + 1 forms of degree d (d >= 1,
-proven by an exact rank), the curve is a rational normal curve:
+span.  When the coordinates span all d + 1 forms of degree d (d >= 1),
+the curve is a rational normal curve.  That span is first proven modulo
+p = ``modp.PRIMES[0]``: reduction is a ring map, so the minors of the
+reduced basis columns are the reductions of the exact minors, and a rank
+of their coefficient rows over GF(p) is at most the exact rank ("Rank" in
+:mod:`qlike.modp`).  A rank d + 1 there is a proof; only when it falls
+short are the coordinates expanded exactly and their rank taken.  Given
+the span:
 
 * z0^d and z1^d lie in the span, so the coordinates have no common zero;
 * the coordinate vector is gamma = A nu_d, where nu_d = (z0^d, z0^(d-1)
@@ -48,6 +54,7 @@ warning.  A smooth rational quartic in P^3 is one such curve:
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 
 # rank and resultant_gcd_is_constant are called through their modules, so
 # that a tracer which rebinds them there (perfbench/tracer.py) sees the calls
@@ -57,7 +64,8 @@ from .errors import InternalError
 from .forms import (_column_numerators, _form, form_gcd, ip_add, ip_deriv,
                     ip_gcd, ip_mul, ip_scale, ip_sub, ip_trim)
 from .linalg import independent_rows
-from .modp import bideg, coprime_forms_prime, reduce_modp
+from .modp import (PRIMES, bideg, coprime_forms_prime, rank_modp,
+                   reduce_modp, sqrt_minus_one)
 from .scalars import Scalar
 
 
@@ -86,19 +94,67 @@ def _pluecker_coordinates(family: SubbundleFamily):
     return [table[rows] for rows in itertools.combinations(range(n), k)]
 
 
+def _pluecker_rank_modp(family: SubbundleFamily):
+    """The rank over GF(p), p = ``PRIMES[0]``, of the coefficient rows of
+    the Pluecker coordinates: at most their exact rank (module docstring).
+
+    The minors are the Laplace expansions of :func:`_pluecker_coordinates`
+    taken from the reduced columns, pushed forward from each nonzero minor
+    of the first j columns to the rows it extends by a nonzero entry of
+    column j + 1, so zero minors cost nothing.  Each is a sparse list of
+    (power, residue) pairs, summed in ints of length d + 1 (no minor of
+    the first j columns passes degree d) and reduced once.
+    """
+    p = PRIMES[0]
+    ip = sqrt_minus_one(p)
+    d = sum(family.degrees)
+    table = {(): [(0, 1)]}
+    sums = {}
+    for col in family.columns():
+        entries = [(i, [(u, x) for u, x in enumerate(f) if x]) for i, f in
+                   enumerate(reduce_modp(_column_numerators(col), p, ip))
+                   if any(f)]
+        sums = {}
+        for rows, sub in table.items():
+            for i, f in entries:
+                pos = bisect_left(rows, i)
+                if pos < len(rows) and rows[pos] == i:
+                    continue
+                key = rows[:pos] + (i,) + rows[pos:]
+                acc = sums.get(key)
+                if acc is None:
+                    acc = sums[key] = [0] * (d + 1)
+                for u, x in f:
+                    if pos % 2:
+                        x = -x
+                    for v, y in sub:
+                        acc[u + v] += x * y
+        table = {}
+        for rows, acc in sums.items():
+            minor = [(u, c % p) for u, c in enumerate(acc) if c % p]
+            if minor:
+                table[rows] = minor
+    return rank_modp([[c % p for c in acc] for acc in sums.values()], p)
+
+
+def _rational_normal_curve():
+    """curve_checks' answer for a rational normal curve."""
+    return ([("immersion", "pass", ""), ("injectivity", "pass", "")],
+            dict.fromkeys(("pluecker", "immersion", "injectivity"), "exact"))
+
+
 def curve_checks(family: SubbundleFamily):
     """``(checks, routes)`` for the Grassmann curve of the saturated
     ``family``: ``checks`` holds the ``(name, status, detail)`` of
     immersion and injectivity, and ``routes`` says how "pluecker",
     "immersion" and "injectivity" were decided (see the module docstring).
     """
+    d = sum(family.degrees)
+    if d >= 1 and _pluecker_rank_modp(family) == d + 1:
+        return _rational_normal_curve()
     coords = _pluecker_forms(family)
-    d = len(coords[0]) - 1
     if d >= 1 and linalg.rank(_scalar_rows(coords)) == d + 1:
-        # a rational normal curve: coprime, immersed and injective
-        return ([("immersion", "pass", ""), ("injectivity", "pass", "")],
-                dict.fromkeys(("pluecker", "immersion", "injectivity"),
-                              "exact"))
+        return _rational_normal_curve()
     routes = {}
     gamma, routes["pluecker"] = _reduced_pluecker(coords)
     if len(gamma) == 1:

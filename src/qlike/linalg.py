@@ -21,28 +21,37 @@ The pivot columns are the column rank profile: column c is a pivot exactly
 when it is independent of the columns before it.  :func:`independent_rows`
 relies on this to pick independent vectors in order.
 
-Wide inputs.  When a cleared row of :func:`kernel_basis` or :func:`rank`
-has an entry wider than 30 bits (one CPython digit), Bareiss pivots can
-grow to hundreds of bits while the kernel vectors stay small, so these two
-first try a modular route on the whole cleared matrix (see "Kernels" in
-:mod:`qlike.modp`), and go to the driver when it proves nothing.  Each
-modular kernel candidate is checked exactly in Z[i]: every cleared row must
-be orthogonal to every vector.  A checked candidate is byte-identical to
-the Bareiss output:
+Modular proofs.  :func:`rank` and :func:`kernel_basis` first reduce the
+cleared rows modulo p = ``modp.KERNEL_PRIMES[0]``.  A minor of A reduces
+to the same minor of A mod p, so rank(A mod p) <= rank(A) <= min(rows,
+cols) for every input ("Rank" in :mod:`qlike.modp`).  A rank modulo p
+equal to min(rows, cols) therefore proves the rank, and one equal to ncols
+proves the kernel trivial, with no exact elimination.  Below that, an
+input with an entry wider than 30 bits (one CPython digit), whose Bareiss
+pivots can grow to hundreds of bits while its kernel vectors stay small,
+tries the modular kernel candidates (see "Kernels" in :mod:`qlike.modp`)
+before the driver.  Each candidate is checked exactly in Z[i]: every
+cleared row must be orthogonal to every vector.  A checked candidate is
+byte-identical to the Bareiss output:
 
-* rank(A mod p) <= rank(A), since minors reduce to minors;
 * the candidate holds one vector per free column fc of A mod p, namely
   e_fc plus entries on the pivots left of fc; these vectors are
   independent and lie in the kernel, so rank(A) <= ncols - |F_p| =
-  rank(A mod p), and the two ranks are equal;
+  rank(A mod p), and with the bound above the two ranks are equal;
 * each fc in F_p depends on the columns before it, so it is free in A as
   well, and F_p, of the right size, is the true free set;
 * a kernel vector is unique once its free column is fixed, so the
   Scalars equal those of Bareiss.
 
-For the rank, a rank modulo p equal to min(rows, cols) is already a proof;
-below that, a checked candidate proves rank(A) = ncols - |F_p| by the
-same argument.
+So a checked candidate also proves rank(A) = ncols - |F_p|.  When nothing
+modular proves the answer, the driver computes it; an unlucky prime only
+costs the modular attempt.
+
+Kept vectors.  :func:`integer_kernel` takes rows already cleared, and a
+``keep`` rule that picks, from the free columns alone, the kernel vectors
+its caller reads; only those are back-substituted (or read off the
+checked candidate).  Each is the vector fixed by its free column, so it
+equals the one :func:`kernel_basis` returns.
 """
 
 from __future__ import annotations
@@ -245,14 +254,13 @@ def _free_vector(rows, pivots, fc, out, den=1):
     return out
 
 
-def _eliminate(a, ncols, rhs=(), kernel=False, cleared=None):
-    """``(pivots, kernel, solutions)`` of ``[A | b_1 | ...]`` for the
+def _eliminate(a, ncols, rhs=(), cleared=None):
+    """``(rows, pivots, solutions)`` of ``[A | b_1 | ...]`` for the
     right-hand sides ``b_k`` in ``rhs``.
 
-    ``pivots`` are A's pivot columns; ``kernel`` (empty unless asked for)
-    has one vector per free column, that variable 1 and the other free ones
-    0; ``solutions`` holds the solution of A x = b_k with every free
-    variable 0 for each ``b_k``, or is None if any is inconsistent.
+    ``rows`` is the echelon form and ``pivots`` are A's pivot columns;
+    ``solutions`` holds the solution of A x = b_k with every free variable
+    0 for each ``b_k``, or is None if any is inconsistent.
     ``cleared`` may give A's rows already cleared of denominators, when
     ``rhs`` is empty.
     """
@@ -270,17 +278,20 @@ def _eliminate(a, ncols, rhs=(), kernel=False, cleared=None):
                 ints += [(l * ib[i][0], l * ib[i][1]) for _, ib in sides]
             rows.append(primitive_part(ints))
     pivots = _bareiss(rows, ncols + len(sides))
-    kernel_vectors = []
-    if kernel:
-        pivot_set = set(pivots)
-        kernel_vectors = [_free_vector(rows, pivots, fc, [ZERO] * ncols)
-                          for fc in range(ncols) if fc not in pivot_set]
     solutions = None
     if not pivots or pivots[-1] < ncols:
         # x = -(kernel vector of [A | D b] that is 1 on b's column)/D
         solutions = [_free_vector(rows, pivots, ncols + k, [ZERO] * ncols,
                                   -l) for k, (l, _) in enumerate(sides)]
-    return [c for c in pivots if c < ncols], kernel_vectors, solutions
+    return rows, [c for c in pivots if c < ncols], solutions
+
+
+def _rank_modp(rows):
+    """rank(A mod p) of the Gaussian-integer rows, p = KERNEL_PRIMES[0]: at
+    most rank(A) (module docstring)."""
+    p = modp.KERNEL_PRIMES[0]
+    return modp.rank_modp(modp.reduce_modp(rows, p, modp.sqrt_minus_one(p)),
+                          p)
 
 
 def rank(a):
@@ -288,17 +299,14 @@ def rank(a):
         return 0
     ncols = len(a[0])
     rows = [clear_denominators(row)[1] for row in a]
+    full = min(len(rows), ncols)
+    if _rank_modp(rows) == full:
+        return full
     if _is_wide(rows):
-        # rank(A mod p) <= rank(A) <= min(rows, cols)
-        full = min(len(rows), ncols)
-        p = modp.KERNEL_PRIMES[0]
-        reduced = modp.reduce_modp(rows, p, modp.sqrt_minus_one(p))
-        if modp.rank_modp(reduced, p) == full:
-            return full
         vectors = _checked_kernel(rows, ncols)
         if vectors is not None:
             return ncols - len(vectors)
-    return len(_eliminate(a, ncols, cleared=rows)[0])
+    return len(_eliminate(a, ncols, cleared=rows)[1])
 
 
 def independent_rows(vectors):
@@ -308,7 +316,7 @@ def independent_rows(vectors):
     clearing the denominators of each coordinate scales a row of that
     matrix, which leaves its column dependencies unchanged.
     """
-    return _eliminate(transpose(vectors), len(vectors))[0]
+    return _eliminate(transpose(vectors), len(vectors))[1]
 
 
 def kernel_basis(a):
@@ -316,9 +324,25 @@ def kernel_basis(a):
     variable 1, the others 0, pivots back-substituted).  Deterministic."""
     ncols = len(a[0]) if a else 0
     rows = [clear_denominators(row)[1] for row in a]
+    if _rank_modp(rows) == ncols:
+        return []
+    return integer_kernel(rows, ncols)
+
+
+def integer_kernel(rows, ncols, keep=None):
+    """The :func:`kernel_basis` vectors of the Gaussian-integer ``rows``
+    (lists of ``ncols`` (re, im) pairs), with no modular rank first; the
+    rows may be overwritten.
+
+    ``keep(free)``, given the free columns in order, returns the positions
+    in that list of the vectors wanted, in order; only those are built.
+    """
     if _is_wide(rows):
         vectors = _checked_kernel(rows, ncols)
         if vectors is not None:
+            if keep is not None:
+                vectors = [vectors[i] for i in keep(
+                    [entries[-1][0] for _, entries in vectors])]
             out = []
             for den, entries in vectors:
                 v = [ZERO] * ncols
@@ -326,7 +350,12 @@ def kernel_basis(a):
                     v[j] = gaussian(xr, xi, den)
                 out.append(v)
             return out
-    return _eliminate(a, ncols, kernel=True, cleared=rows)[1]
+    rows, pivots, _ = _eliminate(None, ncols, cleared=rows)
+    pivot_set = set(pivots)
+    free = [fc for fc in range(ncols) if fc not in pivot_set]
+    if keep is not None:
+        free = [free[i] for i in keep(free)]
+    return [_free_vector(rows, pivots, fc, [ZERO] * ncols) for fc in free]
 
 
 def solve(a, b):

@@ -36,16 +36,33 @@ kernel vectors, and M(m) <= dim ker.  The equation rows of a relation,
 scaled by a constant, have the same kernel, so reducing each relation's
 Gaussian-integer numerators modulo p = ``modp.PRIMES[0]`` gives rows whose
 rank r_p over GF(p) is at most the exact rank ("Rank" in :mod:`qlike.modp`):
-dim ker <= total - r_p.  When total - r_p = M(m) the multiples span the
-kernel, and the stage has no new generator; only the other stages are
-eliminated exactly.  An unlucky prime merely sends a stage to the exact
-path.  The conic's stages 0 and 1 have 3 and 6 unknowns and full rank
-modulo p, so only stage 2, of rank 8 in 9 unknowns, is eliminated:
+dim ker <= T(m) - r_p, for T(m) the stage's unknowns.  When T(m) - r_p =
+M(m) the multiples span the kernel, and the stage has no new generator;
+only the other stages are eliminated exactly.  An unlucky prime merely
+sends a stage to the exact path.  Two more facts spare most modular ranks:
 
->>> rows_p = _relations_modp(rows)
->>> [rank_modp(_equation_rows(rows_p, [0, 0, 0], m, zero=0), PRIMES[0])
+* downward closure: c -> z0 c maps the stage-(m - 1) kernel injectively
+  into the stage-m kernel, so a trivial kernel at stage m proves every
+  stage below it trivial.  A stage with fewer equation rows R(m) than
+  unknowns has a kernel, so the last stage with R(m) >= T(m) is the
+  highest one that can be trivial; one modular rank there, when it
+  equals T(m), skips it and every stage below it.  Otherwise the stages
+  are scanned from the bottom;
+* row count: the exact rank is at most R(m), so dim ker >= T(m) - R(m).
+  When that exceeds M(m) the stage has a new generator, and it is
+  eliminated with no modular rank.
+
+The conic's stages 0, 1 and 2 have 3, 6 and 9 unknowns and 4, 6 and 8
+rows.  Stage 1 has full rank modulo p, so stages 0 and 1 are empty, and
+stage 2, with a spare unknown and no multiples, is the one eliminated:
+
+>>> groups = _degree_groups(rows, [0, 0, 0])
+>>> [(_section_layout([0, 0, 0], m)[2], _row_count(groups, m))
 ...  for m in (0, 1, 2)]
-[3, 6, 8]
+[(3, 4), (6, 6), (9, 8)]
+>>> rows_p = _relations_modp([_column_numerators(row) for row in rows])
+>>> _stage_rank_modp(rows_p, [0, 0, 0], 1)
+6
 
 Selection.  Each exact kernel vector sols[i] is 1 on its free column f_i,
 0 on the other free columns and nonzero only on pivots left of f_i
@@ -68,10 +85,10 @@ from __future__ import annotations
 
 from .errors import InternalError, InvalidInput
 from .forms import BinaryForm, _column_numerators
-from .linalg import (identity, independent_rows, kernel_basis, rank, solve,
-                     solve_matrix)
+from .linalg import (independent_rows, integer_kernel, mat_mul, rank, solve,
+                     solve_matrix, transpose)
 from .modp import PRIMES, rank_modp, reduce_modp, sqrt_minus_one
-from .scalars import ZERO
+from .scalars import ONE, ZERO
 
 class PolyMatrix:
     """Immutable matrix of binary forms, column j homogeneous of degree d_j."""
@@ -184,14 +201,18 @@ def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None, *,
     ``unknown_shifts[j]`` twists the grading so that at stage m the unknown
     c_j runs over forms of degree m + shift_j.  Returns a list of
     ``(m, tuple_of_forms)`` pairs sorted by m (ties: discovery order).
-    A stage whose kernel dimension modulo p equals the count of z-multiples
-    of the generators already found has no new generator and is skipped;
-    at any other stage the generators of degree m are the exact kernel
+    Stages a modular rank proves empty are skipped: all those below the
+    last stage with as many rows as unknowns when it has full rank, and
+    any stage whose kernel dimension modulo p equals the count of
+    z-multiples of the generators already found.  A stage with more spare
+    unknowns than multiples is eliminated with no modular rank.  At an
+    eliminated stage the generators of degree m are the exact kernel
     vectors independent of those multiples and of the kernel vectors
-    before them, chosen on the kernel's free coordinates (see the module
-    docstring for both proofs).  It stops at ``expected_count`` generators
-    (n_unknowns minus the generic rank of the rows split by degree), and
-    fails past the module's proven bound B (internal error).
+    before them, chosen on the kernel's free coordinates before they are
+    built (see the module docstring for the proofs).  It stops at
+    ``expected_count`` generators (n_unknowns minus the generic rank of the
+    rows split by degree), and fails past the module's proven bound B
+    (internal error).
     """
     shifts = list(unknown_shifts or [0] * n_unknowns)
     if len(shifts) != n_unknowns:
@@ -199,26 +220,40 @@ def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None, *,
     if n_unknowns == 0 or expected_count == 0:
         return []
     bound = _degree_bound(relation_rows, shifts, expected_count)
-
-    rows = [[f.coeffs for f in row] for row in relation_rows]
-    rows_p = _relations_modp(relation_rows)
+    groups = _degree_groups(relation_rows, shifts)
+    # scaling a relation keeps its kernel, so its numerators give the rows
+    nums = [_column_numerators(row) for row in relation_rows]
+    rows_p = _relations_modp(nums)
+    m = -max(shifts)
+    ranks = {}          # r_p of each stage ranked modulo p
+    tall = [t for t in range(m, bound + 1)
+            if _row_count(groups, t) >= _section_layout(shifts, t)[2]]
+    if tall:
+        top = tall[-1]
+        ranks[top] = _stage_rank_modp(rows_p, shifts, top)
+        if ranks[top] == _section_layout(shifts, top)[2]:
+            m = top + 1         # the kernel is trivial up to stage top
     gens = []
     known = []          # (degree, coefficient blocks) of each generator
-    m = -max(shifts)
     while m <= bound:
         lengths, offsets, total = _section_layout(shifts, m)
         n_mults = sum(m - mg + 1 for mg, _ in known)
-        r_p = rank_modp(_equation_rows(rows_p, shifts, m, zero=0), PRIMES[0])
-        if total - r_p > n_mults:
-            eq_rows = _equation_rows(rows, shifts, m)
-            sols = kernel_basis(eq_rows) if eq_rows else identity(total)
-            for i in _new_kernel_vectors(sols, known, shifts, m):
-                sol = sols[i]
-                gens.append((m, _decode(sol, shifts, m)))
-                if len(gens) == expected_count:
-                    return gens
-                known.append((m, [sol[off:off + length] for off, length
-                                  in zip(offsets, lengths)]))
+        if total - _row_count(groups, m) <= n_mults:
+            if m not in ranks:
+                ranks[m] = _stage_rank_modp(rows_p, shifts, m)
+            if total - ranks[m] <= n_mults:
+                m += 1
+                continue
+        wanted = expected_count - len(gens)
+        for sol in integer_kernel(
+                _equation_rows(nums, shifts, m, zero=(0, 0)), total,
+                lambda free: _new_kernel_vectors(
+                    free, known, shifts, m)[:wanted]):
+            gens.append((m, _decode(sol, shifts, m)))
+            known.append((m, [sol[off:off + length] for off, length
+                              in zip(offsets, lengths)]))
+        if len(gens) == expected_count:
+            return gens
         m += 1
     raise InternalError("graded kernel short of %d generators by degree %d, "
                         "its proven bound" % (expected_count, bound))
@@ -234,11 +269,12 @@ def graded_kernel_from_basis(columns, degrees):
     columns' degrees.  Let W_m's rows be those multiples.  The kernel's free
     coordinates F are the pivots of W_m's columns scanned from the right:
     by matroid duality, the complement of the equation rows' pivots from
-    the left.  Row i of solve_matrix(W_m[:, F], W_m) is the kernel vector
-    that is 1 on F[i] and 0 on the rest of F, which is what
-    :func:`~qlike.linalg.kernel_basis` returns, and the new generators are
-    picked from these rows by graded_kernel's rule.  It runs no stage above
-    the largest column degree, so it needs no bound of its own.
+    the left.  Row i of W_F^-1 W_m, for the square block W_F = W_m[:, F],
+    is the kernel vector that is 1 on F[i] and 0 on the rest of F, which
+    is what :func:`~qlike.linalg.kernel_basis` returns.  graded_kernel's
+    rule picks the new generators from F alone, and only their rows are
+    built: row i is y W_m for the solution y of W_F^T y = e_i.  It runs no
+    stage above the largest column degree, so it needs no bound of its own.
     """
     if not columns:
         return []
@@ -253,47 +289,73 @@ def graded_kernel_from_basis(columns, degrees):
                 for mono1 in range(m - d + 1)]
         free = sorted(total - 1 - c for c in independent_rows(
             [[v[c] for v in span] for c in reversed(range(total))]))
-        sols = solve_matrix([[v[f] for f in free] for v in span], span)
-        for i in _new_kernel_vectors(sols, known, shifts, m):
-            sol = sols[i]
+        kept = _new_kernel_vectors(free, known, shifts, m)
+        if not kept:
+            continue
+        units = [[ONE if i == k else ZERO for k in kept]
+                 for i in range(len(free))]
+        ys = solve_matrix([[v[f] for v in span] for f in free], units)
+        for sol in mat_mul(transpose(ys), span):
             gens.append((m, _decode(sol, shifts, m)))
             known.append((m, [sol[off:off + length] for off, length
                               in zip(offsets, lengths)]))
     return gens
 
 
-def _relations_modp(relation_rows):
+def _relations_modp(nums):
     """Each relation's Gaussian-integer numerators modulo ``PRIMES[0]``:
     untrimmed coefficient lists for :func:`_equation_rows`."""
     p = PRIMES[0]
     ip = sqrt_minus_one(p)
-    return [reduce_modp(_column_numerators(row), p, ip)
-            for row in relation_rows]
+    return [reduce_modp(row, p, ip) for row in nums]
 
 
-def _new_kernel_vectors(sols, known, shifts, m):
-    """Indices of the stage-m kernel vectors ``sols`` that are independent
-    of the z-multiples of the ``known`` generators and of the vectors
-    before them: the columns of A, the multiples' entries at the free
-    columns, that are not pivots from the right (module docstring)."""
+def _stage_rank_modp(rows_p, shifts, m):
+    """The rank r_p of stage m's equation rows modulo ``PRIMES[0]``."""
+    return rank_modp(_equation_rows(rows_p, shifts, m, zero=0), PRIMES[0])
+
+
+def _new_kernel_vectors(free, known, shifts, m):
+    """Positions, in the list ``free`` of a stage-m kernel's free columns,
+    of the kernel vectors that are independent of the z-multiples of the
+    ``known`` generators and of the vectors before them: the columns of A,
+    the multiples' entries at the free columns, that are not pivots from
+    the right (module docstring)."""
     if not known:
         # with no generator yet, every kernel vector is new
-        return range(len(sols))
-    # sols[i] is 1 on its free column and 0 to the right of it
-    free = [max(j for j, x in enumerate(sol) if x) for sol in sols]
+        return list(range(len(free)))
     mults = [_multiple_coeffs(blocks, shifts, m, mono1)
              for mg, blocks in known
              for mono1 in range(m - mg, -1, -1)]
-    last = len(sols) - 1
+    last = len(free) - 1
     pivots = set(independent_rows([[v[f] for v in mults]
                                    for f in reversed(free)]))
-    return [i for i in range(len(sols)) if last - i not in pivots]
+    return [i for i in range(len(free)) if last - i not in pivots]
+
+
+def _degree_groups(relation_rows, shifts):
+    """(t, s) for each degree group of each relation: t = deg f + shift_j
+    for its nonzero entries f, and s the largest shift_j among them."""
+    groups = []
+    for row in relation_rows:
+        top = {}
+        for f, shift in zip(row, shifts):
+            if f:
+                t = f.degree + shift
+                top[t] = max(top.get(t, shift), shift)
+        groups.extend(top.items())
+    return groups
+
+
+def _row_count(groups, m):
+    """How many rows :func:`_equation_rows` builds at stage m: D + 1 for
+    each group of degree D = t + m with an unknown of stage m."""
+    return sum(t + m + 1 for t, s in groups if m + s >= 0)
 
 
 def _degree_bound(relation_rows, shifts, count):
     """The bound B of the module docstring, for a kernel of rank count."""
-    ts = [t for row in relation_rows
-          for t in {f.degree + s for f, s in zip(row, shifts) if f}]
+    ts = [t for t, _ in _degree_groups(relation_rows, shifts)]
     return (sum(sorted(ts, reverse=True)[:len(shifts) - count])
             - sum(shifts) + (count - 1) * max(shifts))
 
@@ -301,10 +363,11 @@ def _degree_bound(relation_rows, shifts, count):
 # -- the section-space layout ------------------------------------------------
 # A section (c_j) of the sum of the O(m + shift_j) is the vector whose block j
 # holds the max(0, m + shift_j + 1) coefficients of c_j.  The builders take
-# forms as coefficient sequences, BinaryForm.coeffs or their untrimmed
-# reductions modulo a prime, and ``zero`` fills the other cells.  A cell gets
-# at most one coefficient ((u, t) -> (u + t, offset_j + t) is injective and
-# the blocks are disjoint), so the builders assign.
+# forms as coefficient sequences (BinaryForm.coeffs, or Gaussian-integer
+# numerators as (re, im) pairs or their untrimmed reductions modulo a
+# prime), and ``zero``, the zero of their entries, fills the other cells.
+# A cell gets at most one coefficient ((u, t) -> (u + t, offset_j + t) is
+# injective and the blocks are disjoint), so the builders assign.
 
 def _section_layout(shifts, m):
     """(lengths, offsets, total) of the blocks at stage m."""
@@ -327,7 +390,7 @@ def _equation_rows(relation_rows, shifts, m, zero=ZERO):
         by_degree = {}
         for j, f in enumerate(row):
             length = lengths[j]
-            if not length or not any(f):
+            if not length or all(a == zero for a in f):
                 continue
             D = len(f) - 1 + m + shifts[j]
             block = by_degree.get(D)
@@ -335,7 +398,7 @@ def _equation_rows(relation_rows, shifts, m, zero=ZERO):
                 block = by_degree[D] = [[zero] * total for _ in range(D + 1)]
             off = offsets[j]
             for u, a in enumerate(f):
-                if a:
+                if a != zero:
                     for t in range(length):
                         block[u + t][off + t] = a
         for D in sorted(by_degree):

@@ -12,7 +12,8 @@ built as dense 0/1 matrices) rather than the annihilator degrees, and its
 facts b and c from the images of those kernels, Q(i) arithmetic on a
 pair of Fractions rather than a Gaussian integer over one denominator,
 graded kernels by an exact elimination at every stage and
-a selection among whole kernel vectors, Lie brackets by walking the
+a selection among whole kernel vectors, a free basis's generators from
+the whole solve W_F^-1 W, Lie brackets by walking the
 structure-constant table pair by pair, Jacobson-Morozov's H system one
 bracket per column, a matrix algebra's structure constants by one
 elimination with every commutator as a right-hand side, the
@@ -621,6 +622,39 @@ def graded_kernel_by_stages(relation_rows, n_unknowns, unknown_shifts=None, *,
                               in zip(offsets, lengths)]))
     raise AssertionError("oracle short of %d generators by degree %d"
                          % (expected_count, bound))
+
+
+def graded_kernel_from_basis_by_solve(columns, degrees):
+    """``polymatrix.graded_kernel_from_basis`` with every row of
+    W_F^-1 W built by one ``solve_matrix`` over all of W's columns, and the
+    new generators selected among those whole vectors, as in
+    :func:`graded_kernel_by_stages`."""
+    if not columns:
+        return []
+    shifts = [0] * len(columns[0])
+    blocks = [[f.coeffs for f in col] for col in columns]
+    gens = []
+    known = []
+    for m in sorted(set(degrees)):
+        lengths, offsets, total = _section_layout(shifts, m)
+        span = [_multiple_coeffs(gvec, shifts, m, mono1)
+                for gvec, d in zip(blocks, degrees) if d <= m
+                for mono1 in range(m - d + 1)]
+        free = sorted(total - 1 - c for c in independent_rows(
+            [[v[c] for v in span] for c in reversed(range(total))]))
+        sols = solve_matrix([[v[f] for f in free] for v in span], span)
+        mults = [_multiple_coeffs(kblocks, shifts, m, mono1)
+                 for mg, kblocks in known
+                 for mono1 in range(m - mg, -1, -1)]
+        vectors = mults + sols
+        for i in independent_rows(vectors):
+            if i < len(mults):
+                continue
+            sol = vectors[i]
+            gens.append((m, _decode(sol, shifts, m)))
+            known.append((m, [sol[off:off + length] for off, length
+                              in zip(offsets, lengths)]))
+    return gens
 
 
 def table_bracket(g, x, y):

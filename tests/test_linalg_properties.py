@@ -18,7 +18,7 @@ from oracles import rref
 from qlike import linalg, modp
 from qlike.linalg import independent_rows, kernel_basis, mat_mul, mat_vec, \
     rank, solve, solve_matrix, transpose
-from qlike.scalars import ONE, ZERO, Scalar
+from qlike.scalars import ONE, ZERO, Scalar, clear_denominators
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -309,6 +309,55 @@ def wide_matrices(draw):
 def test_wide_kernel_basis_and_rank_match_rref(a):
     assert kernel_basis(a) == _oracle_kernel(a)
     assert rank(a) == len(rref(a)[1])
+
+
+def _bareiss_rank_and_kernel(a):
+    """rank and kernel basis from the exact driver alone."""
+    ncols = len(a[0])
+    rows = [clear_denominators(row)[1] for row in a]
+    echelon, pivots, _ = linalg._eliminate(None, ncols, cleared=rows)
+    return len(pivots), [
+        linalg._free_vector(echelon, pivots, fc, [ZERO] * ncols)
+        for fc in range(ncols) if fc not in pivots]
+
+
+@st.composite
+def reduction_dropping_matrices(draw):
+    """Narrow or wide matrices, often with one column scaled by the prime
+    of the modular proofs, so that their rank drops modulo it."""
+    a = draw(st.one_of(matrices(), wide_matrices()))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(a[0]) - 1))
+        p = Scalar(modp.KERNEL_PRIMES[0])
+        a = [[x * p if c == j else x for c, x in enumerate(row)] for row in a]
+    return a
+
+
+def _narrow_determinant_p():
+    """A 6 x 6 matrix of entries below 2^30 whose determinant,
+    w + sum x_i^2, is the prime: full rank, but not modulo the prime."""
+    xs = [2 ** 30 - 1] * 4 + [92681]
+    rows = [[Scalar(int(c == r)) for c in range(5)] + [Scalar(x)]
+            for r, x in enumerate(xs)]
+    return rows + [[Scalar(-x) for x in xs] + [Scalar(166740)]]
+
+
+@SETTINGS
+@given(reduction_dropping_matrices())
+@example(_narrow_determinant_p())
+def test_certified_rank_and_kernel_equal_bareiss(a):
+    r, kernel = _bareiss_rank_and_kernel(a)
+    assert rank(a) == r
+    assert kernel_basis(a) == kernel
+
+
+def test_determinant_divisible_by_the_prime_is_not_trusted():
+    a = _narrow_determinant_p()
+    p = modp.KERNEL_PRIMES[0]
+    reduced = modp.reduce_modp([clear_denominators(row)[1] for row in a], p,
+                               modp.sqrt_minus_one(p))
+    assert modp.rank_modp(reduced, p) == 5
+    assert rank(a) == 6 and kernel_basis(a) == []
 
 
 def _count_bareiss(monkeypatch):

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from oracles import graded_kernel_by_stages, poly_mat_vec
+from oracles import (graded_kernel_by_stages, graded_kernel_from_basis_by_solve,
+                     poly_mat_vec)
 
 from qlike import bundles, orbit, polymatrix
 from qlike.bundles import saturate, subquotient_splitting
@@ -188,15 +189,15 @@ def assert_oracle_agrees(calls):
 
 def record_eliminations(monkeypatch):
     """The unknown counts of the systems the graded kernel eliminates
-    exactly, one per stage that reaches kernel_basis."""
+    exactly, one per stage that reaches integer_kernel."""
     widths = []
-    real = polymatrix.kernel_basis
+    real = polymatrix.integer_kernel
 
-    def recording(rows):
-        widths.append(len(rows[0]))
-        return real(rows)
+    def recording(rows, ncols, keep=None):
+        widths.append(ncols)
+        return real(rows, ncols, keep)
 
-    monkeypatch.setattr(polymatrix, "kernel_basis", recording)
+    monkeypatch.setattr(polymatrix, "integer_kernel", recording)
     return widths
 
 
@@ -309,3 +310,95 @@ def test_saturate_eliminates_only_at_the_generator_stages(monkeypatch):
     # with a second graded kernel over the annihilator's relations
     saturate(draw.spanning)
     assert len(widths) == 1
+
+
+def record_stage_ranks(monkeypatch, undercount=()):
+    """The stages whose modular rank the graded kernel takes, in order; the
+    calls numbered in ``undercount`` read one short."""
+    stages = []
+    real = polymatrix._stage_rank_modp
+
+    def recording(rows_p, shifts, m):
+        stages.append(m)
+        r = real(rows_p, shifts, m)
+        return r - 1 if len(stages) - 1 in undercount and r else r
+
+    monkeypatch.setattr(polymatrix, "_stage_rank_modp", recording)
+    return stages
+
+
+def test_undercounting_rank_at_the_top_stage_falls_back_to_the_scan(
+        monkeypatch):
+    # the conic's stage 1 is the last with as many rows as unknowns; read
+    # one short there, it proves nothing, so stage 0 is ranked from the
+    # bottom, stage 1 reuses its short rank and is eliminated, and stage 2,
+    # with a spare unknown, is eliminated with no rank
+    stages = record_stage_ranks(monkeypatch, undercount=(0,))
+    widths = record_eliminations(monkeypatch)
+    gens = graded_kernel(CONIC_RELATIONS, 3, expected_count=1)
+    assert stages == [1, 0]
+    assert widths == [6, 9]
+    assert exact(gens) == exact(graded_kernel_by_stages(
+        CONIC_RELATIONS, 3, expected_count=1))
+
+
+def test_undercounting_top_rank_keeps_every_annihilator(monkeypatch):
+    # every fixture's and draw's annihilator, with the first modular rank
+    # (the top stage's, when there is one) read one short
+    structures = ([s for _, s in fixture_structures()]
+                  + random_structures(20250808, 9))
+    real = polymatrix.graded_kernel
+    scanned = 0
+    for s in structures:
+        P = s.spanning
+        rows = [list(col) for col in P.columns()]
+        count = P.rows - generic_rank(P.transpose_relations())
+        with monkeypatch.context() as patch:
+            stages = record_stage_ranks(patch, undercount=(0,))
+            gens = real(rows, P.rows, expected_count=count)
+        assert exact(gens) == exact(graded_kernel_by_stages(
+            rows, P.rows, expected_count=count))
+        assert len(stages) == len(set(stages))
+        scanned += len(stages) > 1
+    # where the top stage lies above the first, the scan ranks again below it
+    assert scanned >= 3
+
+
+def test_benchmark_slowest_draw_takes_one_rank_and_one_elimination(
+        monkeypatch):
+    # draw 8 (dim 6, degrees [3, 3, 3, 1]): its annihilator's stages up to
+    # the last with as many rows as unknowns are proven empty by one
+    # modular rank, the next is eliminated, and its spanning columns are a
+    # free basis, so no second graded kernel runs
+    draw = random_structures(20250808, 9)[8]
+    stages = record_stage_ranks(monkeypatch)
+    widths = record_eliminations(monkeypatch)
+    saturate(draw.spanning)
+    assert len(stages) == 1 and len(widths) == 1
+
+
+def test_free_basis_generators_equal_the_whole_solve(monkeypatch):
+    # every saturation that takes the free-basis route builds only the
+    # kept rows of W_F^-1 W, and they equal the oracle's whole solve
+    calls = []
+    real = bundles.graded_kernel_from_basis
+
+    def recording(columns, degrees):
+        out = real(columns, degrees)
+        calls.append((columns, degrees, out))
+        return out
+
+    monkeypatch.setattr(bundles, "graded_kernel_from_basis", recording)
+    for s in ([s for _, s in fixture_structures()]
+              + random_structures(20250808, 20) + random_structures(123, 8)):
+        saturate(s.spanning)
+    # mixed degrees, so later stages select among the multiples
+    conic_and_line = PolyMatrix.from_columns(
+        4, [[Z0, Z1, BinaryForm.zero(1), BinaryForm.zero(1)],
+            [BinaryForm.zero(2), parse_form("z0^2"), parse_form("z0*z1"),
+             parse_form("z1^2")]], [1, 2])
+    saturate(conic_and_line)
+    assert len(calls) > 20
+    for columns, degrees, out in calls:
+        assert exact(out) == exact(graded_kernel_from_basis_by_solve(
+            columns, degrees))

@@ -855,6 +855,51 @@ def test_rational_normal_curves_agree_with_the_certificates():
     assert taken >= 40
 
 
+def sphere_family_columns(degrees):
+    """Spanning columns of the sphere family of N = sum of the O(a): block
+    a of U = sum of the S^a in monomial coordinates, with the degree-1
+    columns z1 e_m - z0 e_(m+1), m < a; most of their minors vanish."""
+    n = sum(a + 1 for a in degrees)
+    cols = []
+    off = 0
+    for a in degrees:
+        for m in range(a):
+            col = [BinaryForm.zero(1)] * n
+            col[off + m], col[off + m + 1] = Z1, -Z0
+            cols.append(col)
+        off += a + 1
+    return PolyMatrix.from_columns(n, cols, [1] * len(cols))
+
+
+def test_short_modular_pluecker_rank_keeps_checks_and_routes(monkeypatch):
+    # the modular rank agrees with the exact one on every curve here; read
+    # short, the rational normal curve rule falls to the exact expansion
+    # and its rank, and every check and route stays as it was
+    families = [saturate(s.spanning) for s in
+                _fixture_structures() + random_structures(20250808, 20)]
+    families += [saturate(sphere_family_columns(degrees))
+                 for degrees in ((2, 2, 1, 1, 1, 1), (4, 4, 4))]
+    before = [embedding.curve_checks(f) for f in families]
+    for f in families:
+        coords = embedding._pluecker_forms(f)
+        rows = [[Scalar(re, im) for re, im in g] for g in coords]
+        assert embedding._pluecker_rank_modp(f) == rank(rows)
+    expansions = []
+    real = embedding._pluecker_coordinates
+
+    def recording(family):
+        expansions.append(family)
+        return real(family)
+
+    monkeypatch.setattr(embedding, "_pluecker_rank_modp", lambda family: 0)
+    monkeypatch.setattr(embedding, "_pluecker_coordinates", recording)
+    assert [embedding.curve_checks(f) for f in families] == before
+    assert len(expansions) == len(families)
+    assert sum(routes == dict.fromkeys(("pluecker", "immersion",
+                                         "injectivity"), "exact")
+               for _, routes in before) >= 15
+
+
 def test_twisted_cubic_runs_no_certificate(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a rational normal curve needs no certificate")
