@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import InternalError, InvalidInput
 from .forms import BinaryForm, format_form, parse_form
-from .linalg import identity, kernel_basis
+from .linalg import kernel_basis
 from .polymatrix import (PolyMatrix, _decode, _equation_rows, _section_layout,
                          generic_rank, graded_kernel, graded_kernel_from_basis,
                          solve_combination)
@@ -266,8 +266,9 @@ def h0_twist(F, m: int):
     if isinstance(F, QuotientBundle):
         # the monomial basis of the layout, one coordinate at a time
         degs = annihilator(F.denominator).degrees
-        basis = [list(_decode(row, degs, m))
-                 for row in identity(_section_layout(degs, m)[2])]
+        total = _section_layout(degs, m)[2]
+        basis = [list(_decode([(int(i == j), 0) for j in range(total)],
+                              degs, m)) for i in range(total)]
         return len(basis), basis
     raise TypeError("h0_twist expects a SubbundleFamily or QuotientBundle")
 

@@ -407,11 +407,17 @@ _FORM_TOKEN = _re.compile(
 )
 
 
+# the largest degree a form literal may have; it is checked before the
+# coefficient list is allocated
+MAX_FORM_DEGREE = 10000
+
+
 def parse_form(text: str, degree=None) -> BinaryForm:
     """Parse a sum of monomial terms like "(1/2)*z0^2 - z0*z1 + (0+1*i)*z1^2".
 
     If ``degree`` is given the result is checked against it; the zero form
-    ("0") takes that degree.
+    ("0") takes that degree.  A term of degree above ``MAX_FORM_DEGREE``
+    is rejected.
     """
     s = text.strip()
     if s in ("0", "(0)", ""):
@@ -420,12 +426,15 @@ def parse_form(text: str, degree=None) -> BinaryForm:
     top = None
     for sign, term in _split_terms(s):
         coeff, p0, p1 = _parse_term(term)
+        deg = p0 + p1
+        if deg > MAX_FORM_DEGREE:
+            raise ValueError("degree %d of a term of %r exceeds %d"
+                             % (deg, text, MAX_FORM_DEGREE))
         if sign < 0:
             coeff = -coeff
         if coeff.is_zero():
             continue
         parsed.append((coeff, p0, p1))
-        deg = p0 + p1
         if top is None:
             top = deg
         elif deg != top:

@@ -21,6 +21,23 @@ The pivot columns are the column rank profile: column c is a pivot exactly
 when it is independent of the columns before it.  :func:`independent_rows`
 relies on this to pick independent vectors in order.
 
+Reduced form.  With ``reduced``, :func:`_bareiss` also clears the rows
+above each pivot, with the same step (fraction-free Gauss-Jordan).  The
+pivot row and the rows below it take the same values as without
+``reduced``, since clearing a row above touches neither, so the new pivot
+row y is 0 on the earlier pivot columns and the leading minor d_k on its
+own column c.  Let A_k be the input rows (after the swaps) of the k + 1
+pivots so far, B their square block on the pivot columns, det B = d_k,
+and R the reduced row echelon form of A_k.  Row k of R is y / d_k.  Row i
+above it is R'_i - R'_i[c] y / d_k, for R' that of the pivots before;
+if row i holds x = d_(k-1) R'_i, the step (d_k x - x[c] y) / d_(k-1)
+therefore leaves d_k R_i.  So after step k the pivot rows are
+d_k R = d_k B^-1 A_k, whose entries are, by Cramer's rule, determinants
+of B with one column replaced by a column of A_k: Gaussian integers, and
+every division is exact.  At the end every pivot entry is the last pivot
+d, the only nonzero entry of its column, and row k divided by d is row k
+of the reduced row echelon form.
+
 Modular proofs.  :func:`rank` and :func:`kernel_basis` first reduce the
 cleared rows modulo p = ``modp.KERNEL_PRIMES[0]``.  A minor of A reduces
 to the same minor of A mod p, so rank(A mod p) <= rank(A) <= min(rows,
@@ -113,12 +130,14 @@ def _checked_kernel(rows, ncols):
     return None
 
 
-def _bareiss(rows, ncols):
+def _bareiss(rows, ncols, reduced=False):
     """Fraction-free echelon form in place; returns pivot column list.
 
     After processing pivot k the entries are (k+1) x (k+1) minors of the
     scaled input, so the single-step division by the previous pivot is
-    always exact.
+    always exact.  With ``reduced`` the rows above each pivot are cleared
+    too, and row k divided by the last pivot is row k of the reduced row
+    echelon form ("Reduced form" in the module docstring).
     """
     nrows = len(rows)
     pivots = []
@@ -135,9 +154,13 @@ def _bareiss(rows, ncols):
         row_r = rows[r]
         pr, pi = row_r[c]
         qn = qr * qr + qi * qi
-        for row_i in rows[r + 1:]:
+        # a row above the pivot has entries left of c, where row_r is zero
+        for i in range(0 if reduced else r + 1, nrows):
+            if i == r:
+                continue
+            row_i = rows[i]
             ar, ai = row_i[c]
-            for j in range(c + 1, ncols):
+            for j in range(0 if i < r else c + 1, ncols):
                 # row_i[j] = (pivot * row_i[j] - row_i[c] * row_r[j]) / previous
                 xr, xi = row_i[j]
                 yr, yi = row_r[j]
@@ -220,38 +243,40 @@ def mat_eq(a, b):
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
-def _free_vector(rows, pivots, fc, out, den=1):
-    """Set in ``out`` the solution of the echelon system ``rows`` that is
-    ``1/den`` on column ``fc`` and 0 on the other free columns; returns
-    ``out``, whose length is the number of unknowns.
+def _free_vector(rows, pivots, fc, ncols):
+    """``(n, x)``: the solution of the echelon system ``rows`` that is 1 on
+    column ``fc`` and 0 on the other free columns is x / n, for the int
+    ``n > 0`` and the list ``x`` of its first ``ncols`` Gaussian-integer
+    numerators.
 
     Only pivots left of ``fc`` can be nonzero.  Column ``fc`` is set to the
     last of their pivots ``d``, which makes every pivot value a minor
-    (Cramer's rule), so each step divides exactly; the entries are divided
-    by ``d * den`` once at the end.
+    (Cramer's rule), so each step divides exactly; the values are then
+    put over n = d conj(d).
     """
-    if fc < len(out):
-        out[fc] = gaussian(1, 0, den)
+    x = [_GZERO] * ncols
     m = bisect_left(pivots, fc)
     if m == 0:
-        return out
+        if fc < ncols:
+            x[fc] = _GONE
+        return 1, x
     d = rows[m - 1][pivots[m - 1]]
-    x = [(fc, d)]
+    vals = [(fc, d)]
     for k in range(m - 1, -1, -1):
         row = rows[k]
         sr = si = 0
-        for j, (xr, xi) in x:
+        for j, (xr, xi) in vals:
             ur, ui = row[j]
             if ur or ui:
                 sr += ur * xr - ui * xi
                 si += ur * xi + ui * xr
         pc = pivots[k]
-        x.append((pc, _gdiv((-sr, -si), row[pc])))
-    dr, di = d[0] * den, d[1] * den
-    n = dr * dr + di * di
-    for j, (xr, xi) in x[1:]:
-        out[j] = gaussian(xr * dr + xi * di, xi * dr - xr * di, n)
-    return out
+        vals.append((pc, _gdiv((-sr, -si), row[pc])))
+    dr, di = d
+    for j, (xr, xi) in vals:
+        if j < ncols:
+            x[j] = (xr * dr + xi * di, xi * dr - xr * di)
+    return dr * dr + di * di, x
 
 
 def _eliminate(a, ncols, rhs=(), cleared=None):
@@ -281,8 +306,11 @@ def _eliminate(a, ncols, rhs=(), cleared=None):
     solutions = None
     if not pivots or pivots[-1] < ncols:
         # x = -(kernel vector of [A | D b] that is 1 on b's column)/D
-        solutions = [_free_vector(rows, pivots, ncols + k, [ZERO] * ncols,
-                                  -l) for k, (l, _) in enumerate(sides)]
+        solutions = []
+        for k, (l, _) in enumerate(sides):
+            n, x = _free_vector(rows, pivots, ncols + k, ncols)
+            solutions.append([gaussian(-re, -im, n * l) if re or im else ZERO
+                              for re, im in x])
     return rows, [c for c in pivots if c < ncols], solutions
 
 
@@ -326,13 +354,15 @@ def kernel_basis(a):
     rows = [clear_denominators(row)[1] for row in a]
     if _rank_modp(rows) == ncols:
         return []
-    return integer_kernel(rows, ncols)
+    return [[gaussian(re, im, den) if re or im else ZERO for re, im in x]
+            for den, x in integer_kernel(rows, ncols)]
 
 
 def integer_kernel(rows, ncols, keep=None):
     """The :func:`kernel_basis` vectors of the Gaussian-integer ``rows``
-    (lists of ``ncols`` (re, im) pairs), with no modular rank first; the
-    rows may be overwritten.
+    (lists of ``ncols`` (re, im) pairs), with no modular rank first, each
+    as ``(den, x)``: the int ``den > 0`` and the ``ncols`` Gaussian-integer
+    numerators ``x`` of the vector x / den.  The rows may be overwritten.
 
     ``keep(free)``, given the free columns in order, returns the positions
     in that list of the vectors wanted, in order; only those are built.
@@ -345,17 +375,17 @@ def integer_kernel(rows, ncols, keep=None):
                     [entries[-1][0] for _, entries in vectors])]
             out = []
             for den, entries in vectors:
-                v = [ZERO] * ncols
-                for j, (xr, xi) in entries:
-                    v[j] = gaussian(xr, xi, den)
-                out.append(v)
+                x = [_GZERO] * ncols
+                for j, pair in entries:
+                    x[j] = pair
+                out.append((den, x))
             return out
     rows, pivots, _ = _eliminate(None, ncols, cleared=rows)
     pivot_set = set(pivots)
     free = [fc for fc in range(ncols) if fc not in pivot_set]
     if keep is not None:
         free = [free[i] for i in keep(free)]
-    return [_free_vector(rows, pivots, fc, [ZERO] * ncols) for fc in free]
+    return [_free_vector(rows, pivots, fc, ncols) for fc in free]
 
 
 def solve(a, b):

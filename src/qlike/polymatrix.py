@@ -74,21 +74,23 @@ coordinates i..K, lies in the row space of A[:, i:], that is when
 rank A[:, i:] = 1 + rank A[:, i+1:]: when column i is a pivot of A's
 columns scanned from right to left.  So the new generators are the
 kernel vectors whose column of A is not such a pivot, and one
-:func:`~qlike.linalg.independent_rows` on A's reversed columns, vectors of
-length M, picks them.
+fraction-free echelon of A's rows with their columns reversed picks them.
+A row of A is one multiple; the generators are kept as Gaussian-integer
+numerators with their denominators dropped, which scales each multiple,
+hence each row of A, by a nonzero constant and keeps the column pivots.
 
 Every graded system, exact or modulo a prime, is built in this module's
-section-space layout.
+section-space layout, and every generator goes from the integers of an
+echelon to its forms with no Scalar in between.
 """
 
 from __future__ import annotations
 
 from .errors import InternalError, InvalidInput
-from .forms import BinaryForm, _column_numerators
-from .linalg import (independent_rows, integer_kernel, mat_mul, rank, solve,
-                     solve_matrix, transpose)
+from .forms import BinaryForm, _column_numerators, _form
+from .linalg import _bareiss, integer_kernel, rank, solve
 from .modp import PRIMES, rank_modp, reduce_modp, sqrt_minus_one
-from .scalars import ONE, ZERO
+from .scalars import ZERO, clear_denominators
 
 class PolyMatrix:
     """Immutable matrix of binary forms, column j homogeneous of degree d_j."""
@@ -245,13 +247,12 @@ def graded_kernel(relation_rows, n_unknowns, unknown_shifts=None, *,
                 m += 1
                 continue
         wanted = expected_count - len(gens)
-        for sol in integer_kernel(
+        for den, sol in integer_kernel(
                 _equation_rows(nums, shifts, m, zero=(0, 0)), total,
                 lambda free: _new_kernel_vectors(
                     free, known, shifts, m)[:wanted]):
-            gens.append((m, _decode(sol, shifts, m)))
-            known.append((m, [sol[off:off + length] for off, length
-                              in zip(offsets, lengths)]))
+            gens.append((m, _decode(sol, shifts, m, den)))
+            known.append((m, _blocks(sol, offsets, lengths)))
         if len(gens) == expected_count:
             return gens
         m += 1
@@ -264,41 +265,54 @@ def graded_kernel_from_basis(columns, degrees):
     system whose solution module is free on ``columns`` (lists of forms,
     column j homogeneous of degree ``degrees[j]``), without its relations.
 
-    Stage m's kernel is then the span W_m of the z-multiples of the
-    columns of degree at most m, and new generators fall only at the
-    columns' degrees.  Let W_m's rows be those multiples.  The kernel's free
-    coordinates F are the pivots of W_m's columns scanned from the right:
-    by matroid duality, the complement of the equation rows' pivots from
-    the left.  Row i of W_F^-1 W_m, for the square block W_F = W_m[:, F],
-    is the kernel vector that is 1 on F[i] and 0 on the rest of F, which
-    is what :func:`~qlike.linalg.kernel_basis` returns.  graded_kernel's
+    Stage m's kernel is then the span of the z-multiples of the columns of
+    degree at most m, and new generators fall only at the columns'
+    degrees.  Let W be the matrix whose rows are those multiples, built
+    from the columns' Gaussian-integer numerators: scaling a column scales
+    its rows of W, which changes neither W's row space nor W_F^-1 W below.
+    The multiples of a free basis are independent, so W has full row rank.
+    The kernel's free coordinates F are the pivots of W's columns scanned
+    from the right: by matroid duality, the complement of the equation
+    rows' pivots from the left.  Reverse W's columns and bring it to
+    reduced row echelon form R: its pivots are F, read from the right, and
+    R = W_F^-1 W (columns reversed) for the square block W_F = W[:, F],
+    since R = E W for an invertible E, and R is the identity on F.  So the
+    row of R with its pivot on F[i], read from the right, is the kernel
+    vector that is 1 on F[i] and 0 on the rest of F, which is what
+    :func:`~qlike.linalg.kernel_basis` returns.  One fraction-free
+    Gauss-Jordan pass (``reduced`` :func:`~qlike.linalg._bareiss`) gives
+    d R for its last pivot d, with every division exact ("Reduced form" in
+    :mod:`qlike.linalg`), so each row of R is Gaussian-integer numerators
+    over d, or, times conj(d), over the int d conj(d).  graded_kernel's
     rule picks the new generators from F alone, and only their rows are
-    built: row i is y W_m for the solution y of W_F^T y = e_i.  It runs no
-    stage above the largest column degree, so it needs no bound of its own.
+    read.  It runs no stage above the largest column degree, so it needs
+    no bound of its own.
     """
     if not columns:
         return []
     shifts = [0] * len(columns[0])
-    blocks = [[f.coeffs for f in col] for col in columns]
+    # a zero entry may carry another degree than its column: it writes no
+    # coordinate
+    blocks = [[num if f else ()
+               for f, num in zip(col, _column_numerators(col))]
+              for col in columns]
     gens = []
     known = []
     for m in sorted(set(degrees)):
         lengths, offsets, total = _section_layout(shifts, m)
-        span = [_multiple_coeffs(gvec, shifts, m, mono1)
+        rows = [_multiple_coeffs(gvec, shifts, m, mono1)[::-1]
                 for gvec, d in zip(blocks, degrees) if d <= m
                 for mono1 in range(m - d + 1)]
-        free = sorted(total - 1 - c for c in independent_rows(
-            [[v[c] for v in span] for c in reversed(range(total))]))
-        kept = _new_kernel_vectors(free, known, shifts, m)
-        if not kept:
-            continue
-        units = [[ONE if i == k else ZERO for k in kept]
-                 for i in range(len(free))]
-        ys = solve_matrix([[v[f] for v in span] for f in free], units)
-        for sol in mat_mul(transpose(ys), span):
-            gens.append((m, _decode(sol, shifts, m)))
-            known.append((m, [sol[off:off + length] for off, length
-                              in zip(offsets, lengths)]))
+        pivots = _bareiss(rows, total, reduced=True)
+        last = len(pivots) - 1
+        free = [total - 1 - c for c in reversed(pivots)]
+        dr, di = rows[last][pivots[last]]
+        den = dr * dr + di * di
+        for i in _new_kernel_vectors(free, known, shifts, m):
+            vec = rows[last - i][::-1]          # d times the kernel vector
+            sol = [(re * dr + im * di, im * dr - re * di) for re, im in vec]
+            gens.append((m, _decode(sol, shifts, m, den)))
+            known.append((m, _blocks(vec, offsets, lengths)))
     return gens
 
 
@@ -324,12 +338,12 @@ def _new_kernel_vectors(free, known, shifts, m):
     if not known:
         # with no generator yet, every kernel vector is new
         return list(range(len(free)))
-    mults = [_multiple_coeffs(blocks, shifts, m, mono1)
-             for mg, blocks in known
-             for mono1 in range(m - mg, -1, -1)]
+    rows = [_multiple_coeffs(blocks, shifts, m, mono1)
+            for mg, blocks in known
+            for mono1 in range(m - mg, -1, -1)]
     last = len(free) - 1
-    pivots = set(independent_rows([[v[f] for v in mults]
-                                   for f in reversed(free)]))
+    pivots = set(_bareiss([[v[f] for f in reversed(free)] for v in rows],
+                          len(free)))
     return [i for i in range(len(free)) if last - i not in pivots]
 
 
@@ -408,23 +422,27 @@ def _equation_rows(relation_rows, shifts, m, zero=ZERO):
 
 def _multiple_coeffs(gvec, shifts, m, mono1):
     """Stage-m coordinates of z0^a z1^mono1 times the generator whose forms
-    have the coefficients ``gvec`` (the stage degree fixes a)."""
-    lengths, offsets, total = _section_layout(shifts, m)
-    out = [ZERO] * total
-    for j, f in enumerate(gvec):
-        if lengths[j]:
-            # multiplying by z0^a z1^mono1 shifts the z1-power index by mono1
-            off = offsets[j] + mono1
-            for u, c in enumerate(f):
-                if c:
-                    out[off + u] = c
+    have the Gaussian-integer numerators ``gvec`` (the stage degree fixes
+    a)."""
+    _, offsets, total = _section_layout(shifts, m)
+    out = [(0, 0)] * total
+    for off, f in zip(offsets, gvec):
+        # multiplying by z0^a z1^mono1 shifts the z1-power index by mono1;
+        # a block of length 0 is empty in gvec too
+        out[off + mono1:off + mono1 + len(f)] = f
     return out
 
 
-def _decode(sol, shifts, m):
-    """The forms whose stage-m coordinates are ``sol``."""
+def _blocks(sol, offsets, lengths):
+    """The stage coordinates ``sol`` cut into the blocks of the unknowns."""
+    return [sol[off:off + length] for off, length in zip(offsets, lengths)]
+
+
+def _decode(nums, shifts, m, den=1):
+    """The forms whose stage-m coordinates are the Gaussian-integer
+    numerators ``nums`` over the int ``den > 0``."""
     lengths, offsets, _ = _section_layout(shifts, m)
-    return tuple(BinaryForm(m + s, sol[off:off + length]) if length else
+    return tuple(_form(m + s, nums[off:off + length], den) if length else
                  BinaryForm.zero(max(m + s, 0))
                  for s, length, off in zip(shifts, lengths, offsets))
 
@@ -475,4 +493,5 @@ def solve_combination(columns, col_degrees, target, target_degree):
     sol = solve(a, b)
     if sol is None:
         return None
-    return list(_decode(sol, shifts, target_degree))
+    den, nums = clear_denominators(sol)
+    return list(_decode(nums, shifts, target_degree, den))

@@ -47,6 +47,22 @@ def _parse_vector(values):
             for v in values]
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number",
+               float: "number", bool: "boolean"}
+
+
+def _bad_entry(data, key, wanted):
+    """The error for a quadruple entry ``key`` that is missing or not what
+    it must be, naming the JSON type it has."""
+    if key not in data:
+        return InvalidInput("quadruple JSON needs an %r entry" % key)
+    value = data[key]
+    got = "null" if value is None else "the %s %s" % (
+        _JSON_TYPES[type(value)], json.dumps(value)[:40])
+    return InvalidInput("quadruple entry %r must be %s, not %s"
+                        % (key, wanted, got))
+
+
 def quadruple_from_json(data) -> GoodQuadruple:
     """Assemble a quadruple from its JSON description.
 
@@ -67,7 +83,8 @@ def quadruple_from_json(data) -> GoodQuadruple:
     elif isinstance(alg_spec, dict):
         algebra = LieAlgebra.from_json(alg_spec)
     else:
-        raise InvalidInput("quadruple JSON needs an 'algebra' entry")
+        raise _bad_entry(data, "algebra", "a built-in algebra name or a "
+                         "structure constant table")
 
     rep_spec = data.get("representation", "adjoint")
     if rep_spec == "adjoint":
@@ -105,7 +122,7 @@ def quadruple_from_json(data) -> GoodQuadruple:
         tau = Sl2Embedding(algebra, _parse_vector(sl2["E"]),
                            _parse_vector(sl2["H"]), _parse_vector(sl2["F"]))
     else:
-        raise InvalidInput("quadruple JSON needs an 'sl2' entry")
+        raise _bad_entry(data, "sl2", "an object with 'nilpotent' or E, H, F")
 
     u_spec = data.get("u_basis", "sl2-image")
     if u_spec == "full":
@@ -114,8 +131,11 @@ def quadruple_from_json(data) -> GoodQuadruple:
                    for j in range(n)]
     elif u_spec == "sl2-image":
         u_basis = [tuple(tau.e), tuple(tau.h), tuple(tau.f)]
-    else:
+    elif isinstance(u_spec, list):
         u_basis = [tuple(_parse_vector(v)) for v in u_spec]
+    else:
+        raise _bad_entry(data, "u_basis", "a list of vectors, \"full\" or "
+                         "\"sl2-image\"")
     # the adjoint formula and the orbit-dimension check assume U = tau(sl2)
     return GoodQuadruple(algebra, sigma, tau, tuple(u_basis),
                          name=data.get("name", "file-quadruple"),

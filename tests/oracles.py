@@ -34,9 +34,8 @@ from qlike.linalg import (identity, independent_rows, inverse, kernel_basis,
                           mat_mul, mat_sub, mat_vec, rank, solve,
                           solve_matrix, transpose, zeros)
 from qlike.modp import _eliminate_modp
-from qlike.polymatrix import (PolyMatrix, _apply_scalar_matrix, _decode,
-                              _degree_bound, _equation_rows,
-                              _multiple_coeffs, _section_layout,
+from qlike.polymatrix import (PolyMatrix, _apply_scalar_matrix,
+                              _degree_bound, _equation_rows, _section_layout,
                               solve_combination)
 from qlike.scalars import I, ONE, ZERO, Scalar, clear_denominators, scalar
 
@@ -586,6 +585,28 @@ def scalar_factorization(hd, md):
         facts["rho_minus_star_maps_ker_psi_minus_onto_iota_inv_ker_rho_plus"]\
             = iso_found and _maps_onto(images, kernels["rho_plus"])
     return X, solvable, iso_found, dims, facts
+
+
+def _multiple_coeffs(gvec, shifts, m, mono1):
+    """Stage-m coordinates, as Scalars, of z0^a z1^mono1 times the
+    generator whose forms have the Scalar coefficients ``gvec``."""
+    lengths, offsets, total = _section_layout(shifts, m)
+    out = [ZERO] * total
+    for j, f in enumerate(gvec):
+        if lengths[j]:
+            off = offsets[j] + mono1
+            for u, c in enumerate(f):
+                if c:
+                    out[off + u] = c
+    return out
+
+
+def _decode(sol, shifts, m):
+    """The forms whose stage-m coordinates are the Scalars ``sol``."""
+    lengths, offsets, _ = _section_layout(shifts, m)
+    return tuple(BinaryForm(m + s, sol[off:off + length]) if length else
+                 BinaryForm.zero(max(m + s, 0))
+                 for s, length, off in zip(shifts, lengths, offsets))
 
 
 def graded_kernel_by_stages(relation_rows, n_unknowns, unknown_shifts=None, *,

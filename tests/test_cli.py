@@ -263,6 +263,8 @@ def test_dual_invalid_structure_exit_two(tmp_path, capsys, change, message):
                       [True, False, False]]}, "boolean"),
     # "^" is the power, and "*" must join two factors: no "**"
     ({"spanning": [["z0**2", "z0*z1", "z1**2"]]}, "must join two factors"),
+    # refused by its degree before any coefficient list is allocated
+    ({"spanning": [["z0^99999999999", "z0*z1", "z1^2"]]}, "exceeds 10000"),
 ])
 def test_malformed_structure_exit_two(tmp_path, capsys, change, message):
     with open(os.path.join(FIXTURES, "conic_r3.json")) as fh:
@@ -369,6 +371,15 @@ _F = [0, 1, 0, 0, 0, 0, 0, 0]
       "sl2": {"nilpotent": ["1", "0", "0"]}}, "fails the Jacobi identity"),
     ({"algebra": "sl(3)", "sl2": {"nilpotent": MIXED_SL3}},
      "element is not ad-nilpotent"),
+    # entries of the wrong JSON type are named with it
+    ({"algebra": 5, "sl2": {"nilpotent": "principal"}},
+     "'algebra' must be a built-in algebra name or a structure constant "
+     "table, not the number 5"),
+    ({"algebra": "sl(2)", "sl2": [1, 2]},
+     "'sl2' must be an object with 'nilpotent' or E, H, F, not the array"),
+    ({"algebra": "sl(2)", "sl2": {"nilpotent": "principal"},
+      "u_basis": "foo"}, "'u_basis' must be a list of vectors, \"full\" or "
+     "\"sl2-image\", not the string \"foo\""),
 ])
 def test_malformed_quadruple_exit_two(tmp_path, capsys, spec, message):
     path = tmp_path / "quad.json"

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -8,8 +9,9 @@ import pytest
 
 from oracles import form_divmod_exact
 
-from qlike.forms import (BinaryForm, Z0, Z1, antipodal_transform, form_gcd,
-                         format_form, parse_form)
+from qlike.forms import (MAX_FORM_DEGREE, BinaryForm, Z0, Z1,
+                         antipodal_transform, form_gcd, format_form,
+                         parse_form)
 from qlike.scalars import ONE, Scalar, ZERO
 
 
@@ -127,6 +129,22 @@ def test_parse_rejects_dangling_operators(text):
     # is not 2*z0, nor "-" the zero form
     with pytest.raises(ValueError):
         parse_form(text)
+
+
+def test_parse_bounds_the_degree_before_allocating():
+    # a degree at the bound parses; one above it, or a huge exponent, even
+    # under a zero coefficient, is refused with no coefficient list built
+    assert parse_form("z0^%d" % MAX_FORM_DEGREE).degree == MAX_FORM_DEGREE
+    tracemalloc.start()
+    try:
+        for text in ("z1^%d" % (MAX_FORM_DEGREE + 1), "z0^99999999999",
+                     "z0^5000*z1^5001", "0*z0^99999999999"):
+            with pytest.raises(ValueError, match="exceeds"):
+                parse_form(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 @pytest.mark.parametrize("text, expected", [

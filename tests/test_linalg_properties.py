@@ -311,14 +311,65 @@ def test_wide_kernel_basis_and_rank_match_rref(a):
     assert rank(a) == len(rref(a)[1])
 
 
+@st.composite
+def integer_matrices(draw):
+    """Gaussian-integer rows as (re, im) pairs: small parts or parts over
+    100 bits, with zero rows and combinations of other rows mixed in."""
+    big = st.builds(lambda x, sign: sign * x, st.integers(2 ** 100, 2 ** 130),
+                    st.sampled_from([1, -1]))
+    part = st.one_of(st.integers(-4, 4), big)
+    entry = st.one_of(st.just((0, 0)), st.tuples(part, part))
+    m = draw(st.integers(1, 6))
+    rows = [[draw(entry) for _ in range(m)]
+            for _ in range(draw(st.integers(1, 5)))]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        cr, ci = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+        rows.append([(xr + cr * yr - ci * yi, xi + cr * yi + ci * yr)
+                     for (xr, xi), (yr, yi) in zip(rows[i], rows[j])])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [(0, 0)] * m)
+    return rows
+
+
+@SETTINGS
+@given(integer_matrices())
+@example([[(0, 0), (0, 0)], [(2 ** 101, 1), (0, 3)],
+          [(2 ** 102, 2), (0, 6)]])
+@example([[(0, 0), (1, 1), (2, 0)], [(3, 0), (0, 2), (0, 0)],
+          [(3, 0), (1, 3), (2, 0)]])
+def test_reduced_bareiss_is_the_last_pivot_times_the_rref(rows):
+    # fraction-free Gauss-Jordan: the pivots of the echelon form, every
+    # pivot entry the last pivot d, and the rows over d the Q(i) RREF
+    ncols = len(rows[0])
+    expected, expected_pivots = rref([[Scalar(re, im) for re, im in row]
+                                      for row in rows])
+    echelon_pivots = linalg._bareiss([list(row) for row in rows], ncols)
+    reduced = [list(row) for row in rows]
+    pivots = linalg._bareiss(reduced, ncols, reduced=True)
+    assert pivots == echelon_pivots == expected_pivots
+    r = len(pivots)
+    if r:
+        d = reduced[r - 1][pivots[-1]]
+        assert all(reduced[k][c] == d for k, c in enumerate(pivots))
+        assert [[Scalar(re, im) / Scalar(*d) for re, im in row]
+                for row in reduced[:r]] == expected[:r]
+    assert all(x == (0, 0) for row in reduced[r:] for x in row)
+
+
 def _bareiss_rank_and_kernel(a):
     """rank and kernel basis from the exact driver alone."""
     ncols = len(a[0])
     rows = [clear_denominators(row)[1] for row in a]
     echelon, pivots, _ = linalg._eliminate(None, ncols, cleared=rows)
-    return len(pivots), [
-        linalg._free_vector(echelon, pivots, fc, [ZERO] * ncols)
-        for fc in range(ncols) if fc not in pivots]
+    kernel = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            den, x = linalg._free_vector(echelon, pivots, fc, ncols)
+            kernel.append([Scalar(Fraction(re, den), Fraction(im, den))
+                           for re, im in x])
+    return len(pivots), kernel
 
 
 @st.composite

@@ -5,8 +5,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from oracles import (graded_kernel_by_stages, graded_kernel_from_basis_by_solve,
                      poly_mat_vec)
+from test_structures import sphere_family_columns
 
-from qlike import bundles, orbit, polymatrix
+from qlike import bundles, linalg, orbit, polymatrix, scalars
 from qlike.bundles import saturate, subquotient_splitting
 from qlike.catalog import catalog_entries, fixture_structures
 from qlike.errors import InternalError
@@ -398,7 +399,50 @@ def test_free_basis_generators_equal_the_whole_solve(monkeypatch):
             [BinaryForm.zero(2), parse_form("z0^2"), parse_form("z0*z1"),
              parse_form("z1^2")]], [1, 2])
     saturate(conic_and_line)
-    assert len(calls) > 20
+    # the sphere families: W of up to 36 x 42 at one stage, every row kept
+    start = len(calls)
+    for degrees in ((5, 5), (5, 5, 5), (6, 6, 6)):
+        saturate(sphere_family_columns(degrees))
+    assert len(calls) == start + 3 > 23
     for columns, degrees, out in calls:
         assert exact(out) == exact(graded_kernel_from_basis_by_solve(
             columns, degrees))
+
+
+def test_graded_kernel_routes_build_no_scalar(monkeypatch):
+    # from the forms' numerators through the integer echelons to the forms
+    # of the generators, neither route builds a Scalar or runs a Scalar
+    # elimination or product
+    draw = random_structures(20250808, 9)[8]
+    relations = [list(col) for col in draw.spanning.columns()]
+    count = draw.dim - generic_rank(draw.spanning.transpose_relations())
+    families = [sphere_family_columns(d) for d in ((5, 5), (6, 6, 6))]
+    built = []
+    real_make = scalars._make
+    real_init = Scalar.__init__
+
+    def make(a, b, d):
+        built.append((a, b, d))
+        return real_make(a, b, d)
+
+    def init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    def forbidden(*args):
+        raise AssertionError("a Scalar route ran")
+
+    monkeypatch.setattr(scalars, "_make", make)
+    monkeypatch.setattr(Scalar, "__init__", init)
+    for name in ("independent_rows", "solve_matrix", "mat_mul", "transpose"):
+        monkeypatch.setattr(linalg, name, forbidden)
+    gens = graded_kernel(relations, draw.dim, expected_count=count)
+    bases = [polymatrix.graded_kernel_from_basis(P.columns(), P.col_degrees)
+             for P in families]
+    assert built == []
+    monkeypatch.undo()
+    assert exact(gens) == exact(graded_kernel_by_stages(
+        relations, draw.dim, expected_count=count))
+    for P, out in zip(families, bases):
+        assert exact(out) == exact(graded_kernel_from_basis_by_solve(
+            P.columns(), P.col_degrees))

@@ -199,6 +199,24 @@ def test_dualize_involution_and_swap():
     assert a_dual.u_plus == SplittingType.of([2])
 
 
+DUAL_LABEL = {"quaternionic": "quaternionic", "general": "general",
+              "rho-quaternionic": "rho-star-quaternionic",
+              "rho-star-quaternionic": "rho-quaternionic"}
+
+
+def test_dualize_swaps_the_labels_and_the_cr_flags():
+    # the dual exchanges the two sides, so rho with rho-star and cr with
+    # co_cr, on the fixtures and a draw that between them show every label
+    seen = set()
+    for s in _fixture_structures() + random_structures(123, 8):
+        a, b = analyze(s), analyze(dualize(s))
+        assert b.label == DUAL_LABEL[a.label]
+        assert (b.flags["cr"], b.flags["co_cr"]) == (a.flags["co_cr"],
+                                                     a.flags["cr"])
+        seen.add(a.label)
+    assert seen == set(DUAL_LABEL)
+
+
 def test_dual_conjugation_is_inverse_transpose():
     d = dualize(CONIC)
     assert d.conjugation is not None
@@ -856,19 +874,9 @@ def test_rational_normal_curves_agree_with_the_certificates():
 
 
 def sphere_family_columns(degrees):
-    """Spanning columns of the sphere family of N = sum of the O(a): block
-    a of U = sum of the S^a in monomial coordinates, with the degree-1
-    columns z1 e_m - z0 e_(m+1), m < a; most of their minors vanish."""
-    n = sum(a + 1 for a in degrees)
-    cols = []
-    off = 0
-    for a in degrees:
-        for m in range(a):
-            col = [BinaryForm.zero(1)] * n
-            col[off + m], col[off + m + 1] = Z1, -Z0
-            cols.append(col)
-        off += a + 1
-    return PolyMatrix.from_columns(n, cols, [1] * len(cols))
+    """The spanning columns of a sphere family, as tools/report_digest.py
+    builds them: degree-1 columns, most of whose minors vanish."""
+    return _digest_tool().sphere_family_columns(degrees)
 
 
 def test_short_modular_pluecker_rank_keeps_checks_and_routes(monkeypatch):

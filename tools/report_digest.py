@@ -30,7 +30,12 @@ Groups (all of them by default):
   of :func:`constant_generator_structures`, whose minus sides have
   degree-0 summands;
 * ``real`` -- ``analyze`` and ``dualize`` JSON, in process, on the real
-  structures of :func:`real_structures`.
+  structures of :func:`real_structures`;
+* ``families`` -- the JSON of ``saturate(S.spanning)`` and of its
+  annihilator, in process, on the 3 fixtures,
+  ``random_structures(20250808, 53)``, ``random_structures(123, 8)`` and
+  the sphere families of :func:`sphere_family_columns` for {5, 5},
+  {5, 5, 5} and {6, 6, 6}.
 """
 
 import hashlib
@@ -199,9 +204,44 @@ def real():
                "dualize": dualize(S).to_json()}
 
 
+def sphere_family_columns(degrees):
+    """The spanning columns of the sphere family of N = sum of the O(a):
+    block a of U = sum of the S^a in monomial coordinates, with the
+    degree-1 columns z1 e_m - z0 e_(m+1), m < a."""
+    from qlike.forms import BinaryForm, Z0, Z1
+    from qlike.polymatrix import PolyMatrix
+    n = sum(a + 1 for a in degrees)
+    cols = []
+    off = 0
+    for a in degrees:
+        for m in range(a):
+            col = [BinaryForm.zero(1)] * n
+            col[off + m], col[off + m + 1] = Z1, -Z0
+            cols.append(col)
+        off += a + 1
+    return PolyMatrix.from_columns(n, cols, [1] * len(cols))
+
+
+def families():
+    from qlike import sampling
+    from qlike.bundles import annihilator, saturate
+    from qlike.serialize import load_structure_file
+    spans = [load_structure_file(os.path.join(FIXTURES, name)).spanning
+             for name in sorted(os.listdir(FIXTURES))]
+    spans += [S.spanning for S in (sampling.random_structures(20250808, 53)
+                                   + sampling.random_structures(123, 8))]
+    spans += [sphere_family_columns(d) for d in ((5, 5), (5, 5, 5),
+                                                 (6, 6, 6))]
+    for P in spans:
+        fam = saturate(P)
+        yield {"family": fam.to_json(),
+               "annihilator": annihilator(fam).to_json()}
+
+
 GROUPS = {"quadruples": quadruples, "algebras": algebras, "cli": cli,
           "fixtures": fixtures, "structures": structures, "invalid": invalid,
-          "constant-generators": constant_generators, "real": real}
+          "constant-generators": constant_generators, "real": real,
+          "families": families}
 
 
 def group_digest(records):
